@@ -147,17 +147,17 @@ class Adg
      * mutation history that produced them; per-item hashes are
      * combined commutatively, so iteration order is irrelevant. Any
      * single node/edge/parameter perturbation changes the value (see
-     * tests/adg/fingerprint_test.cc). The DSE evaluation cache keys
-     * on two independently salted fingerprints, making accidental
-     * collisions a ~2^-128 event.
+     * tests/adg/fingerprint_test.cc). The overlay library and the
+     * warm-sim cache key on two independently salted fingerprints,
+     * making accidental collisions a ~2^-128 event.
      */
     uint64_t fingerprint(uint64_t salt = 0) const;
 
     /**
      * Both salted fingerprints in one graph traversal. The per-item
      * structural hash is salt-independent, so computing a pair costs
-     * barely more than one fingerprint() — the DSE evaluation cache
-     * uses this for its double-salted key. fingerprint(s) ==
+     * barely more than one fingerprint() — the double-salted keys
+     * above use it. fingerprint(s) ==
      * fingerprintPair(s, t).first for every t.
      */
     std::pair<uint64_t, uint64_t> fingerprintPair(uint64_t saltA,

@@ -18,6 +18,9 @@ namespace {
  */
 thread_local const ThreadPool *tlsActivePool = nullptr;
 
+/** Pools currently owning worker threads (see liveThreadPools). */
+std::atomic<int> liveWorkerPools{ 0 };
+
 /**
  * One parallel region. Indices are claimed from `cursor` in ascending
  * order and executed exactly once. `fn` and `errors` live on the
@@ -103,6 +106,7 @@ ThreadPool::ThreadPool(int threads)
     if (numThreads == 1)
         return;  // inline serial execution, no workers
     impl = new Impl;
+    liveWorkerPools.fetch_add(1, std::memory_order_relaxed);
     impl->workers.reserve(numThreads - 1);
     for (int t = 0; t < numThreads - 1; ++t)
         impl->workers.emplace_back(
@@ -121,6 +125,13 @@ ThreadPool::~ThreadPool()
     for (std::thread &worker : impl->workers)
         worker.join();
     delete impl;
+    liveWorkerPools.fetch_sub(1, std::memory_order_relaxed);
+}
+
+int
+liveThreadPools()
+{
+    return liveWorkerPools.load(std::memory_order_relaxed);
 }
 
 int

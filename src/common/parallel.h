@@ -91,6 +91,14 @@ class ThreadPool
     Impl *impl = nullptr;
 };
 
+/**
+ * @return the number of ThreadPools in this process that currently
+ * own worker threads (pools of one thread run inline and never
+ * count). Forking while this is nonzero is unsafe: the child inherits
+ * the pool's locks but none of its workers.
+ */
+int liveThreadPools();
+
 } // namespace overgen
 
 #endif // OVERGEN_COMMON_PARALLEL_H

@@ -85,7 +85,7 @@ struct DseOptions
     /** Nested system-DSE grids (paper §III-B). Each axis is iterated
      * in ascending order; resources are monotone per axis, so the
      * explorer prunes whole over-budget subtrees instead of visiting
-     * every point (see DESIGN.md "Evaluation cache and model split"). */
+     * every point (see DESIGN.md "Model split"). */
     std::vector<int> tileCountGrid{ 1, 2, 3, 4, 6, 8, 10, 13, 16 };
     std::vector<int> l2BankGrid{ 4, 8, 16 };
     std::vector<int> nocBytesGrid{ 32, 64 };
@@ -111,18 +111,6 @@ struct DseOptions
      * ramp (long kernels sit near 1.0 and are always exempt).
      */
     double phaseShortSteadyFraction = 0.75;
-    /**
-     * Memoize schedule-all results and tile resource vectors by ADG
-     * fingerprint, so mutate/reject revisits of structurally
-     * identical designs cost a hash lookup instead of a re-schedule.
-     * Results are bit-identical with the cache on or off — hits
-     * return deep copies of values the same pure computation would
-     * produce (see DESIGN.md). Off is the escape hatch
-     * (`--no-eval-cache` on the bench harnesses).
-     */
-    bool evalCache = true;
-    /** Entry bound of each memo table (FIFO eviction beyond it). */
-    size_t evalCacheEntries = 1024;
     /**
      * Cycle-simulate every kernel on the final design after the
      * anneal (sim::runBatch over `threads` workers) and record the
@@ -161,8 +149,8 @@ struct DseOptions
     std::string telemetryLabel;
     /**
      * Emit one `"type":"heartbeat"` progress record on the sink every
-     * N annealing rounds (candidates/sec, eval-cache hit rate,
-     * best-so-far objective; 0 disables). Heartbeats ride the same
+     * N annealing rounds (candidates/sec, best-so-far objective;
+     * 0 disables). Heartbeats ride the same
      * JSONL stream as iteration records — consumers filter on the
      * "type" key — and are deterministic in count and content except
      * for the wall-clock rate fields.
@@ -220,20 +208,16 @@ struct DseResult
     int evaluated = 0;
     /** Speculative evaluations discarded unexamined. */
     int discarded = 0;
-    /**
-     * Evaluation-cache traffic (zero with the cache off). The split
-     * between hits and misses can vary with thread timing — two
-     * workers racing the same fingerprint may both miss — so these
-     * are observability, outside the determinism contract.
-     */
+    /** Always 0: candidate evaluation is not memoized (DESIGN.md
+     * "Model split"). Kept only for existing readers. */
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
-    uint64_t cacheEvictions = 0;
     /** System-grid points skipped by monotone budget pruning (a
      * deterministic function of the trajectory). */
     uint64_t gridPruned = 0;
     /** @name Warm-validation traffic for THIS call (zero without
-     * DseOptions::simCache; observability, like the cache counters) */
+     * DseOptions::simCache; observability, outside the determinism
+     * contract) */
     /// @{
     uint64_t simTerminalHits = 0;  //!< validations served from cache
     uint64_t simResumes = 0;       //!< validations resumed mid-run

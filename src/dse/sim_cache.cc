@@ -6,7 +6,7 @@ namespace overgen::dse {
 
 namespace {
 
-/** Salts mirroring EvalCache's double-fingerprint keying. */
+/** Salts of the double-fingerprint (Adg::fingerprintPair) ADG key. */
 constexpr uint64_t kAdgSaltA = 0x5bf03635d1c2b9f3ull;
 constexpr uint64_t kAdgSaltB = 0xa24baed4963ee407ull;
 

@@ -24,8 +24,8 @@
  *    precisely so a probe checkpoint stays valid under a larger
  *    budget.
  *
- * Determinism contract (same shape as EvalCache): every cached value
- * was produced by the computation a miss would run, so warmSimulate
+ * Determinism contract: every cached value was produced by the
+ * computation a miss would run, so warmSimulate
  * returns bit-identical SimResults with the cache hot, cold, or
  * disabled — only wall-clock changes.
  *

@@ -11,7 +11,7 @@
  * the compiler's reuse analysis reduce consumption at each level.
  *
  * The model is offered in two forms that compute bit-identical
- * results (see DESIGN.md "Evaluation cache and model split"):
+ * results (see DESIGN.md "Model split"):
  *  - estimateIpc(): the one-shot reference path;
  *  - precomputeTilePerf() + combineSystemPerf(): the factored path
  *    the DSE's nested system grid uses — everything that depends only

@@ -11,6 +11,7 @@
 #include <deque>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "serve/shard.h"
 #include "serve/worker.h"
 #include "telemetry/sink.h"
@@ -135,6 +136,10 @@ class Coordinator
     void
     spawnWorker()
     {
+        OG_ASSERT(liveThreadPools() == 0,
+                  "serveJobs forked with ", liveThreadPools(),
+                  " live ThreadPool(s); join every pool before "
+                  "serving (see serve/coordinator.h)");
         int toChild[2];
         int fromChild[2];
         OG_ASSERT(::pipe(toChild) == 0 && ::pipe(fromChild) == 0,

@@ -36,8 +36,9 @@
  *
  * Threading: the coordinator is strictly single-threaded (one poll()
  * loop), which keeps fork() safe — no locks can be held at fork time.
- * Call it before creating harness thread pools, or from a thread that
- * owns no pool.
+ * Call it before creating harness thread pools, or after they are
+ * destroyed: every fork asserts that no ThreadPool owning worker
+ * threads is alive (liveThreadPools() == 0).
  */
 
 #include <functional>

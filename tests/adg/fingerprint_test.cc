@@ -10,10 +10,10 @@ namespace overgen::adg {
 namespace {
 
 /**
- * Adg::fingerprint is the DSE evaluation-cache key (see DESIGN.md
- * "Evaluation cache and model split"): equal live structure must hash
+ * Adg::fingerprint keys the overlay library and the warm-sim cache
+ * (see DESIGN.md "Model split"): equal live structure must hash
  * equal regardless of mutation history, any single perturbation must
- * change the value, and the two cache salts must be independent.
+ * change the value, and the two salts of a key must be independent.
  */
 
 PeSpec
@@ -148,9 +148,9 @@ TEST(Fingerprint, SaltChangesTheValue)
 
 TEST(Fingerprint, PairMatchesSingleSaltEvaluations)
 {
-    // fingerprintPair is the one-traversal form the evaluation cache
-    // uses; each half must equal the standalone fingerprint at that
-    // salt.
+    // fingerprintPair is the one-traversal form the double-salted
+    // keys use; each half must equal the standalone fingerprint at
+    // that salt.
     Adg adg = probeTile();
     auto [a, b] = adg.fingerprintPair(0, 0x517cc1b727220a95ull);
     EXPECT_EQ(a, adg.fingerprint(0));

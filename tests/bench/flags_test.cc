@@ -31,11 +31,11 @@ TEST(BenchFlags, BothSpellingsParse)
 {
     bench::CommonFlags flags =
         parse({ "--threads", "3", "--sim-threads=2", "--trace=t.json",
-                "--no-eval-cache", "--stats-interval", "512" });
+                "--no-fast-forward", "--stats-interval", "512" });
     EXPECT_EQ(flags.threads, 3);
     EXPECT_EQ(flags.simThreads, 2);
     EXPECT_EQ(flags.sink.tracePath, "t.json");
-    EXPECT_FALSE(flags.evalCache);
+    EXPECT_TRUE(flags.noFastForward);
     EXPECT_EQ(flags.sink.statsInterval, 512u);
     // --stats-interval without --stats-jsonl gets the default path.
     EXPECT_EQ(flags.sink.timelinePath, "timeline.jsonl");
@@ -71,9 +71,9 @@ TEST(BenchFlagsDeathTest, RepeatedValueFlagIsFatal)
 
 TEST(BenchFlagsDeathTest, RepeatedBooleanFlagIsFatal)
 {
-    EXPECT_EXIT(parse({ "--no-eval-cache", "--no-eval-cache" }),
+    EXPECT_EXIT(parse({ "--no-fast-forward", "--no-fast-forward" }),
                 ::testing::ExitedWithCode(1),
-                "'--no-eval-cache' given twice");
+                "'--no-fast-forward' given twice");
     EXPECT_EXIT(parse({ "--trace-detail", "--threads=2",
                         "--trace-detail" }),
                 ::testing::ExitedWithCode(1),

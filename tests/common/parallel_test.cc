@@ -185,6 +185,23 @@ TEST(ThreadPoolDeathTest, NestedUseOfSamePoolIsFatal)
         "nested parallelFor");
 }
 
+TEST(ThreadPool, LiveCountTracksPoolsWithWorkers)
+{
+    const int base = liveThreadPools();
+    {
+        ThreadPool serial(1);
+        EXPECT_EQ(liveThreadPools(), base);  // inline pools never count
+        ThreadPool two(2);
+        EXPECT_EQ(liveThreadPools(), base + 1);
+        {
+            ThreadPool four(4);
+            EXPECT_EQ(liveThreadPools(), base + 2);
+        }
+        EXPECT_EQ(liveThreadPools(), base + 1);
+    }
+    EXPECT_EQ(liveThreadPools(), base);
+}
+
 TEST(ThreadPool, StressManySmallRegions)
 {
     // Back-to-back regions exercise the sleep/wake handshake; a lost

@@ -14,7 +14,7 @@ namespace {
  * The factored performance model (precomputeTilePerf +
  * combineSystemPerf) is the form the DSE's nested system grid pays
  * for; estimateIpc is the one-shot reference. The contract (perf.h,
- * DESIGN.md "Evaluation cache and model split") is bit-identical
+ * DESIGN.md "Model split") is bit-identical
  * results: the summary replays DRAM-demand accumulation in the exact
  * stream order of the reference path, so every double — not just the
  * headline IPC — must match to the last ulp across all workloads and

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "adg/builders.h"
+#include "common/parallel.h"
 #include "serve/worker.h"
 
 using namespace overgen;
@@ -350,4 +351,18 @@ TEST(Coordinator, RedispatchSkipsRowsAlreadyBanked)
     // Checkpointing was off: recovery here is row-skipping alone.
     EXPECT_EQ(outcome.summary.checkpoints, 0u);
     EXPECT_EQ(outcome.summary.resumed, 0u);
+}
+
+TEST(CoordinatorDeathTest, ForkWithALiveThreadPoolIsFatal)
+{
+    // A forked worker inherits a pool's locks but not its threads, so
+    // serving while a multi-threaded pool is alive is a named failure
+    // rather than a possible deadlock in the child.
+    JobSet set = testJobs();
+    EXPECT_DEATH(
+        {
+            ThreadPool pool(2);
+            serveJobs(set);
+        },
+        "live ThreadPool");
 }
