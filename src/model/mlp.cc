@@ -2,10 +2,60 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
 namespace overgen::model {
+
+namespace {
+
+/** Smallest weight magnitude the stuck-update skip applies to. */
+constexpr double kMinAbsorbingWeight = 0x1p-1000;
+
+// A weight of magnitude 2^-1000 absorbs any velocity below half its
+// smallest neighbour spacing, 2^-1054 = 2^20 * denorm_min.
+static_assert(kMaxStuckVelocity < (int64_t{1} << 20));
+
+/**
+ * sums[r] = bias[r] + dot(row r of @p weight, x) for Rows consecutive
+ * rows. Each sum accumulates in input order, so it is bit-identical to
+ * a one-row loop; the Rows independent add chains overlap instead of
+ * each add waiting on the previous one.
+ */
+template <int Rows>
+void
+affineRows(const double *weight, const double *bias, size_t in,
+           const double *x, double *sums)
+{
+    double acc[Rows];
+    for (int r = 0; r < Rows; ++r)
+        acc[r] = bias[r];
+    for (size_t i = 0; i < in; ++i) {
+        for (int r = 0; r < Rows; ++r)
+            acc[r] += weight[r * in + i] * x[i];
+    }
+    for (int r = 0; r < Rows; ++r)
+        sums[r] = acc[r];
+}
+
+} // namespace
+
+int64_t
+stuckVelocityBound(double momentum)
+{
+    const double dmin = std::numeric_limits<double>::denorm_min();
+    int64_t bound = 0;
+    while (bound < kMaxStuckVelocity) {
+        // Exact: every integer multiple of denorm_min below 2^52 is a
+        // representable subnormal.
+        double velocity = static_cast<double>(bound + 1) * dmin;
+        if (momentum * velocity != velocity)
+            break;
+        ++bound;
+    }
+    return bound;
+}
 
 Mlp::Mlp(int input_dim, std::vector<int> hidden, int output_dim,
          uint64_t seed)
@@ -43,37 +93,44 @@ Mlp::parameterCount() const
     return count;
 }
 
-void
-Mlp::standardize(std::vector<double> &features) const
+size_t
+Mlp::activationCount() const
 {
-    for (size_t i = 0; i < features.size(); ++i)
-        features[i] = (features[i] - featMean[i]) / featStd[i];
+    size_t count = static_cast<size_t>(layers.front().in);
+    for (const Layer &layer : layers)
+        count += static_cast<size_t>(layer.out);
+    return count;
 }
 
-std::vector<double>
-Mlp::forward(std::span<const double> input,
-             std::vector<std::vector<double>> *activations) const
+void
+Mlp::standardize(std::span<const double> features, double *out) const
 {
-    std::vector<double> current(input.begin(), input.end());
-    if (activations)
-        activations->push_back(current);
+    for (size_t i = 0; i < features.size(); ++i)
+        out[i] = (features[i] - featMean[i]) / featStd[i];
+}
+
+void
+Mlp::forward(std::span<double> acts) const
+{
+    const double *current = acts.data();
+    double *next = acts.data() + layers.front().in;
     for (size_t l = 0; l < layers.size(); ++l) {
         const Layer &layer = layers[l];
-        std::vector<double> next(layer.out, 0.0);
-        for (int o = 0; o < layer.out; ++o) {
-            double sum = layer.bias[o];
-            const double *row =
-                &layer.weight[static_cast<size_t>(o) * layer.in];
-            for (int i = 0; i < layer.in; ++i)
-                sum += row[i] * current[i];
-            bool last = (l + 1 == layers.size());
-            next[o] = last ? sum : std::max(sum, 0.0);
+        const size_t in = static_cast<size_t>(layer.in);
+        int o = 0;
+        for (; o + 4 <= layer.out; o += 4)
+            affineRows<4>(&layer.weight[o * in], &layer.bias[o], in,
+                          current, &next[o]);
+        for (; o < layer.out; ++o)
+            affineRows<1>(&layer.weight[o * in], &layer.bias[o], in,
+                          current, &next[o]);
+        if (l + 1 < layers.size()) {
+            for (o = 0; o < layer.out; ++o)
+                next[o] = std::max(next[o], 0.0);  // ReLU
         }
-        current = std::move(next);
-        if (activations)
-            activations->push_back(current);
+        current = next;
+        next += layer.out;
     }
-    return current;
 }
 
 double
@@ -87,6 +144,9 @@ Mlp::train(const std::vector<std::vector<double>> &features,
     size_t input_dim = features[0].size();
     OG_ASSERT(input_dim == static_cast<size_t>(layers.front().in),
               "feature dim mismatch");
+    size_t output_dim = targets[0].size();
+    OG_ASSERT(output_dim == static_cast<size_t>(layers.back().out),
+              "target dim mismatch");
 
     // Standardization statistics over the full set.
     featMean.assign(input_dim, 0.0);
@@ -111,7 +171,6 @@ Mlp::train(const std::vector<std::vector<double>> &features,
 
     // Target statistics in log1p space (resource counts span orders of
     // magnitude; standardized log targets keep gradients balanced).
-    size_t output_dim = targets[0].size();
     targetMean.assign(output_dim, 0.0);
     targetStd.assign(output_dim, 0.0);
     for (const auto &t : targets) {
@@ -144,42 +203,90 @@ Mlp::train(const std::vector<std::vector<double>> &features,
     val_count = std::min(val_count, n - 1);
     size_t train_count = n - val_count;
 
-    auto prepare = [&](size_t idx, std::vector<double> &x,
-                       std::vector<double> &y) {
-        x = features[order[idx]];
-        standardize(x);
-        y = targets[order[idx]];
-        for (size_t o = 0; o < y.size(); ++o) {
-            y[o] = (std::log1p(std::max(y[o], 0.0)) - targetMean[o]) /
-                   targetStd[o];
+    // The training split in visiting order, standardized inputs and
+    // log-space targets computed once rather than on every epoch.
+    std::vector<double> train_x(train_count * input_dim);
+    std::vector<double> train_y(train_count * output_dim);
+    for (size_t idx = 0; idx < train_count; ++idx) {
+        standardize(features[order[idx]], &train_x[idx * input_dim]);
+        const std::vector<double> &t = targets[order[idx]];
+        for (size_t o = 0; o < output_dim; ++o) {
+            train_y[idx * output_dim + o] =
+                (std::log1p(std::max(t[o], 0.0)) - targetMean[o]) /
+                targetStd[o];
         }
+    }
+
+    // Flat per-step buffers: acts holds every layer's activations
+    // (layer l reads from act_offset[l]), grad/next_grad the gradient
+    // flowing backwards through one layer.
+    std::vector<size_t> act_offset(layers.size() + 1, 0);
+    size_t width = output_dim;
+    for (size_t l = 0; l < layers.size(); ++l) {
+        act_offset[l + 1] = act_offset[l] + layers[l].in;
+        width = std::max(width, static_cast<size_t>(layers[l].in));
+    }
+    std::vector<double> acts(activationCount());
+    std::vector<double> grad(width), next_grad(width);
+    const double *pred = &acts[act_offset.back()];
+
+    // Stuck-update skip. Once a unit is ReLU-dead (or its input is
+    // zero) its weight gradient dw is +-0 and the update degenerates
+    // to vel = m * vel; row += vel. The velocity decays into the
+    // subnormals and stops on a fixed point k * denorm_min, where every
+    // later step pays the subnormal-arithmetic penalty to change
+    // nothing. An element is skipped only when the step provably
+    // leaves both vel and row bit-identical:
+    //  - dw == +-0 (lr is finite, so lr * dw == +-0);
+    //  - vel != 0 and |vel| <= stuck = K * denorm_min, K from
+    //    stuckVelocityBound(m): vel is +-k * denorm_min with
+    //    1 <= k <= K, so m * vel == vel (K > 0 implies m > 0, and
+    //    round-to-nearest is sign-symmetric), and a nonzero vel minus
+    //    +-0 is vel itself. Zero velocities take the full step: there
+    //    m * (-0) - (-0) is +0, which flips the sign of the zero;
+    //  - |row| >= 2^-1000: doubles that large are spaced at least
+    //    2^-1053 apart, and |vel| <= kMaxStuckVelocity * 2^-1074 is
+    //    under half that spacing, so row + vel rounds back to row. A
+    //    NaN row fails the test and takes the full step.
+    // The bias update follows the same rule with g in place of dw.
+    const double momentum = config.momentum;
+    const double stuck = static_cast<double>(stuckVelocityBound(momentum)) *
+                         std::numeric_limits<double>::denorm_min();
+    // The velocity test comes first: it is false for nearly every live
+    // weight, so its branch predicts well, while dw == 0 follows the
+    // per-sample ReLU pattern of the layer's input.
+    auto unchanged = [stuck](double vel, double dw, double weight) {
+        return std::abs(vel) <= stuck && vel != 0.0 && dw == 0.0 &&
+               std::abs(weight) >= kMinAbsorbingWeight;
     };
 
-    std::vector<double> x, y;
     for (int epoch = 0; epoch < config.epochs; ++epoch) {
         // Decaying learning rate.
         double lr = config.learningRate /
                     (1.0 + 0.02 * static_cast<double>(epoch));
         for (size_t idx = 0; idx < train_count; ++idx) {
-            prepare(idx, x, y);
-            std::vector<std::vector<double>> acts;
-            std::vector<double> pred = forward(x, &acts);
+            std::copy_n(&train_x[idx * input_dim], input_dim,
+                        acts.begin());
+            forward(acts);
 
             // Backward pass: MSE gradient, clipped for stability.
-            std::vector<double> grad(pred.size());
-            for (size_t o = 0; o < pred.size(); ++o) {
+            const double *y = &train_y[idx * output_dim];
+            for (size_t o = 0; o < output_dim; ++o) {
                 grad[o] = 2.0 * (pred[o] - y[o]) /
-                          static_cast<double>(pred.size());
+                          static_cast<double>(output_dim);
                 grad[o] = std::clamp(grad[o], -4.0, 4.0);
             }
 
             for (int l = static_cast<int>(layers.size()) - 1; l >= 0;
                  --l) {
                 Layer &layer = layers[l];
-                const std::vector<double> &in_act = acts[l];
-                const std::vector<double> &out_act = acts[l + 1];
-                std::vector<double> next_grad(layer.in, 0.0);
+                const double *in_act = &acts[act_offset[l]];
+                const double *out_act = &acts[act_offset[l + 1]];
                 bool last = (l + 1 == static_cast<int>(layers.size()));
+                // The input layer's gradient would be discarded.
+                bool propagate = l > 0;
+                if (propagate)
+                    std::fill_n(next_grad.begin(), layer.in, 0.0);
                 for (int o = 0; o < layer.out; ++o) {
                     double g = grad[o];
                     if (!last && out_act[o] <= 0.0)
@@ -188,17 +295,25 @@ Mlp::train(const std::vector<std::vector<double>> &features,
                         &layer.weight[static_cast<size_t>(o) * layer.in];
                     double *vel = &layer.weightVel[
                         static_cast<size_t>(o) * layer.in];
+                    // Reads row before this step updates it.
+                    if (propagate) {
+                        for (int i = 0; i < layer.in; ++i)
+                            next_grad[i] += g * row[i];
+                    }
                     for (int i = 0; i < layer.in; ++i) {
-                        next_grad[i] += g * row[i];
                         double dw = g * in_act[i];
-                        vel[i] = config.momentum * vel[i] - lr * dw;
+                        if (unchanged(vel[i], dw, row[i]))
+                            continue;
+                        vel[i] = momentum * vel[i] - lr * dw;
                         row[i] += vel[i];
                     }
-                    layer.biasVel[o] =
-                        config.momentum * layer.biasVel[o] - lr * g;
-                    layer.bias[o] += layer.biasVel[o];
+                    if (!unchanged(layer.biasVel[o], g, layer.bias[o])) {
+                        layer.biasVel[o] =
+                            momentum * layer.biasVel[o] - lr * g;
+                        layer.bias[o] += layer.biasVel[o];
+                    }
                 }
-                grad = std::move(next_grad);
+                std::swap(grad, next_grad);
             }
         }
     }
@@ -207,7 +322,7 @@ Mlp::train(const std::vector<std::vector<double>> &features,
     double rel_sum = 0.0;
     int rel_count = 0;
     for (size_t idx = train_count; idx < n; ++idx) {
-        std::vector<double> raw = features[order[idx]];
+        const std::vector<double> &raw = features[order[idx]];
         std::vector<double> pred = predict(raw);
         const std::vector<double> &truth = targets[order[idx]];
         for (size_t o = 0; o < pred.size(); ++o) {
@@ -223,9 +338,11 @@ std::vector<double>
 Mlp::predict(std::span<const double> features) const
 {
     OG_ASSERT(!featMean.empty(), "predict before train");
-    std::vector<double> x(features.begin(), features.end());
-    standardize(x);
-    std::vector<double> pred = forward(x, nullptr);
+    OG_ASSERT(features.size() == featMean.size(), "feature dim mismatch");
+    std::vector<double> acts(activationCount());
+    standardize(features, acts.data());
+    forward(acts);
+    std::vector<double> pred(acts.end() - layers.back().out, acts.end());
     for (size_t o = 0; o < pred.size(); ++o) {
         double log_val = pred[o] * targetStd[o] + targetMean[o];
         pred[o] = std::max(0.0, std::expm1(log_val));

@@ -23,10 +23,25 @@ struct MlpTrainConfig
     int epochs = 160;
     double learningRate = 0.004;
     double momentum = 0.9;
-    int batchSize = 16;
     /** Fraction of data held out for validation (paper: 80/10/10). */
     double validationFraction = 0.1;
 };
+
+/**
+ * Momentum fixed point of the velocity update: the largest K (capped
+ * at kMaxStuckVelocity) such that momentum * (k * denorm_min) rounds
+ * back to k * denorm_min for every 1 <= k <= K. A velocity that small
+ * whose gradient is zero is left unchanged by an SGD step, and so is
+ * any weight of magnitude at least 2^-1000. 0 when no such k exists
+ * (momentum 0, 0.5, >= 1.5, negative or NaN).
+ */
+int64_t stuckVelocityBound(double momentum);
+
+/**
+ * Cap on stuckVelocityBound (reached at momentum 1): far below the
+ * 2^20 * denorm_min that a weight of magnitude 2^-1000 absorbs.
+ */
+inline constexpr int64_t kMaxStuckVelocity = 1024;
 
 /** A dense feed-forward network with ReLU hidden activations. */
 class Mlp
@@ -72,10 +87,17 @@ class Mlp
         std::vector<double> biasVel;
     };
 
-    std::vector<double> forward(std::span<const double> input,
-                                std::vector<std::vector<double>>
-                                    *activations) const;
-    void standardize(std::vector<double> &features) const;
+    /** @return length of the activation buffer forward() fills. */
+    size_t activationCount() const;
+    /**
+     * Forward pass over @p acts: the first layers.front().in entries
+     * hold the standardized input, and each layer's output is written
+     * right after its input; the last output_dim entries are the
+     * prediction.
+     */
+    void forward(std::span<double> acts) const;
+    void standardize(std::span<const double> features,
+                     double *out) const;
 
     std::vector<Layer> layers;
     std::vector<double> featMean;

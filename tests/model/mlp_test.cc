@@ -1,11 +1,355 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "model/mlp.h"
 
 namespace overgen::model {
 namespace {
+
+/**
+ * Reference trainer: the plain per-sample SGD + momentum loop Mlp::train
+ * ran before it skipped stuck updates, with the same Rng draws for the
+ * He initialization and the shuffle. Mlp must match it bit for bit.
+ * Also counts the updates that ran on a stuck velocity, a nonzero
+ * subnormal vel with momentum * vel == vel: with dw == +-0 (the step
+ * changes nothing) and with dw != 0 (a dead unit revived; the step must
+ * run).
+ */
+class ReferenceMlp
+{
+  public:
+    ReferenceMlp(int input_dim, std::vector<int> hidden, int output_dim,
+                 uint64_t seed)
+        : rng(seed)
+    {
+        std::vector<int> dims{ input_dim };
+        dims.insert(dims.end(), hidden.begin(), hidden.end());
+        dims.push_back(output_dim);
+        for (size_t i = 0; i + 1 < dims.size(); ++i) {
+            Layer layer;
+            layer.in = dims[i];
+            layer.out = dims[i + 1];
+            layer.weight.resize(static_cast<size_t>(layer.in) *
+                                layer.out);
+            layer.bias.assign(layer.out, 0.0);
+            layer.weightVel.assign(layer.weight.size(), 0.0);
+            layer.biasVel.assign(layer.out, 0.0);
+            double scale = std::sqrt(2.0 / layer.in);
+            for (double &w : layer.weight)
+                w = rng.nextGaussian() * scale;
+            layers.push_back(std::move(layer));
+        }
+    }
+
+    void
+    train(const std::vector<std::vector<double>> &features,
+          const std::vector<std::vector<double>> &targets,
+          const MlpTrainConfig &config)
+    {
+        size_t n = features.size();
+        size_t input_dim = features[0].size();
+        featMean.assign(input_dim, 0.0);
+        featStd.assign(input_dim, 0.0);
+        for (const auto &f : features) {
+            for (size_t i = 0; i < input_dim; ++i)
+                featMean[i] += f[i];
+        }
+        for (size_t i = 0; i < input_dim; ++i)
+            featMean[i] /= static_cast<double>(n);
+        for (const auto &f : features) {
+            for (size_t i = 0; i < input_dim; ++i) {
+                double d = f[i] - featMean[i];
+                featStd[i] += d * d;
+            }
+        }
+        for (size_t i = 0; i < input_dim; ++i) {
+            featStd[i] = std::sqrt(featStd[i] / static_cast<double>(n));
+            if (featStd[i] < 1e-9)
+                featStd[i] = 1.0;
+        }
+        size_t output_dim = targets[0].size();
+        targetMean.assign(output_dim, 0.0);
+        targetStd.assign(output_dim, 0.0);
+        for (const auto &t : targets) {
+            for (size_t o = 0; o < output_dim; ++o)
+                targetMean[o] += std::log1p(std::max(t[o], 0.0));
+        }
+        for (size_t o = 0; o < output_dim; ++o)
+            targetMean[o] /= static_cast<double>(n);
+        for (const auto &t : targets) {
+            for (size_t o = 0; o < output_dim; ++o) {
+                double d =
+                    std::log1p(std::max(t[o], 0.0)) - targetMean[o];
+                targetStd[o] += d * d;
+            }
+        }
+        for (size_t o = 0; o < output_dim; ++o) {
+            targetStd[o] =
+                std::sqrt(targetStd[o] / static_cast<double>(n));
+            if (targetStd[o] < 1e-9)
+                targetStd[o] = 1.0;
+        }
+
+        std::vector<size_t> order(n);
+        for (size_t i = 0; i < n; ++i)
+            order[i] = i;
+        for (size_t i = n; i > 1; --i)
+            std::swap(order[i - 1], order[rng.nextBelow(i)]);
+        size_t val_count = static_cast<size_t>(
+            static_cast<double>(n) * config.validationFraction);
+        val_count = std::min(val_count, n - 1);
+        size_t train_count = n - val_count;
+
+        for (int epoch = 0; epoch < config.epochs; ++epoch) {
+            double lr = config.learningRate /
+                        (1.0 + 0.02 * static_cast<double>(epoch));
+            for (size_t idx = 0; idx < train_count; ++idx) {
+                std::vector<double> x = features[order[idx]];
+                standardize(x);
+                std::vector<double> y = targets[order[idx]];
+                for (size_t o = 0; o < y.size(); ++o) {
+                    y[o] = (std::log1p(std::max(y[o], 0.0)) -
+                            targetMean[o]) /
+                           targetStd[o];
+                }
+                std::vector<std::vector<double>> acts;
+                std::vector<double> pred = forward(x, &acts);
+                std::vector<double> grad(pred.size());
+                for (size_t o = 0; o < pred.size(); ++o) {
+                    grad[o] = 2.0 * (pred[o] - y[o]) /
+                              static_cast<double>(pred.size());
+                    grad[o] = std::clamp(grad[o], -4.0, 4.0);
+                }
+                for (int l = static_cast<int>(layers.size()) - 1; l >= 0;
+                     --l) {
+                    Layer &layer = layers[l];
+                    const std::vector<double> &in_act = acts[l];
+                    const std::vector<double> &out_act = acts[l + 1];
+                    std::vector<double> next_grad(layer.in, 0.0);
+                    bool last =
+                        (l + 1 == static_cast<int>(layers.size()));
+                    for (int o = 0; o < layer.out; ++o) {
+                        double g = grad[o];
+                        if (!last && out_act[o] <= 0.0)
+                            g = 0.0;
+                        double *row = &layer.weight[
+                            static_cast<size_t>(o) * layer.in];
+                        double *vel = &layer.weightVel[
+                            static_cast<size_t>(o) * layer.in];
+                        for (int i = 0; i < layer.in; ++i) {
+                            next_grad[i] += g * row[i];
+                            double dw = g * in_act[i];
+                            if (vel[i] != 0.0 &&
+                                std::abs(vel[i]) < 0x1p-1022 &&
+                                config.momentum * vel[i] == vel[i])
+                                ++(dw == 0.0 ? stuckUpdates : revivals);
+                            vel[i] = config.momentum * vel[i] - lr * dw;
+                            row[i] += vel[i];
+                        }
+                        layer.biasVel[o] =
+                            config.momentum * layer.biasVel[o] - lr * g;
+                        layer.bias[o] += layer.biasVel[o];
+                    }
+                    grad = std::move(next_grad);
+                }
+            }
+        }
+
+        double rel_sum = 0.0;
+        int rel_count = 0;
+        for (size_t idx = train_count; idx < n; ++idx) {
+            std::vector<double> pred = predict(features[order[idx]]);
+            const std::vector<double> &truth = targets[order[idx]];
+            for (size_t o = 0; o < pred.size(); ++o) {
+                rel_sum +=
+                    std::abs(pred[o] - truth[o]) / (truth[o] + 1.0);
+                ++rel_count;
+            }
+        }
+        valError = rel_count > 0 ? rel_sum / rel_count : 0.0;
+    }
+
+    std::vector<double>
+    predict(std::span<const double> features) const
+    {
+        std::vector<double> x(features.begin(), features.end());
+        standardize(x);
+        std::vector<double> pred = forward(x, nullptr);
+        for (size_t o = 0; o < pred.size(); ++o) {
+            double log_val = pred[o] * targetStd[o] + targetMean[o];
+            pred[o] = std::max(0.0, std::expm1(log_val));
+        }
+        return pred;
+    }
+
+    double valError = 0.0;
+    long stuckUpdates = 0;
+    long revivals = 0;
+
+  private:
+    struct Layer
+    {
+        int in = 0;
+        int out = 0;
+        std::vector<double> weight, bias, weightVel, biasVel;
+    };
+
+    std::vector<double>
+    forward(std::span<const double> input,
+            std::vector<std::vector<double>> *activations) const
+    {
+        std::vector<double> current(input.begin(), input.end());
+        if (activations)
+            activations->push_back(current);
+        for (size_t l = 0; l < layers.size(); ++l) {
+            const Layer &layer = layers[l];
+            std::vector<double> next(layer.out, 0.0);
+            for (int o = 0; o < layer.out; ++o) {
+                double sum = layer.bias[o];
+                const double *row =
+                    &layer.weight[static_cast<size_t>(o) * layer.in];
+                for (int i = 0; i < layer.in; ++i)
+                    sum += row[i] * current[i];
+                bool last = (l + 1 == layers.size());
+                next[o] = last ? sum : std::max(sum, 0.0);
+            }
+            current = std::move(next);
+            if (activations)
+                activations->push_back(current);
+        }
+        return current;
+    }
+
+    void
+    standardize(std::vector<double> &features) const
+    {
+        for (size_t i = 0; i < features.size(); ++i)
+            features[i] = (features[i] - featMean[i]) / featStd[i];
+    }
+
+    std::vector<Layer> layers;
+    std::vector<double> featMean, featStd, targetMean, targetStd;
+    Rng rng;
+};
+
+struct Dataset
+{
+    std::vector<std::vector<double>> x, y;
+};
+
+/** Two features, two nonlinear targets spanning orders of magnitude. */
+Dataset
+nonlinearData(int samples, uint64_t seed)
+{
+    Rng rng(seed);
+    Dataset data;
+    for (int i = 0; i < samples; ++i) {
+        double a = rng.nextDouble() * 8.0;
+        double b = rng.nextDouble() * 8.0;
+        data.x.push_back({ a, b });
+        data.y.push_back({ a * b + a * a, 50.0 * b + 3.0 });
+    }
+    return data;
+}
+
+/**
+ * Trains an Mlp and the reference on @p data and expects bit-identical
+ * validation error and predictions on every sample. @return the
+ * trained reference.
+ */
+ReferenceMlp
+expectMatchesReference(const Dataset &data, std::vector<int> hidden,
+                       const MlpTrainConfig &config, uint64_t seed)
+{
+    int in = static_cast<int>(data.x[0].size());
+    int out = static_cast<int>(data.y[0].size());
+    Mlp mlp(in, hidden, out, seed);
+    ReferenceMlp ref(in, hidden, out, seed);
+    double err = mlp.train(data.x, data.y, config);
+    ref.train(data.x, data.y, config);
+    EXPECT_EQ(std::bit_cast<uint64_t>(err),
+              std::bit_cast<uint64_t>(ref.valError))
+        << err << " vs " << ref.valError;
+    EXPECT_EQ(std::bit_cast<uint64_t>(mlp.validationRelativeError()),
+              std::bit_cast<uint64_t>(ref.valError));
+    int mismatches = 0;
+    for (const auto &x : data.x) {
+        std::vector<double> got = mlp.predict(x);
+        std::vector<double> want = ref.predict(x);
+        for (size_t o = 0; o < want.size(); ++o) {
+            if (std::bit_cast<uint64_t>(got[o]) !=
+                std::bit_cast<uint64_t>(want[o]))
+                ++mismatches;
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+    return ref;
+}
+
+TEST(MlpReference, BitIdenticalAcrossMomenta)
+{
+    Dataset data = nonlinearData(300, 21);
+    for (double momentum : { 0.0, 0.5, 0.9, 0.99 }) {
+        SCOPED_TRACE("momentum " + std::to_string(momentum));
+        MlpTrainConfig config;
+        config.epochs = 40;
+        config.momentum = momentum;
+        expectMatchesReference(data, { 16, 8 }, config, 5);
+    }
+}
+
+TEST(MlpReference, BitIdenticalWithStuckSubnormalVelocities)
+{
+    // Small and trained long, so ReLUs die and stay dead for far longer
+    // than the ~7000 steps a velocity needs to decay from ~1e-3 to its
+    // subnormal fixed point at momentum 0.9. The reference counts the
+    // updates it ran on such a velocity: about 900 thousand with a
+    // zero gradient, which the skip must treat as no-ops, and a few
+    // where a second-layer unit revived, which it must not skip.
+    Dataset data = nonlinearData(64, 10);
+    MlpTrainConfig config;
+    config.epochs = 400;
+    config.learningRate = 0.02;
+    config.momentum = 0.9;
+    ReferenceMlp ref = expectMatchesReference(data, { 12, 6 }, config, 2);
+    EXPECT_GT(ref.stuckUpdates, 0);
+    EXPECT_GT(ref.revivals, 0);
+}
+
+TEST(MlpReference, StuckVelocityBound)
+{
+    const double dmin = std::numeric_limits<double>::denorm_min();
+    const double m = 0.9;
+    int64_t bound = stuckVelocityBound(m);
+    EXPECT_EQ(bound, 5);
+    for (int64_t k = 1; k <= bound; ++k)
+        EXPECT_EQ(m * (static_cast<double>(k) * dmin),
+                  static_cast<double>(k) * dmin)
+            << k;
+    EXPECT_NE(m * (static_cast<double>(bound + 1) * dmin),
+              static_cast<double>(bound + 1) * dmin);
+    EXPECT_EQ(stuckVelocityBound(0.99), 49);
+    // No fixed point: every nonzero subnormal moves.
+    EXPECT_EQ(stuckVelocityBound(0.0), 0);
+    EXPECT_EQ(stuckVelocityBound(0.5), 0);
+    EXPECT_EQ(stuckVelocityBound(-0.9), 0);
+    EXPECT_EQ(stuckVelocityBound(std::nan("")), 0);
+
+    // m >= 1 never exceeds the cap, and a velocity at the cap leaves the
+    // smallest weight the skip applies to (2^-1000) unchanged.
+    EXPECT_EQ(stuckVelocityBound(1.0), kMaxStuckVelocity);
+    for (double big : { 1.0, std::nextafter(1.0, 2.0), 1.5, 2.0, 1e300 })
+        EXPECT_LE(stuckVelocityBound(big), kMaxStuckVelocity) << big;
+    const double cap = static_cast<double>(kMaxStuckVelocity) * dmin;
+    for (double w : { 0x1p-1000, -0x1p-1000 }) {
+        EXPECT_EQ(w + cap, w);
+        EXPECT_EQ(w - cap, w);
+    }
+}
 
 TEST(Mlp, LearnsLinearFunction)
 {

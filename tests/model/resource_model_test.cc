@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "adg/builders.h"
 #include "model/oracle.h"
 #include "model/resource_model.h"
@@ -132,6 +134,80 @@ TEST(ResourceModel, GeneralSystemNearlyFillsDevice)
     design.sys.numTiles = 6;
     EXPECT_GT(device.worstUtilization(model.systemResources(design)),
               1.0);
+}
+
+TEST(ResourceModel, DefaultModelIsPinned)
+{
+    // Pins the default-config model bit for bit: an FNV-1a digest of
+    // the bit patterns of nodeResources over a seeded mix of PEs,
+    // switches and ports, followed by the four validation errors.
+    // Recorded on a Release build before the training loop learned to
+    // skip stuck subnormal momentum updates; any change to the trained
+    // weights, the standardization statistics or the validation split
+    // moves it.
+    const FpgaResourceModel &model = FpgaResourceModel::defaultModel();
+    uint64_t digest = 0xcbf29ce484222325ull;
+    auto mix = [&](double value) {
+        uint64_t bits = std::bit_cast<uint64_t>(value);
+        for (int byte = 0; byte < 8; ++byte) {
+            digest ^= (bits >> (8 * byte)) & 0xff;
+            digest *= 0x100000001b3ull;
+        }
+    };
+    auto mix_node = [&](const adg::Node &node, int radix) {
+        Resources r = model.nodeResources(node, radix);
+        mix(r.lut);
+        mix(r.ff);
+        mix(r.bram);
+        mix(r.dsp);
+    };
+
+    Rng rng(2024);
+    const int widths[] = { 4, 8, 16, 32, 64 };
+    const DataType types[] = { DataType::I16, DataType::I32,
+                               DataType::I64, DataType::F32,
+                               DataType::F64 };
+    const Opcode ops[] = { Opcode::Add, Opcode::Mul, Opcode::Div,
+                           Opcode::Sqrt, Opcode::Shl };
+    for (int i = 0; i < 24; ++i) {
+        adg::Node pe;
+        pe.kind = adg::NodeKind::Pe;
+        adg::PeSpec spec;
+        spec.datapathBytes = widths[1 + rng.nextBelow(4)];
+        spec.maxDelayFifoDepth = static_cast<int>(rng.nextRange(2, 16));
+        spec.controlLut = rng.nextBool(0.3);
+        int caps = static_cast<int>(rng.nextRange(1, 8));
+        for (int c = 0; c < caps; ++c)
+            spec.capabilities.insert(
+                { ops[rng.nextBelow(5)], types[rng.nextBelow(5)] });
+        pe.spec = spec;
+        mix_node(pe, 3);
+
+        adg::Node sw;
+        sw.kind = adg::NodeKind::Switch;
+        sw.spec = adg::SwitchSpec{ widths[1 + rng.nextBelow(4)] };
+        mix_node(sw, static_cast<int>(rng.nextRange(2, 10)));
+
+        for (adg::NodeKind kind :
+             { adg::NodeKind::InPort, adg::NodeKind::OutPort }) {
+            adg::Node port;
+            port.kind = kind;
+            adg::PortSpec ps;
+            ps.widthBytes = widths[rng.nextBelow(5)];
+            ps.fifoDepth = static_cast<int>(rng.nextRange(2, 32));
+            ps.padding = rng.nextBool();
+            ps.statedStream = rng.nextBool();
+            port.spec = ps;
+            mix_node(port, 2);
+        }
+    }
+    mix(model.peError());
+    mix(model.switchError());
+    mix(model.inPortError());
+    mix(model.outPortError());
+
+    EXPECT_EQ(digest, 0x84dc145b3da64b6eull)
+        << "digest 0x" << std::hex << digest;
 }
 
 TEST(ResourceModel, FeatureExtraction)
