@@ -53,7 +53,6 @@ main(int argc, char **argv)
     // pool (the coordinator's fork-safety contract), so construct the
     // Harness but never touch pool() before serveJobs() returns.
     bench::Harness harness(flags);
-    options.simThreadsPerWorker = harness.simThreads();
     options.sink = harness.sink();
 
     bench::banner("serve_sweep",
@@ -61,10 +60,8 @@ main(int argc, char **argv)
     std::vector<wl::KernelSpec> workloads = wl::allWorkloads();
     serve::JobSet set = bench::makeJobSet(
         workloads, bench::generalOverlay(), /*apply_tuning=*/true);
-    std::printf("jobs: %zu | workers: %d | shard size: %zu | sim "
-                "threads/worker: %d\n\n",
-                set.jobs.size(), options.workers, options.shardSize,
-                options.simThreadsPerWorker);
+    std::printf("jobs: %zu | workers: %d | shard size: %zu\n\n",
+                set.jobs.size(), options.workers, options.shardSize);
 
     serve::ServeOutcome outcome = serve::serveJobs(set, options);
 

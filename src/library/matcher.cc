@@ -2,78 +2,11 @@
 
 #include <utility>
 
-#include "common/parallel.h"
 #include "compiler/compile.h"
 #include "sched/schedule.h"
 #include "sched/scheduler.h"
 
 namespace overgen::library {
-
-namespace {
-
-/** Gathered scores for every entry: memoized records where present,
- * freshly computed (index-ordered, thread-count-invariant) where
- * not. computedAt[i] >= 0 maps entry i to its slot in `computed`. */
-struct ScoreTable
-{
-    std::vector<const KernelRecord *> cached;
-    std::vector<KernelRecord> computed;
-    std::vector<int> computedAt;
-
-    const KernelRecord &
-    of(size_t entry) const
-    {
-        return cached[entry] != nullptr
-                   ? *cached[entry]
-                   : computed[static_cast<size_t>(
-                         computedAt[entry])];
-    }
-};
-
-ScoreTable
-gatherScores(const OverlayLibrary &lib, const wl::KernelSpec &spec,
-             const MatchOptions &options)
-{
-    ScoreTable table;
-    table.cached.assign(lib.entries.size(), nullptr);
-    table.computedAt.assign(lib.entries.size(), -1);
-    std::vector<size_t> missing;
-    for (size_t i = 0; i < lib.entries.size(); ++i) {
-        table.cached[i] = lib.entries[i].findRecord(spec.name);
-        if (table.cached[i] == nullptr) {
-            table.computedAt[i] = static_cast<int>(missing.size());
-            missing.push_back(i);
-        }
-    }
-    if (missing.empty())
-        return table;
-    ThreadPool pool(options.threads);
-    table.computed = pool.parallelMap(missing.size(), [&](size_t j) {
-        return scoreKernelOnDesign(spec, lib.entries[missing[j]].design,
-                                   options);
-    });
-    return table;
-}
-
-/** Sequential argmax over feasible entries; strict > means the
- * lowest index wins ties, independent of how scores were computed. */
-MatchResult
-pickBest(const ScoreTable &table, size_t entryCount)
-{
-    MatchResult result;
-    for (size_t i = 0; i < entryCount; ++i) {
-        const KernelRecord &record = table.of(i);
-        if (!record.feasible)
-            continue;
-        if (result.entryIndex < 0 || record.score > result.record.score) {
-            result.entryIndex = static_cast<int>(i);
-            result.record = record;
-        }
-    }
-    return result;
-}
-
-} // namespace
 
 KernelRecord
 scoreKernelOnDesign(const wl::KernelSpec &spec,
@@ -108,21 +41,22 @@ MatchResult
 matchKernel(const OverlayLibrary &lib, const wl::KernelSpec &spec,
             const MatchOptions &options)
 {
-    ScoreTable table = gatherScores(lib, spec, options);
-    return pickBest(table, lib.entries.size());
-}
-
-MatchResult
-matchAndRecord(OverlayLibrary &lib, const wl::KernelSpec &spec,
-               const MatchOptions &options)
-{
-    ScoreTable table = gatherScores(lib, spec, options);
-    MatchResult result = pickBest(table, lib.entries.size());
+    // Sequential argmax over feasible entries; strict > means the
+    // lowest index wins ties, however each score was obtained.
+    MatchResult result;
     for (size_t i = 0; i < lib.entries.size(); ++i) {
-        if (table.cached[i] == nullptr)
-            lib.entries[i].upsertRecord(std::move(
-                table.computed[static_cast<size_t>(
-                    table.computedAt[i])]));
+        const KernelRecord *memo = lib.entries[i].findRecord(spec.name);
+        KernelRecord record =
+            memo != nullptr
+                ? *memo
+                : scoreKernelOnDesign(spec, lib.entries[i].design,
+                                      options);
+        if (!record.feasible)
+            continue;
+        if (result.entryIndex < 0 || record.score > result.record.score) {
+            result.entryIndex = static_cast<int>(i);
+            result.record = std::move(record);
+        }
     }
     return result;
 }

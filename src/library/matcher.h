@@ -15,11 +15,11 @@
  * agrees with what the explorer optimizes for.
  *
  * Determinism: per-entry scores are pure functions of (entry,
- * kernel); parallel evaluation stores results index-ordered
- * (ThreadPool::parallelMap) and the argmax scan is sequential with a
- * lowest-index tie break, so the pick is bit-identical for every
- * thread count (tests/library/matcher_test.cc pins this against an
- * exhaustive oracle scan).
+ * kernel) and the argmax scan is sequential with a lowest-index tie
+ * break, so a memoized record and a fresh score give the same pick
+ * (tests/library/matcher_test.cc pins this against an exhaustive
+ * oracle scan). Parallelism lives one level up: the library service
+ * ships scoring to the serve worker pool (library/service.h).
  */
 
 #include "library/store.h"
@@ -33,10 +33,6 @@ struct MatchOptions
 {
     /** Compile variants with OverGen source tuning. */
     bool applyTuning = false;
-    /** Worker threads for scoring entries that have no memoized
-     * record yet (1 = inline serial; the pick is identical for every
-     * value). */
-    int threads = 1;
     model::PerfConfig perf;
 };
 
@@ -66,21 +62,12 @@ KernelRecord scoreKernelOnDesign(const wl::KernelSpec &spec,
 /**
  * Route @p spec to the best feasible entry of @p lib. Entries with a
  * memoized record for this kernel cost a lookup; the rest are scored
- * (in parallel across options.threads) without mutating the library.
+ * inline without mutating the library. The library service records
+ * every pair before it picks, so its picks are pure lookups.
  */
 MatchResult matchKernel(const OverlayLibrary &lib,
                         const wl::KernelSpec &spec,
                         const MatchOptions &options = {});
-
-/**
- * matchKernel, but newly computed scores are memoized into the
- * entries' record lists — the persistent per-kernel perf records the
- * library stores. Record content is identical to what matchKernel
- * computes, so warming the records never changes a future pick.
- */
-MatchResult matchAndRecord(OverlayLibrary &lib,
-                           const wl::KernelSpec &spec,
-                           const MatchOptions &options = {});
 
 } // namespace overgen::library
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -30,11 +32,12 @@ resolveSpec(const std::string &workload, bool smallSize)
                      : wl::workloadByName(workload);
 }
 
-} // namespace
-
+/** The warm DSE seed of @p workload: a pure function of the name
+ * (FNV-1a) mixed with a fixed salt, so replays and retries agree. */
 uint64_t
-LibraryService::warmSeedFor(const std::string &workload, uint64_t salt)
+warmSeedFor(const std::string &workload)
 {
+    constexpr uint64_t kWarmSeedSalt = 0x5eedf00dcafe2026ull;
     uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
     for (char c : workload) {
         h ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
@@ -42,9 +45,11 @@ LibraryService::warmSeedFor(const std::string &workload, uint64_t salt)
     }
     // DseOptions::seed feeds splitmix expansion, so 0 is legal, but
     // avoid it anyway: a zero seed reads as "unset" in entry JSON.
-    uint64_t seed = mix64(h ^ salt);
+    uint64_t seed = mix64(h ^ kWarmSeedSalt);
     return seed == 0 ? 1 : seed;
 }
+
+} // namespace
 
 LibraryEntry
 warmOverlay(const std::string &workload, bool smallSize,
@@ -77,7 +82,6 @@ warmOverlay(const std::string &workload, bool smallSize,
     // every path (in-process, server, retry) agrees byte-for-byte.
     MatchOptions scoring = options;
     scoring.applyTuning = applyTuning;
-    scoring.threads = 1;
     entry.upsertRecord(scoreKernelOnDesign(spec, entry.design, scoring));
     return entry;
 }
@@ -85,7 +89,6 @@ warmOverlay(const std::string &workload, bool smallSize,
 serve::JobHandler
 makeLibraryHandler(MatchOptions options)
 {
-    options.threads = 1;  // workers stay single-threaded
     return [options](const serve::JobSpec &job,
                      const std::vector<
                          std::shared_ptr<const adg::SysAdg>> &designs)
@@ -134,48 +137,77 @@ makeLibraryHandler(MatchOptions options)
 }
 
 LibraryService::LibraryService(ServiceOptions opts, OverlayLibrary l)
-    : lib(std::move(l)), options(std::move(opts))
+    : lib(std::move(l)), options(std::move(opts)),
+      handler(makeLibraryHandler(options.match))
 {
 }
 
-wl::KernelSpec
-LibraryService::specFor(const std::string &workload) const
+std::vector<serve::ResultRow>
+LibraryService::runJobs(const serve::JobSet &set)
 {
-    return resolveSpec(workload, options.smallSize);
-}
-
-serve::CoordinatorOptions
-LibraryService::serveOptions() const
-{
-    serve::CoordinatorOptions copts = options.serve;
-    copts.handler = makeLibraryHandler(options.match);
-    return copts;
+    std::vector<serve::ResultRow> rows(set.jobs.size());
+    if (set.jobs.empty())
+        return rows;
+    if (options.useServer) {
+        // Train the shared resource model before the fork, so every
+        // worker inherits it instead of re-training per process.
+        model::FpgaResourceModel::defaultModel();
+        serve::CoordinatorOptions copts = options.serve;
+        copts.handler = handler;
+        serve::ServeOutcome outcome = serve::serveJobs(set, copts);
+        mergedLog += serve::mergedJsonl(set, outcome.rows);
+        summaries.push_back(outcome.summary);
+        rows = std::move(outcome.rows);
+    }
+    // Every row not yet ok runs here with the same handler: all of
+    // them in-process, and in server mode the rows the server lost
+    // (abandoned shards). Rows are pure functions of their job, so
+    // the library bytes match a crash-free run either way. Design id
+    // i is library entry i (see scoreMissing), borrowed, not decoded.
+    std::vector<std::shared_ptr<const adg::SysAdg>> designs;
+    for (const LibraryEntry &entry : lib.entries)
+        designs.emplace_back(std::shared_ptr<const adg::SysAdg>(),
+                             &entry.design);
+    for (size_t j = 0; j < rows.size(); ++j) {
+        if (rows[j].ok)
+            continue;
+        if (!rows[j].diagnostic.empty())
+            OG_WARN("serve job ", j, " ('", set.jobs[j].workload,
+                    "') failed (", rows[j].diagnostic,
+                    "); running it in-process");
+        rows[j] = handler(set.jobs[j], designs);
+        OG_ASSERT(rows[j].ok, "library job '", set.jobs[j].workload,
+                  "' failed in-process: ", rows[j].diagnostic);
+    }
+    return rows;
 }
 
 void
-LibraryService::serveMatch(const std::vector<std::string> &distinct)
+LibraryService::scoreMissing(const std::vector<std::string> &workloads)
 {
     serve::JobSet set;
-    for (const LibraryEntry &entry : lib.entries)
-        set.addDesignJson(entry.design.toJson());
-    std::vector<int> ids;
-    for (int i = 0; i < static_cast<int>(lib.entries.size()); ++i)
-        ids.push_back(i);
-    for (const std::string &workload : distinct)
-        set.addMatchJob(workload, ids, options.match.applyTuning,
-                        options.smallSize);
-    serve::ServeOutcome outcome =
-        serve::serveJobs(set, serveOptions());
-    mergedLog += serve::mergedJsonl(set, outcome.rows);
-    summaries.push_back(outcome.summary);
-    // Memoize the shipped scores; failed rows (abandoned shards) are
-    // simply absent — matchAndRecord backfills them in-process with
-    // the same pure scoring, so the final record set is identical.
-    for (size_t j = 0; j < outcome.rows.size(); ++j) {
-        const serve::ResultRow &row = outcome.rows[j];
-        if (!row.ok)
+    for (const std::string &workload : workloads) {
+        std::vector<int> missing;
+        for (size_t i = 0; i < lib.entries.size(); ++i)
+            if (lib.entries[i].findRecord(workload) == nullptr)
+                missing.push_back(static_cast<int>(i));
+        if (missing.empty())
             continue;
-        for (const serve::WireScore &score : row.scores) {
+        // The design table is the whole library in entry order.
+        // Entries are fingerprint-distinct, so interning never merges
+        // two of them and table id i stays entry i.
+        for (size_t i = set.designs.size(); i < lib.entries.size();
+             ++i) {
+            int id = set.addDesignJson(lib.entries[i].design.toJson());
+            OG_ASSERT(id == static_cast<int>(i), "library entry ", i,
+                      " duplicates a design");
+        }
+        set.addMatchJob(workload, std::move(missing),
+                        options.match.applyTuning, options.smallSize);
+    }
+    std::vector<serve::ResultRow> rows = runJobs(set);
+    for (size_t j = 0; j < rows.size(); ++j) {
+        for (const serve::WireScore &score : rows[j].scores) {
             KernelRecord record;
             record.kernel = set.jobs[j].workload;
             record.feasible = score.feasible;
@@ -183,54 +215,42 @@ LibraryService::serveMatch(const std::vector<std::string> &distinct)
             record.ipc = score.ipc;
             record.variant = score.variant;
             record.bottleneck = score.bottleneck;
-            lib.entries[static_cast<size_t>(score.design)]
-                .upsertRecord(std::move(record));
+            lib.entries[static_cast<size_t>(score.design)].upsertRecord(
+                std::move(record));
         }
     }
 }
 
 void
-LibraryService::serveWarm(const std::vector<std::string> &misses)
+LibraryService::warm(const std::vector<std::string> &misses)
 {
     serve::JobSet set;
-    for (const std::string &workload : misses) {
-        set.addWarmJob(workload,
-                       warmSeedFor(workload, options.warmSeedSalt),
-                       options.warmIterations,
-                       options.match.applyTuning, options.smallSize);
-    }
-    serve::ServeOutcome outcome =
-        serve::serveJobs(set, serveOptions());
-    mergedLog += serve::mergedJsonl(set, outcome.rows);
-    summaries.push_back(outcome.summary);
+    for (const std::string &workload : misses)
+        set.addWarmJob(workload, warmSeedFor(workload),
+                       options.warmIterations, options.match.applyTuning,
+                       options.smallSize);
+    std::vector<serve::ResultRow> rows = runJobs(set);
     // Insert in job order (first-miss order), never completion order.
-    for (size_t j = 0; j < outcome.rows.size(); ++j) {
-        const serve::ResultRow &row = outcome.rows[j];
-        const serve::JobSpec &job = set.jobs[j];
+    for (size_t j = 0; j < rows.size(); ++j) {
         std::string error;
-        std::optional<LibraryEntry> entry;
-        if (row.ok && !row.payload.isNull())
-            entry = LibraryEntry::fromJson(row.payload, &error);
-        if (!entry) {
-            // Abandoned or mangled row: recompute in-process. The
-            // entry is a pure function of the job, so the library
-            // bytes still match a crash-free run.
-            OG_WARN("serve warm for '", job.workload,
-                    "' returned no entry (",
-                    row.ok ? error : row.diagnostic,
-                    "); warming in-process");
-            entry = warmOverlay(job.workload, job.smallSize,
-                                job.applyTuning, job.warmSeed,
-                                job.warmIterations, options.match);
-        }
+        std::optional<LibraryEntry> entry =
+            LibraryEntry::fromJson(rows[j].payload, &error);
+        OG_ASSERT(entry, "warm row for '", set.jobs[j].workload,
+                  "' carries no entry: ", error);
         lib.insert(std::move(*entry));
     }
+}
+
+MatchResult
+LibraryService::pick(const std::string &workload) const
+{
+    return matchKernel(lib, resolveSpec(workload, options.smallSize),
+                       options.match);
 }
 
 std::vector<RequestOutcome>
 LibraryService::processBatch(const std::vector<std::string> &workloads)
 {
-    std::vector<RequestOutcome> outcomes(workloads.size());
     std::vector<std::string> distinct;
     std::set<std::string> seen;
     for (const std::string &workload : workloads) {
@@ -238,59 +258,34 @@ LibraryService::processBatch(const std::vector<std::string> &workloads)
             distinct.push_back(workload);
     }
 
-    if (options.useServer) {
-        // Train the shared resource model before any fork, so every
-        // worker inherits it instead of re-training per process.
-        model::FpgaResourceModel::defaultModel();
-    }
-
-    // Phase A: match every distinct workload against the library as
-    // admitted (server mode ships the scoring to the workers; the
-    // in-process matchAndRecord then reads the memoized records).
-    if (options.useServer && !lib.entries.empty() && !distinct.empty())
-        serveMatch(distinct);
+    // 1-2: record every distinct workload against the library as
+    // admitted, then pick from the records.
+    scoreMissing(distinct);
     std::map<std::string, MatchResult> picks;
-    std::set<std::string> admissionHits;
-    for (const std::string &workload : distinct) {
-        picks[workload] =
-            matchAndRecord(lib, specFor(workload), options.match);
-        if (picks[workload].hit())
-            admissionHits.insert(workload);
-    }
-
-    // Phase B: warm distinct misses in first-miss order.
     std::vector<std::string> misses;
-    for (const std::string &workload : distinct)
+    for (const std::string &workload : distinct) {
+        picks[workload] = pick(workload);
         if (!picks[workload].hit())
             misses.push_back(workload);
-    if (!misses.empty()) {
-        if (options.useServer) {
-            serveWarm(misses);
-        } else {
-            for (const std::string &workload : misses) {
-                lib.insert(warmOverlay(
-                    workload, options.smallSize,
-                    options.match.applyTuning,
-                    warmSeedFor(workload, options.warmSeedSalt),
-                    options.warmIterations, options.match));
-            }
-        }
-        // Phase C: re-match the misses against the grown library.
-        for (const std::string &workload : misses) {
-            picks[workload] =
-                matchAndRecord(lib, specFor(workload), options.match);
-        }
     }
 
-    std::set<std::string> warmedSet(misses.begin(), misses.end());
+    // 3-4: warm the distinct misses in first-miss order, record them
+    // against the grown library, and pick again.
+    warm(misses);
+    scoreMissing(misses);
+    for (const std::string &workload : misses)
+        picks[workload] = pick(workload);
+
+    std::set<std::string> warmed(misses.begin(), misses.end());
+    std::vector<RequestOutcome> outcomes(workloads.size());
     for (size_t i = 0; i < workloads.size(); ++i) {
         RequestOutcome &outcome = outcomes[i];
         outcome.workload = workloads[i];
-        outcome.hit = admissionHits.count(workloads[i]) > 0;
-        outcome.warmed = warmedSet.count(workloads[i]) > 0;
-        const MatchResult &pick = picks[workloads[i]];
-        outcome.entryIndex = pick.entryIndex;
-        outcome.record = pick.record;
+        outcome.warmed = warmed.count(workloads[i]) > 0;
+        outcome.hit = !outcome.warmed;
+        const MatchResult &best = picks[workloads[i]];
+        outcome.entryIndex = best.entryIndex;
+        outcome.record = best.record;
     }
     return outcomes;
 }

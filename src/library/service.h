@@ -3,32 +3,42 @@
 
 /**
  * @file
- * The request-serving layer over the overlay library: admit a batch
- * of kernel requests, match each against the library
- * (library/matcher.h), warm the library with a bounded DSE run per
- * distinct miss, and re-match the misses against the grown library.
+ * The request-serving layer over the overlay library. processBatch
+ * admits a batch of kernel requests and runs one sequence for it:
+ *  1. score the (workload, entry) pairs that have no record yet, for
+ *     the batch's distinct workloads;
+ *  2. pick each workload's winner from the records (matchKernel,
+ *     library/matcher.h, is then a pure lookup);
+ *  3. warm the distinct misses — a bounded DSE run each — and insert
+ *     the new entries in first-miss order;
+ *  4. score the pairs still missing for those misses and pick again.
+ *
+ * Steps 1, 3 and 4 each build a serve::JobSet of Match or Warm jobs
+ * and hand it to one executor, the only place the two modes differ:
+ * server mode (ServiceOptions::useServer) runs the set through the
+ * serve coordinator (forked workers, crash recovery, straggler
+ * duplication); in-process mode runs the same library job handler
+ * (makeLibraryHandler) on each job inline. Any row the server loses
+ * (a shard abandoned after repeated crashes) is recomputed inline by
+ * that handler, so even a degraded run converges to the same library.
+ * The handler reaches the serve layer through
+ * CoordinatorOptions::handler, keeping serve free of any library
+ * dependency.
  *
  * Batched-admission determinism contract: the library file produced
  * by replaying a request trace is a pure function of the trace —
  * independent of worker count, in-process vs server execution, and
  * crash/retry scheduling. The pieces that make that true:
- *  - warm DSE seeds are a pure function of the workload name
- *    (warmSeedFor), and the DSE trajectory is thread-count-invariant;
+ *  - warm DSE seeds are a pure function of the workload name, and
+ *    the DSE trajectory is thread-count-invariant;
  *  - new entries are inserted in first-miss order (job order), never
  *    completion order;
  *  - per-kernel records are memoized values of pure scoring functions
  *    and kept name-sorted inside each entry, so the record *set* —
  *    not the computation schedule — determines the bytes;
- *  - serve-layer rows are pure functions of their JobSpec, so
- *    straggler duplicates and crash retries reproduce the same row.
- *
- * Server mode (ServiceOptions::useServer) routes Match and Warm jobs
- * through the serve coordinator (forked workers, crash recovery,
- * straggler duplication); the library job handler is installed via
- * CoordinatorOptions::handler, keeping serve free of any library
- * dependency. Rows that fail server-side (abandoned after repeated
- * crashes) are backfilled in-process with the same pure functions, so
- * even a degraded run converges to identical library bytes.
+ *  - job rows are pure functions of their JobSpec, so straggler
+ *    duplicates, crash retries and inline recomputation all
+ *    reproduce the same row.
  */
 
 #include <cstdint>
@@ -46,15 +56,12 @@ struct ServiceOptions
     MatchOptions match;
     /** DSE iteration budget of one warm run. */
     int warmIterations = 8;
-    /** Salt mixed into warmSeedFor so deployments can shift the whole
-     * seed space without touching per-workload determinism. */
-    uint64_t warmSeedSalt = 0x5eedf00dcafe2026ull;
     /** Use the shrunken test-size workload table (serve smallSize
      * convention; scoring and DSE never simulate, so this mostly
      * affects compile/variant shapes). */
     bool smallSize = false;
-    /** Route Match/Warm jobs through the serve coordinator (forked
-     * workers) instead of running them in-process. */
+    /** Run Match/Warm jobs through the serve coordinator (forked
+     * workers) instead of in-process. */
     bool useServer = false;
     /** Coordinator knobs for server mode (handler is installed by the
      * service; anything set here is preserved). */
@@ -104,9 +111,9 @@ class LibraryService
                             OverlayLibrary lib = {});
 
     /**
-     * Admit a batch of requests (workload names, duplicates allowed):
-     * match all, warm distinct misses in first-miss order, re-match
-     * the misses, and return one outcome per request (input order).
+     * Admit a batch of requests (workload names, duplicates allowed),
+     * run the sequence of the file comment, and return one outcome
+     * per request (input order).
      */
     std::vector<RequestOutcome>
     processBatch(const std::vector<std::string> &workloads);
@@ -114,7 +121,9 @@ class LibraryService
     OverlayLibrary &library() { return lib; }
     const OverlayLibrary &library() const { return lib; }
 
-    /** One summary per serveJobs call made in server mode. */
+    /** One summary per serveJobs call made in server mode (a batch
+     * whose pairs are all recorded and that misses nothing makes
+     * none). */
     const std::vector<serve::ServeSummary> &
     serveSummaries() const
     {
@@ -125,19 +134,20 @@ class LibraryService
      * across worker counts; the warming tests compare it). */
     const std::string &serveLog() const { return mergedLog; }
 
-    /** The warm DSE seed of @p workload: a pure function of the name
-     * (FNV-1a) mixed with @p salt, so replays and retries agree. */
-    static uint64_t warmSeedFor(const std::string &workload,
-                                uint64_t salt);
-
   private:
-    void serveMatch(const std::vector<std::string> &distinct);
-    void serveWarm(const std::vector<std::string> &misses);
-    wl::KernelSpec specFor(const std::string &workload) const;
-    serve::CoordinatorOptions serveOptions() const;
+    /** Run @p set (server or inline, see the file comment); @return
+     * one ok row per job, index-ordered. */
+    std::vector<serve::ResultRow> runJobs(const serve::JobSet &set);
+    /** Record every entry's score for each of @p workloads that has
+     * no record yet. */
+    void scoreMissing(const std::vector<std::string> &workloads);
+    /** Warm each of @p misses and insert the entries in order. */
+    void warm(const std::vector<std::string> &misses);
+    MatchResult pick(const std::string &workload) const;
 
     OverlayLibrary lib;
     ServiceOptions options;
+    serve::JobHandler handler;
     std::vector<serve::ServeSummary> summaries;
     std::string mergedLog;
 };

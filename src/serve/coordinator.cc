@@ -158,7 +158,6 @@ class Coordinator
                     ::close(other.fromFd);
             }
             WorkerOptions wopts;
-            wopts.simThreads = options.simThreadsPerWorker;
             wopts.handler = options.handler;
             wopts.checkpointEvery = options.checkpointEvery;
             ::_exit(workerLoop(toChild[0], fromChild[1], wopts));

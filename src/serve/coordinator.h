@@ -61,8 +61,6 @@ struct CoordinatorOptions
     int workers = 2;
     /** Jobs per shard (0 = the whole set as one shard). */
     size_t shardSize = 1;
-    /** sim::runBatch threads inside each worker (1 = serial). */
-    int simThreadsPerWorker = 1;
     /** Straggler deadline: re-dispatch a shard whose attempt shows no
      * heartbeat or result for this long (0 disables). */
     int deadlineMs = 0;
@@ -77,7 +75,7 @@ struct CoordinatorOptions
     /** Orderly-shutdown grace before SIGKILLing lingering workers. */
     int shutdownGraceMs = 2000;
     /** Workers stream a mid-run simulation checkpoint every this many
-     * cycles (serial Generate jobs only; 0 disables). The coordinator
+     * cycles (Generate jobs only; 0 disables). The coordinator
      * keeps the latest per unfinished job and hands it back on
      * re-dispatch, so a crashed worker's replacement resumes the
      * interrupted simulation mid-run (see the file comment). */

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
@@ -11,7 +10,6 @@
 #include "common/logging.h"
 #include "compiler/compile.h"
 #include "sched/scheduler.h"
-#include "sim/batch.h"
 #include "sim/simulate.h"
 #include "sim/snapshot.h"
 #include "workloads/suites.h"
@@ -20,12 +18,11 @@ namespace overgen::serve {
 
 namespace {
 
-/** One shard job readied for sim::runBatch. */
+/** One Generate job compiled and scheduled, ready to simulate. */
 struct PreparedJob
 {
     bool ok = false;
     wl::KernelSpec spec;
-    std::shared_ptr<const adg::SysAdg> design;
     dfg::Mdfg mdfg;
     sched::Schedule schedule;
 };
@@ -44,18 +41,16 @@ configFor(const JobSpec &job, telemetry::Sink *sink)
 }
 
 PreparedJob
-prepare(const JobSpec &job,
-        const std::shared_ptr<const adg::SysAdg> &design)
+prepare(const JobSpec &job, const adg::SysAdg &design)
 {
     PreparedJob prepared;
     prepared.spec = job.smallSize
                         ? wl::smallWorkloadByName(job.workload)
                         : wl::workloadByName(job.workload);
-    prepared.design = design;
     compiler::CompileOptions copts;
     copts.applyTuning = job.applyTuning;
     auto variants = compiler::compileVariants(prepared.spec, copts);
-    sched::SpatialScheduler scheduler(design->adg);
+    sched::SpatialScheduler scheduler(design.adg);
     auto fit = scheduler.scheduleFirstFit(variants);
     if (!fit)
         return prepared;
@@ -141,10 +136,7 @@ runJob(const JobSpec &job, const adg::SysAdg &design,
                              &design);
         return dispatchHandled(job, designs, options);
     }
-    // Aliasing constructor: borrow the caller's design without a copy.
-    PreparedJob prepared = prepare(
-        job, std::shared_ptr<const adg::SysAdg>(
-                 std::shared_ptr<const adg::SysAdg>(), &design));
+    PreparedJob prepared = prepare(job, design);
     if (!prepared.ok)
         return {};
     wl::Memory memory;
@@ -221,60 +213,37 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
             return writeLine(outFd, out.dump());
         };
 
-        // Execute in waves of up to simThreads consecutive Generate
-        // jobs, streaming every wave's rows (in job order) before the
-        // next wave starts — partial shard progress survives a crash.
-        // Each job heartbeats at prepare time so the coordinator's
-        // straggler clock sees forward progress.
-        size_t waveCap = static_cast<size_t>(
-            std::max(options.simThreads, 1));
-        size_t i = 0;
-        while (i < specs.size()) {
-            if (specs[i].kind != JobKind::Generate) {
-                if (!heartbeat(i))
-                    return 1;
-                ResultRow row =
-                    dispatchHandled(specs[i], designs, options);
-                if (!streamRow(specs[i], row, false))
-                    return 1;
-                ++i;
-                continue;
-            }
-            size_t end = i;
-            while (end < specs.size() &&
-                   specs[end].kind == JobKind::Generate &&
-                   end - i < waveCap)
-                ++end;
-            std::vector<PreparedJob> prepared;
-            for (size_t j = i; j < end; ++j) {
-                if (!heartbeat(j))
-                    return 1;
-                OG_ASSERT(specs[j].designId >= 0 &&
-                              specs[j].designId <
+        // Run the jobs in order, streaming each row as soon as it is
+        // computed — partial shard progress survives a crash. Each job
+        // heartbeats first so the coordinator's straggler clock sees
+        // forward progress.
+        for (size_t i = 0; i < specs.size(); ++i) {
+            const JobSpec &spec = specs[i];
+            if (!heartbeat(i))
+                return 1;
+            ResultRow row;
+            bool resumed = false;
+            if (spec.kind != JobKind::Generate) {
+                row = dispatchHandled(spec, designs, options);
+            } else {
+                OG_ASSERT(spec.designId >= 0 &&
+                              spec.designId <
                                   static_cast<int>(designs.size()),
-                          "shard ", shard,
-                          " references unknown design ",
-                          specs[j].designId);
-                prepared.push_back(
-                    prepare(specs[j], designs[specs[j].designId]));
-            }
-            if (end - i == 1) {
-                // Serial wave: stream checkpoints, resume when the
-                // shard record carried a snapshot for this job.
-                const JobSpec &spec = specs[i];
-                ResultRow row;
-                bool resumed = false;
-                if (prepared[0].ok) {
-                    sim::SimConfig config =
-                        configFor(spec, options.sink);
+                          "shard ", shard, " references unknown design ",
+                          spec.designId);
+                const adg::SysAdg &design = *designs[spec.designId];
+                PreparedJob prepared = prepare(spec, design);
+                if (prepared.ok) {
+                    // Stream checkpoints, and resume when the shard
+                    // record carried a snapshot for this job.
+                    sim::SimConfig config = configFor(spec, options.sink);
                     PipeSnapshotSink ckpt(outFd, shard, spec.index);
                     if (options.checkpointEvery > 0) {
-                        config.checkpointEvery =
-                            options.checkpointEvery;
+                        config.checkpointEvery = options.checkpointEvery;
                         config.checkpointSink = &ckpt;
                     }
                     wl::Memory memory;
-                    memory.init(prepared[0].spec);
+                    memory.init(prepared.spec);
                     sim::SimResult result;
                     auto it = resumeSnaps.find(spec.index);
                     if (it != resumeSnaps.end()) {
@@ -283,53 +252,21 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
                         if (hexToBytes(it->second, bytes) &&
                             sim::Snapshot::decode(bytes, snap)) {
                             result = sim::resumeFrom(
-                                snap, prepared[0].spec,
-                                prepared[0].mdfg,
-                                prepared[0].schedule,
-                                *prepared[0].design, memory, config);
+                                snap, prepared.spec, prepared.mdfg,
+                                prepared.schedule, design, memory,
+                                config);
                             resumed = true;
                         }
                     }
                     if (!resumed)
                         result = sim::simulate(
-                            prepared[0].spec, prepared[0].mdfg,
-                            prepared[0].schedule, *prepared[0].design,
-                            memory, config);
-                    row = rowFrom(prepared[0], result);
+                            prepared.spec, prepared.mdfg,
+                            prepared.schedule, design, memory, config);
+                    row = rowFrom(prepared, result);
                 }
-                if (!streamRow(spec, row, resumed))
-                    return 1;
-                i = end;
-                continue;
             }
-            // Multi-job wave: one sim::runBatch across the wave.
-            std::vector<sim::SimJob> batch;
-            std::vector<size_t> batchOf;
-            for (size_t j = i; j < end; ++j) {
-                if (!prepared[j - i].ok)
-                    continue;
-                sim::SimJob job;
-                job.spec = &prepared[j - i].spec;
-                job.mdfg = &prepared[j - i].mdfg;
-                job.schedule = &prepared[j - i].schedule;
-                job.design = prepared[j - i].design.get();
-                job.config = configFor(specs[j], options.sink);
-                batch.push_back(job);
-                batchOf.push_back(j - i);
-            }
-            sim::BatchOptions batchOptions;
-            batchOptions.threads = options.simThreads;
-            std::vector<sim::SimResult> results =
-                sim::runBatch(batch, batchOptions);
-            std::vector<ResultRow> rows(end - i);
-            for (size_t j = 0; j < results.size(); ++j)
-                rows[batchOf[j]] =
-                    rowFrom(prepared[batchOf[j]], results[j]);
-            for (size_t j = i; j < end; ++j) {
-                if (!streamRow(specs[j], rows[j - i], false))
-                    return 1;
-            }
-            i = end;
+            if (!streamRow(spec, row, resumed))
+                return 1;
         }
         Json done = Json::makeObject();
         done.set("t", Json("done"));

@@ -5,15 +5,16 @@
  * @file
  * The worker side of the job server: a blocking read-execute-stream
  * loop a forked child runs over its coordinator pipes. A shard's jobs
- * run in waves of up to `simThreads` consecutive Generate jobs
- * (compile + first-fit schedule per job, heartbeat per job, one
- * sim::runBatch per multi-job wave), and every row streams back as
- * soon as its wave finishes, in job order — so a crash loses only the
- * in-flight wave, never rows already computed. Single-job waves (the
- * simThreads=1 default) additionally stream mid-run checkpoints
- * (WorkerOptions::checkpointEvery) and accept resume snapshots from
- * the shard record, re-entering an interrupted simulation via
- * sim::resumeFrom (see serve/wire.h for the record grammar).
+ * run one at a time in job order (heartbeat, then compile + first-fit
+ * schedule + simulate for a Generate job, or the JobHandler for a
+ * Match/Warm job), and every row streams back as soon as it is
+ * computed — so a crash loses only the in-flight job, never rows
+ * already computed. Generate jobs additionally stream mid-run
+ * checkpoints (WorkerOptions::checkpointEvery) and accept resume
+ * snapshots from the shard record, re-entering an interrupted
+ * simulation via sim::resumeFrom (see serve/wire.h for the record
+ * grammar). The coordinator's process pool is the parallelism; each
+ * worker is single-threaded.
  */
 
 #include "serve/wire.h"
@@ -27,19 +28,12 @@ namespace overgen::serve {
 /** Worker execution knobs. */
 struct WorkerOptions
 {
-    /** sim::runBatch worker threads inside this process (1 = inline
-     * serial; the coordinator's process pool is the primary
-     * parallelism, so the default keeps workers single-threaded). */
-    int simThreads = 1;
     /** Telemetry sink for the simulations this worker runs (local to
      * the worker process; null = telemetry-free). */
     telemetry::Sink *sink = nullptr;
     /** Stream a "ckpt" record (the engine's sealed snapshot, hex
      * encoded) every this many simulated cycles so the coordinator
-     * can hand the latest one to a replacement worker; 0 disables.
-     * Only serial (single-job) waves checkpoint: a multi-job
-     * sim::runBatch wave would interleave records from concurrent
-     * simulations on the one pipe. */
+     * can hand the latest one to a replacement worker; 0 disables. */
     uint64_t checkpointEvery = 0;
     /** Executor for Match/Warm jobs (see serve::JobHandler). Jobs of
      * those kinds fail with a diagnostic row when unset. */
