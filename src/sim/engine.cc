@@ -108,7 +108,7 @@ SimEngine::verifyDrainWindow(uint64_t from, uint64_t to,
     // Ticking them against the drainer's end-of-window state is valid
     // because the coupling surface is invariant across the window by
     // construction of the window stops: no completion becomes
-    // pollable and no full queue reopens before `to`.
+    // due and no full queue reopens before `to`.
     std::vector<uint64_t> prints(components.size());
     uint64_t progress = 0;
     for (size_t i = 0; i < components.size(); ++i) {

@@ -61,7 +61,7 @@ inline constexpr uint64_t kNoEventCycle = ~uint64_t{ 0 };
  * frozen. The engine computes the freeze window from the other
  * components' nextEventCycle(); the drainer must additionally stop
  * before any cycle at which its own evolution could wake another
- * component (a completion becoming pollable, a full queue admitting
+ * component (a completion becoming due, a full queue admitting
  * again) or move the watchdog's abort cycle.
  */
 class ClockedComponent
@@ -188,7 +188,7 @@ struct EngineCheckpoint
 /**
  * Lockstep driver over a set of components. Components tick in the
  * order they were added (the memory system must be added before the
- * tiles that poll it, mirroring the historical loop).
+ * tiles that retire its completions, mirroring the historical loop).
  */
 class SimEngine
 {

@@ -17,17 +17,20 @@ MemorySystem::TxnQueue::grow()
 {
     size_t new_cap = ids.empty() ? 8 : ids.size() * 2;
     std::vector<TxnId> nids(new_cap);
+    std::vector<int> nslots(new_cap);
     std::vector<uint64_t> naddrs(new_cap);
     std::vector<int> nbytes(new_cap);
     std::vector<uint8_t> nwrites(new_cap);
     for (size_t i = 0; i < count; ++i) {
-        size_t s = slot(i);
+        size_t s = pos(i);
         nids[i] = ids[s];
+        nslots[i] = slots[s];
         naddrs[i] = addrs[s];
         nbytes[i] = bytes[s];
         nwrites[i] = writes[s];
     }
     ids = std::move(nids);
+    slots = std::move(nslots);
     addrs = std::move(naddrs);
     bytes = std::move(nbytes);
     writes = std::move(nwrites);
@@ -180,24 +183,45 @@ MemorySystem::setFill(Bank &bank, uint64_t line, uint64_t ready)
 }
 
 void
-MemorySystem::insertCompleted(TxnId id, uint64_t ready)
+MemorySystem::insertCompleted(int slot, TxnId id, uint64_t ready)
 {
-    completed[id] = ready;
-    if (completedFloorValid)
-        completedFloorCache = std::min(completedFloorCache, ready);
+    CompletionRing &ring = rings[static_cast<size_t>(slot)];
+    OG_ASSERT(ring.count < ring.capacity, "completion ring of slot ",
+              slot, " overflows its ROB (", ring.capacity, " entries)");
+    Completion entry{ ready, id };
+    size_t i = ring.count;
+    for (; i > 0 && entry < ring.at(i - 1); --i)
+        ring.at(i) = ring.at(i - 1);
+    ring.at(i) = entry;
+    ++ring.count;
+    ++pendingCompletions;
 }
 
 uint64_t
 MemorySystem::completedFloor() const
 {
-    if (!completedFloorValid) {
-        uint64_t floor = kNoEventCycle;
-        for (const auto &[id, ready] : completed)
-            floor = std::min(floor, ready);
-        completedFloorCache = floor;
-        completedFloorValid = true;
-    }
-    return completedFloorCache;
+    uint64_t floor = kNoEventCycle;
+    if (pendingCompletions == 0)
+        return floor;
+    for (const CompletionRing &ring : rings)
+        if (ring.count > 0)
+            floor = std::min(floor, ring.at(0).ready);
+    return floor;
+}
+
+int
+MemorySystem::registerEngine(int tile, int rob_entries)
+{
+    OG_ASSERT(tile >= 0 && tile < static_cast<int>(tileLink.size()),
+              "bad tile ", tile);
+    OG_ASSERT(rob_entries >= 1, "engine ROB needs at least one entry");
+    CompletionRing ring;
+    ring.capacity = static_cast<size_t>(rob_entries);
+    ring.buf.resize(std::bit_ceil(ring.capacity));
+    ring.mask = ring.buf.size() - 1;
+    ring.tile = tile;
+    rings.push_back(std::move(ring));
+    return static_cast<int>(rings.size()) - 1;
 }
 
 bool
@@ -210,28 +234,18 @@ MemorySystem::canAccept(int tile) const
 }
 
 TxnId
-MemorySystem::submit(int tile, uint64_t addr, int bytes, bool write)
+MemorySystem::submit(int slot, uint64_t addr, int bytes, bool write)
 {
+    OG_ASSERT(slot >= 0 && slot < static_cast<int>(rings.size()),
+              "submit through unregistered slot ", slot);
+    int tile = rings[static_cast<size_t>(slot)].tile;
     OG_ASSERT(canAccept(tile), "submit to a full tile link");
     TxnId id = nextId++;
     ++inFlightCount;
-    tileLink[tile].push(id, addr, bytes, write);
-    uint64_t outstanding = inFlightCount + completed.size();
-    memStats.peakOutstandingTxns =
-        std::max(memStats.peakOutstandingTxns, outstanding);
+    tileLink[tile].push(id, slot, addr, bytes, write);
+    memStats.peakOutstandingTxns = std::max(
+        memStats.peakOutstandingTxns, inFlightCount + pendingCompletions);
     return id;
-}
-
-bool
-MemorySystem::consumeCompleted(TxnId id)
-{
-    auto it = completed.find(id);
-    if (it == completed.end() || it->second > cycle)
-        return false;
-    if (completedFloorValid && it->second == completedFloorCache)
-        completedFloorValid = false;
-    completed.erase(it);
-    return true;
 }
 
 bool
@@ -260,7 +274,8 @@ MemorySystem::tick()
             tileLinkBudget[t] -= txn_bytes;
             memStats.nocBytes += txn_bytes;
             uint64_t addr = link.frontAddr();
-            banks[bankOf(addr)].queue.push(link.frontId(), addr,
+            banks[bankOf(addr)].queue.push(link.frontId(),
+                                           link.frontSlot(), addr,
                                            txn_bytes,
                                            link.frontWrite());
             link.pop();
@@ -292,6 +307,7 @@ MemorySystem::tick()
                 break;
             uint64_t addr = bank.queue.frontAddr();
             TxnId id = bank.queue.frontId();
+            int slot = bank.queue.frontSlot();
             bool write = bank.queue.frontWrite();
             uint64_t line = addr / config.cacheLineBytes;
             if (const FillEntry *fill = findFill(bank, line)) {
@@ -299,7 +315,7 @@ MemorySystem::tick()
                 // line is already tagged, no extra DRAM traffic.
                 ++memStats.l2Hits;
                 bank.byteBudget -= txn_bytes;
-                insertCompleted(id, fill->ready);
+                insertCompleted(slot, id, fill->ready);
                 if (write)
                     lookup(bank, addr, true);  // set dirty
                 --inFlightCount;
@@ -318,19 +334,19 @@ MemorySystem::tick()
             }
             if (result.hit) {
                 ++memStats.l2Hits;
-                insertCompleted(id, cycle + config.l2HitLatency);
+                insertCompleted(slot, id, cycle + config.l2HitLatency);
                 --inFlightCount;
             } else if (write) {
                 // Write-allocate, no fetch: the line is established
                 // and dirtied; data arrives from the tile.
                 ++memStats.l2Misses;
-                insertCompleted(id, cycle + config.l2HitLatency);
+                insertCompleted(slot, id, cycle + config.l2HitLatency);
                 --inFlightCount;
             } else {
                 // Read miss: fetch the line from DRAM.
                 ++memStats.l2Misses;
                 ++bank.mshrsInUse;
-                bank.dramQueue.push(id, addr, txn_bytes, write);
+                bank.dramQueue.push(id, slot, addr, txn_bytes, write);
             }
             bank.queue.pop();
             ++progressEvents;
@@ -355,7 +371,8 @@ MemorySystem::tick()
             memStats.dramBytesRead += config.cacheLineBytes;
             uint64_t ready =
                 cycle + config.l2HitLatency + config.dramLatency;
-            insertCompleted(bank.dramQueue.frontId(), ready);
+            insertCompleted(bank.dramQueue.frontSlot(),
+                            bank.dramQueue.frontId(), ready);
             uint64_t line = addr / config.cacheLineBytes;
             setFill(bank, line, ready);  // MSHR held until fill
             --inFlightCount;
@@ -397,11 +414,11 @@ MemorySystem::classifyStall() const
 {
     using C = telemetry::CycleCategory;
     // DRAM involvement: fills in flight toward completion (fills and
-    // their completion entries are created together, and `completed`
-    // is frozen across skipped windows), queued read misses, or
+    // their completion entries are created together, and the rings
+    // are frozen across skipped windows), queued read misses, or
     // pending writebacks — and MSHR-blocked service, which is waiting
     // on a fill to free an MSHR.
-    bool dram_work = !completed.empty();
+    bool dram_work = pendingCompletions > 0;
     bool queued = false;
     for (const auto &link : tileLink)
         queued |= !link.empty();
@@ -464,7 +481,7 @@ MemorySystem::emitTimelineRow()
     row += ",\"noc_bytes\":";
     telemetry::appendDecimal(row, memStats.nocBytes);
     row += ",\"outstanding\":";
-    telemetry::appendDecimal(row, inFlightCount + completed.size());
+    telemetry::appendDecimal(row, inFlightCount + pendingCompletions);
     row += ",\"run\":\"";
     row += timelineRun->label();
     row += "\"}";
@@ -555,8 +572,8 @@ MemorySystem::nextEventCycle(uint64_t now) const
     if (mshrOccupancy != nullptr || timelineRun != nullptr)
         return now + 1;
     uint64_t ev = queueEventCycle(now);
-    // Completions become pollable at their ready cycle (cached
-    // minimum — the map can hold hundreds of pending entries).
+    // Completions become due at their ready cycle: the earliest is
+    // one of the ring fronts.
     uint64_t floor = completedFloor();
     if (floor != kNoEventCycle)
         ev = std::min(ev, std::max(floor, now + 1));
@@ -652,7 +669,7 @@ MemorySystem::replayDrain(uint64_t from, uint64_t limit,
         uint64_t stop = limit;
         if (full_link_pop != kNoEventCycle)
             stop = std::min(stop, full_link_pop - 1);
-        // Completions wake tiles the cycle they become pollable:
+        // Completions wake tiles the cycle they become due:
         // end the window strictly before the earliest ready cycle
         // (re-read every iteration — replayed events mint new
         // completions).
@@ -725,6 +742,7 @@ MemorySystem::drainDigest() const
         mix(q.size());
         for (size_t i = 0; i < q.size(); ++i) {
             mix(static_cast<uint64_t>(q.idAt(i)));
+            mix(static_cast<uint64_t>(q.slotAt(i)));
             mix(q.addrAt(i));
             mix(static_cast<uint64_t>(q.bytesAt(i)));
             mix(static_cast<uint64_t>(q.writeAt(i)));
@@ -752,9 +770,13 @@ MemorySystem::drainDigest() const
         mix(static_cast<uint64_t>(bank.mshrsInUse));
         mix_double(bank.byteBudget);
     }
-    for (const auto &[id, ready] : completed) {
-        mix(static_cast<uint64_t>(id));
-        mix(ready);
+    mix(pendingCompletions);
+    for (const CompletionRing &ring : rings) {
+        mix(ring.count);
+        for (size_t i = 0; i < ring.count; ++i) {
+            mix(static_cast<uint64_t>(ring.at(i).id));
+            mix(ring.at(i).ready);
+        }
     }
     mix(memStats.l2Hits);
     mix(memStats.l2Misses);
@@ -788,7 +810,7 @@ MemorySystem::quiescenceFingerprint() const
         mix(static_cast<uint64_t>(bank.writebackBytes));
     }
     mix(inFlightCount);
-    mix(completed.size());
+    mix(pendingCompletions);
     mix(static_cast<uint64_t>(nextId));
     mix(memStats.l2Hits);
     mix(memStats.l2Misses);
@@ -806,6 +828,7 @@ MemorySystem::save(Snapshot &snap) const
         snap.putU64(q.size());
         for (size_t i = 0; i < q.size(); ++i) {
             snap.putI64(q.idAt(i));
+            snap.putI64(q.slotAt(i));
             snap.putU64(q.addrAt(i));
             snap.putI64(q.bytesAt(i));
             snap.putBool(q.writeAt(i));
@@ -848,11 +871,6 @@ MemorySystem::save(Snapshot &snap) const
         snap.putI64(bank.mshrsInUse);
         snap.putDouble(bank.byteBudget);
     }
-    snap.putU64(completed.size());
-    for (const auto &[id, ready] : completed) {
-        snap.putI64(id);
-        snap.putU64(ready);
-    }
     snap.putU64(memStats.l2Hits);
     snap.putU64(memStats.l2Misses);
     snap.putU64(memStats.dramBytesRead);
@@ -862,20 +880,44 @@ MemorySystem::save(Snapshot &snap) const
     snap.putU64(memStats.peakOutstandingTxns);
     for (uint64_t c : memStats.ledger.counts)
         snap.putU64(c);
+    // Completion rings get their own section: only non-empty rings,
+    // each under its slot index, entries in (ready, id) order.
+    snap.beginSection("memsys.completions");
+    snap.putU64(pendingCompletions);
+    uint64_t nonempty = 0;
+    for (const CompletionRing &ring : rings)
+        nonempty += ring.count > 0;
+    snap.putU64(nonempty);
+    for (size_t slot = 0; slot < rings.size(); ++slot) {
+        const CompletionRing &ring = rings[slot];
+        if (ring.count == 0)
+            continue;
+        snap.putU64(slot);
+        snap.putU64(ring.count);
+        for (size_t i = 0; i < ring.count; ++i) {
+            snap.putI64(ring.at(i).id);
+            snap.putU64(ring.at(i).ready);
+        }
+    }
 }
 
 void
 MemorySystem::restore(const Snapshot &snap)
 {
-    auto restore_queue = [&snap](TxnQueue &q) {
+    auto restore_queue = [this, &snap](TxnQueue &q) {
         q.clear();
         uint64_t n = snap.getU64();
         for (uint64_t i = 0; i < n; ++i) {
             TxnId id = snap.getI64();
+            int64_t slot = snap.getI64();
+            OG_ASSERT(slot >= 0 && slot < static_cast<int64_t>(
+                                              rings.size()),
+                      "snapshot queued txn ", id, " names slot ", slot,
+                      ", out of range ", rings.size());
             uint64_t addr = snap.getU64();
             int bytes = static_cast<int>(snap.getI64());
             bool write = snap.getBool();
-            q.push(id, addr, bytes, write);
+            q.push(id, static_cast<int>(slot), addr, bytes, write);
         }
     };
     snap.expectSection("memsys");
@@ -926,15 +968,6 @@ MemorySystem::restore(const Snapshot &snap)
         bank.mshrsInUse = static_cast<int>(snap.getI64());
         bank.byteBudget = snap.getDouble();
     }
-    completed.clear();
-    uint64_t ncompleted = snap.getU64();
-    for (uint64_t i = 0; i < ncompleted; ++i) {
-        TxnId id = snap.getI64();
-        completed[id] = snap.getU64();
-    }
-    // Lazily recomputed on the next completedFloor() — the recompute
-    // yields the exact minimum the live cache held.
-    completedFloorValid = false;
     memStats.l2Hits = snap.getU64();
     memStats.l2Misses = snap.getU64();
     memStats.dramBytesRead = snap.getU64();
@@ -944,6 +977,45 @@ MemorySystem::restore(const Snapshot &snap)
     memStats.peakOutstandingTxns = snap.getU64();
     for (uint64_t &c : memStats.ledger.counts)
         c = snap.getU64();
+
+    // Ring state is validated as it is read: the engines trust it to
+    // hand back only their own outstanding ids, in due order.
+    snap.expectSection("memsys.completions");
+    for (CompletionRing &ring : rings) {
+        ring.head = 0;
+        ring.count = 0;
+    }
+    uint64_t pending = snap.getU64();
+    uint64_t nonempty = snap.getU64();
+    uint64_t total = 0;
+    uint64_t next_slot = 0;
+    for (uint64_t r = 0; r < nonempty; ++r) {
+        uint64_t slot = snap.getU64();
+        OG_ASSERT(slot < rings.size(), "snapshot completion slot ", slot,
+                  " out of range ", rings.size());
+        OG_ASSERT(slot >= next_slot, "snapshot completion slot ", slot,
+                  " repeated or out of order");
+        next_slot = slot + 1;
+        CompletionRing &ring = rings[slot];
+        uint64_t n = snap.getU64();
+        OG_ASSERT(n <= ring.capacity, "snapshot completion ring of slot ",
+                  slot, " holds ", n, " entries, more than its ROB (",
+                  ring.capacity, ")");
+        for (uint64_t i = 0; i < n; ++i) {
+            Completion entry;
+            entry.id = snap.getI64();
+            entry.ready = snap.getU64();
+            OG_ASSERT(i == 0 || ring.at(i - 1) < entry,
+                      "snapshot completion ring of slot ", slot,
+                      " is not sorted by (ready, id) at entry ", i);
+            ring.at(i) = entry;
+            ++ring.count;
+        }
+        total += n;
+    }
+    OG_ASSERT(pending == total, "snapshot pending completion count ",
+              pending, " disagrees with its ring sizes (", total, ")");
+    pendingCompletions = pending;
 }
 
 void
@@ -951,11 +1023,17 @@ MemorySystem::describeState(std::string &out) const
 {
     out += "memory-system @cycle " + std::to_string(cycle) + ":";
     out += " in_flight=" + std::to_string(inFlightCount);
-    out += " awaiting_poll=" + std::to_string(completed.size());
+    out += " awaiting_retire=" + std::to_string(pendingCompletions);
     out += "\n  tile links:";
     for (size_t t = 0; t < tileLink.size(); ++t)
         out += " [" + std::to_string(t) + "]=" +
                std::to_string(tileLink[t].size());
+    out += "\n";
+    out += "  completion rings:";
+    for (size_t slot = 0; slot < rings.size(); ++slot)
+        out += " [" + std::to_string(slot) + "]=" +
+               std::to_string(rings[slot].count) + "/" +
+               std::to_string(rings[slot].capacity);
     out += "\n";
     for (size_t b = 0; b < banks.size(); ++b) {
         const Bank &bank = banks[b];

@@ -8,8 +8,8 @@
  * channel-interleaved DRAM bandwidth/latency model (paper Fig. 8).
  */
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,10 +38,9 @@ struct MemoryStats
     uint64_t dramBytesWritten = 0;
     uint64_t nocBytes = 0;
     uint64_t mshrStallCycles = 0;
-    /** High-water mark of submitted-but-not-yet-consumed transactions
-     * (queued + in service + completed-awaiting-poll). Bounds the
-     * `completed` map: entries are erased on successful poll, so this
-     * is the worst-case live footprint of the transaction tables. */
+    /** High-water mark of submitted-but-not-yet-retired transactions
+     * (queued + in service + completed-awaiting-retire): the
+     * worst-case live footprint of the transaction tables. */
     uint64_t peakOutstandingTxns = 0;
     /** Where every clocked cycle went (always on; bit-identical with
      * fast-forward on or off — see telemetry/ledger.h). */
@@ -49,9 +48,11 @@ struct MemoryStats
 };
 
 /**
- * The shared memory system. Tiles submit line-granular transactions;
- * completion is polled. Contention is modeled with per-cycle byte
- * budgets on each tile link, L2 bank, and DRAM channel.
+ * The shared memory system. Each memory engine registers once for a
+ * completion slot and submits line-granular transactions through it;
+ * completions are pushed into the slot's due-time ring and the engine
+ * pops only the ones that are due. Contention is modeled with
+ * per-cycle byte budgets on each tile link, L2 bank, and DRAM channel.
  */
 class MemorySystem : public ClockedComponent
 {
@@ -59,17 +60,43 @@ class MemorySystem : public ClockedComponent
     MemorySystem(const adg::SystemParams &sys, const SimConfig &config);
 
     /**
-     * Submit a line transaction from @p tile. @p addr is a byte
-     * address in the simulated flat address space. @return the txn id
-     * to poll, or -1 when the tile's request queue is full this cycle.
+     * Register a memory engine of @p tile whose reorder buffer holds
+     * @p rob_entries transactions. @return its completion slot. Slots
+     * are numbered in registration order, so a system rebuilt the same
+     * way (snapshot resume) gets the same slots.
      */
-    TxnId submit(int tile, uint64_t addr, int bytes, bool write);
+    int registerEngine(int tile, int rob_entries);
+
+    /**
+     * Submit a line transaction through completion slot @p slot (its
+     * tile's link must canAccept()). @p addr is a byte address in the
+     * simulated flat address space. @return the txn id, which
+     * popCompleted() later hands back on @p slot.
+     */
+    TxnId submit(int slot, uint64_t addr, int bytes, bool write);
 
     /** @return whether @p tile may submit a transaction this cycle. */
     bool canAccept(int tile) const;
 
-    /** @return whether @p id has completed (and forget it). */
-    bool consumeCompleted(TxnId id);
+    /**
+     * Move every completion of @p slot that is due (ready <= now())
+     * into @p ids, in txn-id order; @p ids is cleared first. O(1) when
+     * nothing is due — the per-cycle common case.
+     */
+    void
+    popCompleted(int slot, std::vector<TxnId> &ids)
+    {
+        ids.clear();
+        CompletionRing &ring = rings[static_cast<size_t>(slot)];
+        while (ring.count > 0 && ring.at(0).ready <= cycle) {
+            ids.push_back(ring.at(0).id);
+            ring.head = (ring.head + 1) & ring.mask;
+            --ring.count;
+        }
+        pendingCompletions -= ids.size();
+        if (ids.size() > 1)
+            std::sort(ids.begin(), ids.end());
+    }
 
     /** Advance one cycle. */
     void tick();
@@ -77,7 +104,7 @@ class MemorySystem : public ClockedComponent
     /** @name ClockedComponent */
     /// @{
     void tick(uint64_t engine_cycle) override;
-    /** Next completion becoming pollable, or the next internal drain
+    /** Next completion becoming due, or the next internal drain
      * or fill-expiry event (queues drain with per-cycle budgets whose
      * next service cycle is solved in closed form). */
     uint64_t nextEventCycle(uint64_t now) const override;
@@ -100,7 +127,7 @@ class MemorySystem : public ClockedComponent
     void describeState(std::string &out) const override;
     /** Serialize everything the drain-replay digest covers plus the
      * tag store: SoA rings, budgets, deferred fill expiry, the
-     * completion map, stats and ledger, and the clock. */
+     * completion rings, stats and ledger, and the clock. */
     void save(Snapshot &snap) const override;
     void restore(const Snapshot &snap) override;
     /// @}
@@ -143,21 +170,25 @@ class MemorySystem : public ClockedComponent
         size_t size() const { return count; }
         bool empty() const { return count == 0; }
         TxnId frontId() const { return ids[head]; }
+        int frontSlot() const { return slots[head]; }
         uint64_t frontAddr() const { return addrs[head]; }
         int frontBytes() const { return bytes[head]; }
         bool frontWrite() const { return writes[head] != 0; }
-        TxnId idAt(size_t i) const { return ids[slot(i)]; }
-        uint64_t addrAt(size_t i) const { return addrs[slot(i)]; }
-        int bytesAt(size_t i) const { return bytes[slot(i)]; }
-        bool writeAt(size_t i) const { return writes[slot(i)] != 0; }
+        TxnId idAt(size_t i) const { return ids[pos(i)]; }
+        int slotAt(size_t i) const { return slots[pos(i)]; }
+        uint64_t addrAt(size_t i) const { return addrs[pos(i)]; }
+        int bytesAt(size_t i) const { return bytes[pos(i)]; }
+        bool writeAt(size_t i) const { return writes[pos(i)] != 0; }
 
         void
-        push(TxnId id, uint64_t addr, int txn_bytes, bool write)
+        push(TxnId id, int slot, uint64_t addr, int txn_bytes,
+             bool write)
         {
             if (count == ids.size())
                 grow();
             size_t s = (head + count) & mask;
             ids[s] = id;
+            slots[s] = slot;
             addrs[s] = addr;
             bytes[s] = txn_bytes;
             writes[s] = write ? 1 : 0;
@@ -179,10 +210,11 @@ class MemorySystem : public ClockedComponent
         }
 
       private:
-        size_t slot(size_t i) const { return (head + i) & mask; }
+        size_t pos(size_t i) const { return (head + i) & mask; }
         void grow();
 
         std::vector<TxnId> ids;
+        std::vector<int> slots;  //!< submitting completion slot
         std::vector<uint64_t> addrs;
         std::vector<int> bytes;
         std::vector<uint8_t> writes;
@@ -222,6 +254,45 @@ class MemorySystem : public ClockedComponent
         double byteBudget = 0.0;
     };
 
+    /** A completed transaction awaiting retire by its engine. */
+    struct Completion
+    {
+        uint64_t ready = 0;
+        TxnId id = 0;
+
+        bool
+        operator<(const Completion &o) const
+        {
+            return ready != o.ready ? ready < o.ready : id < o.id;
+        }
+    };
+
+    /**
+     * One engine's pending completions, sorted by (ready, id) so the
+     * due ones are a front run. The engine's ROB bounds the ring
+     * (every entry is still one of its outstanding transactions), so
+     * storage is allocated once at registration. Ready cycles are not
+     * monotone per engine — MSHR merges complete with their fill, L2
+     * hits after the hit latency, DRAM fills later — so inserts walk
+     * back from the tail, usually zero or one step.
+     */
+    struct CompletionRing
+    {
+        std::vector<Completion> buf;  //!< power-of-two >= capacity
+        size_t head = 0;
+        size_t count = 0;
+        size_t mask = 0;
+        size_t capacity = 0;  //!< the engine's ROB entries
+        int tile = 0;
+
+        Completion &at(size_t i) { return buf[(head + i) & mask]; }
+        const Completion &
+        at(size_t i) const
+        {
+            return buf[(head + i) & mask];
+        }
+    };
+
     struct LookupResult
     {
         bool hit = false;
@@ -245,9 +316,10 @@ class MemorySystem : public ClockedComponent
     /** Record a dispatched fill, replacing any entry for the same
      * line (the map-overwrite semantics the expiry queue inherits). */
     static void setFill(Bank &bank, uint64_t line, uint64_t ready);
-    /** Record a completion and keep the min-ready cache coherent. */
-    void insertCompleted(TxnId id, uint64_t ready);
-    /** Earliest ready cycle over `completed`, or kNoEventCycle. */
+    /** Push a completion into the ring of the slot that submitted
+     * @p id (queues carry the slot alongside each transaction). */
+    void insertCompleted(int slot, TxnId id, uint64_t ready);
+    /** Earliest ready cycle over the ring fronts, or kNoEventCycle. */
     uint64_t completedFloor() const;
 
     /** Internal drain/expiry events only — nextEventCycle minus the
@@ -277,13 +349,10 @@ class MemorySystem : public ClockedComponent
     std::vector<double> channelBudget;
     std::vector<TxnQueue> tileLink;  //!< per-tile request queue
     std::vector<double> tileLinkBudget;
-    std::map<TxnId, uint64_t> completed;    //!< id -> completion cycle
-    /** Earliest ready cycle in `completed` (kNoEventCycle when empty);
-     * invalidated when the floor entry is consumed, recomputed lazily.
-     * Keeps nextEventCycle and the drain-replay window stops O(1)
-     * instead of scanning every pending completion. */
-    mutable uint64_t completedFloorCache = kNoEventCycle;
-    mutable bool completedFloorValid = true;
+    /** Per-slot completion rings (registration order). */
+    std::vector<CompletionRing> rings;
+    /** Completions pushed but not yet popped, over all rings. */
+    uint64_t pendingCompletions = 0;
     /** Submitted-but-not-completed transactions (txn payloads live in
      * the SoA queues; only the count is observable). */
     uint64_t inFlightCount = 0;

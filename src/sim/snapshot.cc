@@ -9,8 +9,10 @@ namespace overgen::sim {
 
 namespace {
 
-/** Header of an encode() image: magic, version, digest pair. */
-constexpr char kMagic[8] = { 'O', 'G', 'S', 'N', 'A', 'P', '0', '1' };
+/** Header of an encode() image: magic, version, digest pair. The
+ * version bumps whenever a component's section layout changes (02:
+ * the memory system's per-engine completion rings). */
+constexpr char kMagic[8] = { 'O', 'G', 'S', 'N', 'A', 'P', '0', '2' };
 
 uint64_t
 fnv1a(const std::vector<uint8_t> &bytes, uint64_t salt)

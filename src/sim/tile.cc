@@ -112,11 +112,12 @@ struct TileSim::Impl
         bool issueToggle = false;
         std::vector<StreamRt *> streams;
         /** In-flight line transactions. TxnIds are handed out
-         * monotonically, so append order is sorted order and the
-         * retire scan visits them exactly as the historical
-         * std::map<TxnId, ...> iteration did. */
+         * monotonically, so append order is txn-id order — the order
+         * retire() merge-walks and delivers in. */
         std::vector<OutstandingTxn> outstanding;
         int robEntries = 16;
+        /** Memory-system completion slot (DMA engines only). */
+        int slot = -1;
         size_t rrNext = 0;
     };
 
@@ -136,6 +137,12 @@ struct TileSim::Impl
           tracePid(trace_pid)
     {
         buildStreams(outer_lo, outer_hi);
+        // DMA engines submit transactions: each gets a completion
+        // slot, in engine-id order.
+        for (auto &[engine_id, engine] : engines)
+            if (engine.kind == adg::NodeKind::Dma)
+                engine.slot =
+                    memsys.registerEngine(tile_index, engine.robEntries);
         // Dispatcher startup: parameter configuration + dispatch.
         int num_streams = static_cast<int>(streams.size());
         stats.startupCycles = num_streams * config.configCyclesPerStream +
@@ -198,6 +205,8 @@ struct TileSim::Impl
 
     void engineTick(adg::NodeId engine_id, EngineRt &engine,
                     uint64_t cycle);
+    /** Retire the outstanding entries named by `retired` (sorted). */
+    void retire(EngineRt &engine, uint64_t cycle);
     void memoryEngineIssue(EngineRt &engine, uint64_t cycle);
     void recurrenceTick(EngineRt &engine, uint64_t cycle);
     void generateTick(EngineRt &engine, uint64_t cycle);
@@ -235,6 +244,8 @@ struct TileSim::Impl
     /** Scratch for gatherLine (reused across calls — the per-issue
      * vector allocation showed up in the issue-loop profile). */
     std::vector<uint64_t> lineScratch;
+    /** Scratch for the txn ids an engine pops each cycle. */
+    std::vector<TxnId> retired;
 
     IterationWalker fabricWalker;
     double iiInterval = 1.0;
@@ -642,7 +653,7 @@ TileSim::Impl::memoryEngineIssue(EngineRt &engine, uint64_t cycle)
             // DMA: one line transaction covering the gathered elems.
             engine.budget -= config.cacheLineBytes;
             stats.dmaBytes += config.cacheLineBytes;
-            TxnId txn = memsys.submit(tileIndex, addrs.front(),
+            TxnId txn = memsys.submit(engine.slot, addrs.front(),
                                       config.cacheLineBytes,
                                       !rt.input);
             engine.outstanding.push_back({ txn, &rt, elems });
@@ -777,30 +788,13 @@ TileSim::Impl::engineTick(adg::NodeId engine_id, EngineRt &engine,
                  engine.bandwidthBytes +
                      static_cast<double>(config.cacheLineBytes));
 
-    // Retire completed memory transactions, compacting the survivors
-    // in place (keeps txn-id order; no per-retire node churn).
-    size_t keep = 0;
-    for (size_t i = 0; i < engine.outstanding.size(); ++i) {
-        OutstandingTxn entry = engine.outstanding[i];
-        if (memsys.consumeCompleted(entry.txn)) {
-            StreamRt *rt = entry.stream;
-            int64_t elems = entry.elems;
-            if (rt->input) {
-                if (rt->isIndexFeed)
-                    rt->indexConsumer->indexAvail += elems;
-                else
-                    rt->port.deliver(cycle, elems);
-            } else {
-                rt->drainedElems += elems;
-            }
-            if (rt->walker->done() && rt->firingRemaining == 0)
-                settleDemand(*rt);
-            ++progressEvents;
-        } else {
-            engine.outstanding[keep++] = entry;
-        }
+    // Retire the completions the memory system pushed to this
+    // engine's slot that are due this cycle.
+    if (engine.slot >= 0) {
+        memsys.popCompleted(engine.slot, retired);
+        if (!retired.empty())
+            retire(engine, cycle);
     }
-    engine.outstanding.resize(keep);
 
     switch (engine.kind) {
       case adg::NodeKind::Dma:
@@ -819,6 +813,41 @@ TileSim::Impl::engineTick(adg::NodeId engine_id, EngineRt &engine,
       default:
         OG_PANIC("engine of wrong kind");
     }
+}
+
+void
+TileSim::Impl::retire(EngineRt &engine, uint64_t cycle)
+{
+    // Both lists are in txn-id order: one merge walk delivers the
+    // retired entries in that order and compacts the survivors in
+    // place.
+    size_t next = 0;
+    size_t keep = 0;
+    for (size_t i = 0; i < engine.outstanding.size(); ++i) {
+        OutstandingTxn entry = engine.outstanding[i];
+        if (next == retired.size() || entry.txn != retired[next]) {
+            engine.outstanding[keep++] = entry;
+            continue;
+        }
+        ++next;
+        StreamRt *rt = entry.stream;
+        int64_t elems = entry.elems;
+        if (rt->input) {
+            if (rt->isIndexFeed)
+                rt->indexConsumer->indexAvail += elems;
+            else
+                rt->port.deliver(cycle, elems);
+        } else {
+            rt->drainedElems += elems;
+        }
+        if (rt->walker->done() && rt->firingRemaining == 0)
+            settleDemand(*rt);
+        ++progressEvents;
+    }
+    OG_ASSERT(next == retired.size(), "tile ", tileIndex, " slot ",
+              engine.slot, " popped txn ", retired[next],
+              ", which is not outstanding on its engine");
+    engine.outstanding.resize(keep);
 }
 
 void

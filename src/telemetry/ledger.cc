@@ -1,6 +1,7 @@
 #include "telemetry/ledger.h"
 
 #include <cstdio>
+#include <string_view>
 
 #include "common/logging.h"
 
@@ -45,23 +46,26 @@ void
 CycleLedger::appendCompact(std::string &out) const
 {
     // Alphabetical category order — the byte order Json::dump gives
-    // the std::map-backed toJson() object.
-    static constexpr CycleCategory kSorted[] = {
-        CycleCategory::Barrier,   CycleCategory::Busy,
-        CycleCategory::DramFill,  CycleCategory::Idle,
-        CycleCategory::IiGate,    CycleCategory::NocContention,
-        CycleCategory::PortStall, CycleCategory::Startup,
+    // the std::map-backed toJson() object — with each key's quoting
+    // and separators pre-built (this runs once per timeline row).
+    struct Key
+    {
+        CycleCategory category;
+        std::string_view text;
     };
-    out += '{';
-    bool first = true;
-    for (CycleCategory cat : kSorted) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += cycleCategoryName(cat);
-        out += "\":";
-        appendDecimal(out, (*this)[cat]);
+    static constexpr Key kSorted[] = {
+        { CycleCategory::Barrier, "{\"barrier\":" },
+        { CycleCategory::Busy, ",\"busy\":" },
+        { CycleCategory::DramFill, ",\"dram_fill\":" },
+        { CycleCategory::Idle, ",\"idle\":" },
+        { CycleCategory::IiGate, ",\"ii_gate\":" },
+        { CycleCategory::NocContention, ",\"noc_contention\":" },
+        { CycleCategory::PortStall, ",\"port_stall\":" },
+        { CycleCategory::Startup, ",\"startup\":" },
+    };
+    for (const Key &key : kSorted) {
+        out += key.text;
+        appendDecimal(out, (*this)[key.category]);
     }
     out += '}';
 }

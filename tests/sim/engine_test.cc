@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "adg/builders.h"
 #include "compiler/compile.h"
 #include "sched/scheduler.h"
@@ -474,6 +476,86 @@ TEST(Engine, WatchdogDisabledByZero)
     SimRun run = runWith(c, config);
     EXPECT_TRUE(run.result.completed);
     EXPECT_FALSE(run.result.deadlocked);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-commit pin. The exactness suites above compare engine modes
+// within one build, so a change that shifts cycles identically in every
+// mode passes them all. This digest pins the simulated outcome itself:
+// a refactor of the simulator's mechanics must leave it unchanged, and
+// a deliberate timing-model change must update it (and say why).
+
+TEST(SimPin, CyclesAndLedgersArePinnedAcrossCommits)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ull;
+    };
+    auto mix_result = [&mix](const SimResult &r) {
+        mix(r.cycles);
+        mix(static_cast<uint64_t>(r.completed));
+        mix(static_cast<uint64_t>(r.deadlocked));
+        for (uint64_t c : r.memory.ledger.counts)
+            mix(c);
+        mix(r.memory.peakOutstandingTxns);
+        mix(r.tiles.size());
+        for (const TileStats &ts : r.tiles)
+            for (uint64_t c : ts.ledger.counts)
+                mix(c);
+    };
+
+    // Each kernel on the 4-tile general overlay and on the 4-tile rich
+    // test mesh (which also maps the kernels the general overlay does
+    // not), both at default memory timing and starved behind one slow,
+    // narrow DRAM channel.
+    adg::SysAdg general;
+    general.adg = adg::buildGeneralOverlayTile();
+    general.sys.numTiles = 4;
+    general.sys.l2Banks = 4;
+    general.sys.nocBytes = 32;
+    SimConfig starved_config;
+    starved_config.dramLatency = 4000;
+    starved_config.dramChannelBandwidthBytes = 16;
+    for (const adg::SysAdg &overlay : { general, testDesign(4) }) {
+        adg::SysAdg starved = overlay;
+        starved.sys.l2CapacityKiB = 16;
+        starved.sys.dramChannels = 1;
+        sched::SpatialScheduler scheduler(overlay.adg);
+        for (const char *name : kAllWorkloads) {
+            wl::KernelSpec spec = smallWorkload(name);
+            auto variants = compiler::compileVariants(spec);
+            auto fit = scheduler.scheduleFirstFit(variants);
+            mix(static_cast<uint64_t>(fit.has_value()));
+            if (!fit)
+                continue;
+            const dfg::Mdfg &mdfg = variants[fit->second];
+            for (const auto &[design, config] :
+                 { std::pair{ &overlay, SimConfig{} },
+                   std::pair{ &std::as_const(starved),
+                              starved_config } }) {
+                wl::Memory memory;
+                memory.init(spec);
+                mix_result(simulate(spec, mdfg, fit->first, *design,
+                                    memory, config));
+            }
+        }
+    }
+
+    // Watchdog abort cycle: a deadlock allowance shorter than the
+    // inter-dispatch gap on a starved channel.
+    Compiled c = compileBandwidthBound(1, 1);
+    SimConfig watchdog;
+    watchdog.dramLatency = 600;
+    watchdog.dramChannelBandwidthBytes = 4;
+    watchdog.deadlockCycles = 8;
+    SimRun aborted = runWith(c, watchdog);
+    EXPECT_TRUE(aborted.result.deadlocked);
+    mix_result(aborted.result);
+
+    // Recorded on a Release build before the memory system switched
+    // from polling completions to per-engine completion rings.
+    EXPECT_EQ(h, 16824187195920127609ull);
 }
 
 } // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "sim/memory_system.h"
+#include "sim/snapshot.h"
+#include "snapshot_edit.h"
 
 namespace overgen::sim {
 namespace {
@@ -17,13 +21,46 @@ smallSys(int tiles = 1, int banks = 2, int channels = 1)
     return sys;
 }
 
+/**
+ * A registered memory engine: submits through its own completion slot
+ * and remembers popped completions the test has not asked about yet
+ * (one pop hands back every due id at once).
+ */
+struct Engine
+{
+    explicit Engine(MemorySystem &mem, int tile = 0, int rob = 256)
+        : mem(mem), slot(mem.registerEngine(tile, rob))
+    {
+    }
+
+    TxnId
+    submit(uint64_t addr, int bytes, bool write)
+    {
+        return mem.submit(slot, addr, bytes, write);
+    }
+
+    /** @return whether @p id has completed (and forget it). */
+    bool
+    retire(TxnId id)
+    {
+        mem.popCompleted(slot, popped);
+        due.insert(popped.begin(), popped.end());
+        return due.erase(id) > 0;
+    }
+
+    MemorySystem &mem;
+    int slot;
+    std::vector<TxnId> popped;
+    std::set<TxnId> due;
+};
+
 /** Run until @p id completes; @return cycles taken (or -1). */
 int64_t
-runUntilDone(MemorySystem &mem, TxnId id, int limit = 10000)
+runUntilDone(Engine &engine, TxnId id, int limit = 10000)
 {
     for (int c = 0; c < limit; ++c) {
-        mem.tick();
-        if (mem.consumeCompleted(id))
+        engine.mem.tick();
+        if (engine.retire(id))
             return c + 1;
     }
     return -1;
@@ -33,8 +70,9 @@ TEST(MemorySystem, ColdReadMissesToDram)
 {
     SimConfig config;
     MemorySystem mem(smallSys(), config);
-    TxnId id = mem.submit(0, 0, 64, false);
-    int64_t cycles = runUntilDone(mem, id);
+    Engine engine(mem);
+    TxnId id = engine.submit(0, 64, false);
+    int64_t cycles = runUntilDone(engine, id);
     ASSERT_GT(cycles, 0);
     EXPECT_GE(cycles, config.dramLatency);
     EXPECT_EQ(mem.stats().l2Misses, 1u);
@@ -45,9 +83,10 @@ TEST(MemorySystem, SecondReadHits)
 {
     SimConfig config;
     MemorySystem mem(smallSys(), config);
-    runUntilDone(mem, mem.submit(0, 0, 64, false));
-    TxnId second = mem.submit(0, 0, 64, false);
-    int64_t cycles = runUntilDone(mem, second);
+    Engine engine(mem);
+    runUntilDone(engine, engine.submit(0, 64, false));
+    TxnId second = engine.submit(0, 64, false);
+    int64_t cycles = runUntilDone(engine, second);
     ASSERT_GT(cycles, 0);
     EXPECT_LT(cycles, config.dramLatency);
     EXPECT_EQ(mem.stats().l2Hits, 1u);
@@ -58,10 +97,11 @@ TEST(MemorySystem, MshrMergeAvoidsDoubleFetch)
 {
     SimConfig config;
     MemorySystem mem(smallSys(), config);
-    TxnId a = mem.submit(0, 0, 32, false);
-    TxnId b = mem.submit(0, 32, 32, false);  // same line
-    ASSERT_GT(runUntilDone(mem, a), 0);
-    EXPECT_TRUE(mem.consumeCompleted(b));
+    Engine engine(mem);
+    TxnId a = engine.submit(0, 32, false);
+    TxnId b = engine.submit(32, 32, false);  // same line
+    ASSERT_GT(runUntilDone(engine, a), 0);
+    EXPECT_TRUE(engine.retire(b));
     EXPECT_EQ(mem.stats().dramBytesRead, 64u);
     EXPECT_EQ(mem.stats().l2Misses, 1u);
     EXPECT_EQ(mem.stats().l2Hits, 1u);  // merged into the fill
@@ -71,8 +111,9 @@ TEST(MemorySystem, WriteAllocateNoFetch)
 {
     SimConfig config;
     MemorySystem mem(smallSys(), config);
-    TxnId id = mem.submit(0, 0, 64, true);
-    int64_t cycles = runUntilDone(mem, id);
+    Engine engine(mem);
+    TxnId id = engine.submit(0, 64, true);
+    int64_t cycles = runUntilDone(engine, id);
     ASSERT_GT(cycles, 0);
     EXPECT_LT(cycles, config.dramLatency);  // no fetch on write
     EXPECT_EQ(mem.stats().dramBytesRead, 0u);
@@ -85,11 +126,12 @@ TEST(MemorySystem, DirtyEvictionWritesBack)
     adg::SystemParams sys = smallSys(1, 1);
     sys.l2CapacityKiB = 8;
     MemorySystem mem(sys, config);
+    Engine engine(mem);
     // Dirty many distinct lines (> capacity of 128 lines).
     for (int i = 0; i < 256; ++i) {
-        TxnId id = mem.submit(0, static_cast<uint64_t>(i) * 64, 64,
-                              true);
-        ASSERT_GT(runUntilDone(mem, id), 0);
+        TxnId id =
+            engine.submit(static_cast<uint64_t>(i) * 64, 64, true);
+        ASSERT_GT(runUntilDone(engine, id), 0);
     }
     EXPECT_GT(mem.stats().dramBytesWritten, 0u);
 }
@@ -98,6 +140,7 @@ TEST(MemorySystem, DramBandwidthBoundsThroughput)
 {
     SimConfig config;
     MemorySystem mem(smallSys(1, 4, 1), config);
+    Engine engine(mem);
     // 64 distinct cold lines: 4096 bytes at 32 B/cycle >= 128 cycles.
     std::vector<TxnId> ids;
     uint64_t start = mem.now();
@@ -105,13 +148,13 @@ TEST(MemorySystem, DramBandwidthBoundsThroughput)
     uint64_t submitted = 0;
     while (done < 64) {
         if (submitted < 64 && mem.canAccept(0)) {
-            ids.push_back(mem.submit(
-                0, submitted * 64 + 1024 * 1024, 64, false));
+            ids.push_back(
+                engine.submit(submitted * 64 + 1024 * 1024, 64, false));
             ++submitted;
         }
         mem.tick();
         for (auto it = ids.begin(); it != ids.end();) {
-            if (mem.consumeCompleted(*it)) {
+            if (engine.retire(*it)) {
                 ++done;
                 it = ids.erase(it);
             } else {
@@ -132,18 +175,19 @@ TEST(MemorySystem, MoreChannelsFaster)
         adg::SystemParams sys = smallSys(1, 8, channels);
         sys.nocBytes = 128;
         MemorySystem mem(sys, config);
+        Engine engine(mem);
         std::vector<TxnId> ids;
         uint64_t submitted = 0;
         int done = 0;
         while (done < 128) {
             if (submitted < 128 && mem.canAccept(0)) {
-                ids.push_back(mem.submit(
-                    0, submitted * 64 + 4 * 1024 * 1024, 64, false));
+                ids.push_back(engine.submit(
+                    submitted * 64 + 4 * 1024 * 1024, 64, false));
                 ++submitted;
             }
             mem.tick();
             for (auto it = ids.begin(); it != ids.end();) {
-                if (mem.consumeCompleted(*it)) {
+                if (engine.retire(*it)) {
                     ++done;
                     it = ids.erase(it);
                 } else {
@@ -160,9 +204,10 @@ TEST(MemorySystem, PerTileQueueBounded)
 {
     SimConfig config;
     MemorySystem mem(smallSys(2), config);
+    Engine engine(mem);
     int accepted = 0;
     while (mem.canAccept(0)) {
-        mem.submit(0, static_cast<uint64_t>(accepted) * 64, 64, false);
+        engine.submit(static_cast<uint64_t>(accepted) * 64, 64, false);
         ++accepted;
     }
     EXPECT_EQ(accepted, 64);
@@ -173,36 +218,37 @@ TEST(MemorySystem, PeakOutstandingTracksHighWaterMark)
 {
     SimConfig config;
     MemorySystem mem(smallSys(), config);
+    Engine engine(mem);
     EXPECT_EQ(mem.stats().peakOutstandingTxns, 0u);
     std::vector<TxnId> ids;
     for (int i = 0; i < 8; ++i)
         ids.push_back(
-            mem.submit(0, static_cast<uint64_t>(i) * 64, 64, false));
+            engine.submit(static_cast<uint64_t>(i) * 64, 64, false));
     EXPECT_EQ(mem.stats().peakOutstandingTxns, 8u);
     for (TxnId id : ids)
-        ASSERT_GT(runUntilDone(mem, id), 0);
+        ASSERT_GT(runUntilDone(engine, id), 0);
     // Draining never lowers the high-water mark; a smaller burst
     // never raises it.
     EXPECT_EQ(mem.stats().peakOutstandingTxns, 8u);
-    TxnId extra = mem.submit(0, 4096, 64, false);
+    TxnId extra = engine.submit(4096, 64, false);
     EXPECT_EQ(mem.stats().peakOutstandingTxns, 8u);
-    ASSERT_GT(runUntilDone(mem, extra), 0);
+    ASSERT_GT(runUntilDone(engine, extra), 0);
 }
 
-TEST(MemorySystem, CompletedMapIsBounded)
+TEST(MemorySystem, CompletionRingsAreBounded)
 {
-    // Polled completions leave the table: after every id is consumed,
+    // Popped completions leave the ring: after every id is retired,
     // nothing is outstanding even though many were submitted.
     SimConfig config;
     MemorySystem mem(smallSys(), config);
+    Engine engine(mem);
     for (int round = 0; round < 4; ++round) {
         std::vector<TxnId> ids;
         for (int i = 0; i < 16; ++i)
-            ids.push_back(mem.submit(
-                0, static_cast<uint64_t>(round * 16 + i) * 64, 64,
-                false));
+            ids.push_back(engine.submit(
+                static_cast<uint64_t>(round * 16 + i) * 64, 64, false));
         for (TxnId id : ids)
-            ASSERT_GT(runUntilDone(mem, id), 0);
+            ASSERT_GT(runUntilDone(engine, id), 0);
         EXPECT_FALSE(mem.busy());
     }
     EXPECT_LE(mem.stats().peakOutstandingTxns, 16u);
@@ -212,11 +258,196 @@ TEST(MemorySystem, BusyReflectsInFlight)
 {
     SimConfig config;
     MemorySystem mem(smallSys(), config);
+    Engine engine(mem);
     EXPECT_FALSE(mem.busy());
-    TxnId id = mem.submit(0, 0, 64, false);
+    TxnId id = engine.submit(0, 64, false);
     EXPECT_TRUE(mem.busy());
-    runUntilDone(mem, id);
+    runUntilDone(engine, id);
     EXPECT_FALSE(mem.busy());
+}
+
+TEST(MemorySystem, OutOfOrderCompletionsPopInReadyOrder)
+{
+    // One slot, three transactions in id order: a cold miss, an L2 hit
+    // on a line warmed earlier, and a second access to the missing
+    // line that merges into its fill. The hit is due long before the
+    // fill, so it pops first; the miss and the merge share the fill's
+    // ready cycle and pop together, in id order.
+    SimConfig config;
+    MemorySystem mem(smallSys(), config);
+    Engine engine(mem);
+    ASSERT_GT(runUntilDone(engine, engine.submit(4096, 64, false)), 0);
+    TxnId miss = engine.submit(0, 32, false);
+    TxnId hit = engine.submit(4096, 64, false);
+    TxnId merged = engine.submit(32, 32, false);
+    std::vector<std::vector<TxnId>> pops;
+    for (int c = 0; c < 10000 && pops.size() < 2; ++c) {
+        mem.tick();
+        mem.popCompleted(engine.slot, engine.popped);
+        if (!engine.popped.empty())
+            pops.push_back(engine.popped);
+    }
+    ASSERT_EQ(pops.size(), 2u);
+    EXPECT_EQ(pops[0], std::vector<TxnId>{ hit });
+    EXPECT_EQ(pops[1], (std::vector<TxnId>{ miss, merged }));
+    EXPECT_FALSE(mem.busy());
+}
+
+TEST(MemorySystem, SlotsOnOneTileNeverSeeEachOthersCompletions)
+{
+    // Two engines share tile 0's link. Every completion returns on the
+    // slot that submitted it, never on the other.
+    SimConfig config;
+    MemorySystem mem(smallSys(), config);
+    Engine first(mem);
+    Engine second(mem);
+    ASSERT_NE(first.slot, second.slot);
+    std::set<TxnId> mine[2];
+    for (int i = 0; i < 16; ++i) {
+        Engine &engine = i % 2 == 0 ? first : second;
+        // Both engines touch every other line, so hits, misses and
+        // merges all cross between them.
+        mine[i % 2].insert(engine.submit(
+            static_cast<uint64_t>(i / 2) * 32, 32, false));
+    }
+    std::set<TxnId> seen[2];
+    for (int c = 0; c < 10000 && seen[0].size() + seen[1].size() < 16;
+         ++c) {
+        mem.tick();
+        for (int e = 0; e < 2; ++e) {
+            Engine &engine = e == 0 ? first : second;
+            mem.popCompleted(engine.slot, engine.popped);
+            seen[e].insert(engine.popped.begin(), engine.popped.end());
+        }
+    }
+    EXPECT_EQ(seen[0], mine[0]);
+    EXPECT_EQ(seen[1], mine[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Completion-ring validation on restore
+
+/**
+ * A memory system with three single-tile slots (ROB 4): two cold
+ * misses pending on slot 0, none on slot 1, one on slot 2.
+ */
+struct PendingRings
+{
+    PendingRings() : mem(smallSys(), config)
+    {
+        for (int s = 0; s < 3; ++s)
+            mem.registerEngine(0, 4);
+        mem.submit(0, 0, 64, false);
+        mem.submit(0, 64, 64, false);
+        mem.submit(2, 128, 64, false);
+        for (int c = 0; c < 30; ++c)
+            mem.tick();
+        mem.save(snap);
+        snap.seal();
+    }
+
+    /** A fresh system with the same registrations. */
+    MemorySystem
+    fresh() const
+    {
+        MemorySystem other(smallSys(), config);
+        for (int s = 0; s < 3; ++s)
+            other.registerEngine(0, 4);
+        return other;
+    }
+
+    /** @p snap with one value of its completion section replaced. */
+    Snapshot
+    forge(size_t index, uint64_t value) const
+    {
+        return test::patchSection(snap, "memsys.completions",
+                                  [&](size_t i, uint64_t &v) {
+                                      if (i == index)
+                                          v = value;
+                                  });
+    }
+
+    SimConfig config;
+    MemorySystem mem;
+    Snapshot snap;
+};
+
+// Completion section layout: pending, non-empty ring count, then per
+// ring: slot, size, (id, ready) x size.
+constexpr size_t kPending = 0;
+constexpr size_t kFirstSlot = 2;
+constexpr size_t kFirstSize = 3;
+constexpr size_t kFirstReady = 5;
+constexpr size_t kSecondReady = 7;
+
+TEST(MemorySystem, PendingRingsRoundTripThroughRestore)
+{
+    PendingRings p;
+    std::vector<uint64_t> values =
+        test::sectionValues(p.snap, "memsys.completions");
+    ASSERT_GE(values.size(), 8u);
+    EXPECT_EQ(values[kPending], 3u);
+    EXPECT_EQ(values[1], 2u);  // slots 0 and 2
+    EXPECT_EQ(values[kFirstSlot], 0u);
+    EXPECT_EQ(values[kFirstSize], 2u);
+
+    MemorySystem restored = p.fresh();
+    restored.restore(p.snap);
+    Snapshot again;
+    restored.save(again);
+    again.seal();
+    EXPECT_EQ(again.digest(), p.snap.digest());
+}
+
+using MemorySystemDeathTest = ::testing::Test;
+
+TEST(MemorySystemDeathTest, RestoreRejectsSlotOutOfRange)
+{
+    PendingRings p;
+    Snapshot bad = p.forge(kFirstSlot, 7);
+    MemorySystem mem = p.fresh();
+    EXPECT_DEATH(mem.restore(bad), "completion slot 7 out of range 3");
+}
+
+TEST(MemorySystemDeathTest, RestoreRejectsRingLongerThanRob)
+{
+    PendingRings p;
+    Snapshot bad = p.forge(kFirstSize, 5);
+    MemorySystem mem = p.fresh();
+    EXPECT_DEATH(mem.restore(bad), "more than its ROB \\(4\\)");
+}
+
+TEST(MemorySystemDeathTest, RestoreRejectsUnsortedRing)
+{
+    PendingRings p;
+    std::vector<uint64_t> values =
+        test::sectionValues(p.snap, "memsys.completions");
+    Snapshot bad = p.forge(kFirstReady, values[kSecondReady] + 1);
+    MemorySystem mem = p.fresh();
+    EXPECT_DEATH(mem.restore(bad), "not sorted by \\(ready, id\\)");
+}
+
+TEST(MemorySystemDeathTest, RestoreRejectsPendingCountMismatch)
+{
+    PendingRings p;
+    Snapshot bad = p.forge(kPending, 4);
+    MemorySystem mem = p.fresh();
+    EXPECT_DEATH(mem.restore(bad),
+                 "pending completion count 4 disagrees");
+}
+
+TEST(MemorySystemDeathTest, RingOverflowIsFatal)
+{
+    // A slot whose engine ignored its own ROB bound: the second
+    // completion has nowhere to go.
+    SimConfig config;
+    MemorySystem mem(smallSys(), config);
+    Engine engine(mem, 0, 1);
+    engine.submit(0, 64, true);
+    engine.submit(64, 64, true);
+    EXPECT_DEATH(
+        for (int c = 0; c < 100; ++c) mem.tick(),
+        "overflows its ROB");
 }
 
 } // namespace

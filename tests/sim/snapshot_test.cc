@@ -4,6 +4,7 @@
 #include "compiler/compile.h"
 #include "sched/scheduler.h"
 #include "sim/simulate.h"
+#include "snapshot_edit.h"
 #include "workloads/suites.h"
 
 // Snapshot/restore exactness: a run that checkpoints must be
@@ -288,6 +289,22 @@ TEST(SnapshotCodec, DecodeRejectsCorruptionTruncationAndBadMagic)
     EXPECT_FALSE(Snapshot::decode(bad, out));
 }
 
+TEST(SnapshotCodec, DecodeRejectsPreviousFormatVersion)
+{
+    // The memory system's completion-ring layout is format 02: an image
+    // tagged 01 carries the old layout and must not decode.
+    Snapshot snap;
+    snap.beginSection("transport");
+    snap.putU64(42);
+    snap.seal();
+    std::vector<uint8_t> bytes = snap.encode();
+    ASSERT_EQ(std::string(bytes.begin(), bytes.begin() + 8), "OGSNAP02");
+    Snapshot out;
+    ASSERT_TRUE(Snapshot::decode(bytes, out));
+    bytes[7] = '1';
+    EXPECT_FALSE(Snapshot::decode(bytes, out));
+}
+
 using SnapshotCodecDeathTest = ::testing::Test;
 
 TEST(SnapshotCodecDeathTest, TypeTagMismatchIsFatal)
@@ -469,6 +486,57 @@ TEST(SnapshotResumeExtra, WatchdogAbortIsIdenticalAfterResume)
         EXPECT_EQ(reference.result.diagnostic,
                   resumed.result.diagnostic)
             << label;
+    }
+}
+
+TEST(SnapshotResumeExtra, ResumesWithPendingCompletionsOnSeveralSlots)
+{
+    // Four tiles streaming from a starved cache behind slow DRAM: most
+    // checkpoints catch several engines' completion rings holding
+    // pushed-but-not-yet-due entries. Resume from the one with the
+    // most non-empty rings under every engine mode.
+    Compiled c = compileFor("accumulate", 4);
+    c.design.sys.l2CapacityKiB = 16;
+    SimConfig config;
+    config.dramLatency = 600;
+    SimRun reference = runWith(c, config);
+    ASSERT_TRUE(reference.result.completed);
+
+    SnapshotCollector collector;
+    SimConfig capture = config;
+    capture.checkpointEvery = 64;
+    capture.checkpointSink = &collector;
+    SimRun captured = runWith(c, capture);
+    expectIdentical(reference.result, captured.result,
+                    "pending-rings-capture");
+    // Completion section: pending count, non-empty ring count, ...
+    size_t best = 0;
+    uint64_t best_rings = 0;
+    for (size_t i = 0; i < collector.snaps.size(); ++i) {
+        uint64_t rings = test::sectionValues(collector.snaps[i],
+                                             "memsys.completions")[1];
+        if (rings > best_rings) {
+            best = i;
+            best_rings = rings;
+        }
+    }
+    ASSERT_GE(best_rings, 2u);
+
+    for (bool naive : { false, true }) {
+        for (bool checked : { false, true }) {
+            if (naive && checked)
+                continue;
+            SimConfig mode = config;
+            mode.noFastForward = naive;
+            mode.checkFastForward = checked;
+            SimRun resumed = resumeWith(c, collector.snaps[best], mode);
+            const std::string label =
+                std::string("pending-rings-resume naive=") +
+                (naive ? "1" : "0") + " checked=" + (checked ? "1" : "0") +
+                " @cycle" + std::to_string(collector.cycles[best]);
+            expectIdentical(reference.result, resumed.result, label);
+            expectSameArrays(c, reference.memory, resumed.memory, label);
+        }
     }
 }
 

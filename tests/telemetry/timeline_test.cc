@@ -96,6 +96,22 @@ TEST(TimelineRun, RowBufferRoundTrips)
     EXPECT_EQ(lines[1], "{\"b\":2}");
 }
 
+TEST(TimelineRun, LedgerCompactFormMatchesJsonDump)
+{
+    // Rows embed the ledger through the hand-formatted appendCompact;
+    // its bytes must equal the generic JSON writer's, every category
+    // included (distinct counts catch a key/value mismatch).
+    CycleLedger ledger;
+    for (int c = 0; c < kNumCycleCategories; ++c)
+        ledger.add(static_cast<CycleCategory>(c), 1000 + 7 * c);
+    std::string compact;
+    ledger.appendCompact(compact);
+    EXPECT_EQ(compact, ledger.toJson().dump());
+    std::string empty;
+    CycleLedger{}.appendCompact(empty);
+    EXPECT_EQ(empty, CycleLedger{}.toJson().dump());
+}
+
 TEST(Timeline, LinesSortByLabelNotCompletionOrder)
 {
     Timeline timeline;
