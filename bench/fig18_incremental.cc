@@ -7,18 +7,12 @@
  * only a modest slowdown on the original workload. The five
  * explorations (one per prefix of the pool) are independent, so they
  * run concurrently on the harness pool; rows print in paper order.
- *
- * Evaluation is incremental: all five explorations validate their
- * final designs through one shared dse::WarmSimCache, and the
- * per-step stencil-2d measurement goes through the same cache — a
- * step whose validation already simulated the identical (kernel,
- * design, schedule) pair reuses that result outright instead of
- * re-simulating, bit-identically (see dse/sim_cache.h).
+ * Each exploration validates its final design by simulation, and the
+ * step's stencil-2d cycles are that validation's measurement.
  */
 
 #include "common.h"
 
-#include "dse/sim_cache.h"
 #include "model/resource_model.h"
 
 using namespace overgen;
@@ -44,7 +38,6 @@ main(int argc, char **argv)
         uint64_t cycles = 0;
         double objective = 0.0;
     };
-    dse::WarmSimCache sim_cache;
     std::vector<Step> steps = harness.pool().parallelMap(
         pool.size(), [&](size_t n) {
             std::vector<wl::KernelSpec> target(
@@ -52,20 +45,17 @@ main(int argc, char **argv)
             dse::DseOptions options = harness.dseOptions(
                 iters, 50 + n, "upto-" + pool[n].name);
             options.validateFinal = true;
-            options.simCache = &sim_cache;
             dse::DseResult result =
                 dse::exploreOverlay(target, options);
             Step step;
             step.tiles = result.design.sys.numTiles;
             step.tileLut = prices.tileResources(result.design.adg).lut /
                            device.total.lut * 100.0;
-            // The validation above already simulated stencil-2d on
-            // this step's design; the measurement is a cache hit.
-            sim::SimResult run = dse::warmSimulate(
-                &sim_cache, pool[0], result.mdfgs[0],
-                result.schedules[0], result.design,
-                bench::withSink(harness.sink()));
-            step.cycles = run.cycles;
+            // stencil-2d is the first kernel of every target set.
+            const dse::KernelMapping &stencil = result.mappings[0];
+            OG_ASSERT(stencil.simulated,
+                      "stencil-2d mapping was not validated");
+            step.cycles = stencil.simulatedCycles;
             step.objective = result.objective;
             return step;
         });
@@ -90,15 +80,6 @@ main(int argc, char **argv)
                 "%+.0f%% cycles (paper: mean 8%% performance cost; "
                 "tile count drops as the datapath generalizes)\n",
                 cost);
-    dse::WarmSimStats warm = sim_cache.stats();
-    std::printf("incremental evaluation: %llu simulations, %llu "
-                "served warm, %llu resumed mid-run (%llu prefix "
-                "cycles not re-simulated)\n",
-                static_cast<unsigned long long>(
-                    warm.misses + warm.terminalHits + warm.resumes),
-                static_cast<unsigned long long>(warm.terminalHits),
-                static_cast<unsigned long long>(warm.resumes),
-                static_cast<unsigned long long>(warm.cyclesSkipped));
     harness.finish();
     return 0;
 }

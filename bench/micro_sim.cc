@@ -21,8 +21,7 @@
  * event-horizon fast-forward", "Budget-drain fast path and data
  * layout"). A snapshot-resume section times resuming the headline
  * point's final eighth from a checkpoint against a cold run and
- * records `resume_speedup` (DESIGN.md "Snapshots and incremental
- * evaluation").
+ * records `resume_speedup` (DESIGN.md "Snapshots and resume").
  */
 
 #include <chrono>

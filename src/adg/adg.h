@@ -147,9 +147,9 @@ class Adg
      * mutation history that produced them; per-item hashes are
      * combined commutatively, so iteration order is irrelevant. Any
      * single node/edge/parameter perturbation changes the value (see
-     * tests/adg/fingerprint_test.cc). The overlay library and the
-     * warm-sim cache key on two independently salted fingerprints,
-     * making accidental collisions a ~2^-128 event.
+     * tests/adg/fingerprint_test.cc). The overlay library keys on two
+     * independently salted fingerprints, making accidental collisions
+     * a ~2^-128 event.
      */
     uint64_t fingerprint(uint64_t salt = 0) const;
 

@@ -12,7 +12,6 @@
 #include "sim/batch.h"
 #include "compiler/compile.h"
 #include "dse/mutations.h"
-#include "dse/sim_cache.h"
 #include "model/oracle.h"
 #include "telemetry/sink.h"
 
@@ -674,59 +673,19 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     }
     // Optional final validation: one batched cycle-simulation sweep
     // over the chosen mappings, sharing the explorer's thread budget.
-    // With a warm-sim cache, each simulation is memoized by its full
-    // input identity: repeats are served from the cache and truncated
-    // earlier runs resume from their last checkpoint instead of
-    // starting over — bit-identical results either way (see
-    // dse/sim_cache.h).
     if (options.validateFinal) {
-        std::vector<sim::SimResult> sims;
-        if (options.simCache != nullptr) {
-            struct Validated
-            {
-                sim::SimResult result;
-                WarmSimReport report;
-            };
-            ThreadPool pool(options.threads);
-            std::vector<Validated> runs = pool.parallelMap(
-                kernels.size(), [&](size_t k) {
-                    Validated v;
-                    v.result = warmSimulate(
-                        options.simCache, kernels[k],
-                        result.mdfgs[k], result.schedules[k],
-                        result.design, sim::SimConfig{},
-                        options.simCacheCheckpointEvery, &v.report);
-                    return v;
-                });
-            for (Validated &v : runs) {
-                switch (v.report.how) {
-                case WarmSimOutcome::Miss:
-                    ++result.simMisses;
-                    break;
-                case WarmSimOutcome::TerminalHit:
-                    ++result.simTerminalHits;
-                    break;
-                case WarmSimOutcome::Resumed:
-                    ++result.simResumes;
-                    result.simCyclesSkipped += v.report.cyclesSkipped;
-                    break;
-                }
-                sims.push_back(std::move(v.result));
-            }
-        } else {
-            std::vector<sim::SimJob> jobs;
-            for (size_t k = 0; k < kernels.size(); ++k) {
-                sim::SimJob job;
-                job.spec = &kernels[k];
-                job.mdfg = &result.mdfgs[k];
-                job.schedule = &result.schedules[k];
-                job.design = &result.design;
-                jobs.push_back(job);
-            }
-            sim::BatchOptions batch;
-            batch.threads = options.threads;
-            sims = sim::runBatch(jobs, batch);
+        std::vector<sim::SimJob> jobs;
+        for (size_t k = 0; k < kernels.size(); ++k) {
+            sim::SimJob job;
+            job.spec = &kernels[k];
+            job.mdfg = &result.mdfgs[k];
+            job.schedule = &result.schedules[k];
+            job.design = &result.design;
+            jobs.push_back(job);
         }
+        sim::BatchOptions batch;
+        batch.threads = options.threads;
+        std::vector<sim::SimResult> sims = sim::runBatch(jobs, batch);
         for (size_t k = 0; k < sims.size(); ++k) {
             KernelMapping &mapping = result.mappings[k];
             mapping.simulated = true;

@@ -25,8 +25,6 @@ class Sink;
 
 namespace overgen::dse {
 
-class WarmSimCache;
-
 /** How the explorer scores a candidate's per-kernel IPC estimates. */
 enum class DseObjective : int
 {
@@ -119,22 +117,6 @@ struct DseOptions
      * simulates, so this only adds one batched sweep at the end.
      */
     bool validateFinal = false;
-    /**
-     * Warm-started incremental validation (used only with
-     * validateFinal): final-design simulations are memoized here by
-     * their full input identity (see dse/sim_cache.h). Across
-     * explorations of a growing domain, a kernel whose mapping is
-     * unchanged reuses its terminal result outright, and one whose
-     * earlier validation was truncated at a smaller cycle budget
-     * resumes from its last checkpoint, simulating only the unseen
-     * suffix. Bit-identical to cold validation in every case. Null
-     * keeps the plain runBatch sweep. Shareable across concurrent
-     * explorations (thread-safe).
-     */
-    WarmSimCache *simCache = nullptr;
-    /** Checkpoint cadence for cache-filling validation runs, in
-     * cycles (0 derives maxCycles/16; see dse/sim_cache.h). */
-    uint64_t simCacheCheckpointEvery = 0;
 
     /**
      * Telemetry sink: when live, the explorer appends one JSONL
@@ -215,16 +197,6 @@ struct DseResult
     /** System-grid points skipped by monotone budget pruning (a
      * deterministic function of the trajectory). */
     uint64_t gridPruned = 0;
-    /** @name Warm-validation traffic for THIS call (zero without
-     * DseOptions::simCache; observability, outside the determinism
-     * contract) */
-    /// @{
-    uint64_t simTerminalHits = 0;  //!< validations served from cache
-    uint64_t simResumes = 0;       //!< validations resumed mid-run
-    uint64_t simMisses = 0;        //!< validations simulated cold
-    /** Cycles the resumed validations did not re-simulate. */
-    uint64_t simCyclesSkipped = 0;
-    /// @}
     double elapsedSeconds = 0.0;
 };
 

@@ -8,8 +8,8 @@
  * Scoring reuses the pieces that are already cheap: schedule
  * feasibility via the first-fit variant walk (paper Fig. 3's "relax
  * DFG complexity" loop) and the split performance model
- * (precomputeTilePerf + combineSystemPerf, bit-identical to
- * estimateIpc). The score is the model IPC derated by the schedule's
+ * (precomputeTilePerf + combineSystemPerf, the halves estimateIpc
+ * composes). The score is the model IPC derated by the schedule's
  * pipeline-imbalance throughput factor — exactly the per-kernel
  * quantity the DSE objective aggregates, so the matcher's ranking
  * agrees with what the explorer optimizes for.

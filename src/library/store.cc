@@ -10,9 +10,8 @@ namespace overgen::library {
 
 namespace {
 
-/** Library fingerprint salts — distinct from the warm-sim cache's
- * (dse/sim_cache.cc), so a hypothetical collision in one keyspace
- * cannot leak into the other. */
+/** Library fingerprint salts: two independent salts, so a false
+ * match needs a simultaneous 2x64-bit collision. */
 constexpr uint64_t kSaltA = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kSaltB = 0xd1b54a32d192ed03ull;
 

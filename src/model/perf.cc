@@ -68,28 +68,6 @@ bottleneck(double production, double consumption)
     return std::clamp(production / consumption, 1e-6, 1.0);
 }
 
-/** Shared limit selection + naming of estimateIpc and combine. */
-void
-finishBreakdown(PerfBreakdown &out, double tiles, double inst_bandwidth,
-                int vectorization)
-{
-    double limit = std::min({ out.fabricFactor, out.spadFactor,
-                              out.l2Factor, out.dramFactor });
-    if (limit == out.dramFactor)
-        out.bottleneck = "dram";
-    if (limit == out.l2Factor)
-        out.bottleneck = "l2";
-    if (limit == out.spadFactor)
-        out.bottleneck = "spad";
-    if (limit == out.fabricFactor)
-        out.bottleneck = "fabric";
-    if (limit >= 1.0 - 1e-12)
-        out.bottleneck = "compute";
-
-    out.ipc = inst_bandwidth * tiles * limit;
-    out.workRate = static_cast<double>(vectorization) * tiles * limit;
-}
-
 } // namespace
 
 BackingVec
@@ -160,101 +138,8 @@ estimateIpc(const PerfInput &input, const adg::Adg &tile,
             const adg::SystemParams &sys, const PerfConfig &config)
 {
     OG_ASSERT(input.mdfg != nullptr, "perf input without mDFG");
-    const Mdfg &mdfg = *input.mdfg;
-    TileBandwidths bw = tileBandwidths(tile);
-
-    BackingVec backing = input.backing;
-    if (backing.empty())
-        backing = deriveBacking(mdfg, tile);
-
-    PerfBreakdown out;
-    out.instBandwidth = mdfg.instructionBandwidth();
-
-    // Consumption accumulators (bytes/cycle demanded per tile).
-    double in_port_demand = 0.0, out_port_demand = 0.0;
-    double spad_read = 0.0, spad_write = 0.0;
-    double l2_demand = 0.0;
-    double dram_demand = 0.0;
-
-    double l2_share_bytes =
-        sys.l2CapacityKiB * 1024.0 /
-        std::max(1, sys.numTiles);
-
-    auto add_stream = [&](dfg::NodeId id, bool is_input) {
-        const dfg::StreamNode &stream = mdfg.node(id).stream;
-        double bytes = stream.bytesPerFiring();
-        if (is_input)
-            in_port_demand += bytes;
-        else
-            out_port_demand += bytes;
-
-        Backing b = backingOf(backing, id);
-        double captured = std::max(stream.reuse.capturedFactor(), 1.0);
-        double demand =
-            bytes / captured / std::max(stream.bandwidthEfficiency,
-                                        1e-3);
-        switch (b) {
-          case Backing::Scratchpad: {
-            if (is_input)
-                spad_read += demand;
-            else
-                spad_write += demand;
-            // Fill/drain traffic reaches DRAM once per general reuse.
-            double general = std::max(stream.reuse.generalReuse(), 1.0);
-            dram_demand += demand / general;
-            break;
-          }
-          case Backing::Dma: {
-            l2_demand += demand;
-            // The L2 filters traffic whose footprint fits its share.
-            double l2_reuse = 1.0;
-            if (stream.reuse.footprintBytes <= l2_share_bytes)
-                l2_reuse = std::max(stream.reuse.generalReuse(), 1.0);
-            dram_demand += demand / l2_reuse;
-            break;
-          }
-          case Backing::Recurrence:
-          case Backing::Generate:
-          case Backing::Register:
-            break;  // no memory-system traffic in steady state
-        }
-    };
-
-    for (dfg::NodeId id : mdfg.nodeIdsOfKind(NodeKind::InputStream))
-        add_stream(id, true);
-    for (dfg::NodeId id : mdfg.nodeIdsOfKind(NodeKind::OutputStream))
-        add_stream(id, false);
-
-    // Fabric interface: ports must sustain every firing.
-    out.fabricFactor =
-        std::min(bottleneck(bw.inPortBytes, in_port_demand),
-                 bottleneck(bw.outPortBytes, out_port_demand));
-
-    // L1: scratchpad, private per tile (paper: # shared tiles = 1);
-    // read and write ports are provisioned separately.
-    out.spadFactor =
-        std::min(bottleneck(bw.spadReadBytes, spad_read),
-                 bottleneck(bw.spadWriteBytes, spad_write));
-
-    // L2: banks shared by all tiles over the NoC; each tile's link and
-    // DMA engine also cap its slice.
-    double tiles = static_cast<double>(sys.numTiles);
-    double l2_production =
-        config.l2BankBandwidthBytes * sys.l2Banks;
-    double tile_link = std::min(bw.dmaBytes,
-                                static_cast<double>(sys.nocBytes));
-    out.l2Factor =
-        std::min(bottleneck(l2_production, l2_demand * tiles),
-                 bottleneck(tile_link, l2_demand));
-
-    // L3: DRAM, fixed total board bandwidth.
-    double dram_production =
-        config.dramChannelBandwidthBytes * sys.dramChannels;
-    out.dramFactor = bottleneck(dram_production, dram_demand * tiles);
-
-    finishBreakdown(out, tiles, out.instBandwidth,
-                    mdfg.vectorization());
-    return out;
+    return combineSystemPerf(
+        precomputeTilePerf(*input.mdfg, input.backing, tile), sys, config);
 }
 
 TilePerfSummary
@@ -275,9 +160,10 @@ precomputeTilePerf(const Mdfg &mdfg, const BackingVec &backing_in,
     s.vectorization = mdfg.vectorization();
     s.dmaBytes = bw.dmaBytes;
 
-    // Same accumulation order as estimateIpc (input streams, then
-    // output streams): the sums and the DRAM term sequence replay
-    // identically in combineSystemPerf, keeping the split bit-exact.
+    // Consumption accumulators (bytes/cycle demanded per tile), input
+    // streams then output streams. The DRAM demand depends on the
+    // system's L2 share, so each memory-backed stream leaves one term
+    // that combineSystemPerf sums in this order.
     double in_port_demand = 0.0, out_port_demand = 0.0;
     double spad_read = 0.0, spad_write = 0.0;
 
@@ -300,6 +186,7 @@ precomputeTilePerf(const Mdfg &mdfg, const BackingVec &backing_in,
                 spad_read += demand;
             else
                 spad_write += demand;
+            // Fill/drain traffic reaches DRAM once per general reuse.
             TilePerfSummary::DramTerm term;
             term.demand = demand;
             term.generalReuse =
@@ -322,7 +209,7 @@ precomputeTilePerf(const Mdfg &mdfg, const BackingVec &backing_in,
           case Backing::Recurrence:
           case Backing::Generate:
           case Backing::Register:
-            break;
+            break;  // no memory-system traffic in steady state
         }
     };
 
@@ -331,9 +218,12 @@ precomputeTilePerf(const Mdfg &mdfg, const BackingVec &backing_in,
     for (dfg::NodeId id : mdfg.nodeIdsOfKind(NodeKind::OutputStream))
         add_stream(id, false);
 
+    // Fabric interface: ports must sustain every firing.
     s.fabricFactor =
         std::min(bottleneck(bw.inPortBytes, in_port_demand),
                  bottleneck(bw.outPortBytes, out_port_demand));
+    // L1: scratchpad, private per tile (paper: # shared tiles = 1);
+    // read and write ports are provisioned separately.
     s.spadFactor =
         std::min(bottleneck(bw.spadReadBytes, spad_read),
                  bottleneck(bw.spadWriteBytes, spad_write));
@@ -354,10 +244,9 @@ combineSystemPerf(const TilePerfSummary &summary,
         sys.l2CapacityKiB * 1024.0 /
         std::max(1, sys.numTiles);
 
-    // Replay the DRAM-demand accumulation of estimateIpc: each term
-    // divides by 1.0 (no filtering), the general reuse (scratchpad
-    // fill/drain, or DMA traffic the L2 captures) — identical
-    // operations in identical order.
+    // DRAM demand: each term divides by the general reuse (scratchpad
+    // fill/drain, or DMA traffic whose footprint fits the L2 share) or
+    // by 1.0 (DMA traffic the L2 cannot filter).
     double dram_demand = 0.0;
     for (const TilePerfSummary::DramTerm &term : summary.dramTerms) {
         double reuse = term.generalReuse;
@@ -366,6 +255,8 @@ combineSystemPerf(const TilePerfSummary &summary,
         dram_demand += term.demand / reuse;
     }
 
+    // L2: banks shared by all tiles over the NoC; each tile's link and
+    // DMA engine also cap its slice.
     double tiles = static_cast<double>(sys.numTiles);
     double l2_production =
         config.l2BankBandwidthBytes * sys.l2Banks;
@@ -375,12 +266,29 @@ combineSystemPerf(const TilePerfSummary &summary,
         std::min(bottleneck(l2_production, summary.l2Demand * tiles),
                  bottleneck(tile_link, summary.l2Demand));
 
+    // L3: DRAM, fixed total board bandwidth.
     double dram_production =
         config.dramChannelBandwidthBytes * sys.dramChannels;
     out.dramFactor = bottleneck(dram_production, dram_demand * tiles);
 
-    finishBreakdown(out, tiles, summary.instBandwidth,
-                    summary.vectorization);
+    // The tightest level limits; ties name the level nearest the
+    // fabric, and a limit of 1 means nothing does.
+    double limit = std::min({ out.fabricFactor, out.spadFactor,
+                              out.l2Factor, out.dramFactor });
+    if (limit == out.dramFactor)
+        out.bottleneck = "dram";
+    if (limit == out.l2Factor)
+        out.bottleneck = "l2";
+    if (limit == out.spadFactor)
+        out.bottleneck = "spad";
+    if (limit == out.fabricFactor)
+        out.bottleneck = "fabric";
+    if (limit >= 1.0 - 1e-12)
+        out.bottleneck = "compute";
+
+    out.ipc = summary.instBandwidth * tiles * limit;
+    out.workRate =
+        static_cast<double>(summary.vectorization) * tiles * limit;
     return out;
 }
 

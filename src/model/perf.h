@@ -10,13 +10,12 @@
  * L2, DRAM) and the fabric port interfaces. Stream reuse factors from
  * the compiler's reuse analysis reduce consumption at each level.
  *
- * The model is offered in two forms that compute bit-identical
- * results (see DESIGN.md "Model split"):
- *  - estimateIpc(): the one-shot reference path;
- *  - precomputeTilePerf() + combineSystemPerf(): the factored path
- *    the DSE's nested system grid uses — everything that depends only
- *    on (mDFG, backing, tile) is summarized once, and each system
- *    point pays only a handful of multiplies and compares.
+ * The model is factored in two halves (see DESIGN.md "Model split"):
+ * precomputeTilePerf() summarizes everything that depends only on
+ * (mDFG, backing, tile) once, and combineSystemPerf() evaluates one
+ * system point against that summary with a handful of multiplies and
+ * compares — the DSE's nested system grid pays only the second half.
+ * estimateIpc() is the composition of the two for one-shot callers.
  */
 
 #include <string>
@@ -41,7 +40,7 @@ enum class Backing : uint8_t {
  * the former std::map: the DSE queries it per stream per candidate).
  * Entries exist for every node of the mDFG; only stream-node slots
  * are meaningful, the rest stay at the Dma default. An empty vector
- * means "no placement information" — estimateIpc derives the backing
+ * means "no placement information" — the model derives the backing
  * itself.
  */
 using BackingVec = std::vector<Backing>;
@@ -92,7 +91,7 @@ struct PerfBreakdown
 
 /**
  * The design-dependent half of the performance model: every quantity
- * of estimateIpc() that depends only on (mDFG, backing, tile) and not
+ * of the estimate that depends only on (mDFG, backing, tile) and not
  * on the system parameters. Computed once per (candidate, kernel) by
  * precomputeTilePerf(); the nested system DSE then evaluates each
  * grid point with combineSystemPerf() without re-walking the ADG or
@@ -112,10 +111,9 @@ struct TilePerfSummary
     double dmaBytes = 0.0;
 
     /**
-     * One DRAM-demand term per memory-backed stream, in the exact
-     * stream order estimateIpc() accumulates them — combine replays
-     * the same additions so the factored model is bit-identical to
-     * the reference path.
+     * One DRAM-demand term per memory-backed stream, input streams
+     * then output streams; combineSystemPerf() sums them in this
+     * order once the system's L2 share is known.
      */
     struct DramTerm
     {
@@ -139,16 +137,16 @@ struct TilePerfSummary
  * array-size order; recurrence requires a recurrence engine). */
 BackingVec deriveBacking(const dfg::Mdfg &mdfg, const adg::Adg &tile);
 
-/** Estimate the IPC of one mDFG on the design point (Eq. 1). */
+/** Estimate the IPC of one mDFG on the design point (Eq. 1):
+ * combineSystemPerf(precomputeTilePerf(*input.mdfg, input.backing,
+ * tile), sys, config). */
 PerfBreakdown estimateIpc(const PerfInput &input, const adg::Adg &tile,
                           const adg::SystemParams &sys,
                           const PerfConfig &config = {});
 
 /**
- * Precompute the system-independent half of estimateIpc() for one
- * mDFG on one tile. @p backing may be empty (derived as in
- * estimateIpc). combineSystemPerf(precomputeTilePerf(m, b, t), sys,
- * cfg) == estimateIpc({&m, b}, t, sys, cfg) to bit precision.
+ * Precompute the system-independent half of the model for one mDFG on
+ * one tile. An empty @p backing is derived with deriveBacking().
  */
 TilePerfSummary precomputeTilePerf(const dfg::Mdfg &mdfg,
                                    const BackingVec &backing,

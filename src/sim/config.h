@@ -87,8 +87,7 @@ struct SimConfig
     uint64_t deadlockCycles = 2'000'000ull;
     /// @}
 
-    /** @name Checkpointing (see DESIGN.md "Snapshots and incremental
-     * evaluation") */
+    /** @name Checkpointing (see DESIGN.md "Snapshots and resume") */
     /// @{
     /** Capture a full-state snapshot whenever this many cycles have
      * elapsed since the last one (0 disables). Sites fall on executed

@@ -107,10 +107,10 @@ SimResult resumeFrom(const Snapshot &snap, const wl::KernelSpec &spec,
  *    snapshot from a fast-forwarding run may resume under the naive
  *    or checked loop and vice versa;
  *  - maxCycles: the budget only bounds the engine's loop, never the
- *    per-cycle evolution, so a checkpoint from a truncated
- *    probe-horizon run is exactly the state a longer-budget run
- *    passes through — resuming it with more budget simulates only
- *    the unseen suffix (the DSE's incremental evaluation).
+ *    per-cycle evolution, so a checkpoint from a run cut short by
+ *    its budget is exactly the state a longer-budget run passes
+ *    through — resuming it with more budget simulates only the
+ *    unseen suffix.
  */
 uint64_t configDigest(const SimConfig &config);
 

@@ -20,7 +20,7 @@
  * Snapshots are taken by SimEngine at quiescent checkpoint sites (see
  * SimConfig::checkpointEvery) and consumed by sim::resumeFrom, which
  * is bit-identical to the uninterrupted run — see DESIGN.md
- * "Snapshots and incremental evaluation".
+ * "Snapshots and resume".
  */
 
 #include <cstdint>

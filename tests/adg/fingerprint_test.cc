@@ -10,10 +10,10 @@ namespace overgen::adg {
 namespace {
 
 /**
- * Adg::fingerprint keys the overlay library and the warm-sim cache
- * (see DESIGN.md "Model split"): equal live structure must hash
- * equal regardless of mutation history, any single perturbation must
- * change the value, and the two salts of a key must be independent.
+ * Adg::fingerprint keys the overlay library (see DESIGN.md "Model
+ * split"): equal live structure must hash equal regardless of
+ * mutation history, any single perturbation must change the value,
+ * and the two salts of a key must be independent.
  */
 
 PeSpec

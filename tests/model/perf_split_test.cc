@@ -1,22 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 
 #include "adg/builders.h"
 #include "compiler/compile.h"
 #include "model/perf.h"
+#include "sched/scheduler.h"
 #include "workloads/suites.h"
+
+#include "perf_reference.h"
 
 namespace overgen::model {
 namespace {
 
 /**
  * The factored performance model (precomputeTilePerf +
- * combineSystemPerf) is the form the DSE's nested system grid pays
- * for; estimateIpc is the one-shot reference. The contract (perf.h,
- * DESIGN.md "Model split") is bit-identical
- * results: the summary replays DRAM-demand accumulation in the exact
- * stream order of the reference path, so every double — not just the
+ * combineSystemPerf) is the only production form of Eq. 1; the
+ * one-shot referenceEstimateIpc (perf_reference.h) is a test-only
+ * oracle. The contract (DESIGN.md "Model split") is bit-identical
+ * results: the summary's DRAM terms are summed in the exact stream
+ * order the oracle accumulates them, so every double — not just the
  * headline IPC — must match to the last ulp across all workloads and
  * system points.
  */
@@ -111,11 +115,11 @@ TEST(PerfSplit, MatchesReferenceAcrossAllWorkloadsAndSystemPoints)
     for (const auto &k : wl::allWorkloads()) {
         dfg::Mdfg mdfg = compiler::compileOne(k, 1, false, false);
         // Derived backing: both paths derive it themselves from an
-        // empty table, exactly as estimateIpc documents.
+        // empty table.
         TilePerfSummary summary = precomputeTilePerf(mdfg, {}, tile);
         for (size_t p = 0; p < points.size(); ++p) {
             PerfBreakdown ref =
-                estimateIpc({ &mdfg, {} }, tile, points[p]);
+                referenceEstimateIpc({ &mdfg, {} }, tile, points[p]);
             PerfBreakdown split = combineSystemPerf(summary, points[p]);
             expectSameBreakdown(
                 ref, split, k.name + " sys" + std::to_string(p));
@@ -138,8 +142,8 @@ TEST(PerfSplit, MatchesReferenceWithExplicitBacking)
         TilePerfSummary summary =
             precomputeTilePerf(mdfg, backing, tile);
         for (size_t p = 0; p < points.size(); ++p) {
-            PerfBreakdown ref =
-                estimateIpc({ &mdfg, backing }, tile, points[p]);
+            PerfBreakdown ref = referenceEstimateIpc({ &mdfg, backing },
+                                                     tile, points[p]);
             PerfBreakdown split = combineSystemPerf(summary, points[p]);
             expectSameBreakdown(
                 ref, split,
@@ -160,10 +164,70 @@ TEST(PerfSplit, MatchesReferenceWithCustomPerfConfig)
     for (const auto &k : wl::dspSuite()) {
         dfg::Mdfg mdfg = compiler::compileOne(k, 1, false, false);
         TilePerfSummary summary = precomputeTilePerf(mdfg, {}, tile);
-        PerfBreakdown ref = estimateIpc({ &mdfg, {} }, tile, sys, narrow);
+        PerfBreakdown ref =
+            referenceEstimateIpc({ &mdfg, {} }, tile, sys, narrow);
         PerfBreakdown split = combineSystemPerf(summary, sys, narrow);
         expectSameBreakdown(ref, split, k.name + " narrow");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Cross-commit pin. PerfSplit compares two implementations within one
+// build, so a change that shifts both alike passes it. This digest pins
+// the estimates themselves: a refactor of the model must leave it
+// unchanged, and a deliberate model change must update it (and say
+// why).
+
+TEST(PerfPin, EstimatesArePinnedAcrossCommits)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ull;
+    };
+    auto mix_breakdown = [&mix](const PerfBreakdown &b) {
+        for (double d : { b.ipc, b.workRate, b.fabricFactor,
+                          b.spadFactor, b.l2Factor, b.dramFactor })
+            mix(std::bit_cast<uint64_t>(d));
+        mix(b.bottleneck.size());
+        for (char c : b.bottleneck)
+            mix(static_cast<unsigned char>(c));
+    };
+
+    // Each test-size workload's first-fit variant on the split-test
+    // tile and on the general overlay tile, at every system corner,
+    // with the backing derived from the mDFG and (when the variant
+    // schedules) the scheduler's backing.
+    std::vector<adg::SystemParams> points = systemPoints();
+    int scheduled = 0;
+    for (const adg::Adg &tile :
+         { splitTestTile(), adg::buildGeneralOverlayTile() }) {
+        sched::SpatialScheduler scheduler(tile);
+        for (const auto &k : wl::allWorkloads()) {
+            wl::KernelSpec spec = wl::smallWorkloadByName(k.name);
+            std::vector<dfg::Mdfg> variants =
+                compiler::compileVariants(spec);
+            auto fit = scheduler.scheduleFirstFit(variants);
+            mix(static_cast<uint64_t>(fit.has_value()));
+            const dfg::Mdfg &mdfg =
+                fit ? variants[fit->second] : variants.front();
+            std::vector<BackingVec> backings = { {} };
+            if (fit) {
+                backings.push_back(
+                    sched::backingFromSchedule(fit->first, tile, mdfg));
+                ++scheduled;
+            }
+            for (const BackingVec &backing : backings)
+                for (const adg::SystemParams &sys : points)
+                    mix_breakdown(
+                        estimateIpc({ &mdfg, backing }, tile, sys));
+        }
+    }
+    EXPECT_EQ(scheduled, 30);
+
+    // Recorded on a Release build before estimateIpc became the
+    // composition of the split halves.
+    EXPECT_EQ(h, 10156644148028983967ull);
 }
 
 } // namespace

@@ -566,6 +566,45 @@ TEST(SnapshotResumeExtra, ResumedRunEmitsOnlySuffixCheckpoints)
         EXPECT_GT(cycle, collector.cycles[mid]);
 }
 
+TEST(SnapshotResumeExtra, TruncatedRunResumesUnderLargerBudget)
+{
+    // configDigest leaves maxCycles out: the budget bounds the engine's
+    // loop, never the per-cycle evolution, so the last checkpoint of a
+    // run cut short is a state the full-budget run passes through.
+    Compiled c = compileFor("accumulate", 2);
+    c.design.sys.l2CapacityKiB = 16;  // miss-dominated behind slow DRAM
+    SimConfig config;
+    config.dramLatency = 600;
+    SimRun cold = runWith(c, config);
+    ASSERT_TRUE(cold.result.completed);
+    ASSERT_GT(cold.result.cycles, 400u)
+        << "workload too short to truncate meaningfully";
+
+    SnapshotCollector collector;
+    SimConfig truncated = config;
+    truncated.maxCycles = cold.result.cycles / 2;
+    truncated.checkpointEvery = 32;
+    truncated.checkpointSink = &collector;
+    SimRun cut = runWith(c, truncated);
+    EXPECT_FALSE(cut.result.completed);
+    EXPECT_FALSE(cut.result.deadlocked);
+    ASSERT_GE(collector.snaps.size(), 1u);
+    EXPECT_LE(collector.cycles.back(), truncated.maxCycles);
+
+    SimRun resumed = resumeWith(c, collector.snaps.back(), config);
+    expectIdentical(cold.result, resumed.result,
+                    "truncated-resume @cycle" +
+                        std::to_string(collector.cycles.back()));
+    expectSameArrays(c, cold.memory, resumed.memory, "truncated-resume");
+
+    SimConfig longer;
+    longer.maxCycles *= 2;
+    EXPECT_EQ(configDigest(longer), configDigest(SimConfig{}));
+    SimConfig slower;
+    slower.dramLatency += 1;
+    EXPECT_NE(configDigest(slower), configDigest(SimConfig{}));
+}
+
 using SnapshotResumeDeathTest = ::testing::Test;
 
 TEST(SnapshotResumeDeathTest, UnsealedSnapshotIsFatal)
