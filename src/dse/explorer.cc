@@ -1,7 +1,6 @@
 #include "dse/explorer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 
@@ -173,14 +172,18 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     const std::vector<int> l2_grid = ascending(options.l2CapacityGrid);
     const std::vector<int> chan_grid =
         ascending(options.dramChannelGrid);
-    std::atomic<uint64_t> grid_pruned{ 0 };
+    // Grid points pruned by examined candidates (and the seed); a
+    // scored slot the accept scan never reaches adds nothing.
+    uint64_t grid_pruned = 0;
 
     // Nested exhaustive system DSE (paper §V-A): pick the best system
     // parameters for a scheduled ADG under the resource budget. The
     // per-kernel perf precomputation and the backing derivation are
     // hoisted out of the grid — only combineSystemPerf runs per point.
+    // Adds the grid points it prunes to @p pruned.
     auto system_dse = [&](Candidate &cand,
-                          const model::Resources &tile_only) {
+                          const model::Resources &tile_only,
+                          uint64_t &pruned) {
         model::Resources tile_res = tile_only;
         tile_res += model::synthesizeControlCore();
         std::vector<model::TilePerfSummary> summaries;
@@ -215,7 +218,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
             ramp_sum / static_cast<double>(kernels.size());
         std::vector<model::PerfBreakdown> perf(kernels.size());
         double best_score = -1.0;
-        uint64_t pruned = 0;
         const size_t nb = bank_grid.size(), nn = noc_grid.size();
         const size_t nl = l2_grid.size(), nc = chan_grid.size();
         for (size_t ti = 0; ti < tile_grid.size(); ++ti) {
@@ -318,7 +320,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
                 break;
             }
         }
-        grid_pruned.fetch_add(pruned, std::memory_order_relaxed);
         return cand.valid;
     };
 
@@ -329,11 +330,12 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     // Full candidate evaluation: schedule repair against the base
     // design, then the system DSE over the tile's priced resources.
     auto evaluate_candidate =
-        [&](adg::Adg mutated) -> std::optional<Candidate> {
+        [&](adg::Adg mutated,
+            uint64_t &pruned) -> std::optional<Candidate> {
         std::optional<Candidate> cand =
             schedule_all(std::move(mutated), &current);
         if (!cand ||
-            !system_dse(*cand, prices.tileResources(cand->adg)))
+            !system_dse(*cand, prices.tileResources(cand->adg), pruned))
             return std::nullopt;
         return cand;
     };
@@ -346,7 +348,8 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         OG_ASSERT(seeded.has_value(),
                   "seed tile cannot host the domain");
         current = std::move(*seeded);
-        bool ok = system_dse(current, prices.tileResources(current.adg));
+        bool ok = system_dse(current, prices.tileResources(current.adg),
+                             grid_pruned);
         OG_ASSERT(ok, "seed design exceeds the device budget");
     }
     Candidate best = current;
@@ -396,11 +399,9 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         phases.set("steady_frac_mean",
                    Json(state.phaseSteadyFracMean));
         record.set("phases", std::move(phases));
-        // Cumulative at the round barrier, so deterministic across
+        // Cumulative over examined candidates, so deterministic across
         // thread counts.
-        record.set("grid_pruned",
-                   Json(static_cast<int64_t>(
-                       grid_pruned.load(std::memory_order_relaxed))));
+        record.set("grid_pruned", Json(static_cast<int64_t>(grid_pruned)));
         Json kinds = Json::makeArray();
         for (MutationKind kind : edits)
             kinds.push(Json(mutationKindName(kind)));
@@ -411,30 +412,36 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     // Batched speculative annealing (see DESIGN.md "Determinism
     // under parallelism"): each round draws `speculation` candidate
     // mutations from per-candidate Rng streams split off the master
-    // seed, evaluates them concurrently (schedule repair + nested
-    // system DSE + objective), then applies accept decisions in fixed
-    // candidate order. The trajectory depends on the seed and the
-    // speculation width, never on the thread count. An acceptance
-    // invalidates the rest of its round — those candidates were
-    // mutated from the superseded base design — so they are
-    // discarded unexamined without consuming iteration budget.
+    // seed, then scans them in fixed slot order, scoring each slot
+    // (mutation + schedule repair + nested system DSE + objective)
+    // only when the scan is about to reach it — in waves of `threads`
+    // slots, concurrently within a wave. The trajectory depends on the
+    // seed and the speculation width, never on the thread count. An
+    // acceptance invalidates the rest of its round — those candidates
+    // were mutated from the superseded base design — so they are
+    // discarded unexamined without consuming iteration budget; only
+    // the accepting wave's later slots were scored for nothing.
     const int speculation = std::max(1, options.speculation);
     ThreadPool pool(options.threads);
+    const int wave_width = pool.threadCount();
 
     /** One speculated candidate: its private rng stream (mutation
-     * draws, then the accept draw), the edits applied, and the
-     * evaluated design (nullopt when unschedulable or over budget). */
+     * draws, then the accept draw), the edits applied, the evaluated
+     * design (nullopt when unschedulable or over budget) and the grid
+     * points its system DSE pruned. */
     struct Eval
     {
         Rng rng;
         std::vector<MutationKind> edits;
         std::optional<Candidate> cand;
+        uint64_t gridPruned = 0;
     };
 
     // Round-granular heartbeat: everything in it is round-barrier
-    // state (deterministic across thread counts) except the
-    // wall-clock-flavored rate field, which trajectory comparisons
-    // strip exactly like "seconds".
+    // state (deterministic across thread counts) except the rate
+    // field — scored candidates per wall-clock second, which also
+    // depends on the thread count — that trajectory comparisons strip
+    // exactly like "seconds".
     int round = 0;
     auto log_heartbeat = [&](int iter, double temperature,
                              bool force) {
@@ -454,9 +461,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         record.set("abandoned", Json(result.abandoned));
         record.set("best_objective", Json(best.objective));
         record.set("temperature", Json(temperature));
-        record.set("grid_pruned",
-                   Json(static_cast<int64_t>(
-                       grid_pruned.load(std::memory_order_relaxed))));
+        record.set("grid_pruned", Json(static_cast<int64_t>(grid_pruned)));
         Json phases = Json::makeObject();
         phases.set("objective",
                    Json(dseObjectiveName(options.objective)));
@@ -467,7 +472,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         record.set("seconds", Json(seconds));
         record.set("candidates_per_sec",
                    Json(seconds > 0.0
-                            ? static_cast<double>(result.evaluated) /
+                            ? static_cast<double>(result.scored) /
                                   seconds
                             : 0.0));
         sink->logDse(record);
@@ -490,61 +495,70 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
                 &variants[k][current.variantIndex[k]]);
         }
         result.evaluated += width;
-        std::vector<Eval> evals = pool.parallelMap(
-            static_cast<size_t>(width), [&](size_t slot) {
-                Eval ev;
-                ev.rng = Rng(seeds[slot]);
-                adg::Adg mutated = current.adg;
-                int edits =
-                    1 + static_cast<int>(ev.rng.nextBelow(3));
-                ev.edits.reserve(edits);
-                for (int e = 0; e < edits; ++e) {
-                    ev.edits.push_back(mutateAdg(
-                        mutated, current.schedules, base_mdfgs,
-                        options.schedulePreserving, ev.rng));
-                }
-                if (!mutated.validate().empty())
-                    return ev;  // abandoned
-                ev.cand = evaluate_candidate(std::move(mutated));
-                return ev;
-            });
+        auto score_slot = [&](size_t slot) {
+            Eval ev;
+            ev.rng = Rng(seeds[slot]);
+            adg::Adg mutated = current.adg;
+            int edits = 1 + static_cast<int>(ev.rng.nextBelow(3));
+            ev.edits.reserve(edits);
+            for (int e = 0; e < edits; ++e) {
+                ev.edits.push_back(mutateAdg(
+                    mutated, current.schedules, base_mdfgs,
+                    options.schedulePreserving, ev.rng));
+            }
+            if (!mutated.validate().empty())
+                return ev;  // abandoned
+            ev.cand = evaluate_candidate(std::move(mutated), ev.gridPruned);
+            return ev;
+        };
 
         // Sequential accept scan in slot order (single-threaded: all
         // telemetry and trajectory state is touched only here).
-        for (int slot = 0; slot < width; ++slot) {
-            Eval &ev = evals[slot];
-            ++examined;
-            ++result.iterationsRun;
-            if (!ev.cand) {
-                ++result.abandoned;
-                log_iteration(examined, temperature, ev.edits, false,
-                              true, current);
-                continue;
-            }
-            // Simulated-annealing acceptance on log-objective.
-            double delta = std::log(ev.cand->objective) -
-                           std::log(current.objective);
-            bool accept =
-                delta >= 0.0 ||
-                ev.rng.nextDouble() < std::exp(delta / temperature);
-            if (accept) {
-                current = std::move(*ev.cand);
-                ++result.accepted;
-                if (current.objective > best.objective)
-                    best = current;
-                log_iteration(examined, temperature, ev.edits, true,
-                              false, current);
-            } else {
-                log_iteration(examined, temperature, ev.edits, false,
-                              false, *ev.cand);
-            }
-            temperature *= 0.97;
-            result.convergence.push_back(
-                { secondsSince(start), examined, best.objective });
-            if (accept) {
-                result.discarded += width - slot - 1;
-                break;  // the rest of the round speculated on a
-                        // stale base
+        bool accepted = false;
+        for (int wave = 0; wave < width && !accepted;
+             wave += wave_width) {
+            const int count = std::min(wave_width, width - wave);
+            std::vector<Eval> evals = pool.parallelMap(
+                static_cast<size_t>(count), [&](size_t i) {
+                    return score_slot(static_cast<size_t>(wave) + i);
+                });
+            result.scored += count;
+            for (int i = 0; i < count; ++i) {
+                Eval &ev = evals[i];
+                ++examined;
+                ++result.iterationsRun;
+                grid_pruned += ev.gridPruned;
+                if (!ev.cand) {
+                    ++result.abandoned;
+                    log_iteration(examined, temperature, ev.edits,
+                                  false, true, current);
+                    continue;
+                }
+                // Simulated-annealing acceptance on log-objective.
+                double delta = std::log(ev.cand->objective) -
+                               std::log(current.objective);
+                accepted = delta >= 0.0 ||
+                           ev.rng.nextDouble() <
+                               std::exp(delta / temperature);
+                if (accepted) {
+                    current = std::move(*ev.cand);
+                    ++result.accepted;
+                    if (current.objective > best.objective)
+                        best = current;
+                    log_iteration(examined, temperature, ev.edits,
+                                  true, false, current);
+                } else {
+                    log_iteration(examined, temperature, ev.edits,
+                                  false, false, *ev.cand);
+                }
+                temperature *= 0.97;
+                result.convergence.push_back(
+                    { secondsSince(start), examined, best.objective });
+                if (accepted) {
+                    // The rest of the round speculated on a stale base.
+                    result.discarded += width - (wave + i) - 1;
+                    break;
+                }
             }
         }
         ++round;
@@ -694,7 +708,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
             mapping.simulatedIpc = sims[k].ipc;
         }
     }
-    result.gridPruned = grid_pruned.load(std::memory_order_relaxed);
+    result.gridPruned = grid_pruned;
     if (sink != nullptr)
         sink->registry().counter("dse/grid/pruned").add(result.gridPruned);
     result.elapsedSeconds = secondsSince(start);

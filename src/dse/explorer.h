@@ -55,23 +55,28 @@ struct DseOptions
     int iterations = 60;
     double initialTemperature = 0.6;
     /**
-     * Worker threads for speculative candidate evaluation: 0 selects
-     * the hardware concurrency, 1 is the legacy serial path (no
-     * threads spawned). The explored trajectory is bit-identical for
-     * every value — per-candidate Rng streams are split off the
-     * master seed before evaluation and accept decisions are applied
-     * in fixed candidate order, so threads only change wall-clock
-     * (see DESIGN.md "Determinism under parallelism").
+     * Worker threads for speculative candidate scoring: 0 selects the
+     * hardware concurrency, 1 is the serial path (no threads spawned).
+     * The accept scan scores a round's candidates in waves of this
+     * many, so at 1 each candidate is scored only when the scan
+     * reaches it. The explored trajectory is bit-identical for every
+     * value — per-candidate Rng streams are split off the master seed
+     * before any scoring and accept decisions are applied in fixed
+     * candidate order, so threads only change wall-clock and
+     * DseResult::scored (see DESIGN.md "Determinism under
+     * parallelism").
      */
     int threads = 1;
     /**
-     * Speculation width: candidates mutated from the current design
-     * and evaluated per annealing round. Part of the seeded
-     * algorithm (changing it changes the trajectory; changing
-     * `threads` does not). Candidates after an accepted one in a
-     * round are discarded unexamined — their mutations were drawn
-     * against a stale base — so wider speculation trades redundant
-     * evaluations for parallelism.
+     * Speculation width: candidates drawn from the current design per
+     * annealing round. Part of the seeded algorithm (changing it
+     * changes the trajectory; changing `threads` does not).
+     * Candidates after an accepted one in a round are discarded
+     * unexamined — their mutations were drawn against a stale base.
+     * Scoring is lazy, so at `threads` = 1 a discarded candidate is
+     * never scored and wider speculation costs no serial work; with
+     * more threads only the accepting wave's later slots are scored
+     * in vain.
      */
     int speculation = 8;
     /** Resource budget fraction of the device. */
@@ -185,17 +190,26 @@ struct DseResult
     int iterationsRun = 0;
     int accepted = 0;
     int abandoned = 0;  //!< candidates with an unschedulable kernel
-    /** Candidate evaluations run, including speculative ones
-     * discarded after an in-round acceptance (>= iterationsRun). */
+    /** Candidates drawn, including speculative ones discarded after
+     * an in-round acceptance (== iterationsRun + discarded). A
+     * function of the trajectory, independent of the thread count. */
     int evaluated = 0;
-    /** Speculative evaluations discarded unexamined. */
+    /** Speculative candidates discarded unexamined (never scored at
+     * `threads` = 1). */
     int discarded = 0;
+    /** Candidates actually scored (mutation + schedule repair +
+     * system DSE) — the host work. Depends on the thread count:
+     * == iterationsRun at `threads` = 1, up to `evaluated` when a
+     * wave spans a whole round. */
+    int scored = 0;
     /** Always 0: candidate evaluation is not memoized (DESIGN.md
      * "Model split"). Kept only for existing readers. */
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
-    /** System-grid points skipped by monotone budget pruning (a
-     * deterministic function of the trajectory). */
+    /** System-grid points skipped by monotone budget pruning while
+     * scoring the seed and every examined candidate (a deterministic
+     * function of the trajectory; discarded candidates add nothing,
+     * even when a wave scored them). */
     uint64_t gridPruned = 0;
     double elapsedSeconds = 0.0;
 };

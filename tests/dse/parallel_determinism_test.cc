@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -64,7 +65,8 @@ canonicalRecords(const std::vector<std::string> &lines)
 ExploreRun
 explore(int threads, uint64_t seed,
         dse::DseObjective objective = dse::DseObjective::Scalar,
-        bool validate_final = false)
+        bool validate_final = false,
+        const std::function<void(dse::DseOptions &)> &adjust = {})
 {
     std::vector<wl::KernelSpec> domain = { wl::makeFir(128, 16),
                                            wl::makeAccumulate(16) };
@@ -81,6 +83,8 @@ explore(int threads, uint64_t seed,
     options.telemetryLabel = "determinism";
     options.objective = objective;
     options.validateFinal = validate_final;
+    if (adjust)
+        adjust(options);
     ExploreRun run;
     run.result = dse::exploreOverlay(domain, options, &testModel());
     run.records = canonicalRecords(sink.dseLines());
@@ -238,6 +242,60 @@ TEST(ParallelDeterminism, TrajectoryIsPinnedAcrossCommits)
             library::canonicalDesign(r.design));
         EXPECT_EQ(fp.first, pin.design.first) << label;
         EXPECT_EQ(fp.second, pin.design.second) << label;
+    }
+}
+
+TEST(ParallelDeterminism, ScoredCountsOnlyExaminedWork)
+{
+    // Scoring is lazy: the accept scan scores slots in waves of
+    // `threads` just before examining them. Serially, no candidate
+    // discarded after an accept is ever scored; a wave as wide as the
+    // round scores every drawn candidate; in between, host work lies
+    // between the two.
+    ExploreRun serial = explore(1, 5);
+    EXPECT_GT(serial.result.discarded, 0);
+    EXPECT_EQ(serial.result.scored, serial.result.iterationsRun);
+    ExploreRun eight = explore(8, 5, dse::DseObjective::Scalar, false,
+                               [](dse::DseOptions &o) {
+                                   o.speculation = 8;
+                               });
+    EXPECT_EQ(eight.result.scored, eight.result.evaluated);
+    for (int threads : { 1, 2, 3, 4, 8 }) {
+        ExploreRun run = explore(threads, 5);
+        const dse::DseResult &r = run.result;
+        EXPECT_LE(r.iterationsRun, r.scored) << threads << " threads";
+        EXPECT_LE(r.scored, r.evaluated) << threads << " threads";
+        EXPECT_EQ(r.evaluated, serial.result.evaluated)
+            << threads << " threads";
+    }
+}
+
+TEST(ParallelDeterminism, GridPrunedIsThreadIndependent)
+{
+    // The explore() grids fit the budget at every point, so they prune
+    // nothing. A tight budget over a wide tile-count axis prunes on
+    // almost every candidate, including the speculative ones a wider
+    // wave scores and then discards; only examined candidates may
+    // count, or the total would grow with the thread count.
+    auto pruning = [](dse::DseOptions &o) {
+        o.tileCountGrid = { 1, 2, 4, 8, 16, 32 };
+        o.l2BankGrid = { 4, 8, 16 };
+        o.nocBytesGrid = { 32, 64 };
+        o.budgetFraction = 0.35;
+    };
+    ExploreRun serial =
+        explore(1, 42, dse::DseObjective::Scalar, false, pruning);
+    EXPECT_GT(serial.result.gridPruned, 0u);
+    EXPECT_GT(serial.result.discarded, 0);
+    for (int threads : { 2, 8 }) {
+        ExploreRun run =
+            explore(threads, 42, dse::DseObjective::Scalar, false,
+                    pruning);
+        const std::string label =
+            "threads 1 vs " + std::to_string(threads);
+        EXPECT_EQ(serial.result.gridPruned, run.result.gridPruned)
+            << label;
+        expectIdentical(serial, run, label);
     }
 }
 
