@@ -12,31 +12,15 @@ AddressMap::build(const wl::KernelSpec &spec, int line_bytes)
 {
     AddressMap map;
     for (const wl::ArraySpec &array : spec.arrays) {
-        map.bases[array.name] = map.top;
+        map.bases.push_back(map.top);
+        map.elementBytes.push_back(
+            static_cast<uint64_t>(dataTypeBytes(array.type)));
         uint64_t bytes = static_cast<uint64_t>(array.sizeBytes());
         uint64_t lines =
             (bytes + line_bytes - 1) / line_bytes;
         map.top += (lines + 1) * line_bytes;  // pad a guard line
     }
     return map;
-}
-
-uint64_t
-AddressMap::base(const std::string &array) const
-{
-    auto it = bases.find(array);
-    OG_ASSERT(it != bases.end(), "unmapped array '", array, "'");
-    return it->second;
-}
-
-uint64_t
-AddressMap::elementAddress(const wl::KernelSpec &spec,
-                           const std::string &array,
-                           int64_t index) const
-{
-    return base(array) +
-           static_cast<uint64_t>(index) *
-               dataTypeBytes(spec.arrayByName(array).type);
 }
 
 IterationWalker::IterationWalker(const wl::KernelSpec &spec, int unroll,
@@ -205,24 +189,29 @@ classifyStream(const dfg::Mdfg &mdfg, dfg::NodeId id)
     return StreamKind::Vector;
 }
 
-int64_t
-elemsForFiring(const dfg::Mdfg &mdfg, dfg::NodeId id, StreamKind kind,
-               const IterationWalker &walker)
+int
+firingMembers(const dfg::Mdfg &mdfg, dfg::NodeId id)
 {
     const dfg::StreamNode &stream = mdfg.node(id).stream;
+    // Coalesced streams carry `members` values per iteration.
+    int members =
+        std::max<int>(static_cast<int>(stream.specAccesses.size()), 1);
+    // Overlap-merged streams deliver one fresh element per iteration
+    // (window reuse holds the rest).
+    if (members > 1 && stream.pattern.stride[0] == 1)
+        members = 1;
+    return members;
+}
+
+int64_t
+elemsForFiring(StreamKind kind, int members,
+               const IterationWalker &walker)
+{
     int64_t count = walker.count();
     switch (kind) {
       case StreamKind::Vector:
-      case StreamKind::Generated: {
-        // Coalesced streams carry `members` values per iteration.
-        int64_t members = std::max<size_t>(
-            stream.specAccesses.size(), 1);
-        // Overlap-merged streams deliver one fresh element per
-        // iteration (window reuse holds the rest).
-        if (members > 1 && stream.pattern.stride[0] == 1)
-            members = 1;
+      case StreamKind::Generated:
         return count * members;
-      }
       case StreamKind::Stationary:
         return walker.innerStart() ? 1 : 0;
       case StreamKind::ConstantTaps:

@@ -10,10 +10,9 @@
  */
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "dfg/mdfg.h"
 #include "workloads/interpreter.h"
 #include "workloads/kernelspec.h"
@@ -22,7 +21,8 @@ namespace overgen::sim {
 
 class Snapshot;
 
-/** Flat byte-address layout of a kernel's arrays. */
+/** Flat byte-address layout of a kernel's arrays, indexed by array id
+ * (the array's index in `spec.arrays`, as in wl::BoundAccess). */
 class AddressMap
 {
   public:
@@ -30,17 +30,36 @@ class AddressMap
     static AddressMap build(const wl::KernelSpec &spec,
                             int line_bytes = 64);
 
-    /** @return base address of @p array. */
-    uint64_t base(const std::string &array) const;
-    /** @return byte address of element @p index of @p array. */
-    uint64_t elementAddress(const wl::KernelSpec &spec,
-                            const std::string &array,
-                            int64_t index) const;
+    /** @return base address of array @p id. */
+    uint64_t
+    base(int id) const
+    {
+        checkId(id);
+        return bases[static_cast<size_t>(id)];
+    }
+    /** @return byte address of element @p index of array @p id. */
+    uint64_t
+    elementAddress(int id, int64_t index) const
+    {
+        checkId(id);
+        return bases[static_cast<size_t>(id)] +
+               static_cast<uint64_t>(index) *
+                   elementBytes[static_cast<size_t>(id)];
+    }
     /** @return total mapped bytes. */
     uint64_t totalBytes() const { return top; }
 
   private:
-    std::map<std::string, uint64_t> bases;
+    void
+    checkId(int id) const
+    {
+        OG_ASSERT(id >= 0 && static_cast<size_t>(id) < bases.size(),
+                  "array id ", id, " out of range: address map holds ",
+                  bases.size(), " arrays");
+    }
+
+    std::vector<uint64_t> bases;
+    std::vector<uint64_t> elementBytes;
     uint64_t top = 0;
 };
 
@@ -105,12 +124,20 @@ enum class StreamKind : uint8_t
 StreamKind classifyStream(const dfg::Mdfg &mdfg, dfg::NodeId id);
 
 /**
- * Elements the stream produces/consumes for a firing with @p count
- * iterations at walker state @p walker. ConstantTaps return 0 (handled
- * out of band).
+ * Values a Vector or Generated stream carries per iteration: its
+ * coalesced members, except that overlap-merged streams deliver one
+ * fresh element per iteration (window reuse holds the rest). Computed
+ * once per stream at build time.
  */
-int64_t elemsForFiring(const dfg::Mdfg &mdfg, dfg::NodeId id,
-                       StreamKind kind, const IterationWalker &walker);
+int firingMembers(const dfg::Mdfg &mdfg, dfg::NodeId id);
+
+/**
+ * Elements a stream of @p kind (carrying @p members values per
+ * iteration, see firingMembers) produces/consumes for the firing at
+ * walker state @p walker. ConstantTaps return 0 (handled out of band).
+ */
+int64_t elemsForFiring(StreamKind kind, int members,
+                       const IterationWalker &walker);
 
 } // namespace overgen::sim
 

@@ -198,9 +198,10 @@ writeCheckpoint(Snapshot &snap, const wl::KernelSpec &spec,
         snap.putI64(t);
     ck.save(snap);
     snap.beginSection("arrays");
-    snap.putU64(memory.all().size());
-    for (const auto &[name, values] : memory.all()) {
-        snap.putString(name);
+    snap.putU64(memory.size());
+    for (int id : memory.nameOrder()) {
+        const std::vector<double> &values = memory.array(id);
+        snap.putString(memory.name(id));
         snap.putU64(values.size());
         for (double v : values)
             snap.putDouble(v);
@@ -346,13 +347,20 @@ resumeFrom(const Snapshot &snap, const wl::KernelSpec &spec,
     ck.restore(snap);
     snap.expectSection("arrays");
     uint64_t narrays = snap.getU64();
-    OG_ASSERT(narrays == memory.all().size(),
+    OG_ASSERT(narrays == memory.size(),
               "snapshot array count mismatch: ", narrays, " vs ",
-              memory.all().size(),
+              memory.size(),
               " (memory must be init()ed for the kernel)");
-    for (uint64_t i = 0; i < narrays; ++i) {
+    // The section lists the kernel's arrays once each, in name order:
+    // a repeated or foreign name would leave some array at its init
+    // values.
+    for (int id : memory.nameOrder()) {
         std::string name = snap.getString();
-        std::vector<double> &values = memory.array(name);
+        OG_ASSERT(name == memory.name(id), "snapshot arrays section "
+                  "lists '", name, "' where '", memory.name(id),
+                  "' is due (each of the kernel's arrays once, in name "
+                  "order)");
+        std::vector<double> &values = memory.array(id);
         uint64_t len = snap.getU64();
         OG_ASSERT(len == values.size(), "snapshot array '", name,
                   "' length mismatch: ", len, " vs ", values.size());

@@ -66,7 +66,12 @@ struct TileSim::Impl
         bool input = true;
         int elemBytes = 8;
         int members = 1;
-        /** Representative spec accesses for address generation. */
+        /** Values per iteration in the firing demand (firingMembers). */
+        int firingMembers = 1;
+        /** Indirect gathers issue one element per transaction. */
+        bool indirect = false;
+        /** Representative spec accesses for address generation
+         * (indices into `bound`). */
         std::vector<int> accesses;
         PortFifo port;
         /** Engine-side cursor over the demand schedule. */
@@ -87,7 +92,7 @@ struct TileSim::Impl
         StreamRt *indexConsumer = nullptr;
         /** Synthetic access for index feeds (reads the index array
          * affinely with the consumer's coefficients). */
-        std::optional<wl::AccessSpec> syntheticAccess;
+        std::optional<wl::BoundAccess> syntheticAccess;
         /** Recurrence pairing (on the in-stream). */
         StreamRt *recurrenceOut = nullptr;
         int64_t recInitialRemaining = 0;
@@ -129,6 +134,7 @@ struct TileSim::Impl
         : spec(spec), mdfg(mdfg), schedule(schedule), adg(adg),
           addresses(addresses), memory(memory), memsys(memsys),
           tileIndex(tile_index), config(config),
+          bound(wl::bindAccesses(spec)),
           fabricWalker(spec, mdfg.unrollFactor *
                                  (mdfg.tuned && spec.tuning.unroll2d
                                       ? 2
@@ -232,6 +238,13 @@ struct TileSim::Impl
     MemorySystem &memsys;
     int tileIndex;
     SimConfig config;
+    /** The kernel's accesses with array names resolved to ids, bound
+     * once here so the tick loop never looks a name up. */
+    std::vector<wl::BoundAccess> bound;
+    /** Scratch for the loop indices of one element or lane, and for
+     * evalIteration's op values (reused across calls). */
+    std::vector<int64_t> ivScratch;
+    std::vector<double> opScratch;
 
     std::vector<std::unique_ptr<StreamRt>> streams;
     std::map<dfg::NodeId, StreamRt *> byNode;
@@ -299,6 +312,8 @@ TileSim::Impl::buildStreams(int64_t outer_lo, int64_t outer_hi)
         rt->elemBytes = dataTypeBytes(node.type);
         rt->members = std::max<int>(
             1, static_cast<int>(node.specAccesses.size()));
+        rt->firingMembers = firingMembers(mdfg, id);
+        rt->indirect = node.indirect;
         rt->accesses = node.specAccesses;
         rt->walker = std::make_unique<IterationWalker>(
             spec, unroll, outer_lo, outer_hi);
@@ -403,9 +418,16 @@ TileSim::Impl::buildStreams(int64_t outer_lo, int64_t outer_hi)
             index->indexConsumer = rt.get();
             OG_ASSERT(!rt->accesses.empty(),
                       "indirect stream without accesses");
-            wl::AccessSpec synth = spec.accesses[rt->accesses[0]];
-            synth.array = synth.indexArray;
-            synth.indexArray.clear();
+            const wl::BoundAccess &consumer = bound[rt->accesses[0]];
+            OG_ASSERT(consumer.indexArray >= 0,
+                      "indirect stream over a direct access in ",
+                      mdfg.name);
+            // The consumer's affine function, aimed at its index array.
+            wl::BoundAccess synth = consumer;
+            synth.array = consumer.indexArray;
+            synth.elements = consumer.indexElements;
+            synth.indexArray = -1;
+            synth.indexElements = 0;
             index->syntheticAccess = synth;
         }
     }
@@ -451,7 +473,7 @@ TileSim::Impl::settleDemand(StreamRt &rt)
 {
     while (!rt.walker->done() && rt.firingRemaining == 0) {
         rt.firingRemaining =
-            elemsForFiring(mdfg, rt.id, rt.kind, *rt.walker);
+            elemsForFiring(rt.kind, rt.firingMembers, *rt.walker);
         if (rt.firingRemaining == 0)
             rt.walker->advance();
     }
@@ -469,12 +491,12 @@ TileSim::Impl::gatherLine(StreamRt &rt, int64_t max_elems)
     if (rt.walker->done() && rt.kind != StreamKind::ConstantTaps)
         return out;
     if (rt.kind == StreamKind::ConstantTaps) {
+        const std::vector<int64_t> &ivs = rt.walker->indices();
         for (int access : rt.accesses) {
-            int64_t idx = wl::resolveIndex(
-                spec, spec.accesses[access], rt.walker->indices(),
-                memory);
-            out.push_back(addresses.elementAddress(
-                spec, spec.accesses[access].array, idx));
+            int64_t idx = wl::resolveIndex(bound[access], ivs.data(),
+                                           ivs.size(), memory);
+            out.push_back(
+                addresses.elementAddress(bound[access].array, idx));
         }
         return out;
     }
@@ -483,27 +505,28 @@ TileSim::Impl::gatherLine(StreamRt &rt, int64_t max_elems)
     while (static_cast<int64_t>(out.size()) < max_elems &&
            rt.firingRemaining > 0) {
         int64_t total =
-            elemsForFiring(mdfg, rt.id, rt.kind, *rt.walker);
+            elemsForFiring(rt.kind, rt.firingMembers, *rt.walker);
         int64_t flat = total - rt.firingRemaining;
-        const wl::AccessSpec *access = nullptr;
-        std::vector<int64_t> ivs = rt.walker->indices();
+        const wl::BoundAccess *access = nullptr;
+        std::vector<int64_t> &ivs = ivScratch;
+        ivs = rt.walker->indices();
         if (rt.syntheticAccess) {
             access = &*rt.syntheticAccess;
             ivs.back() += flat;
         } else if (rt.members > 1 && !rt.accesses.empty() &&
                    total == rt.walker->count() * rt.members) {
             // Coalesced: lane-major over members.
-            access = &spec.accesses[rt.accesses[flat % rt.members]];
+            access = &bound[rt.accesses[flat % rt.members]];
             ivs.back() += flat / rt.members;
         } else if (!rt.accesses.empty()) {
-            access = &spec.accesses[rt.accesses[0]];
+            access = &bound[rt.accesses[0]];
             ivs.back() += flat;
         }
         if (access == nullptr)
             return out;
-        int64_t idx = wl::resolveIndex(spec, *access, ivs, memory);
-        uint64_t addr =
-            addresses.elementAddress(spec, access->array, idx);
+        int64_t idx =
+            wl::resolveIndex(*access, ivs.data(), ivs.size(), memory);
+        uint64_t addr = addresses.elementAddress(access->array, idx);
         if (out.empty()) {
             line_base = addr / line;
         } else if (addr / line != line_base) {
@@ -515,10 +538,10 @@ TileSim::Impl::gatherLine(StreamRt &rt, int64_t max_elems)
             rt.walker->advance();
             settleDemand(rt);
             // Indirect gathers: one element per transaction.
-            if (mdfg.node(rt.id).stream.indirect)
+            if (rt.indirect)
                 break;
         }
-        if (mdfg.node(rt.id).stream.indirect)
+        if (rt.indirect)
             break;
     }
     return out;
@@ -866,7 +889,7 @@ TileSim::Impl::fabricTick(uint64_t cycle)
         if (rt->isIndexFeed)
             continue;
         int64_t need =
-            elemsForFiring(mdfg, rt->id, rt->kind, fabricWalker);
+            elemsForFiring(rt->kind, rt->firingMembers, fabricWalker);
         if (rt->input) {
             if (rt->kind == StreamKind::ConstantTaps) {
                 if (rt->port.available < rt->members) {
@@ -894,19 +917,21 @@ TileSim::Impl::fabricTick(uint64_t cycle)
         if (rt->kind == StreamKind::ConstantTaps)
             continue;  // held resident
         rt->port.available -=
-            elemsForFiring(mdfg, rt->id, rt->kind, fabricWalker);
+            elemsForFiring(rt->kind, rt->firingMembers, fabricWalker);
     }
-    std::vector<int64_t> ivs = fabricWalker.indices();
+    std::vector<int64_t> &ivs = ivScratch;
+    ivs = fabricWalker.indices();
     int count = fabricWalker.count();
     for (int lane = 0; lane < count; ++lane) {
-        wl::evalIteration(spec, ivs, memory);
+        wl::evalIteration(spec, bound, ivs.data(), ivs.size(), memory,
+                          opScratch);
         ++ivs.back();
     }
     for (auto &rt : streams) {
         if (rt->input)
             continue;
         int64_t produced =
-            elemsForFiring(mdfg, rt->id, rt->kind, fabricWalker);
+            elemsForFiring(rt->kind, rt->firingMembers, fabricWalker);
         rt->port.deliver(cycle + pipelineDepth, produced);
     }
     stats.iterations += count;
@@ -999,7 +1024,7 @@ TileSim::Impl::fabricPortsReady() const
         if (rt->isIndexFeed)
             continue;
         int64_t need =
-            elemsForFiring(mdfg, rt->id, rt->kind, fabricWalker);
+            elemsForFiring(rt->kind, rt->firingMembers, fabricWalker);
         if (rt->input) {
             if (rt->kind == StreamKind::ConstantTaps) {
                 if (rt->port.available < rt->members)

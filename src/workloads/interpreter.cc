@@ -1,5 +1,6 @@
 #include "workloads/interpreter.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -25,7 +26,21 @@ fnv1a(const std::string &s)
 void
 Memory::init(const KernelSpec &spec, uint64_t seed)
 {
+    names.clear();
     arrays.clear();
+    byName.clear();
+    for (const ArraySpec &a : spec.arrays) {
+        byName.push_back(static_cast<int>(names.size()));
+        names.push_back(a.name);
+    }
+    std::sort(byName.begin(), byName.end(),
+              [this](int x, int y) { return names[x] < names[y]; });
+    for (size_t i = 1; i < byName.size(); ++i) {
+        if (names[byName[i - 1]] == names[byName[i]])
+            OG_FATAL("kernel '", spec.name, "' declares array '",
+                     names[byName[i]], "' twice");
+    }
+    arrays.reserve(spec.arrays.size());
     for (const ArraySpec &a : spec.arrays) {
         std::vector<double> data(static_cast<size_t>(a.elements));
         uint64_t h = fnv1a(a.name) ^ (seed * 0x9e3779b97f4a7c15ull);
@@ -48,30 +63,57 @@ Memory::init(const KernelSpec &spec, uint64_t seed)
                 data[i] = static_cast<double>(v);
             }
         }
-        arrays.emplace(a.name, std::move(data));
+        arrays.push_back(std::move(data));
     }
+}
+
+int
+Memory::idOf(const std::string &name) const
+{
+    auto it = std::lower_bound(
+        byName.begin(), byName.end(), name,
+        [this](int id, const std::string &key) { return names[id] < key; });
+    OG_ASSERT(it != byName.end() && names[*it] == name,
+              "unknown array '", name, "'");
+    return *it;
 }
 
 std::vector<double> &
 Memory::array(const std::string &name)
 {
-    auto it = arrays.find(name);
-    OG_ASSERT(it != arrays.end(), "unknown array '", name, "'");
-    return it->second;
+    return arrays[static_cast<size_t>(idOf(name))];
 }
 
 const std::vector<double> &
 Memory::array(const std::string &name) const
 {
-    auto it = arrays.find(name);
-    OG_ASSERT(it != arrays.end(), "unknown array '", name, "'");
-    return it->second;
+    return arrays[static_cast<size_t>(idOf(name))];
 }
 
-bool
-Memory::has(const std::string &name) const
+const std::string &
+Memory::name(int id) const
 {
-    return arrays.count(name) > 0;
+    checkId(id);
+    return names[static_cast<size_t>(id)];
+}
+
+std::vector<BoundAccess>
+bindAccesses(const KernelSpec &spec)
+{
+    std::vector<BoundAccess> bound;
+    bound.reserve(spec.accesses.size());
+    for (const AccessSpec &access : spec.accesses) {
+        BoundAccess b;
+        b.spec = &access;
+        b.array = spec.arrayIndex(access.array);
+        b.elements = spec.arrays[b.array].elements;
+        if (access.indirect()) {
+            b.indexArray = spec.arrayIndex(access.indexArray);
+            b.indexElements = spec.arrays[b.indexArray].elements;
+        }
+        bound.push_back(b);
+    }
+    return bound;
 }
 
 double
@@ -142,41 +184,18 @@ loopTrip(const KernelSpec &spec, size_t depth,
     return std::max<int64_t>(trip, 0);
 }
 
-int64_t
-resolveIndex(const KernelSpec &spec, const AccessSpec &access,
-             const std::vector<int64_t> &ivs, const Memory &mem)
-{
-    int64_t affine = access.offset;
-    for (size_t d = 0; d < access.coeffs.size() && d < ivs.size(); ++d)
-        affine += access.coeffs[d] * ivs[d];
-
-    const ArraySpec &target = spec.arrayByName(access.array);
-    int64_t index = affine;
-    if (access.indirect()) {
-        const ArraySpec &index_arr = spec.arrayByName(access.indexArray);
-        int64_t pos = affine % index_arr.elements;
-        if (pos < 0)
-            pos += index_arr.elements;
-        index = static_cast<int64_t>(
-            mem.array(access.indexArray)[static_cast<size_t>(pos)]);
-    }
-    // Paper assumption: no access overflows; clamp defensively anyway.
-    int64_t wrapped = index % target.elements;
-    if (wrapped < 0)
-        wrapped += target.elements;
-    return wrapped;
-}
-
 void
-evalIteration(const KernelSpec &spec, const std::vector<int64_t> &ivs,
-              Memory &mem)
+evalIteration(const KernelSpec &spec,
+              const std::vector<BoundAccess> &accesses,
+              const int64_t *ivs, size_t depth, Memory &mem,
+              std::vector<double> &op_values)
 {
-    std::vector<double> op_values(spec.ops.size(), 0.0);
+    op_values.assign(spec.ops.size(), 0.0);
     auto operand_value = [&](const Operand &operand) -> double {
         switch (operand.kind) {
           case Operand::Kind::Access: {
-            const AccessSpec &acc = spec.accesses[operand.index];
-            int64_t idx = resolveIndex(spec, acc, ivs, mem);
+            const BoundAccess &acc = accesses[operand.index];
+            int64_t idx = resolveIndex(acc, ivs, depth, mem);
             return mem.array(acc.array)[static_cast<size_t>(idx)];
           }
           case Operand::Kind::Op:
@@ -185,8 +204,7 @@ evalIteration(const KernelSpec &spec, const std::vector<int64_t> &ivs,
             return operand.imm;
           case Operand::Kind::Index:
             OG_ASSERT(operand.index >= 0 &&
-                          operand.index <
-                              static_cast<int>(ivs.size()),
+                          static_cast<size_t>(operand.index) < depth,
                       "bad loop index operand");
             return static_cast<double>(ivs[operand.index]);
         }
@@ -199,9 +217,9 @@ evalIteration(const KernelSpec &spec, const std::vector<int64_t> &ivs,
         double b = operand_value(op.rhs);
         op_values[i] = evalScalarOp(op.op, op.type, a, b);
         if (op.writeAccess >= 0) {
-            const AccessSpec &acc = spec.accesses[op.writeAccess];
-            OG_ASSERT(acc.isWrite, "writeAccess on a read access");
-            int64_t idx = resolveIndex(spec, acc, ivs, mem);
+            const BoundAccess &acc = accesses[op.writeAccess];
+            OG_ASSERT(acc.spec->isWrite, "writeAccess on a read access");
+            int64_t idx = resolveIndex(acc, ivs, depth, mem);
             mem.array(acc.array)[static_cast<size_t>(idx)] = op_values[i];
         }
     }
@@ -209,29 +227,41 @@ evalIteration(const KernelSpec &spec, const std::vector<int64_t> &ivs,
 
 namespace {
 
-void
-runLoop(const KernelSpec &spec, size_t depth, std::vector<int64_t> &ivs,
-        Memory &mem)
+/** The nest walk of interpret(): bound accesses and scratch live
+ * here once per kernel. */
+struct NestRun
 {
-    if (depth == spec.loops.size()) {
-        evalIteration(spec, ivs, mem);
-        return;
+    const KernelSpec &spec;
+    Memory &mem;
+    std::vector<BoundAccess> accesses;
+    std::vector<int64_t> ivs;
+    std::vector<double> opValues;
+
+    void
+    run(size_t depth)
+    {
+        if (depth == spec.loops.size()) {
+            evalIteration(spec, accesses, ivs.data(), ivs.size(), mem,
+                          opValues);
+            return;
+        }
+        int64_t trip = loopTrip(spec, depth, ivs);
+        for (int64_t i = 0; i < trip; ++i) {
+            ivs[depth] = i;
+            run(depth + 1);
+        }
+        ivs[depth] = 0;
     }
-    int64_t trip = loopTrip(spec, depth, ivs);
-    for (int64_t i = 0; i < trip; ++i) {
-        ivs[depth] = i;
-        runLoop(spec, depth + 1, ivs, mem);
-    }
-    ivs[depth] = 0;
-}
+};
 
 } // namespace
 
 void
 interpret(const KernelSpec &spec, Memory &mem)
 {
-    std::vector<int64_t> ivs(spec.loops.size(), 0);
-    runLoop(spec, 0, ivs, mem);
+    NestRun nest{ spec, mem, bindAccesses(spec),
+                  std::vector<int64_t>(spec.loops.size(), 0), {} };
+    nest.run(0);
 }
 
 } // namespace overgen::wl

@@ -11,9 +11,12 @@ TEST(AddressMapTest, DistinctLineAlignedBases)
 {
     wl::KernelSpec k = wl::makeFir(64, 8);
     AddressMap map = AddressMap::build(k);
-    EXPECT_EQ(map.base("a") % 64, 0u);
-    EXPECT_NE(map.base("a"), map.base("b"));
-    EXPECT_NE(map.base("b"), map.base("c"));
+    int a = k.arrayIndex("a");
+    int b = k.arrayIndex("b");
+    int c = k.arrayIndex("c");
+    EXPECT_EQ(map.base(a) % 64, 0u);
+    EXPECT_NE(map.base(a), map.base(b));
+    EXPECT_NE(map.base(b), map.base(c));
     EXPECT_GT(map.totalBytes(), 0u);
 }
 
@@ -22,9 +25,8 @@ TEST(AddressMapTest, ElementAddressing)
     wl::KernelSpec k = wl::makeFir(64, 8);
     AddressMap map = AddressMap::build(k);
     // f64 elements: 8 bytes apart.
-    EXPECT_EQ(map.elementAddress(k, "a", 1) -
-                  map.elementAddress(k, "a", 0),
-              8u);
+    int a = k.arrayIndex("a");
+    EXPECT_EQ(map.elementAddress(a, 1) - map.elementAddress(a, 0), 8u);
 }
 
 TEST(AddressMapTest, GuardPaddingSeparatesArrays)
@@ -32,8 +34,8 @@ TEST(AddressMapTest, GuardPaddingSeparatesArrays)
     wl::KernelSpec k = wl::makeFir(64, 8);
     AddressMap map = AddressMap::build(k);
     uint64_t a_end = map.elementAddress(
-        k, "a", k.arrayByName("a").elements - 1);
-    EXPECT_LT(a_end, map.base("b"));
+        k.arrayIndex("a"), k.arrayByName("a").elements - 1);
+    EXPECT_LT(a_end, map.base(k.arrayIndex("b")));
 }
 
 TEST(IterationWalkerTest, CoversRectangularNest)
@@ -198,7 +200,8 @@ TEST(ElemsForFiringTest, VectorMatchesChunk)
     dfg::Mdfg m = compiler::compileOne(k, 4, false, false);
     IterationWalker walker(k, 4, 0, 4);
     for (auto id : m.nodeIdsOfKind(dfg::NodeKind::InputStream)) {
-        EXPECT_EQ(elemsForFiring(m, id, StreamKind::Vector, walker),
+        EXPECT_EQ(elemsForFiring(StreamKind::Vector,
+                                 firingMembers(m, id), walker),
                   4);
     }
 }
@@ -214,10 +217,11 @@ TEST(ElemsForFiringTest, StationaryOnlyAtInnerStart)
     }
     ASSERT_NE(stat, dfg::invalidNode);
     IterationWalker walker(k, 4, 0, 8);
-    EXPECT_EQ(elemsForFiring(m, stat, StreamKind::Stationary, walker),
+    int members = firingMembers(m, stat);
+    EXPECT_EQ(elemsForFiring(StreamKind::Stationary, members, walker),
               1);
     walker.advance();
-    EXPECT_EQ(elemsForFiring(m, stat, StreamKind::Stationary, walker),
+    EXPECT_EQ(elemsForFiring(StreamKind::Stationary, members, walker),
               0);
 }
 

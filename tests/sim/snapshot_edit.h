@@ -29,14 +29,18 @@ namespace overgen::sim::test {
  * marker) in place. */
 using ValuePatch = std::function<void(size_t index, uint64_t &value)>;
 
+/** Rewrites a string value in place. */
+using StringPatch = std::function<void(std::string &value)>;
+
 /**
  * Re-encode @p in, passing every u64/i64 value of section @p section
- * (up to the next section marker) through @p patch, and seal the
- * result.
+ * (up to the next section marker) through @p patch and, when given,
+ * every string value through @p patch_string, and seal the result.
  */
 inline Snapshot
 patchSection(const Snapshot &in, const std::string &section,
-             const ValuePatch &patch)
+             const ValuePatch &patch,
+             const StringPatch &patch_string = nullptr)
 {
     std::vector<uint8_t> bytes = in.encode();
     auto read_u64 = [&bytes](size_t pos) {
@@ -58,6 +62,8 @@ patchSection(const Snapshot &in, const std::string &section,
                           bytes.begin() + static_cast<ptrdiff_t>(pos + v));
             pos += v;
             if (tag == 's') {
+                if (inside && patch_string)
+                    patch_string(s);
                 out.putString(s);
             } else {
                 out.beginSection(s);

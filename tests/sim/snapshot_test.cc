@@ -658,5 +658,70 @@ TEST(SnapshotResumeDeathTest, DifferentConfigurationIsFatal)
                  "configuration");
 }
 
+TEST(SnapshotResumeDeathTest, ArraysOutOfNameOrderAreFatal)
+{
+    // The arrays section must list the kernel's names once each, in
+    // name order. A repeated name with the right count used to restore
+    // silently, leaving the array it displaced at its init values
+    // (accumulate's `a` and `b` have the same length).
+    Compiled c = compileFor("accumulate", 1);
+    SnapshotCollector collector;
+    SimConfig capture;
+    capture.checkpointEvery = 64;
+    capture.checkpointSink = &collector;
+    (void)runWith(c, capture);
+    ASSERT_GE(collector.snaps.size(), 1u);
+    auto rename_b = [&collector](const std::string &to) {
+        return test::patchSection(
+            collector.snaps[0], "arrays", [](size_t, uint64_t &) {},
+            [&to](std::string &name) {
+                if (name == "b")
+                    name = to;
+            });
+    };
+
+    Snapshot repeated = rename_b("a");
+    Snapshot foreign = rename_b("zz");
+    ASSERT_TRUE(repeated.verify());
+    ASSERT_TRUE(foreign.verify());
+    wl::Memory memory;
+    memory.init(c.spec);
+    EXPECT_DEATH((void)resumeFrom(repeated, c.spec, c.mdfg, c.schedule,
+                                  c.design, memory, SimConfig{}),
+                 "arrays section lists 'a' where 'b' is due");
+    EXPECT_DEATH((void)resumeFrom(foreign, c.spec, c.mdfg, c.schedule,
+                                  c.design, memory, SimConfig{}),
+                 "arrays section lists 'zz' where 'b' is due");
+}
+
+// ---------------------------------------------------------------------------
+// Cross-commit pin. The resume suites compare a run against its own
+// checkpoints within one build, so a change to what a checkpoint holds
+// or how it is laid out passes them all. This digest pins the encoded
+// bytes of one mid-run checkpoint of an indirect kernel on two tiles.
+
+TEST(SnapshotPin, CheckpointBytesArePinnedAcrossCommits)
+{
+    Compiled c = compileFor("crs", 2);
+    SnapshotCollector collector;
+    SimConfig capture;
+    capture.checkpointEvery = 16;
+    capture.checkpointSink = &collector;
+    SimRun run = runWith(c, capture);
+    ASSERT_TRUE(run.result.completed);
+    ASSERT_GE(collector.snaps.size(), 3u);
+    size_t mid = collector.snaps.size() / 2;
+    uint64_t h = 1469598103934665603ull;
+    for (uint8_t byte : collector.snaps[mid].encode()) {
+        h ^= byte;
+        h *= 1099511628211ull;
+    }
+    // Recorded on a Release build before array names were bound to
+    // integer ids.
+    EXPECT_EQ(collector.cycles[mid], 136u);
+    EXPECT_EQ(collector.snaps.size(), 8u);
+    EXPECT_EQ(h, 5274668158046027729ull);
+}
+
 } // namespace
 } // namespace overgen::sim

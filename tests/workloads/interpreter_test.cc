@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "workloads/interpreter.h"
@@ -94,7 +96,8 @@ TEST(Interpreter, ResolveDirectIndex)
     mem.init(k);
     // a[i*8 + k] at (i=2, k=3, j=whatever) = 19.
     std::vector<int64_t> ivs{ 2, 3, 5 };
-    EXPECT_EQ(resolveIndex(k, k.accesses[0], ivs, mem), 19);
+    std::vector<BoundAccess> bound = bindAccesses(k);
+    EXPECT_EQ(resolveIndex(bound[0], ivs.data(), ivs.size(), mem), 19);
 }
 
 TEST(Interpreter, ResolveIndirectIndex)
@@ -106,7 +109,9 @@ TEST(Interpreter, ResolveIndirectIndex)
     // x access goes through ind[3*4+1].
     int64_t expected =
         static_cast<int64_t>(mem.array("ind")[13]);
-    EXPECT_EQ(resolveIndex(k, k.accesses[1], ivs, mem), expected);
+    std::vector<BoundAccess> bound = bindAccesses(k);
+    EXPECT_EQ(resolveIndex(bound[1], ivs.data(), ivs.size(), mem),
+              expected);
 }
 
 TEST(Interpreter, EllpackMatchesDirect)
@@ -226,6 +231,88 @@ TEST(Interpreter, StencilWritesInteriorOnly)
         EXPECT_EQ(after[j], before[j]);
         EXPECT_EQ(after[(g - 1) * g + j], before[(g - 1) * g + j]);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Malformed specs fail at bind or init time with a named error, never
+// at a silent wrong answer deep in a run.
+
+TEST(InterpreterDeathTest, AccessNamingUnknownArrayIsFatal)
+{
+    KernelSpec k = makeFir(64, 7);
+    k.accesses[1].array = "nonesuch";
+    EXPECT_DEATH((void)bindAccesses(k),
+                 "kernel 'fir' has no array 'nonesuch'");
+    Memory mem;
+    mem.init(k);
+    EXPECT_DEATH(interpret(k, mem), "kernel 'fir' has no array 'nonesuch'");
+}
+
+TEST(InterpreterDeathTest, UnknownIndexTargetIsFatal)
+{
+    KernelSpec k = makeEllpack(16, 4);
+    k.arrays[1].indexTarget = "nonesuch";
+    Memory mem;
+    EXPECT_DEATH(mem.init(k), "kernel 'ellpack' has no array 'nonesuch'");
+}
+
+TEST(InterpreterDeathTest, DuplicateArrayNamesAreFatal)
+{
+    KernelSpec k = makeFir(64, 7);
+    k.arrays.push_back(k.arrays[1]);
+    Memory mem;
+    EXPECT_DEATH(mem.init(k), "kernel 'fir' declares array 'b' twice");
+}
+
+TEST(InterpreterDeathTest, ArrayIdOutOfRangeIsFatal)
+{
+    KernelSpec k = makeFir(64, 7);
+    Memory mem;
+    mem.init(k);
+    EXPECT_EQ(&mem.array(2), &mem.array("c"));
+    EXPECT_DEATH((void)mem.array(3),
+                 "array id 3 out of range: memory holds 3 arrays");
+    EXPECT_DEATH((void)mem.array(-1), "array id -1 out of range");
+}
+
+// ---------------------------------------------------------------------------
+// Cross-commit pin. GoldenAllWorkloads compares the simulator against
+// interpret(), and both evaluate iterations through the same
+// resolveIndex/evalIteration, so a bug they share passes it. This
+// digest pins the interpreter's outputs themselves: every array of
+// every evaluation workload at paper size, in name order, bit for bit.
+
+TEST(Interpreter, OutputsArePinnedAcrossCommits)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ull;
+    };
+    auto mix_string = [&mix](const std::string &s) {
+        for (char c : s)
+            mix(static_cast<unsigned char>(c));
+    };
+    for (const KernelSpec &k : allWorkloads()) {
+        Memory mem;
+        mem.init(k);
+        interpret(k, mem);
+        std::vector<std::string> names;
+        for (const ArraySpec &a : k.arrays)
+            names.push_back(a.name);
+        std::sort(names.begin(), names.end());
+        mix_string(k.name);
+        for (const std::string &name : names) {
+            mix_string(name);
+            const std::vector<double> &values = mem.array(name);
+            mix(values.size());
+            for (double v : values)
+                mix(std::bit_cast<uint64_t>(v));
+        }
+    }
+    // Recorded on a Release build before array names were bound to
+    // integer ids.
+    EXPECT_EQ(h, 13683632385239240659ull);
 }
 
 } // namespace
