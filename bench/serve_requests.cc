@@ -9,7 +9,8 @@
  * determinism contract: replaying the trace in-process twice and
  * through the forked-worker server at 1/2/4 workers must produce
  * byte-identical library files (and an identical serve log across
- * worker counts). Writes BENCH_requests.json next to the binary.
+ * worker counts), and reports each server replay's worker forks.
+ * Writes BENCH_requests.json next to the binary.
  */
 
 #include <algorithm>
@@ -102,11 +103,14 @@ serviceOptions(int warmIterations, bool useServer, int workers)
 }
 
 /** Replay @p trace through a fresh service in fixed-size batches and
- * return the library JSONL (the determinism comparand). */
+ * return the library JSONL (the determinism comparand). Server mode
+ * can report its serve log and the worker forks of the whole replay
+ * (the service's workers persist across batches). */
 std::string
 replay(const std::vector<std::string> &trace, size_t batchSize,
        int warmIterations, bool useServer, int workers,
-       std::string *serveLog = nullptr)
+       std::string *serveLog = nullptr,
+       uint64_t *workersSpawned = nullptr)
 {
     library::LibraryService service(
         serviceOptions(warmIterations, useServer, workers));
@@ -118,6 +122,12 @@ replay(const std::vector<std::string> &trace, size_t batchSize,
     }
     if (serveLog != nullptr)
         *serveLog = service.serveLog();
+    if (workersSpawned != nullptr) {
+        *workersSpawned = 0;
+        for (const serve::ServeSummary &summary :
+             service.serveSummaries())
+            *workersSpawned += summary.workersSpawned;
+    }
     return service.library().toJsonl();
 }
 
@@ -234,21 +244,29 @@ main(int argc, char **argv)
     bool serverIdentical = true;
     bool logsIdentical = true;
     std::string firstLog;
+    Json serverReplays = Json::makeArray();
     for (int workers : { 1, 2, 4 }) {
         std::string log;
+        uint64_t spawned = 0;
         std::string bytes = replay(trace, batchSize, warmIterations,
-                                   true, workers, &log);
+                                   true, workers, &log, &spawned);
+        Json entry = Json::makeObject();
+        entry.set("workers", Json(workers));
+        entry.set("workers_spawned", Json(spawned));
+        serverReplays.push(std::move(entry));
         if (bytes != batchedBaseline)
             serverIdentical = false;
         if (firstLog.empty())
             firstLog = log;
         else if (log != firstLog)
             logsIdentical = false;
-        std::printf("server x%d      library %s, serve log %s\n",
+        std::printf("server x%d      library %s, serve log %s, "
+                    "%llu worker fork(s)\n",
                     workers,
                     bytes == batchedBaseline ? "identical"
                                              : "DIFFERENT",
-                    log == firstLog ? "identical" : "DIFFERENT");
+                    log == firstLog ? "identical" : "DIFFERENT",
+                    static_cast<unsigned long long>(spawned));
     }
     OG_ASSERT(serverIdentical,
               "server-mode library bytes differ from in-process");
@@ -295,6 +313,9 @@ main(int argc, char **argv)
                     Json(serverIdentical));
     determinism.set("server_logs_identical", Json(logsIdentical));
     report.set("determinism", std::move(determinism));
+    // Workers persist across a replay's batches, so a crash-free
+    // replay forks at most its worker count.
+    report.set("server_replays", std::move(serverReplays));
 
     std::string text = report.dump(2);
     const char *path = "BENCH_requests.json";

@@ -149,12 +149,15 @@ LibraryService::runJobs(const serve::JobSet &set)
     if (set.jobs.empty())
         return rows;
     if (options.useServer) {
-        // Train the shared resource model before the fork, so every
-        // worker inherits it instead of re-training per process.
-        model::FpgaResourceModel::defaultModel();
-        serve::CoordinatorOptions copts = options.serve;
-        copts.handler = handler;
-        serve::ServeOutcome outcome = serve::serveJobs(set, copts);
+        if (!pool) {
+            // Train the shared resource model before the first fork,
+            // so every worker inherits it instead of re-training.
+            model::FpgaResourceModel::defaultModel();
+            serve::CoordinatorOptions copts = options.serve;
+            copts.handler = handler;
+            pool = std::make_unique<serve::WorkerPool>(std::move(copts));
+        }
+        serve::ServeOutcome outcome = pool->run(set);
         mergedLog += serve::mergedJsonl(set, outcome.rows);
         summaries.push_back(outcome.summary);
         rows = std::move(outcome.rows);
@@ -185,6 +188,13 @@ LibraryService::runJobs(const serve::JobSet &set)
 void
 LibraryService::scoreMissing(const std::vector<std::string> &workloads)
 {
+    // Encode each entry's design once: entries only ever append
+    // (OverlayLibrary::insert appends or merges into an existing
+    // entry), so the text of entry i never changes.
+    OG_ASSERT(designText.size() <= lib.entries.size(),
+              "library shrank under the service");
+    for (size_t i = designText.size(); i < lib.entries.size(); ++i)
+        designText.push_back(lib.entries[i].design.toJson().dump());
     serve::JobSet set;
     for (const std::string &workload : workloads) {
         std::vector<int> missing;
@@ -198,7 +208,7 @@ LibraryService::scoreMissing(const std::vector<std::string> &workloads)
         // two of them and table id i stays entry i.
         for (size_t i = set.designs.size(); i < lib.entries.size();
              ++i) {
-            int id = set.addDesignJson(lib.entries[i].design.toJson());
+            int id = set.addDesignText(designText[i]);
             OG_ASSERT(id == static_cast<int>(i), "library entry ", i,
                       " duplicates a design");
         }

@@ -15,10 +15,13 @@
  *
  * Steps 1, 3 and 4 each build a serve::JobSet of Match or Warm jobs
  * and hand it to one executor, the only place the two modes differ:
- * server mode (ServiceOptions::useServer) runs the set through the
- * serve coordinator (forked workers, crash recovery, straggler
- * duplication); in-process mode runs the same library job handler
- * (makeLibraryHandler) on each job inline. Any row the server loses
+ * server mode (ServiceOptions::useServer) runs the set on the
+ * service's serve::WorkerPool (forked workers, crash recovery,
+ * straggler duplication); in-process mode runs the same library job
+ * handler (makeLibraryHandler) on each job inline. The pool is created
+ * at the first server run, after the resource model has trained (so
+ * workers inherit it), lives as long as the service, and receives each
+ * entry's design once; the service's destructor shuts it down. Any row the server loses
  * (a shard abandoned after repeated crashes) is recomputed inline by
  * that handler, so even a degraded run converges to the same library.
  * The handler reaches the serve layer through
@@ -42,6 +45,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -121,16 +125,15 @@ class LibraryService
     OverlayLibrary &library() { return lib; }
     const OverlayLibrary &library() const { return lib; }
 
-    /** One summary per serveJobs call made in server mode (a batch
-     * whose pairs are all recorded and that misses nothing makes
-     * none). */
+    /** One summary per pool run made in server mode (a batch whose
+     * pairs are all recorded and that misses nothing makes none). */
     const std::vector<serve::ServeSummary> &
     serveSummaries() const
     {
         return summaries;
     }
 
-    /** Concatenated merged JSONL of every serve call (byte-stable
+    /** Concatenated merged JSONL of every pool run (byte-stable
      * across worker counts; the warming tests compare it). */
     const std::string &serveLog() const { return mergedLog; }
 
@@ -148,6 +151,10 @@ class LibraryService
     OverlayLibrary lib;
     ServiceOptions options;
     serve::JobHandler handler;
+    /** Server mode's workers, forked at the first server run. */
+    std::unique_ptr<serve::WorkerPool> pool;
+    /** Entry i's design as JSON text, encoded once per entry. */
+    std::vector<std::string> designText;
     std::vector<serve::ServeSummary> summaries;
     std::string mergedLog;
 };

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/hex.h"
+#include "common/json_fields.h"
 #include "common/logging.h"
 
 namespace overgen::library {
@@ -35,67 +36,6 @@ systemParamsHash(const adg::SystemParams &sys)
     h = mix64(h ^ static_cast<uint64_t>(sys.dramChannels));
     return h;
 }
-
-/** @name Non-fatal field extraction for LibraryEntry::fromJson. */
-/// @{
-bool
-getString(const Json &obj, const char *key, std::string &out,
-          std::string *error)
-{
-    if (!obj.contains(key) || !obj.at(key).isString()) {
-        if (error != nullptr)
-            *error = std::string("missing/ill-typed string field '") +
-                     key + "'";
-        return false;
-    }
-    out = obj.at(key).asString();
-    return true;
-}
-
-bool
-getNumber(const Json &obj, const char *key, double &out,
-          std::string *error)
-{
-    if (!obj.contains(key) || !obj.at(key).isNumber()) {
-        if (error != nullptr)
-            *error = std::string("missing/ill-typed number field '") +
-                     key + "'";
-        return false;
-    }
-    out = obj.at(key).asNumber();
-    return true;
-}
-
-bool
-getBool(const Json &obj, const char *key, bool &out,
-        std::string *error)
-{
-    if (!obj.contains(key) || !obj.at(key).isBool()) {
-        if (error != nullptr)
-            *error = std::string("missing/ill-typed bool field '") +
-                     key + "'";
-        return false;
-    }
-    out = obj.at(key).asBool();
-    return true;
-}
-
-bool
-getHex64(const Json &obj, const char *key, uint64_t &out,
-         std::string *error)
-{
-    std::string text;
-    if (!getString(obj, key, text, error))
-        return false;
-    if (!tryParseHexU64(text, out)) {
-        if (error != nullptr)
-            *error = std::string("bad hex64 value in field '") + key +
-                     "'";
-        return false;
-    }
-    return true;
-}
-/// @}
 
 Json
 recordToJson(const KernelRecord &record)

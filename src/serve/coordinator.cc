@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <map>
+#include <optional>
 
+#include "common/json_fields.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "serve/shard.h"
@@ -30,6 +33,24 @@ msBetween(Clock::time_point from, Clock::time_point to)
         .count();
 }
 
+/** Ignore SIGPIPE while in scope: a worker dying mid-write must
+ * surface as EPIPE, not kill the coordinator. Workers forked in scope
+ * inherit the disposition. */
+class IgnoreSigpipe
+{
+  public:
+    IgnoreSigpipe()
+    {
+        struct sigaction ignore = {};
+        ignore.sa_handler = SIG_IGN;
+        ::sigaction(SIGPIPE, &ignore, &saved);
+    }
+    ~IgnoreSigpipe() { ::sigaction(SIGPIPE, &saved, nullptr); }
+
+  private:
+    struct sigaction saved = {};
+};
+
 /** One forked worker and its pipes (parent-side view). */
 struct WorkerState
 {
@@ -39,6 +60,7 @@ struct WorkerState
     LineReader reader;
     int shard = -1;  //!< in-flight shard id, -1 when idle
     bool alive = false;
+    size_t shipped = 0;  //!< pool-table designs this worker holds
 };
 
 /** Dispatch/retry state of one shard. */
@@ -56,41 +78,38 @@ struct ShardTrack
     std::map<uint64_t, std::string> checkpoints;
 };
 
+} // namespace
+
 /** The single-threaded coordinator event loop (see header). */
-class Coordinator
+class WorkerPool::Impl
 {
   public:
-    Coordinator(const JobSet &jobSet, const CoordinatorOptions &opts)
-        : set(jobSet), options(opts)
-    {
-        Json record = Json::makeObject();
-        record.set("t", Json("designs"));
-        record.set("designs",
-                   Json(Json::Array(set.designs.begin(),
-                                    set.designs.end())));
-        designsLine = record.dump();
-    }
+    explicit Impl(CoordinatorOptions opts) : options(std::move(opts)) {}
+    ~Impl() { shutdown(); }
+    Impl(const Impl &) = delete;
+    Impl &operator=(const Impl &) = delete;
 
     ServeOutcome
-    run()
+    run(const JobSet &jobSet)
     {
-        outcome.rows.resize(set.jobs.size());
-        haveRow.assign(set.jobs.size(), false);
-        summary().jobs = set.jobs.size();
-        if (set.jobs.empty()) {
+        outcome = ServeOutcome();
+        outcome.rows.resize(jobSet.jobs.size());
+        haveRow.assign(jobSet.jobs.size(), false);
+        filledRows = 0;
+        summary().jobs = jobSet.jobs.size();
+        if (jobSet.jobs.empty()) {
             summary().ok = true;
             return std::move(outcome);
         }
-
-        // A worker dying mid-write must surface as EPIPE, not SIGPIPE.
-        struct sigaction ignore = {};
-        struct sigaction saved = {};
-        ignore.sa_handler = SIG_IGN;
-        ::sigaction(SIGPIPE, &ignore, &saved);
+        IgnoreSigpipe sigpipe;
+        set = &jobSet;
+        internDesigns();
 
         std::vector<Shard> shards =
-            planShards(set.jobs.size(), options.shardSize);
+            planShards(set->jobs.size(), options.shardSize);
         summary().shards = shards.size();
+        tracks.clear();
+        pending.clear();
         tracks.reserve(shards.size());
         for (const Shard &shard : shards) {
             ShardTrack track;
@@ -102,25 +121,41 @@ class Coordinator
         respawnBudget = static_cast<int>(shards.size()) *
                         std::max(options.maxAttempts, 1);
 
+        reapIdleWorkers();
+        for (size_t i = 0; i < workers.size(); ++i)
+            if (workers[i].alive)
+                shipDesigns(static_cast<int>(i));
         int poolSize = std::max(
             1, std::min<int>(options.workers,
                              static_cast<int>(shards.size())));
-        for (int i = 0; i < poolSize; ++i)
+        for (int n = poolSize - aliveWorkers(); n > 0; --n)
             spawnWorker();
 
-        while (filledRows < set.jobs.size()) {
+        while (filledRows < set->jobs.size()) {
             dispatch();
             pollWorkers(nextTimeoutMs());
             checkDeadlines();
             ensureLiveness();
         }
-        shutdown();
-        ::sigaction(SIGPIPE, &saved, nullptr);
+        settle();
 
         summary().ok = summary().abandoned == 0;
         count("serve/jobs/completed",
               filledRows - summary().abandoned);
+        set = nullptr;
+        tracks.clear();
+        pending.clear();
         return std::move(outcome);
+    }
+
+    std::vector<pid_t>
+    workerPids() const
+    {
+        std::vector<pid_t> pids;
+        for (const WorkerState &worker : workers)
+            if (worker.alive)
+                pids.push_back(worker.pid);
+        return pids;
     }
 
   private:
@@ -133,11 +168,59 @@ class Coordinator
             options.sink->registry().counter(path).add(n);
     }
 
+    int
+    aliveWorkers() const
+    {
+        int alive = 0;
+        for (const WorkerState &worker : workers)
+            alive += worker.alive ? 1 : 0;
+        return alive;
+    }
+
+    /** Append the run's designs the pool has not seen to the pool
+     * table, and map the run's design ids onto it (view). */
+    void
+    internDesigns()
+    {
+        view.clear();
+        for (const std::string &text : set->designs) {
+            auto [it, added] = tableIds.try_emplace(
+                text, static_cast<int>(table.size()));
+            if (added)
+                table.push_back(&it->first);
+            view.push_back(it->second);
+        }
+    }
+
+    /** Send worker @p index the pool-table designs it lacks plus this
+     * run's view, as one "designs" record. */
+    void
+    shipDesigns(int index)
+    {
+        WorkerState &worker = workers[index];
+        std::string line = "{\"t\":\"designs\",\"designs\":[";
+        for (size_t i = worker.shipped; i < table.size(); ++i) {
+            if (i > worker.shipped)
+                line += ',';
+            line += *table[i];
+        }
+        line += "],\"table\":[";
+        for (size_t i = 0; i < view.size(); ++i) {
+            if (i > 0)
+                line += ',';
+            line += std::to_string(view[i]);
+        }
+        line += "]}";
+        worker.shipped = table.size();
+        if (!writeLine(worker.toFd, line))
+            onWorkerGone(index);
+    }
+
     void
     spawnWorker()
     {
         OG_ASSERT(liveThreadPools() == 0,
-                  "serveJobs forked with ", liveThreadPools(),
+                  "serve layer forked with ", liveThreadPools(),
                   " live ThreadPool(s); join every pool before "
                   "serving (see serve/coordinator.h)");
         int toChild[2];
@@ -181,8 +264,7 @@ class Coordinator
         }
         ++summary().workersSpawned;
         count("serve/workers/spawned");
-        if (!writeLine(workers[index].toFd, designsLine))
-            onWorkerGone(index);
+        shipDesigns(index);
     }
 
     /** @return a dead slot to reuse for a respawn, or -1. */
@@ -193,6 +275,30 @@ class Coordinator
             if (!workers[i].alive)
                 return static_cast<int>(i);
         return -1;
+    }
+
+    /** Run start: an idle worker that exited, stopped, or sent
+     * anything but its hello since the last run is reaped (and later
+     * replaced), never handed work. */
+    void
+    reapIdleWorkers()
+    {
+        for (size_t i = 0; i < workers.size(); ++i) {
+            if (!workers[i].alive)
+                continue;
+            int status = 0;
+            pid_t changed = ::waitpid(workers[i].pid, &status,
+                                      WNOHANG | WUNTRACED);
+            if (changed != 0) {
+                // Exited (now reaped, so never signalled again: its
+                // pid may be reused) or stopped (killed, then reaped).
+                if (changed > 0 && WIFSTOPPED(status))
+                    ::kill(workers[i].pid, SIGKILL);
+                onWorkerGone(static_cast<int>(i));
+                continue;
+            }
+            drainWorker(static_cast<int>(i));
+        }
     }
 
     void
@@ -262,7 +368,7 @@ class Coordinator
             size_t index = track.shard.first + j;
             if (haveRow[index])
                 continue;
-            jobs.push(jobToJson(set.jobs[index]));
+            jobs.push(jobToJson(set->jobs[index]));
             auto it = track.checkpoints.find(index);
             if (it == track.checkpoints.end())
                 continue;
@@ -310,11 +416,12 @@ class Coordinator
         }
         for (int id : pending) {
             const ShardTrack &track = tracks[id];
-            if (track.completed)
+            if (track.completed || track.notBefore <= now)
                 continue;
-            int64_t remain = msBetween(now, track.notBefore);
-            if (remain > 0)
-                timeout = std::min(timeout, remain);
+            // Round up: waking before the gate opens would find nothing
+            // to dispatch and fall back to the liveness ceiling.
+            timeout = std::min(timeout,
+                               msBetween(now, track.notBefore) + 1);
         }
         return static_cast<int>(std::max<int64_t>(timeout, 1));
     }
@@ -341,7 +448,11 @@ class Coordinator
         if (ready <= 0)
             return;
         for (size_t f = 0; f < fds.size(); ++f) {
-            if (fds[f].revents == 0)
+            // Skip a slot whose worker was retired (and possibly
+            // replaced) while an earlier fd was drained.
+            const WorkerState &worker = workers[fdWorker[f]];
+            if (fds[f].revents == 0 || !worker.alive ||
+                worker.fromFd != fds[f].fd)
                 continue;
             drainWorker(fdWorker[f]);
         }
@@ -350,12 +461,21 @@ class Coordinator
     void
     drainWorker(int workerIndex)
     {
-        WorkerState &worker = workers[workerIndex];
-        while (worker.alive) {
+        // A bad record retires the worker, and a respawn may reuse
+        // its slot: stop as soon as the slot holds another process.
+        pid_t pid = workers[workerIndex].pid;
+        auto same = [&] {
+            return workers[workerIndex].alive &&
+                   workers[workerIndex].pid == pid;
+        };
+        while (same()) {
+            WorkerState &worker = workers[workerIndex];
             LineReader::Fill fill = worker.reader.fill(worker.fromFd);
             std::string line;
-            while (worker.reader.next(line))
+            while (same() && workers[workerIndex].reader.next(line))
                 handleRecord(workerIndex, line);
+            if (!same())
+                return;
             if (fill == LineReader::Fill::Eof) {
                 onWorkerGone(workerIndex);
                 return;
@@ -365,10 +485,79 @@ class Coordinator
         }
     }
 
+    /**
+     * Check @p record against the attempt worker @p workerIndex
+     * holds: a shard id must be that attempt's shard and a job id one
+     * of its jobs, so no record can touch another shard or another
+     * run. Decodes a result's row into @p row. @return false with a
+     * named @p error otherwise.
+     */
+    bool
+    checkRecord(int workerIndex, const Json &record,
+                std::optional<ResultRow> &row, std::string &error) const
+    {
+        std::string type;
+        if (!getString(record, "t", type, &error))
+            return false;
+        if (type == "hello")
+            return true;
+        if (type != "hb" && type != "ckpt" && type != "result" &&
+            type != "done") {
+            error = "unknown record type '" + type + "'";
+            return false;
+        }
+        int shardId = workers[workerIndex].shard;
+        if (shardId < 0) {
+            error = "'" + type + "' record from a worker holding no "
+                    "attempt";
+            return false;
+        }
+        const Shard &shard = tracks[shardId].shard;
+        int64_t id = 0;
+        if (type != "result" &&
+            !getInteger(record, "shard", shardId, shardId, id, &error))
+            return false;
+        if (type == "ckpt" || type == "result") {
+            int64_t first = static_cast<int64_t>(shard.first);
+            int64_t last =
+                first + static_cast<int64_t>(shard.count) - 1;
+            if (!getInteger(record, "job", first, last, id, &error))
+                return false;
+        }
+        if (type == "ckpt") {
+            std::string snap;
+            return getString(record, "snap", snap, &error);
+        }
+        if (type == "result") {
+            bool resumed = false;
+            if (record.contains("resumed") &&
+                !getBool(record, "resumed", resumed, &error))
+                return false;
+            if (!record.contains("row")) {
+                error = "result record without a row";
+                return false;
+            }
+            row = resultFromJson(record.at("row"), &error);
+            return row.has_value();
+        }
+        return true;
+    }
+
     void
     handleRecord(int workerIndex, const std::string &line)
     {
-        Json record = Json::parse(line);
+        std::string error;
+        std::optional<ResultRow> row;
+        std::optional<Json> parsed = Json::tryParse(line, &error);
+        if (!parsed || !checkRecord(workerIndex, *parsed, row, error)) {
+            // Outside input gone wrong: handle it like a crash.
+            OG_WARN("serve worker ", workers[workerIndex].pid,
+                    " sent a bad record (", error, "); retiring it");
+            ::kill(workers[workerIndex].pid, SIGKILL);
+            onWorkerGone(workerIndex);
+            return;
+        }
+        const Json &record = *parsed;
         if (options.onRecord) {
             options.onRecord(record, workerIndex,
                              workers[workerIndex].pid);
@@ -376,13 +565,13 @@ class Coordinator
         const std::string &type = record.at("t").asString();
         if (type == "hello")
             return;
+        int shardId = workers[workerIndex].shard;
+        ShardTrack &track = tracks[shardId];
         if (type == "hb") {
             ++summary().heartbeats;
             count("serve/heartbeats");
-            int shardId =
-                static_cast<int>(record.at("shard").asInt());
-            if (!tracks[shardId].completed)
-                tracks[shardId].lastProgress = Clock::now();
+            if (!track.completed)
+                track.lastProgress = Clock::now();
             return;
         }
         if (type == "ckpt") {
@@ -392,17 +581,11 @@ class Coordinator
             // demonstrably advancing.
             ++summary().checkpoints;
             count("serve/checkpoints");
-            int shardId =
-                static_cast<int>(record.at("shard").asInt());
-            size_t index =
-                static_cast<size_t>(record.at("job").asInt());
-            OG_ASSERT(index < set.jobs.size(),
-                      "worker sent a checkpoint for unknown job ",
-                      index);
-            ShardTrack &track = tracks[shardId];
             if (track.completed)
                 return;
             track.lastProgress = Clock::now();
+            size_t index =
+                static_cast<size_t>(record.at("job").asInt());
             if (!haveRow[index])
                 track.checkpoints[index] =
                     record.at("snap").asString();
@@ -411,15 +594,12 @@ class Coordinator
         if (type == "result") {
             size_t index =
                 static_cast<size_t>(record.at("job").asInt());
-            OG_ASSERT(index < set.jobs.size(),
-                      "worker sent a row for unknown job ", index);
             if (haveRow[index]) {
                 ++summary().duplicates;
                 count("serve/duplicates");
                 return;
             }
-            outcome.rows[index] =
-                resultFromJson(record.at("row"));
+            outcome.rows[index] = std::move(*row);
             haveRow[index] = true;
             ++filledRows;
             if (record.contains("resumed") &&
@@ -427,17 +607,13 @@ class Coordinator
                 ++summary().resumed;
                 count("serve/resumed");
             }
-            int shardId = workers[workerIndex].shard;
-            if (shardId >= 0 && !tracks[shardId].completed) {
-                tracks[shardId].lastProgress = Clock::now();
-                tracks[shardId].checkpoints.erase(index);
+            if (!track.completed) {
+                track.lastProgress = Clock::now();
+                track.checkpoints.erase(index);
             }
             return;
         }
-        OG_ASSERT(type == "done", "unexpected worker record '", type,
-                  "'");
-        int shardId = static_cast<int>(record.at("shard").asInt());
-        ShardTrack &track = tracks[shardId];
+        // "done": the attempt is over and the worker is idle again.
         track.inFlight = std::max(track.inFlight - 1, 0);
         workers[workerIndex].shard = -1;
         if (!track.completed && shardFilled(track)) {
@@ -457,6 +633,9 @@ class Coordinator
         return true;
     }
 
+    /** Close worker @p workerIndex's pipes and reap it; an attempt it
+     * held on an unfinished shard counts as a crash (requeue, then a
+     * respawn within the budget). */
     void
     onWorkerGone(int workerIndex)
     {
@@ -556,12 +735,9 @@ class Coordinator
     void
     ensureLiveness()
     {
-        bool anyAlive = false;
-        for (const WorkerState &worker : workers)
-            anyAlive |= worker.alive;
-        if (anyAlive)
+        if (aliveWorkers() > 0)
             return;
-        if (filledRows < set.jobs.size() &&
+        if (filledRows < set->jobs.size() &&
             (!options.respawnWorkers || respawnBudget <= 0)) {
             for (ShardTrack &track : tracks) {
                 if (!track.completed) {
@@ -571,7 +747,7 @@ class Coordinator
             }
             return;
         }
-        if (filledRows < set.jobs.size()) {
+        if (filledRows < set->jobs.size()) {
             --respawnBudget;
             ++summary().respawns;
             count("serve/respawns");
@@ -579,9 +755,45 @@ class Coordinator
         }
     }
 
+    bool
+    anyAttemptHeld() const
+    {
+        for (const WorkerState &worker : workers)
+            if (worker.alive && worker.shard >= 0)
+                return true;
+        return false;
+    }
+
+    /** Run end: every row is in. Give workers still holding an
+     * attempt (usually just a "done" in flight) the grace period,
+     * then SIGKILL and reap the rest — a straggler duplicate or a
+     * wedged worker is never reused by a later run. */
+    void
+    settle()
+    {
+        for (ShardTrack &track : tracks) {
+            track.completed = true;
+            track.checkpoints.clear();
+        }
+        Clock::time_point start = Clock::now();
+        while (anyAttemptHeld() &&
+               msBetween(start, Clock::now()) <=
+                   options.shutdownGraceMs)
+            pollWorkers(20);
+        for (size_t i = 0; i < workers.size(); ++i) {
+            if (!workers[i].alive || workers[i].shard < 0)
+                continue;
+            ::kill(workers[i].pid, SIGKILL);
+            onWorkerGone(static_cast<int>(i));
+        }
+    }
+
     void
     shutdown()
     {
+        if (aliveWorkers() == 0)
+            return;
+        IgnoreSigpipe sigpipe;
         Json bye = Json::makeObject();
         bye.set("t", Json("bye"));
         std::string byeLine = bye.dump();
@@ -590,19 +802,12 @@ class Coordinator
                 writeLine(worker.toFd, byeLine);
         }
         Clock::time_point start = Clock::now();
-        while (true) {
-            bool anyAlive = false;
-            for (size_t i = 0; i < workers.size(); ++i) {
-                if (workers[i].alive) {
-                    anyAlive = true;
+        while (aliveWorkers() > 0 &&
+               msBetween(start, Clock::now()) <=
+                   options.shutdownGraceMs) {
+            for (size_t i = 0; i < workers.size(); ++i)
+                if (workers[i].alive)
                     drainWorker(static_cast<int>(i));
-                }
-            }
-            if (!anyAlive)
-                return;
-            if (msBetween(start, Clock::now()) >
-                options.shutdownGraceMs)
-                break;
             pollWorkers(20);
         }
         // Grace expired: SIGKILL whatever lingers (a SIGSTOPped or
@@ -615,19 +820,44 @@ class Coordinator
         }
     }
 
-    const JobSet &set;
-    const CoordinatorOptions &options;
-    std::string designsLine;
+    const CoordinatorOptions options;
+    std::vector<WorkerState> workers;
+    /** Append-only design table: design text -> pool id, and pool id
+     * -> that text (map keys are address-stable). */
+    std::map<std::string, int> tableIds;
+    std::vector<const std::string *> table;
+
+    /** @name Per-run state (reset by run()) */
+    /// @{
+    const JobSet *set = nullptr;
+    std::vector<int> view;  //!< run design id -> pool table id
     ServeOutcome outcome;
     std::vector<bool> haveRow;
     size_t filledRows = 0;
-    std::vector<WorkerState> workers;
     std::vector<ShardTrack> tracks;
     std::deque<int> pending;
     int respawnBudget = 0;
+    /// @}
 };
 
-} // namespace
+WorkerPool::WorkerPool(CoordinatorOptions options)
+    : impl(std::make_unique<Impl>(std::move(options)))
+{
+}
+
+WorkerPool::~WorkerPool() = default;
+
+ServeOutcome
+WorkerPool::run(const JobSet &set)
+{
+    return impl->run(set);
+}
+
+std::vector<pid_t>
+WorkerPool::workerPids() const
+{
+    return impl->workerPids();
+}
 
 Json
 ServeOutcome::summaryJson() const
@@ -653,8 +883,8 @@ ServeOutcome::summaryJson() const
 ServeOutcome
 serveJobs(const JobSet &set, const CoordinatorOptions &options)
 {
-    Coordinator coordinator(set, options);
-    return coordinator.run();
+    WorkerPool pool(options);
+    return pool.run(set);
 }
 
 } // namespace overgen::serve

@@ -1,29 +1,37 @@
 #include "serve/wire.h"
 
 #include <cerrno>
+#include <cstdint>
 #include <unistd.h>
 
 #include "common/hex.h"
+#include "common/json_fields.h"
 #include "common/logging.h"
 
 namespace overgen::serve {
 
+namespace {
+
+/** Largest integer a wire number (a double) carries exactly. */
+constexpr int64_t kMaxWireInt = int64_t{ 1 } << 53;
+
+} // namespace
+
 int
 JobSet::addDesign(const adg::SysAdg &design)
 {
-    return addDesignJson(design.toJson());
+    return addDesignText(design.toJson().dump());
 }
 
 int
-JobSet::addDesignJson(Json design)
+JobSet::addDesignText(std::string text)
 {
-    std::string key = design.dump();
-    auto it = designIds.find(key);
+    auto it = designIds.find(text);
     if (it != designIds.end())
         return it->second;
     int id = static_cast<int>(designs.size());
-    designs.push_back(std::move(design));
-    designIds.emplace(std::move(key), id);
+    designIds.emplace(text, id);
+    designs.push_back(std::move(text));
     return id;
 }
 
@@ -112,41 +120,76 @@ jobToJson(const JobSpec &job)
     return obj;
 }
 
-JobSpec
-jobFromJson(const Json &json)
+std::optional<JobSpec>
+jobFromJson(const Json &json, std::string *error)
 {
+    if (!json.isObject()) {
+        if (error != nullptr)
+            *error = "job is not an object";
+        return std::nullopt;
+    }
     JobSpec job;
-    job.index = static_cast<uint64_t>(json.at("index").asInt());
-    job.workload = json.at("workload").asString();
-    job.designId = static_cast<int>(json.at("design").asInt());
-    if (json.contains("small"))
-        job.smallSize = json.at("small").asBool();
-    if (json.contains("tuning"))
-        job.applyTuning = json.at("tuning").asBool();
-    if (json.contains("dram_latency"))
-        job.dramLatency =
-            static_cast<int>(json.at("dram_latency").asInt());
-    if (json.contains("deadlock_cycles"))
-        job.deadlockCycles = json.at("deadlock_cycles").asInt();
+    int64_t index = 0;
+    int64_t design = 0;
+    if (!getInteger(json, "index", 0, kMaxWireInt, index, error) ||
+        !getString(json, "workload", job.workload, error) ||
+        !getInteger(json, "design", 0, INT32_MAX, design, error))
+        return std::nullopt;
+    job.index = static_cast<uint64_t>(index);
+    job.designId = static_cast<int>(design);
+    if (json.contains("small") &&
+        !getBool(json, "small", job.smallSize, error))
+        return std::nullopt;
+    if (json.contains("tuning") &&
+        !getBool(json, "tuning", job.applyTuning, error))
+        return std::nullopt;
+    int64_t value = 0;
+    if (json.contains("dram_latency")) {
+        if (!getInteger(json, "dram_latency", 0, INT32_MAX, value,
+                        error))
+            return std::nullopt;
+        job.dramLatency = static_cast<int>(value);
+    }
+    if (json.contains("deadlock_cycles") &&
+        !getInteger(json, "deadlock_cycles", 0, kMaxWireInt,
+                    job.deadlockCycles, error))
+        return std::nullopt;
     if (json.contains("kind")) {
-        const std::string &kind = json.at("kind").asString();
-        if (kind == "match")
+        std::string kind;
+        if (!getString(json, "kind", kind, error))
+            return std::nullopt;
+        if (kind == "match") {
             job.kind = JobKind::Match;
-        else if (kind == "warm")
+        } else if (kind == "warm") {
             job.kind = JobKind::Warm;
-        else
-            OG_FATAL("unknown job kind '", kind, "' on the wire");
+        } else {
+            if (error != nullptr)
+                *error = "unknown job kind '" + kind + "'";
+            return std::nullopt;
+        }
     }
     if (json.contains("match_designs")) {
-        for (const Json &id : json.at("match_designs").asArray())
-            job.matchDesigns.push_back(
-                static_cast<int>(id.asInt()));
+        const Json &ids = json.at("match_designs");
+        if (!ids.isArray()) {
+            fieldError(error, "ill-typed array", "match_designs");
+            return std::nullopt;
+        }
+        for (const Json &id : ids.asArray()) {
+            if (!integerIn(id, 0, INT32_MAX, value)) {
+                fieldError(error, "ill-typed entry in", "match_designs");
+                return std::nullopt;
+            }
+            job.matchDesigns.push_back(static_cast<int>(value));
+        }
     }
-    if (json.contains("warm_seed"))
-        job.warmSeed = parseHexU64(json.at("warm_seed").asString());
-    if (json.contains("warm_iters"))
-        job.warmIterations =
-            static_cast<int>(json.at("warm_iters").asInt());
+    if (json.contains("warm_seed") &&
+        !getHex64(json, "warm_seed", job.warmSeed, error))
+        return std::nullopt;
+    if (json.contains("warm_iters")) {
+        if (!getInteger(json, "warm_iters", 0, INT32_MAX, value, error))
+            return std::nullopt;
+        job.warmIterations = static_cast<int>(value);
+    }
     return job;
 }
 
@@ -165,18 +208,29 @@ scoreToJson(const WireScore &score)
     return obj;
 }
 
-WireScore
-scoreFromJson(const Json &json)
+std::optional<WireScore>
+scoreFromJson(const Json &json, std::string *error)
 {
+    if (!json.isObject()) {
+        if (error != nullptr)
+            *error = "score is not an object";
+        return std::nullopt;
+    }
     WireScore score;
-    score.design = static_cast<int>(json.at("design").asInt());
-    score.feasible = json.at("feasible").asBool();
-    score.score = json.at("score").asNumber();
-    score.ipc = json.at("ipc").asNumber();
-    if (json.contains("variant"))
-        score.variant = json.at("variant").asString();
-    if (json.contains("bottleneck"))
-        score.bottleneck = json.at("bottleneck").asString();
+    int64_t design = 0;
+    if (!getInteger(json, "design", 0, INT32_MAX, design,
+                    error) ||
+        !getBool(json, "feasible", score.feasible, error) ||
+        !getNumber(json, "score", score.score, error) ||
+        !getNumber(json, "ipc", score.ipc, error))
+        return std::nullopt;
+    score.design = static_cast<int>(design);
+    if (json.contains("variant") &&
+        !getString(json, "variant", score.variant, error))
+        return std::nullopt;
+    if (json.contains("bottleneck") &&
+        !getString(json, "bottleneck", score.bottleneck, error))
+        return std::nullopt;
     return score;
 }
 
@@ -202,20 +256,38 @@ resultToJson(const ResultRow &row)
     return obj;
 }
 
-ResultRow
-resultFromJson(const Json &json)
+std::optional<ResultRow>
+resultFromJson(const Json &json, std::string *error)
 {
+    if (!json.isObject()) {
+        if (error != nullptr)
+            *error = "row is not an object";
+        return std::nullopt;
+    }
     ResultRow row;
-    row.ok = json.at("ok").asBool();
-    row.deadlocked = json.at("deadlocked").asBool();
-    if (json.contains("diagnostic"))
-        row.diagnostic = json.at("diagnostic").asString();
-    row.variant = json.at("variant").asString();
-    row.cycles = static_cast<uint64_t>(json.at("cycles").asInt());
-    row.ipc = json.at("ipc").asNumber();
+    int64_t cycles = 0;
+    if (!getBool(json, "ok", row.ok, error) ||
+        !getBool(json, "deadlocked", row.deadlocked, error) ||
+        !getString(json, "variant", row.variant, error) ||
+        !getInteger(json, "cycles", 0, kMaxWireInt, cycles, error) ||
+        !getNumber(json, "ipc", row.ipc, error))
+        return std::nullopt;
+    row.cycles = static_cast<uint64_t>(cycles);
+    if (json.contains("diagnostic") &&
+        !getString(json, "diagnostic", row.diagnostic, error))
+        return std::nullopt;
     if (json.contains("scores")) {
-        for (const Json &score : json.at("scores").asArray())
-            row.scores.push_back(scoreFromJson(score));
+        const Json &scores = json.at("scores");
+        if (!scores.isArray()) {
+            fieldError(error, "ill-typed array", "scores");
+            return std::nullopt;
+        }
+        for (const Json &entry : scores.asArray()) {
+            std::optional<WireScore> score = scoreFromJson(entry, error);
+            if (!score)
+                return std::nullopt;
+            row.scores.push_back(std::move(*score));
+        }
     }
     if (json.contains("payload"))
         row.payload = json.at("payload");

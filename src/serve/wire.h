@@ -10,7 +10,8 @@
  * Record types (every record is one line, discriminated by "t"):
  *
  *   coordinator -> worker
- *     {"t":"designs","designs":[<sysadg json>, ...]}   design table
+ *     {"t":"designs","designs":[<sysadg json>, ...],
+ *      "table":[P, ...]}                               design table
  *     {"t":"shard","shard":K,"jobs":[<job>, ...],
  *      "resume":[{"job":J,"snap":"<hex>"}, ...]}       work assignment
  *     {"t":"bye"}                                      orderly shutdown
@@ -23,6 +24,12 @@
  *     {"t":"result","job":J,"row":{...},
  *      "resumed":true?}                                one OverlayRun row
  *     {"t":"done","shard":K}                           shard complete
+ *
+ * A worker's design table is append-only (see serve/coordinator.h,
+ * WorkerPool): a "designs" record appends the designs the worker has
+ * not seen yet, and its "table" maps each design id of the current
+ * run's JobSet to a position in that append-only table. So a worker
+ * decodes each design once, however many runs reference it.
  *
  * A shard record's "jobs" array holds only the jobs that still need
  * rows — a re-dispatch after a crash carries just the unfinished
@@ -48,6 +55,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -102,21 +110,21 @@ struct JobSpec
 
 /**
  * A batch of jobs plus the interned design table they reference.
- * Designs are deduplicated by serialized content, so the fig13/17/19
- * pattern — every job on one shared design — serializes the design
- * once, not once per job.
+ * Designs are held as serialized JSON text and deduplicated by it, so
+ * the fig13/17/19 pattern — every job on one shared design —
+ * serializes the design once, not once per job.
  */
 struct JobSet
 {
-    std::vector<Json> designs;
+    std::vector<std::string> designs;  //!< sysADG JSON text per id
     std::vector<JobSpec> jobs;
 
     /** Intern @p design, returning its table id (existing on dedup). */
     int addDesign(const adg::SysAdg &design);
 
-    /** Intern an already-serialized design (the overlay library keeps
-     * canonical JSON; re-decoding it to intern would be waste). */
-    int addDesignJson(Json design);
+    /** Intern an already-serialized design (the overlay library
+     * encodes each entry's design once and reuses the text). */
+    int addDesignText(std::string text);
 
     /** Append a job for @p workload on design @p designId; @return its
      * merged-output index. */
@@ -183,14 +191,21 @@ using JobHandler = std::function<ResultRow(
     const JobSpec &,
     const std::vector<std::shared_ptr<const adg::SysAdg>> &)>;
 
-/** @name Record codecs */
+/** @name Record codecs
+ * The decoders take bytes from another process: a missing or
+ * ill-typed field, an out-of-range integer or an unknown job kind
+ * returns nullopt with a named error in @p error (when non-null),
+ * never a fatal error. */
 /// @{
 Json jobToJson(const JobSpec &job);
-JobSpec jobFromJson(const Json &json);
+std::optional<JobSpec> jobFromJson(const Json &json,
+                                   std::string *error = nullptr);
 Json scoreToJson(const WireScore &score);
-WireScore scoreFromJson(const Json &json);
+std::optional<WireScore> scoreFromJson(const Json &json,
+                                       std::string *error = nullptr);
 Json resultToJson(const ResultRow &row);
-ResultRow resultFromJson(const Json &json);
+std::optional<ResultRow> resultFromJson(const Json &json,
+                                        std::string *error = nullptr);
 
 /** The canonical merged-output line for job @p job with result
  * @p row (no trailing newline). */

@@ -4,9 +4,11 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/json_fields.h"
 #include "common/logging.h"
 #include "compiler/compile.h"
 #include "sched/scheduler.h"
@@ -150,6 +152,9 @@ runJob(const JobSpec &job, const adg::SysAdg &design,
 int
 workerLoop(int inFd, int outFd, const WorkerOptions &options)
 {
+    // Every design the coordinator has shipped (append-only), and the
+    // current run's view of it: designs[i] is the run's design id i.
+    std::vector<std::shared_ptr<const adg::SysAdg>> table;
     std::vector<std::shared_ptr<const adg::SysAdg>> designs;
     LineReader reader;
     std::string line;
@@ -160,28 +165,53 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
     if (!writeLine(outFd, hello.dump()))
         return 1;
 
+    // A coordinator record this worker cannot decode ends the worker
+    // with a named error; the coordinator sees the exit as a crash.
+    auto reject = [](const std::string &why) {
+        OG_WARN("serve worker ", ::getpid(), ": bad coordinator "
+                "record (", why, ")");
+        return 2;
+    };
     while (readLineBlocking(inFd, reader, line)) {
-        Json record = Json::parse(line);
-        const std::string &type = record.at("t").asString();
+        std::string error;
+        std::optional<Json> parsed = Json::tryParse(line, &error);
+        if (!parsed)
+            return reject(error);
+        const Json &record = *parsed;
+        std::string type;
+        if (!getString(record, "t", type, &error))
+            return reject(error);
         if (type == "bye")
             return 0;
         if (type == "designs") {
-            designs.clear();
             for (const Json &json : record.at("designs").asArray()) {
-                designs.push_back(std::make_shared<const adg::SysAdg>(
+                table.push_back(std::make_shared<const adg::SysAdg>(
                     adg::SysAdg::fromJson(json)));
+            }
+            designs.clear();
+            int64_t id = 0;
+            for (const Json &entry : record.at("table").asArray()) {
+                if (!integerIn(entry, 0,
+                               static_cast<int64_t>(table.size()) - 1,
+                               id))
+                    return reject("design table id out of range");
+                designs.push_back(table[static_cast<size_t>(id)]);
             }
             continue;
         }
-        OG_ASSERT(type == "shard", "worker got unexpected record '",
-                  type, "'");
+        if (type != "shard")
+            return reject("unexpected record '" + type + "'");
         int shard = static_cast<int>(record.at("shard").asInt());
         const Json::Array &jobJsons = record.at("jobs").asArray();
 
         std::vector<JobSpec> specs;
         specs.reserve(jobJsons.size());
-        for (const Json &json : jobJsons)
-            specs.push_back(jobFromJson(json));
+        for (const Json &json : jobJsons) {
+            std::optional<JobSpec> spec = jobFromJson(json, &error);
+            if (!spec)
+                return reject(error);
+            specs.push_back(std::move(*spec));
+        }
 
         // Resume snapshots the coordinator banked from an earlier
         // attempt's "ckpt" records, keyed by job index.

@@ -12,6 +12,7 @@
 #include "library/service.h"
 
 #include <signal.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <functional>
@@ -327,6 +328,49 @@ TEST(LibraryWarming, SigkilledMatchShardIsBackfilledInline)
     }
     EXPECT_EQ(crashes, 1u);
     EXPECT_EQ(abandoned, 1u);
+}
+
+TEST(LibraryWarming, WorkerKilledBetweenBatchesIsReplacedSameBytes)
+{
+    // The service's workers outlive a batch. SIGKILL one while it is
+    // idle between two batches: the next batch's first run replaces
+    // it (one fork, no crash on the books) and the library converges
+    // to the in-process bytes.
+    std::vector<std::vector<std::string>> batches = { testTrace(),
+                                                      growTrace() };
+    Replay reference = replayBatches(testOptions(), batches);
+
+    ServiceOptions options = testOptions(true, 2);
+    std::set<pid_t> pids;
+    options.serve.onRecord = [&pids](const Json &, int, pid_t pid) {
+        pids.insert(pid);
+    };
+    pid_t victim = -1;
+    Replay killed = replayBatches(
+        std::move(options), batches, [&](size_t b) {
+            if (b != 1)
+                return;
+            ASSERT_EQ(pids.size(), 2u);
+            victim = *pids.begin();
+            ::kill(victim, SIGKILL);
+            // Wait for the exit without reaping: the pool reaps.
+            siginfo_t info = {};
+            ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(victim), &info,
+                               WEXITED | WNOWAIT),
+                      0);
+        });
+    ASSERT_GT(victim, 0);
+    EXPECT_EQ(killed.libraryBytes, reference.libraryBytes);
+    expectSameOutcomes(killed.outcomes, reference.outcomes);
+    uint64_t spawned = 0;
+    uint64_t crashes = 0;
+    for (const serve::ServeSummary &summary : killed.summaries) {
+        EXPECT_TRUE(summary.ok);
+        spawned += summary.workersSpawned;
+        crashes += summary.crashes;
+    }
+    EXPECT_EQ(spawned, 3u);  // two at the first run, one replacement
+    EXPECT_EQ(crashes, 0u);
 }
 
 TEST(LibraryWarming, MemoizedPicksEqualFreshScoring)

@@ -1,13 +1,23 @@
 /**
  * @file
  * Coordinator contract tests: byte-identical merged output across
- * worker counts and shard sizes, and full completion under worker
- * crashes and stragglers with exact retry accounting.
+ * worker counts and shard sizes, full completion under worker
+ * crashes, stragglers and malformed worker records with exact retry
+ * accounting, and the WorkerPool lifecycle across runs.
  */
 
 #include "serve/coordinator.h"
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <ostream>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -366,3 +376,367 @@ TEST(CoordinatorDeathTest, ForkWithALiveThreadPoolIsFatal)
         },
         "live ThreadPool");
 }
+
+namespace {
+
+/** Block until worker @p pid has exited, without reaping it (the
+ * pool's waitpid stays the one that reaps): the next run then sees
+ * the death deterministically. */
+void
+awaitExitUnreaped(pid_t pid)
+{
+    siginfo_t info = {};
+    ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(pid), &info,
+                       WEXITED | WNOWAIT),
+              0);
+}
+
+/** A second job set on a different design plus the first one, so a
+ * later run's design ids map onto a grown pool table. */
+JobSet
+otherJobs()
+{
+    JobSet set;
+    adg::SysAdg small = testDesign();
+    small.sys.numTiles = 2;
+    int a = set.addDesign(small);
+    int b = set.addDesign(testDesign());
+    set.addJob("vecmax", a, true, true);
+    set.addJob("fir", b, true, true);
+    set.addJob("mm", a, true, true);
+    return set;
+}
+
+/** @return whether this process has no child left (reaped or not). */
+bool
+noChildrenLeft()
+{
+    int status = 0;
+    return ::waitpid(-1, &status, WNOHANG) == -1 && errno == ECHILD;
+}
+
+} // namespace
+
+TEST(WorkerPool, SecondRunForksNothingAndMatchesOneShot)
+{
+    JobSet set = testJobs();
+    JobSet other = otherJobs();
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.shardSize = 1;
+    {
+        WorkerPool pool(options);
+        ServeOutcome first = pool.run(set);
+        EXPECT_EQ(first.summary.workersSpawned, 2u);
+        EXPECT_EQ(mergedJsonl(set, first.rows), referenceJsonl(set));
+
+        ServeOutcome second = pool.run(set);
+        EXPECT_TRUE(second.summary.ok);
+        EXPECT_EQ(second.summary.workersSpawned, 0u);
+        EXPECT_EQ(second.summary.respawns, 0u);
+        EXPECT_EQ(mergedJsonl(set, second.rows),
+                  mergedJsonl(set, serveJobs(set, options).rows));
+
+        // New designs ship to the live workers; the run's ids map onto
+        // the pool's append-only table.
+        ServeOutcome third = pool.run(other);
+        EXPECT_TRUE(third.summary.ok);
+        EXPECT_EQ(third.summary.workersSpawned, 0u);
+        EXPECT_EQ(mergedJsonl(other, third.rows),
+                  mergedJsonl(other, serveJobs(other, options).rows));
+        EXPECT_EQ(pool.workerPids().size(), 2u);
+    }
+    EXPECT_TRUE(noChildrenLeft());
+}
+
+TEST(WorkerPool, IdleWorkerKilledBetweenRunsIsReplaced)
+{
+    JobSet set = testJobs();
+    std::string reference = referenceJsonl(set);
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.shardSize = 1;
+    {
+        WorkerPool pool(options);
+        ASSERT_EQ(mergedJsonl(set, pool.run(set).rows), reference);
+        std::vector<pid_t> before = pool.workerPids();
+        ASSERT_EQ(before.size(), 2u);
+        ::kill(before[0], SIGKILL);
+        awaitExitUnreaped(before[0]);
+
+        ServeOutcome outcome = pool.run(set);
+        EXPECT_TRUE(outcome.summary.ok);
+        EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
+        // Replaced at run start: one fork, and no work was lost.
+        EXPECT_EQ(outcome.summary.workersSpawned, 1u);
+        EXPECT_EQ(outcome.summary.respawns, 0u);
+        EXPECT_EQ(outcome.summary.crashes, 0u);
+        EXPECT_EQ(outcome.summary.retries, 0u);
+        std::vector<pid_t> after = pool.workerPids();
+        EXPECT_EQ(after.size(), 2u);
+        EXPECT_EQ(std::count(after.begin(), after.end(), before[0]), 0);
+        EXPECT_EQ(std::count(after.begin(), after.end(), before[1]), 1);
+    }
+    EXPECT_TRUE(noChildrenLeft());
+}
+
+TEST(WorkerPool, StoppedIdleWorkerIsReplaced)
+{
+    JobSet set = testJobs();
+    std::string reference = referenceJsonl(set);
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.shardSize = 1;
+    {
+        WorkerPool pool(options);
+        ASSERT_EQ(mergedJsonl(set, pool.run(set).rows), reference);
+        pid_t frozen = pool.workerPids()[1];
+        ::kill(frozen, SIGSTOP);
+        siginfo_t info = {};
+        ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(frozen), &info,
+                           WSTOPPED | WNOWAIT),
+                  0);
+
+        // Handing the frozen worker a shard would wedge the run; it is
+        // killed, reaped and replaced instead.
+        ServeOutcome outcome = pool.run(set);
+        EXPECT_TRUE(outcome.summary.ok);
+        EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
+        EXPECT_EQ(outcome.summary.workersSpawned, 1u);
+        EXPECT_EQ(outcome.summary.timeouts, 0u);
+        std::vector<pid_t> after = pool.workerPids();
+        EXPECT_EQ(std::count(after.begin(), after.end(), frozen), 0);
+        EXPECT_EQ(::kill(frozen, 0), -1);  // reaped: the pid is gone
+    }
+    EXPECT_TRUE(noChildrenLeft());
+}
+
+TEST(WorkerPool, WorkerHoldingAnAttemptAtRunEndIsKilledNotReused)
+{
+    // The straggler scenario: the worker holding slow shard 0 is
+    // frozen at its heartbeat, and a duplicate attempt finishes the
+    // run elsewhere. The frozen worker still holds its attempt when
+    // the run ends, so it is killed and reaped — its records can
+    // never reach the next run.
+    JobSet set = testJobs(/*slowFirst=*/true);
+    std::string reference = referenceJsonl(set);
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.shardSize = 1;
+    options.deadlineMs = 400;
+    options.backoffMs = 5;
+    options.shutdownGraceMs = 200;
+    pid_t stopped = -1;
+    options.onRecord = [&](const Json &record, int, pid_t pid) {
+        if (stopped < 0 && record.at("t").asString() == "hb" &&
+            record.at("shard").asInt() == 0) {
+            ::kill(pid, SIGSTOP);
+            stopped = pid;
+        }
+    };
+    {
+        WorkerPool pool(options);
+        ServeOutcome first = pool.run(set);
+        ASSERT_GT(stopped, 0);
+        EXPECT_TRUE(first.summary.ok);
+        EXPECT_EQ(mergedJsonl(set, first.rows), reference);
+        EXPECT_EQ(first.summary.crashes, 0u);
+        std::vector<pid_t> pids = pool.workerPids();
+        EXPECT_EQ(pids.size(), 1u);
+        EXPECT_EQ(std::count(pids.begin(), pids.end(), stopped), 0);
+        EXPECT_EQ(::kill(stopped, 0), -1);  // reaped: the pid is gone
+
+        // The next run refills the pool with one fork. Its jobs are
+        // the short ones, so its outcome does not hang on the deadline
+        // under slow (sanitizer) builds.
+        JobSet fast = testJobs();
+        ServeOutcome second = pool.run(fast);
+        EXPECT_TRUE(second.summary.ok);
+        EXPECT_EQ(mergedJsonl(fast, second.rows), referenceJsonl(fast));
+        EXPECT_EQ(second.summary.workersSpawned, 1u);
+    }
+    EXPECT_TRUE(noChildrenLeft());
+}
+
+namespace {
+
+/** Fault-injection cases: a bad line a worker sends for job @p job
+ * (one job per shard, so the worker's shard id is @p job too). */
+struct BadRecord
+{
+    const char *name;
+    std::string (*line)(uint64_t job);
+};
+
+/** Print a case by name, so test names stay stable across builds. */
+void
+PrintTo(const BadRecord &bad, std::ostream *os)
+{
+    *os << bad.name;
+}
+
+std::string
+validRow()
+{
+    ResultRow row;
+    row.ok = true;
+    return resultToJson(row).dump();
+}
+
+const BadRecord kBadRecords[] = {
+    { "unparseable",
+      [](uint64_t job) {
+          return R"({"t":"result","job":)" + std::to_string(job) +
+                 R"(,"ro)";
+      } },
+    { "no_type",
+      [](uint64_t job) {
+          return R"({"shard":)" + std::to_string(job) + "}";
+      } },
+    { "unknown_type",
+      [](uint64_t job) {
+          return R"({"t":"gossip","shard":)" + std::to_string(job) + "}";
+      } },
+    { "shard_out_of_range",
+      [](uint64_t) {
+          return std::string(R"({"t":"hb","shard":99,"done":0,"total":1})");
+      } },
+    { "another_shard",
+      [](uint64_t job) {
+          return R"({"t":"done","shard":)" + std::to_string(job + 1) +
+                 "}";
+      } },
+    { "job_out_of_range",
+      [](uint64_t) {
+          return R"({"t":"result","job":9999,"row":)" + validRow() + "}";
+      } },
+    { "job_of_another_shard",
+      [](uint64_t job) {
+          return R"({"t":"result","job":)" + std::to_string(job + 1) +
+                 R"(,"row":)" + validRow() + "}";
+      } },
+    { "row_missing_fields",
+      [](uint64_t job) {
+          return R"({"t":"result","job":)" + std::to_string(job) +
+                 R"(,"row":{"ok":true}})";
+      } },
+};
+
+/** The write end of this worker's pipe to the coordinator: the one
+ * write-only FIFO the worker holds that the test process did not
+ * already have open before the pool forked. */
+int
+coordinatorPipe(const std::set<int> &preexisting)
+{
+    for (int fd = 3; fd < 1024; ++fd) {
+        struct stat st;
+        if (preexisting.count(fd) > 0 || ::fstat(fd, &st) != 0 ||
+            !S_ISFIFO(st.st_mode))
+            continue;
+        int flags = ::fcntl(fd, F_GETFL);
+        if (flags >= 0 && (flags & O_ACCMODE) == O_WRONLY)
+            return fd;
+    }
+    return -1;
+}
+
+std::set<int>
+openFds()
+{
+    std::set<int> fds;
+    for (int fd = 0; fd < 1024; ++fd)
+        if (::fcntl(fd, F_GETFD) != -1)
+            fds.insert(fd);
+    return fds;
+}
+
+/** A Match-job handler whose rows are a pure function of the job and
+ * the designs (no scheduling or simulation, so it is fast). */
+ResultRow
+tileCountRow(const JobSpec &job,
+             const std::vector<std::shared_ptr<const adg::SysAdg>> &designs)
+{
+    ResultRow row;
+    for (int id : job.matchDesigns) {
+        WireScore score;
+        score.design = id;
+        score.feasible = true;
+        score.score = designs.at(static_cast<size_t>(id))->sys.numTiles +
+                      0.5 * static_cast<double>(job.workload.size());
+        row.scores.push_back(score);
+    }
+    row.ok = true;
+    return row;
+}
+
+} // namespace
+
+class BadWorkerRecord : public ::testing::TestWithParam<BadRecord>
+{
+};
+
+TEST_P(BadWorkerRecord, IsHandledLikeACrash)
+{
+    JobSet set;
+    adg::SysAdg small = testDesign();
+    small.sys.numTiles = 2;
+    int a = set.addDesign(testDesign());
+    int b = set.addDesign(small);
+    for (const char *name : { "fir", "mm", "vecmax", "blur" })
+        set.addMatchJob(name, { a, b });
+    std::vector<std::shared_ptr<const adg::SysAdg>> designs = {
+        std::make_shared<const adg::SysAdg>(testDesign()),
+        std::make_shared<const adg::SysAdg>(small)
+    };
+    std::vector<ResultRow> rows;
+    for (const JobSpec &job : set.jobs)
+        rows.push_back(tileCountRow(job, designs));
+    std::string reference = mergedJsonl(set, rows);
+
+    // Shared across fork, so only the first attempt at job 0 — in
+    // whichever worker runs it — sends the bad line.
+    auto *injected = static_cast<int *>(
+        ::mmap(nullptr, sizeof(int), PROT_READ | PROT_WRITE,
+               MAP_SHARED | MAP_ANONYMOUS, -1, 0));
+    ASSERT_NE(injected, MAP_FAILED);
+    *injected = 0;
+    std::set<int> preexisting = openFds();
+    BadRecord bad = GetParam();
+
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.shardSize = 1;
+    // The bad line follows job 0's heartbeat and precedes its row, so
+    // the coordinator retires the worker before any row of the shard
+    // is banked: exactly one crash, one respawn, one re-dispatch.
+    options.handler = [&](const JobSpec &job, const auto &table) {
+        if (job.index == 0 && __atomic_fetch_add(injected, 1,
+                                                 __ATOMIC_SEQ_CST) == 0) {
+            std::string line = bad.line(job.index) + "\n";
+            int fd = coordinatorPipe(preexisting);
+            if (fd < 0 ||
+                ::write(fd, line.data(), line.size()) !=
+                    static_cast<ssize_t>(line.size()))
+                ::_exit(3);
+        }
+        return tileCountRow(job, table);
+    };
+    ServeOutcome outcome = serveJobs(set, options);
+    EXPECT_EQ(*injected, 2);  // injected once, then ran clean
+    ::munmap(injected, sizeof(int));
+    EXPECT_TRUE(outcome.summary.ok);
+    EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
+    EXPECT_EQ(outcome.summary.crashes, 1u);
+    EXPECT_EQ(outcome.summary.respawns, 1u);
+    EXPECT_EQ(outcome.summary.retries, 1u);
+    EXPECT_EQ(outcome.summary.workersSpawned, 3u);
+    EXPECT_EQ(outcome.summary.duplicates, 0u);
+    EXPECT_EQ(outcome.summary.abandoned, 0u);
+    EXPECT_TRUE(noChildrenLeft());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Coordinator, BadWorkerRecord, ::testing::ValuesIn(kBadRecords),
+    [](const ::testing::TestParamInfo<BadRecord> &info) {
+        return std::string(info.param.name);
+    });

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "adg/builders.h"
+#include "common/rng.h"
 #include "serve/shard.h"
 
 using namespace overgen;
@@ -37,7 +38,7 @@ TEST(Wire, JobSpecRoundTrips)
     job.dramLatency = 2000;
     job.deadlockCycles = 500;
 
-    JobSpec back = jobFromJson(jobToJson(job));
+    JobSpec back = jobFromJson(jobToJson(job)).value();
     EXPECT_EQ(back.index, job.index);
     EXPECT_EQ(back.workload, job.workload);
     EXPECT_EQ(back.smallSize, job.smallSize);
@@ -60,7 +61,7 @@ TEST(Wire, ResultRowRoundTripsWithDiagnostic)
     row.cycles = 123456789ull;
     row.ipc = 0.3217;
 
-    ResultRow back = resultFromJson(resultToJson(row));
+    ResultRow back = resultFromJson(resultToJson(row)).value();
     EXPECT_EQ(back.ok, row.ok);
     EXPECT_EQ(back.deadlocked, row.deadlocked);
     EXPECT_EQ(back.diagnostic, row.diagnostic);
@@ -80,7 +81,7 @@ TEST(Wire, MatchAndWarmJobsRoundTrip)
     set.addWarmJob("mm", 0xdeadbeefcafef00dull, 12,
                    /*applyTuning=*/false, /*smallSize=*/true);
 
-    JobSpec match = jobFromJson(jobToJson(set.jobs[0]));
+    JobSpec match = jobFromJson(jobToJson(set.jobs[0])).value();
     EXPECT_EQ(match.kind, JobKind::Match);
     EXPECT_EQ(match.workload, "fir");
     ASSERT_EQ(match.matchDesigns.size(), 2u);
@@ -89,7 +90,7 @@ TEST(Wire, MatchAndWarmJobsRoundTrip)
     EXPECT_TRUE(match.applyTuning);
     EXPECT_EQ(jobToJson(match).dump(), jobToJson(set.jobs[0]).dump());
 
-    JobSpec warm = jobFromJson(jobToJson(set.jobs[1]));
+    JobSpec warm = jobFromJson(jobToJson(set.jobs[1])).value();
     EXPECT_EQ(warm.kind, JobKind::Warm);
     // The seed travels as fixed-width hex: above 2^53, a double would
     // silently round it.
@@ -138,7 +139,7 @@ TEST(Wire, ScoresAndPayloadRoundTrip)
     payload.set("origin", Json("warm:fir"));
     row.payload = payload;
 
-    ResultRow back = resultFromJson(resultToJson(row));
+    ResultRow back = resultFromJson(resultToJson(row)).value();
     ASSERT_EQ(back.scores.size(), 2u);
     EXPECT_EQ(back.scores[0].design, 2);
     EXPECT_TRUE(back.scores[0].feasible);
@@ -282,4 +283,183 @@ TEST(Wire, HexBytesRejectsMalformedInput)
     EXPECT_FALSE(hexToBytes("zz", out));    // not hex
     EXPECT_FALSE(hexToBytes("AB", out));    // uppercase not accepted
     EXPECT_FALSE(hexToBytes("0x", out));
+}
+
+namespace {
+
+/** A Match job, a Warm job and a Generate job with every optional
+ * field set, each as its wire line. */
+std::vector<std::string>
+sampleJobLines()
+{
+    JobSet set;
+    int ida = set.addDesign(testDesign(4));
+    int idb = set.addDesign(testDesign(10));
+    set.addMatchJob("fir", { ida, idb }, true, true);
+    set.addWarmJob("mm", 0xdeadbeefcafef00dull, 12, false, true);
+    uint64_t gen = set.addJob("stencil-2d", idb, true, false);
+    set.jobs[gen].dramLatency = 2000;
+    set.jobs[gen].deadlockCycles = 500;
+    std::vector<std::string> lines;
+    for (const JobSpec &job : set.jobs)
+        lines.push_back(jobToJson(job).dump());
+    return lines;
+}
+
+/** A Match row with scores and a Warm-style payload, as a wire line. */
+std::string
+sampleRowLine()
+{
+    ResultRow row;
+    row.ok = true;
+    row.diagnostic = "note";
+    row.variant = "fir/unroll2";
+    row.cycles = 4242;
+    row.ipc = 1.25;
+    WireScore score;
+    score.design = 1;
+    score.feasible = true;
+    score.score = 0.75;
+    score.ipc = 2.5;
+    score.variant = "fir/unroll2";
+    score.bottleneck = "dram";
+    row.scores.push_back(score);
+    Json payload = Json::makeObject();
+    payload.set("origin", Json("warm:fir"));
+    row.payload = payload;
+    return resultToJson(row).dump();
+}
+
+/**
+ * Decode @p line as a job (or, with @p asRow, a result row). The
+ * contract for bytes from outside the process: a decode either
+ * succeeds with no error — and then re-encodes to a fixed point — or
+ * fails with a named error. @return whether it succeeded.
+ */
+bool
+decodeChecked(const std::string &line, bool asRow)
+{
+    std::optional<Json> json = Json::tryParse(line);
+    if (!json)
+        return false;
+    std::string error;
+    if (asRow) {
+        std::optional<ResultRow> row = resultFromJson(*json, &error);
+        EXPECT_EQ(row.has_value(), error.empty()) << line;
+        if (!row)
+            return false;
+        std::string again = resultToJson(*row).dump();
+        EXPECT_EQ(resultToJson(resultFromJson(Json::parse(again)).value())
+                      .dump(),
+                  again);
+        return true;
+    }
+    std::optional<JobSpec> job = jobFromJson(*json, &error);
+    EXPECT_EQ(job.has_value(), error.empty()) << line;
+    if (!job)
+        return false;
+    std::string again = jobToJson(*job).dump();
+    EXPECT_EQ(jobToJson(jobFromJson(Json::parse(again)).value()).dump(),
+              again);
+    return true;
+}
+
+} // namespace
+
+TEST(Wire, DecodersNameUnknownKindsAndMissingFields)
+{
+    auto jobError = [](const std::string &line) {
+        std::string error;
+        EXPECT_FALSE(jobFromJson(Json::parse(line), &error)) << line;
+        return error;
+    };
+    auto rowError = [](const std::string &line) {
+        std::string error;
+        EXPECT_FALSE(resultFromJson(Json::parse(line), &error)) << line;
+        return error;
+    };
+    const std::string base = R"("index":3,"workload":"fir","design":0)";
+    EXPECT_EQ(jobError("{" + base + R"(,"kind":"bogus"})"),
+              "unknown job kind 'bogus'");
+    EXPECT_NE(jobError(R"({"index":3,"design":0})").find("'workload'"),
+              std::string::npos);
+    EXPECT_NE(jobError(R"({"workload":"fir","design":0})").find("'index'"),
+              std::string::npos);
+    EXPECT_NE(jobError(R"({"index":-1,"workload":"fir","design":0})")
+                  .find("'index'"),
+              std::string::npos);
+    EXPECT_NE(jobError(R"({"index":1.5,"workload":"fir","design":0})")
+                  .find("'index'"),
+              std::string::npos);
+    EXPECT_NE(jobError(R"({"index":3,"workload":"fir","design":1e300})")
+                  .find("'design'"),
+              std::string::npos);
+    EXPECT_NE(jobError("{" + base + R"(,"match_designs":7})")
+                  .find("'match_designs'"),
+              std::string::npos);
+    EXPECT_NE(jobError("{" + base + R"(,"match_designs":[0,"x"]})")
+                  .find("'match_designs'"),
+              std::string::npos);
+    EXPECT_NE(jobError("{" + base + R"(,"kind":"warm","warm_seed":"xyz"})")
+                  .find("'warm_seed'"),
+              std::string::npos);
+    EXPECT_NE(jobError("{" + base + R"(,"small":1})").find("'small'"),
+              std::string::npos);
+    EXPECT_EQ(jobError("[1,2]"), "job is not an object");
+
+    const std::string row =
+        R"("ok":true,"deadlocked":false,"variant":"v","ipc":1)";
+    EXPECT_NE(rowError("{" + row + "}").find("'cycles'"),
+              std::string::npos);
+    EXPECT_NE(rowError("{" + row + R"(,"cycles":-4})").find("'cycles'"),
+              std::string::npos);
+    EXPECT_NE(rowError("{" + row + R"(,"cycles":4,"scores":[{"design":0}]})")
+                  .find("'feasible'"),
+              std::string::npos);
+    EXPECT_NE(rowError("{" + row + R"(,"cycles":4,"scores":{}})")
+                  .find("'scores'"),
+              std::string::npos);
+    EXPECT_EQ(rowError(R"("row")"), "row is not an object");
+}
+
+TEST(Wire, DecodersRejectEveryTruncatedLine)
+{
+    // A proper prefix of a record line is never a complete JSON
+    // object, so every truncation must be rejected, not decoded.
+    std::vector<std::string> jobs = sampleJobLines();
+    for (const std::string &line : jobs) {
+        ASSERT_TRUE(decodeChecked(line, false)) << line;
+        for (size_t n = 0; n < line.size(); ++n)
+            EXPECT_FALSE(decodeChecked(line.substr(0, n), false))
+                << line.substr(0, n);
+    }
+    std::string row = sampleRowLine();
+    ASSERT_TRUE(decodeChecked(row, true));
+    for (size_t n = 0; n < row.size(); ++n)
+        EXPECT_FALSE(decodeChecked(row.substr(0, n), true))
+            << row.substr(0, n);
+}
+
+TEST(Wire, DecodersSurviveFlippedBytes)
+{
+    // Seeded bit flips: each mutant either decodes (to a value that
+    // re-encodes stably) or is rejected with a named error — never a
+    // crash. Both outcomes must occur, or the corpus tests nothing.
+    std::vector<std::string> lines = sampleJobLines();
+    lines.push_back(sampleRowLine());
+    Rng rng(0x5eedf11b);
+    size_t accepted = 0;
+    size_t rejected = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        size_t which = rng.nextBelow(lines.size());
+        std::string mutant = lines[which];
+        int flips = 1 + static_cast<int>(rng.nextBelow(3));
+        for (int f = 0; f < flips; ++f)
+            mutant[rng.nextBelow(mutant.size())] ^=
+                static_cast<char>(1u << rng.nextBelow(8));
+        bool asRow = which + 1 == lines.size();
+        (decodeChecked(mutant, asRow) ? accepted : rejected) += 1;
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
 }
