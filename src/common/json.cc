@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <string_view>
 
 #include "common/logging.h"
 
@@ -265,11 +267,13 @@ class Parser
             std::forward<Args>(args)...) };
     }
 
+    /** RFC 8259 whitespace: space, tab, line feed, carriage return. */
     void
     skipWhitespace()
     {
         while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos]))) {
+               (text[pos] == ' ' || text[pos] == '\t' ||
+                text[pos] == '\n' || text[pos] == '\r')) {
             ++pos;
         }
     }
@@ -334,6 +338,9 @@ class Parser
             char c = text[pos++];
             if (c == '"')
                 break;
+            if (static_cast<unsigned char>(c) < 0x20)
+                fail("unescaped control character in JSON string at ",
+                     pos - 1);
             if (c == '\\') {
                 if (pos >= text.size())
                     fail("bad escape");
@@ -387,8 +394,14 @@ class Parser
                     }
                     break;
                   }
-                  default:
+                  case '"':
+                  case '\\':
+                  case '/':
                     out += esc;
+                    break;
+                  default:
+                    fail("bad escape '\\", esc, "' in JSON string at ",
+                         pos - 2);
                 }
             } else {
                 out += c;
@@ -397,28 +410,73 @@ class Parser
         return out;
     }
 
+    /** @return the number of digits skipped at pos. */
+    size_t
+    skipDigits()
+    {
+        size_t from = pos;
+        while (pos < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[pos])))
+            ++pos;
+        return pos - from;
+    }
+
+    /**
+     * RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+     * Values beyond the double range are rejected (the writer could
+     * not print them back); values below it round to zero or a
+     * subnormal, as the writer's own output of one must.
+     */
     Json
     parseNumber()
     {
         size_t start = pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '-' || text[pos] == '+' || text[pos] == '.' ||
-                text[pos] == 'e' || text[pos] == 'E')) {
+        auto next_is = [&](std::string_view chars) {
+            return pos < text.size() &&
+                   chars.find(text[pos]) != std::string_view::npos;
+        };
+        if (next_is("-"))
             ++pos;
-        }
-        if (pos == start)
+        if (next_is("0"))
+            ++pos;
+        else if (skipDigits() == 0)
             fail("invalid JSON number at ", start);
-        try {
-            return Json(std::stod(text.substr(start, pos - start)));
-        } catch (const std::exception &) {
-            fail("invalid JSON number at ", start);
+        if (next_is(".")) {
+            ++pos;
+            if (skipDigits() == 0)
+                fail("invalid JSON number at ", start);
         }
+        if (next_is("eE")) {
+            ++pos;
+            if (next_is("+-"))
+                ++pos;
+            if (skipDigits() == 0)
+                fail("invalid JSON number at ", start);
+        }
+        std::string digits = text.substr(start, pos - start);
+        double value = std::strtod(digits.c_str(), nullptr);
+        if (std::isinf(value))
+            fail("JSON number out of range at ", start);
+        return Json(value);
     }
+
+    /** Counts one level of nesting for the scope of a container. */
+    struct Nest
+    {
+        explicit Nest(Parser &p) : parser(p)
+        {
+            if (++parser.depth > kMaxDepth)
+                parser.fail("JSON nested deeper than ", kMaxDepth,
+                            " levels at ", parser.pos);
+        }
+        ~Nest() { --parser.depth; }
+        Parser &parser;
+    };
 
     Json
     parseArray()
     {
+        Nest nest(*this);
         expect('[');
         Json arr = Json::makeArray();
         skipWhitespace();
@@ -442,6 +500,7 @@ class Parser
     Json
     parseObject()
     {
+        Nest nest(*this);
         expect('{');
         Json obj = Json::makeObject();
         skipWhitespace();
@@ -466,8 +525,16 @@ class Parser
         return obj;
     }
 
+    /**
+     * Deepest nesting parsed: the parser recurses once per level, so
+     * the bound keeps a hostile line from overflowing the stack. The
+     * program's own records nest a handful of levels.
+     */
+    static constexpr int kMaxDepth = 256;
+
     const std::string &text;
     size_t pos = 0;
+    int depth = 0;
 };
 
 } // namespace

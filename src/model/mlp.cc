@@ -5,17 +5,11 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "model/layer_step.h"
 
 namespace overgen::model {
 
 namespace {
-
-/** Smallest weight magnitude the stuck-update skip applies to. */
-constexpr double kMinAbsorbingWeight = 0x1p-1000;
-
-// A weight of magnitude 2^-1000 absorbs any velocity below half its
-// smallest neighbour spacing, 2^-1054 = 2^20 * denorm_min.
-static_assert(kMaxStuckVelocity < (int64_t{1} << 20));
 
 /**
  * sums[r] = bias[r] + dot(row r of @p weight, x) for Rows consecutive
@@ -230,40 +224,14 @@ Mlp::train(const std::vector<std::vector<double>> &features,
     std::vector<double> grad(width), next_grad(width);
     const double *pred = &acts[act_offset.back()];
 
-    // Stuck-update skip. Once a unit is ReLU-dead (or its input is
-    // zero) its weight gradient dw is +-0 and the update degenerates
-    // to vel = m * vel; row += vel. The velocity decays into the
-    // subnormals and stops on a fixed point k * denorm_min, where every
-    // later step pays the subnormal-arithmetic penalty to change
-    // nothing. An element is skipped only when the step provably
-    // leaves both vel and row bit-identical:
-    //  - dw == +-0 (lr is finite, so lr * dw == +-0);
-    //  - vel != 0 and |vel| <= stuck = K * denorm_min, K from
-    //    stuckVelocityBound(m): vel is +-k * denorm_min with
-    //    1 <= k <= K, so m * vel == vel (K > 0 implies m > 0, and
-    //    round-to-nearest is sign-symmetric), and a nonzero vel minus
-    //    +-0 is vel itself. Zero velocities take the full step: there
-    //    m * (-0) - (-0) is +0, which flips the sign of the zero;
-    //  - |row| >= 2^-1000: doubles that large are spaced at least
-    //    2^-1053 apart, and |vel| <= kMaxStuckVelocity * 2^-1074 is
-    //    under half that spacing, so row + vel rounds back to row. A
-    //    NaN row fails the test and takes the full step.
-    // The bias update follows the same rule with g in place of dw.
-    const double momentum = config.momentum;
-    const double stuck = static_cast<double>(stuckVelocityBound(momentum)) *
-                         std::numeric_limits<double>::denorm_min();
-    // The velocity test comes first: it is false for nearly every live
-    // weight, so its branch predicts well, while dw == 0 follows the
-    // per-sample ReLU pattern of the layer's input.
-    auto unchanged = [stuck](double vel, double dw, double weight) {
-        return std::abs(vel) <= stuck && vel != 0.0 && dw == 0.0 &&
-               std::abs(weight) >= kMinAbsorbingWeight;
-    };
-
+    const LayerStepFn layer_step = layerStepKernel();
+    LayerStep step;
+    step.momentum = config.momentum;
+    step.stuckBound = stuckVelocityBound(config.momentum);
     for (int epoch = 0; epoch < config.epochs; ++epoch) {
         // Decaying learning rate.
-        double lr = config.learningRate /
-                    (1.0 + 0.02 * static_cast<double>(epoch));
+        step.learningRate = config.learningRate /
+                            (1.0 + 0.02 * static_cast<double>(epoch));
         for (size_t idx = 0; idx < train_count; ++idx) {
             std::copy_n(&train_x[idx * input_dim], input_dim,
                         acts.begin());
@@ -277,42 +245,26 @@ Mlp::train(const std::vector<std::vector<double>> &features,
                 grad[o] = std::clamp(grad[o], -4.0, 4.0);
             }
 
-            for (int l = static_cast<int>(layers.size()) - 1; l >= 0;
-                 --l) {
+            for (size_t l = layers.size(); l-- > 0;) {
                 Layer &layer = layers[l];
-                const double *in_act = &acts[act_offset[l]];
-                const double *out_act = &acts[act_offset[l + 1]];
-                bool last = (l + 1 == static_cast<int>(layers.size()));
-                // The input layer's gradient would be discarded.
-                bool propagate = l > 0;
-                if (propagate)
-                    std::fill_n(next_grad.begin(), layer.in, 0.0);
-                for (int o = 0; o < layer.out; ++o) {
-                    double g = grad[o];
-                    if (!last && out_act[o] <= 0.0)
-                        g = 0.0;  // ReLU gate
-                    double *row =
-                        &layer.weight[static_cast<size_t>(o) * layer.in];
-                    double *vel = &layer.weightVel[
-                        static_cast<size_t>(o) * layer.in];
-                    // Reads row before this step updates it.
-                    if (propagate) {
-                        for (int i = 0; i < layer.in; ++i)
-                            next_grad[i] += g * row[i];
-                    }
-                    for (int i = 0; i < layer.in; ++i) {
-                        double dw = g * in_act[i];
-                        if (unchanged(vel[i], dw, row[i]))
-                            continue;
-                        vel[i] = momentum * vel[i] - lr * dw;
-                        row[i] += vel[i];
-                    }
-                    if (!unchanged(layer.biasVel[o], g, layer.bias[o])) {
-                        layer.biasVel[o] =
-                            momentum * layer.biasVel[o] - lr * g;
-                        layer.bias[o] += layer.biasVel[o];
+                if (l + 1 < layers.size()) {
+                    const double *out_act = &acts[act_offset[l + 1]];
+                    for (int o = 0; o < layer.out; ++o) {
+                        if (out_act[o] <= 0.0)
+                            grad[o] = 0.0;  // ReLU gate
                     }
                 }
+                step.in = static_cast<size_t>(layer.in);
+                step.out = static_cast<size_t>(layer.out);
+                step.weight = layer.weight.data();
+                step.weightVel = layer.weightVel.data();
+                step.bias = layer.bias.data();
+                step.biasVel = layer.biasVel.data();
+                step.input = &acts[act_offset[l]];
+                step.grad = grad.data();
+                // The input layer's gradient would be discarded.
+                step.nextGrad = l > 0 ? next_grad.data() : nullptr;
+                layer_step(step);
                 std::swap(grad, next_grad);
             }
         }

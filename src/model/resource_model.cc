@@ -1,8 +1,11 @@
 #include "model/resource_model.h"
 
+#include <algorithm>
 #include <mutex>
+#include <utility>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "model/oracle.h"
 
 namespace overgen::model {
@@ -126,61 +129,70 @@ FpgaResourceModel::train(const ResourceModelConfig &config)
     model.pessimism = config.pessimism;
     Rng rng(config.seed);
 
-    // PEs.
+    // Sample all four training sets from the one Rng, in component
+    // order, before any training: the MLPs never draw from it.
+    struct Samples
     {
         std::vector<std::vector<double>> x, y;
-        for (int i = 0; i < config.peSamples; ++i) {
-            adg::Node node;
-            node.kind = adg::NodeKind::Pe;
-            node.spec = samplePe(rng);
-            x.push_back(peFeatures(node.pe()));
-            y.push_back(resourcesToTargets(synthesizeNode(node, 3)));
-        }
-        model.peMlp = std::make_unique<Mlp>(
-            static_cast<int>(x[0].size()), std::vector<int>{ 48, 24 },
-            4, config.seed + 1);
-        model.peMlp->train(x, y, config.train);
+    };
+    Samples pe, sw, in_port, out_port;
+    for (int i = 0; i < config.peSamples; ++i) {
+        adg::Node node;
+        node.kind = adg::NodeKind::Pe;
+        node.spec = samplePe(rng);
+        pe.x.push_back(peFeatures(node.pe()));
+        pe.y.push_back(resourcesToTargets(synthesizeNode(node, 3)));
     }
-    // Switches.
-    {
-        std::vector<std::vector<double>> x, y;
-        for (int i = 0; i < config.switchSamples; ++i) {
-            adg::Node node;
-            node.kind = adg::NodeKind::Switch;
-            const int widths[] = { 8, 16, 32, 64 };
-            node.spec = adg::SwitchSpec{
-                widths[rng.nextBelow(4)] };
-            int radix = static_cast<int>(rng.nextRange(2, 10));
-            x.push_back(switchFeatures(node.sw(), radix));
-            y.push_back(resourcesToTargets(synthesizeNode(node, radix)));
-        }
-        model.switchMlp = std::make_unique<Mlp>(
-            static_cast<int>(x[0].size()), std::vector<int>{ 24, 12 },
-            4, config.seed + 2);
-        model.switchMlp->train(x, y, config.train);
+    for (int i = 0; i < config.switchSamples; ++i) {
+        adg::Node node;
+        node.kind = adg::NodeKind::Switch;
+        const int widths[] = { 8, 16, 32, 64 };
+        node.spec = adg::SwitchSpec{ widths[rng.nextBelow(4)] };
+        int radix = static_cast<int>(rng.nextRange(2, 10));
+        sw.x.push_back(switchFeatures(node.sw(), radix));
+        sw.y.push_back(resourcesToTargets(synthesizeNode(node, radix)));
     }
     // Ports (input and output trained separately, as in Table I).
-    auto train_port = [&](int samples, adg::NodeKind kind,
-                          uint64_t seed) {
-        std::vector<std::vector<double>> x, y;
+    auto sample_ports = [&](Samples &port, int samples,
+                            adg::NodeKind kind) {
         for (int i = 0; i < samples; ++i) {
             adg::Node node;
             node.kind = kind;
             node.spec = samplePort(rng);
-            x.push_back(portFeatures(node.port()));
-            y.push_back(resourcesToTargets(synthesizeNode(node, 2)));
+            port.x.push_back(portFeatures(node.port()));
+            port.y.push_back(resourcesToTargets(synthesizeNode(node, 2)));
         }
-        auto mlp = std::make_unique<Mlp>(
-            static_cast<int>(x[0].size()), std::vector<int>{ 24, 12 },
-            4, seed);
-        mlp->train(x, y, config.train);
-        return mlp;
     };
-    model.inPortMlp = train_port(config.inPortSamples,
-                                 adg::NodeKind::InPort, config.seed + 3);
-    model.outPortMlp = train_port(config.outPortSamples,
-                                  adg::NodeKind::OutPort,
-                                  config.seed + 4);
+    sample_ports(in_port, config.inPortSamples, adg::NodeKind::InPort);
+    sample_ports(out_port, config.outPortSamples, adg::NodeKind::OutPort);
+
+    auto make_mlp = [](const Samples &samples, std::vector<int> hidden,
+                       uint64_t seed) {
+        return std::make_unique<Mlp>(static_cast<int>(samples.x[0].size()),
+                                     std::move(hidden), 4, seed);
+    };
+    model.peMlp = make_mlp(pe, { 48, 24 }, config.seed + 1);
+    model.switchMlp = make_mlp(sw, { 24, 12 }, config.seed + 2);
+    model.inPortMlp = make_mlp(in_port, { 24, 12 }, config.seed + 3);
+    model.outPortMlp = make_mlp(out_port, { 24, 12 }, config.seed + 4);
+
+    // Each MLP trains on its own samples with its own Rng, so the four
+    // train concurrently to the same weights as one after another. The
+    // pool's threads are joined at the end of this scope, before
+    // train() returns, so a caller may fork afterwards.
+    {
+        const std::pair<Mlp *, const Samples *> jobs[] = {
+            { model.peMlp.get(), &pe },
+            { model.switchMlp.get(), &sw },
+            { model.inPortMlp.get(), &in_port },
+            { model.outPortMlp.get(), &out_port },
+        };
+        ThreadPool pool(std::min(4, ThreadPool::hardwareThreads()));
+        pool.parallelFor(4, [&](size_t i) {
+            jobs[i].first->train(jobs[i].second->x, jobs[i].second->y,
+                                 config.train);
+        });
+    }
     return model;
 }
 

@@ -43,7 +43,10 @@ struct ResourceModelConfig
 class FpgaResourceModel
 {
   public:
-    /** Sample the component design spaces and train the MLPs. */
+    /**
+     * Sample the component design spaces and train the MLPs: the four
+     * concurrently, on a thread pool that is gone when this returns.
+     */
     static FpgaResourceModel train(const ResourceModelConfig &config = {});
 
     /**

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <vector>
 
 #include "adg/builders.h"
+#include "common/parallel.h"
 #include "model/oracle.h"
 #include "model/resource_model.h"
 
@@ -208,6 +210,89 @@ TEST(ResourceModel, DefaultModelIsPinned)
 
     EXPECT_EQ(digest, 0x84dc145b3da64b6eull)
         << "digest 0x" << std::hex << digest;
+}
+
+/** Small enough to train twice under ThreadSanitizer. */
+ResourceModelConfig
+tinyConfig()
+{
+    ResourceModelConfig config;
+    config.peSamples = 200;
+    config.switchSamples = 120;
+    config.inPortSamples = 80;
+    config.outPortSamples = 80;
+    config.train.epochs = 6;
+    return config;
+}
+
+/**
+ * Bit patterns of @p model's four validation errors and of its
+ * predictions for a seeded mix of PEs, switches and ports.
+ */
+std::vector<uint64_t>
+predictionBits(const FpgaResourceModel &model)
+{
+    std::vector<uint64_t> bits;
+    auto add = [&](double value) {
+        bits.push_back(std::bit_cast<uint64_t>(value));
+    };
+    auto add_node = [&](const adg::Node &node, int radix) {
+        Resources r = model.nodeResources(node, radix);
+        for (double value : { r.lut, r.ff, r.bram, r.dsp })
+            add(value);
+    };
+    add(model.peError());
+    add(model.switchError());
+    add(model.inPortError());
+    add(model.outPortError());
+    Rng rng(9);
+    for (int i = 0; i < 8; ++i) {
+        adg::Node pe;
+        pe.kind = adg::NodeKind::Pe;
+        adg::PeSpec spec;
+        spec.datapathBytes = 8 << rng.nextBelow(4);
+        spec.capabilities = adg::intCapabilities(DataType::I32);
+        spec.maxDelayFifoDepth = static_cast<int>(rng.nextRange(2, 16));
+        pe.spec = spec;
+        add_node(pe, 3);
+
+        adg::Node sw;
+        sw.kind = adg::NodeKind::Switch;
+        sw.spec = adg::SwitchSpec{ 8 << rng.nextBelow(4) };
+        add_node(sw, static_cast<int>(rng.nextRange(2, 10)));
+
+        for (adg::NodeKind kind :
+             { adg::NodeKind::InPort, adg::NodeKind::OutPort }) {
+            adg::Node port;
+            port.kind = kind;
+            adg::PortSpec ps;
+            ps.widthBytes = 4 << rng.nextBelow(5);
+            ps.fifoDepth = static_cast<int>(rng.nextRange(2, 32));
+            port.spec = ps;
+            add_node(port, 2);
+        }
+    }
+    return bits;
+}
+
+TEST(ResourceModelTraining, LeavesNoThreadPoolAlive)
+{
+    // train() fits the four MLPs on a thread pool of its own. The pool
+    // must be gone when train() returns: the serve layer forks workers
+    // after set-up and asserts that no pool is alive when it does.
+    ASSERT_EQ(liveThreadPools(), 0);
+    FpgaResourceModel model = FpgaResourceModel::train(tinyConfig());
+    EXPECT_EQ(liveThreadPools(), 0);
+}
+
+TEST(ResourceModelTraining, ConcurrentTrainingIsDeterministic)
+{
+    // The MLPs train concurrently, each on its own data and Rng: two
+    // trainings give the same model bit for bit, whatever the
+    // scheduling.
+    FpgaResourceModel first = FpgaResourceModel::train(tinyConfig());
+    FpgaResourceModel second = FpgaResourceModel::train(tinyConfig());
+    EXPECT_EQ(predictionBits(first), predictionBits(second));
 }
 
 TEST(ResourceModel, FeatureExtraction)
