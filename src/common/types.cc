@@ -22,12 +22,6 @@ dataTypeBytes(DataType type)
     OG_PANIC("unknown data type");
 }
 
-bool
-dataTypeIsFloat(DataType type)
-{
-    return type == DataType::F32 || type == DataType::F64;
-}
-
 std::string
 dataTypeName(DataType type)
 {

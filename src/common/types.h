@@ -25,8 +25,20 @@ enum class DataType : uint8_t {
 /** @return the width of @p type in bytes. */
 int dataTypeBytes(DataType type);
 
-/** @return whether @p type is a floating-point type. */
-bool dataTypeIsFloat(DataType type);
+/** @return the number of defined data types. */
+constexpr int
+numDataTypes()
+{
+    return static_cast<int>(DataType::F64) + 1;
+}
+
+/** @return whether @p type is a floating-point type. Inline and
+ * constexpr: the evaluator's handlers fold it per data type. */
+constexpr bool
+dataTypeIsFloat(DataType type)
+{
+    return type == DataType::F32 || type == DataType::F64;
+}
 
 /** @return a short printable name, e.g. "i16" or "f64". */
 std::string dataTypeName(DataType type);

@@ -13,7 +13,7 @@ AddressMap::build(const wl::KernelSpec &spec, int line_bytes)
     AddressMap map;
     for (const wl::ArraySpec &array : spec.arrays) {
         map.bases.push_back(map.top);
-        map.elementBytes.push_back(
+        map.elemBytes.push_back(
             static_cast<uint64_t>(dataTypeBytes(array.type)));
         uint64_t bytes = static_cast<uint64_t>(array.sizeBytes());
         uint64_t lines =
@@ -204,27 +204,38 @@ firingMembers(const dfg::Mdfg &mdfg, dfg::NodeId id)
 }
 
 int64_t
-elemsForFiring(StreamKind kind, int members,
-               const IterationWalker &walker)
+appendLineRun(const AffineRun &run, int64_t limit, int64_t line_bytes,
+               std::vector<uint64_t> &out)
 {
-    int64_t count = walker.count();
-    switch (kind) {
-      case StreamKind::Vector:
-      case StreamKind::Generated:
-        return count * members;
-      case StreamKind::Stationary:
-        return walker.innerStart() ? 1 : 0;
-      case StreamKind::ConstantTaps:
-        return 0;  // delivered once, out of band
-      case StreamKind::RecurrenceIn:
-      case StreamKind::RecurrenceOut:
-      case StreamKind::WriteVector:
-        return count;
-      case StreamKind::Register:
-      case StreamKind::WriteOnce:
-        return 1;
+    const int64_t step = run.stride * run.elemBytes;
+    int64_t line = out.empty() ? -1
+                               : static_cast<int64_t>(out.front()) /
+                                     line_bytes;
+    int64_t n = 0;
+    while (n < limit) {
+        int64_t idx = wl::wrapIndex(run.start + run.stride * n,
+                                    run.elements);
+        auto addr = static_cast<int64_t>(run.base) + idx * run.elemBytes;
+        if (line < 0)
+            line = addr / line_bytes;
+        else if (addr / line_bytes != line)
+            break;
+        // Elements idx + stride*k stay in the array and on the line
+        // for k < take.
+        int64_t take = limit - n;
+        if (run.stride > 0) {
+            take = std::min(take, (run.elements - 1 - idx) / run.stride + 1);
+            take = std::min(take,
+                            ((line + 1) * line_bytes - 1 - addr) / step + 1);
+        } else if (run.stride < 0) {
+            take = std::min(take, idx / -run.stride + 1);
+            take = std::min(take, (addr - line * line_bytes) / -step + 1);
+        }
+        for (int64_t k = 0; k < take; ++k)
+            out.push_back(static_cast<uint64_t>(addr + step * k));
+        n += take;
     }
-    OG_PANIC("unknown stream kind");
+    return n;
 }
 
 } // namespace overgen::sim

@@ -44,7 +44,14 @@ class AddressMap
         checkId(id);
         return bases[static_cast<size_t>(id)] +
                static_cast<uint64_t>(index) *
-                   elementBytes[static_cast<size_t>(id)];
+                   elemBytes[static_cast<size_t>(id)];
+    }
+    /** @return bytes per element of array @p id. */
+    int64_t
+    elementBytes(int id) const
+    {
+        checkId(id);
+        return static_cast<int64_t>(elemBytes[static_cast<size_t>(id)]);
     }
     /** @return total mapped bytes. */
     uint64_t totalBytes() const { return top; }
@@ -59,7 +66,7 @@ class AddressMap
     }
 
     std::vector<uint64_t> bases;
-    std::vector<uint64_t> elementBytes;
+    std::vector<uint64_t> elemBytes;
     uint64_t top = 0;
 };
 
@@ -136,8 +143,54 @@ int firingMembers(const dfg::Mdfg &mdfg, dfg::NodeId id);
  * iteration, see firingMembers) produces/consumes for the firing at
  * walker state @p walker. ConstantTaps return 0 (handled out of band).
  */
-int64_t elemsForFiring(StreamKind kind, int members,
-                       const IterationWalker &walker);
+inline int64_t
+elemsForFiring(StreamKind kind, int members, const IterationWalker &walker)
+{
+    int64_t count = walker.count();
+    switch (kind) {
+      case StreamKind::Vector:
+      case StreamKind::Generated:
+        return count * members;
+      case StreamKind::Stationary:
+        return walker.innerStart() ? 1 : 0;
+      case StreamKind::ConstantTaps:
+        return 0;  // delivered once, out of band
+      case StreamKind::RecurrenceIn:
+      case StreamKind::RecurrenceOut:
+      case StreamKind::WriteVector:
+        return count;
+      case StreamKind::Register:
+      case StreamKind::WriteOnce:
+        return 1;
+    }
+    OG_PANIC("unknown stream kind");
+}
+
+/**
+ * The elements of one direct access a stream engine walks within a
+ * firing: element k has affine index `start + stride*k`, wrapped into
+ * [0, elements) as wl::resolveIndex wraps it, at byte address
+ * `base + index*elemBytes`.
+ */
+struct AffineRun
+{
+    int64_t start = 0;
+    int64_t stride = 0;
+    int64_t elements = 1;
+    uint64_t base = 0;
+    int64_t elemBytes = 8;
+};
+
+/**
+ * Append to @p out the addresses of elements 0, 1, ... (at most
+ * @p limit) of @p run that share one cache line of @p line_bytes:
+ * the line of `out.front()`, or of element 0 when @p out is empty.
+ * Stops at the first element on another line. Between wraps the
+ * addresses are affine, so each in-range stretch costs O(1)
+ * divisions rather than one per element. @return elements appended.
+ */
+int64_t appendLineRun(const AffineRun &run, int64_t limit,
+                      int64_t line_bytes, std::vector<uint64_t> &out);
 
 } // namespace overgen::sim
 

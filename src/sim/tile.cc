@@ -9,6 +9,7 @@
 #include "sim/snapshot.h"
 #include "telemetry/sink.h"
 #include "telemetry/timeline.h"
+#include "workloads/program.h"
 
 namespace overgen::sim {
 
@@ -93,6 +94,33 @@ struct TileSim::Impl
         /** Synthetic access for index feeds (reads the index array
          * affinely with the consumer's coefficients). */
         std::optional<wl::BoundAccess> syntheticAccess;
+        /** One access whose elements a memory engine gathers. */
+        struct AddrMember
+        {
+            const wl::BoundAccess *access = nullptr;
+            int64_t stride = 0;
+            uint64_t base = 0;
+            int64_t elemBytes = 8;
+        };
+        /** Address members of a memory-engine stream: the synthetic
+         * access of an index feed, else `accesses` in order (empty
+         * for constant taps and non-memory engines). */
+        std::vector<AddrMember> addrMembers;
+        /** @name Derived state, rebuilt on every firing change and on
+         * restore(), never serialized: the snapshot holds the walkers
+         * and counters these follow from. */
+        /// @{
+        /** elemsForFiring at the engine cursor's firing. */
+        int64_t firingTotal = 0;
+        /** The cursor's firing walks all members lane-major. */
+        bool coalescedFiring = false;
+        /** Affine index of each address member at the firing's first
+         * lane (member 0 only unless coalescedFiring). */
+        std::vector<int64_t> memberStart;
+        /** The fabric's current firing: elements an input port must
+         * hold (all members for constant taps) or an output produces. */
+        int64_t fabricNeed = 0;
+        /// @}
         /** Recurrence pairing (on the in-stream). */
         StreamRt *recurrenceOut = nullptr;
         int64_t recInitialRemaining = 0;
@@ -134,7 +162,7 @@ struct TileSim::Impl
         : spec(spec), mdfg(mdfg), schedule(schedule), adg(adg),
           addresses(addresses), memory(memory), memsys(memsys),
           tileIndex(tile_index), config(config),
-          bound(wl::bindAccesses(spec)),
+          bound(wl::bindAccesses(spec)), program(spec),
           fabricWalker(spec, mdfg.unrollFactor *
                                  (mdfg.tuned && spec.tuning.unroll2d
                                       ? 2
@@ -143,6 +171,7 @@ struct TileSim::Impl
           tracePid(trace_pid)
     {
         buildStreams(outer_lo, outer_hi);
+        refreshFabricDemand();
         // DMA engines submit transactions: each gets a completion
         // slot, in engine-id order.
         for (auto &[engine_id, engine] : engines)
@@ -221,6 +250,11 @@ struct TileSim::Impl
 
     /** Advance a stream's engine-side cursor past zero-demand firings. */
     void settleDemand(StreamRt &rt);
+    /** Rebuild the per-firing address state of the cursor's firing,
+     * whose demand is `firingTotal`. */
+    void refreshFiring(StreamRt &rt);
+    /** Rebuild every stream's `fabricNeed` for the fabric's firing. */
+    void refreshFabricDemand();
     /** Next element addresses sharing one cache line (<= space).
      * Returns a reference to `lineScratch`, valid until the next
      * call. */
@@ -241,10 +275,9 @@ struct TileSim::Impl
     /** The kernel's accesses with array names resolved to ids, bound
      * once here so the tick loop never looks a name up. */
     std::vector<wl::BoundAccess> bound;
-    /** Scratch for the loop indices of one element or lane, and for
-     * evalIteration's op values (reused across calls). */
-    std::vector<int64_t> ivScratch;
-    std::vector<double> opScratch;
+    /** The kernel's op DAG, lowered once per tile; every firing runs
+     * it over the firing's lanes. */
+    wl::Program program;
 
     std::vector<std::unique_ptr<StreamRt>> streams;
     std::map<dfg::NodeId, StreamRt *> byNode;
@@ -454,6 +487,30 @@ TileSim::Impl::buildStreams(int64_t outer_lo, int64_t outer_hi)
         }
     }
 
+    // Address members of the streams memory engines gather for.
+    for (auto &rt : streams) {
+        adg::NodeKind kind = adg.node(rt->engine).kind;
+        if ((kind != adg::NodeKind::Dma &&
+             kind != adg::NodeKind::Scratchpad) ||
+            rt->kind == StreamKind::ConstantTaps) {
+            continue;
+        }
+        auto add = [&](const wl::BoundAccess &access) {
+            rt->addrMembers.push_back(
+                { &access, wl::innerStride(*access.spec, spec.loops.size()),
+                  addresses.base(access.array),
+                  addresses.elementBytes(access.array) });
+        };
+        if (rt->syntheticAccess) {
+            add(*rt->syntheticAccess);
+        } else {
+            for (int access : rt->accesses)
+                add(bound[access]);
+        }
+        rt->memberStart.assign(rt->addrMembers.size(), 0);
+        refreshFiring(*rt);
+    }
+
     // Recurrence pairing: each in-stream tracks its own out-peer,
     // initial window, and forwarding pool.
     for (auto &rt : streams) {
@@ -471,11 +528,15 @@ TileSim::Impl::buildStreams(int64_t outer_lo, int64_t outer_hi)
 void
 TileSim::Impl::settleDemand(StreamRt &rt)
 {
-    while (!rt.walker->done() && rt.firingRemaining == 0) {
-        rt.firingRemaining =
-            elemsForFiring(rt.kind, rt.firingMembers, *rt.walker);
-        if (rt.firingRemaining == 0)
-            rt.walker->advance();
+    if (!rt.walker->done() && rt.firingRemaining == 0) {
+        do {
+            rt.firingRemaining =
+                elemsForFiring(rt.kind, rt.firingMembers, *rt.walker);
+            if (rt.firingRemaining == 0)
+                rt.walker->advance();
+        } while (!rt.walker->done() && rt.firingRemaining == 0);
+        rt.firingTotal = rt.firingRemaining;
+        refreshFiring(rt);
     }
     if (rt.walker->done() && rt.firingRemaining == 0) {
         if (rt.kind != StreamKind::ConstantTaps || rt.tapsDelivered)
@@ -483,13 +544,37 @@ TileSim::Impl::settleDemand(StreamRt &rt)
     }
 }
 
+void
+TileSim::Impl::refreshFiring(StreamRt &rt)
+{
+    if (rt.addrMembers.empty() || rt.walker->done())
+        return;
+    rt.coalescedFiring = !rt.syntheticAccess && rt.members > 1 &&
+                         rt.firingTotal == rt.walker->count() * rt.members;
+    const std::vector<int64_t> &ivs = rt.walker->indices();
+    size_t n = rt.coalescedFiring ? rt.addrMembers.size() : 1;
+    for (size_t m = 0; m < n; ++m)
+        rt.memberStart[m] = wl::affineIndex(*rt.addrMembers[m].access->spec,
+                                            ivs.data(), ivs.size());
+}
+
+void
+TileSim::Impl::refreshFabricDemand()
+{
+    if (fabricWalker.done())
+        return;
+    for (auto &rt : streams)
+        rt->fabricNeed =
+            rt->kind == StreamKind::ConstantTaps
+                ? rt->members
+                : elemsForFiring(rt->kind, rt->firingMembers, fabricWalker);
+}
+
 const std::vector<uint64_t> &
 TileSim::Impl::gatherLine(StreamRt &rt, int64_t max_elems)
 {
     std::vector<uint64_t> &out = lineScratch;
     out.clear();
-    if (rt.walker->done() && rt.kind != StreamKind::ConstantTaps)
-        return out;
     if (rt.kind == StreamKind::ConstantTaps) {
         const std::vector<int64_t> &ivs = rt.walker->indices();
         for (int access : rt.accesses) {
@@ -500,48 +585,49 @@ TileSim::Impl::gatherLine(StreamRt &rt, int64_t max_elems)
         }
         return out;
     }
-    uint64_t line_base = 0;
-    const int line = config.cacheLineBytes;
+    if (rt.walker->done() || rt.addrMembers.empty())
+        return out;
+    const int64_t line = config.cacheLineBytes;
     while (static_cast<int64_t>(out.size()) < max_elems &&
            rt.firingRemaining > 0) {
-        int64_t total =
-            elemsForFiring(rt.kind, rt.firingMembers, *rt.walker);
-        int64_t flat = total - rt.firingRemaining;
-        const wl::BoundAccess *access = nullptr;
-        std::vector<int64_t> &ivs = ivScratch;
-        ivs = rt.walker->indices();
-        if (rt.syntheticAccess) {
-            access = &*rt.syntheticAccess;
-            ivs.back() += flat;
-        } else if (rt.members > 1 && !rt.accesses.empty() &&
-                   total == rt.walker->count() * rt.members) {
-            // Coalesced: lane-major over members.
-            access = &bound[rt.accesses[flat % rt.members]];
-            ivs.back() += flat / rt.members;
-        } else if (!rt.accesses.empty()) {
-            access = &bound[rt.accesses[0]];
-            ivs.back() += flat;
+        int64_t flat = rt.firingTotal - rt.firingRemaining;
+        int64_t limit =
+            std::min(max_elems - static_cast<int64_t>(out.size()),
+                     rt.firingRemaining);
+        const StreamRt::AddrMember &first = rt.addrMembers[0];
+        bool affine = !rt.coalescedFiring && first.access->indexArray < 0;
+        int64_t taken = 0;
+        if (affine) {
+            // Direct: the firing's remaining elements are affine.
+            AffineRun run{ rt.memberStart[0] + first.stride * flat,
+                           first.stride, first.access->elements,
+                           first.base, first.elemBytes };
+            taken = appendLineRun(run, limit, line, out);
+        } else {
+            // Coalesced (lane-major over members) or indirect: one
+            // element at a time.
+            int64_t m = rt.coalescedFiring ? flat % rt.members : 0;
+            int64_t lane = rt.coalescedFiring ? flat / rt.members : flat;
+            const StreamRt::AddrMember &am = rt.addrMembers[m];
+            int64_t idx = wl::elementIndex(
+                *am.access, rt.memberStart[m] + am.stride * lane, memory);
+            uint64_t addr =
+                am.base + static_cast<uint64_t>(idx * am.elemBytes);
+            if (out.empty() ||
+                addr / line == out.front() / static_cast<uint64_t>(line)) {
+                out.push_back(addr);
+                taken = 1;
+            }
         }
-        if (access == nullptr)
-            return out;
-        int64_t idx =
-            wl::resolveIndex(*access, ivs.data(), ivs.size(), memory);
-        uint64_t addr = addresses.elementAddress(access->array, idx);
-        if (out.empty()) {
-            line_base = addr / line;
-        } else if (addr / line != line_base) {
-            break;  // next element is on another line
-        }
-        out.push_back(addr);
-        --rt.firingRemaining;
+        rt.firingRemaining -= taken;
         if (rt.firingRemaining == 0) {
             rt.walker->advance();
             settleDemand(rt);
-            // Indirect gathers: one element per transaction.
-            if (rt.indirect)
-                break;
         }
-        if (rt.indirect)
+        // Stop at a line change (an affine run short of its limit
+        // ended at one); indirect gathers issue one element per
+        // transaction.
+        if (taken == 0 || (affine && taken < limit) || rt.indirect)
             break;
     }
     return out;
@@ -885,29 +971,9 @@ TileSim::Impl::fabricTick(uint64_t cycle)
 
     // All port-fed input streams must have this firing's elements, all
     // output ports space.
-    for (auto &rt : streams) {
-        if (rt->isIndexFeed)
-            continue;
-        int64_t need =
-            elemsForFiring(rt->kind, rt->firingMembers, fabricWalker);
-        if (rt->input) {
-            if (rt->kind == StreamKind::ConstantTaps) {
-                if (rt->port.available < rt->members) {
-                    ++stats.fabricStallCycles;
-                    return;
-                }
-            } else if (rt->port.available < need) {
-                ++stats.fabricStallCycles;
-                return;
-            }
-        } else if (rt->port.available >= rt->port.capacity) {
-            // Out-port FIFO full: values in the fabric pipeline live in
-            // pipeline registers, so only the arrived-but-undrained
-            // backlog exerts backpressure.
-            ++stats.fabricStallCycles;
-            return;
-        }
-        (void)need;
+    if (!fabricPortsReady()) {
+        ++stats.fabricStallCycles;
+        return;
     }
 
     // Consume inputs, evaluate functionally, produce outputs.
@@ -916,28 +982,19 @@ TileSim::Impl::fabricTick(uint64_t cycle)
             continue;
         if (rt->kind == StreamKind::ConstantTaps)
             continue;  // held resident
-        rt->port.available -=
-            elemsForFiring(rt->kind, rt->firingMembers, fabricWalker);
+        rt->port.available -= rt->fabricNeed;
     }
-    std::vector<int64_t> &ivs = ivScratch;
-    ivs = fabricWalker.indices();
     int count = fabricWalker.count();
-    for (int lane = 0; lane < count; ++lane) {
-        wl::evalIteration(spec, bound, ivs.data(), ivs.size(), memory,
-                          opScratch);
-        ++ivs.back();
-    }
+    program.run(fabricWalker.indices().data(), count, memory);
     for (auto &rt : streams) {
-        if (rt->input)
-            continue;
-        int64_t produced =
-            elemsForFiring(rt->kind, rt->firingMembers, fabricWalker);
-        rt->port.deliver(cycle + pipelineDepth, produced);
+        if (!rt->input)
+            rt->port.deliver(cycle + pipelineDepth, rt->fabricNeed);
     }
     stats.iterations += count;
     ++stats.firings;
     ++progressEvents;
     fabricWalker.advance();
+    refreshFabricDemand();
     nextFire = static_cast<double>(cycle) + iiInterval;
 }
 
@@ -1023,16 +1080,13 @@ TileSim::Impl::fabricPortsReady() const
     for (const auto &rt : streams) {
         if (rt->isIndexFeed)
             continue;
-        int64_t need =
-            elemsForFiring(rt->kind, rt->firingMembers, fabricWalker);
         if (rt->input) {
-            if (rt->kind == StreamKind::ConstantTaps) {
-                if (rt->port.available < rt->members)
-                    return false;
-            } else if (rt->port.available < need) {
+            if (rt->port.available < rt->fabricNeed)
                 return false;
-            }
         } else if (rt->port.available >= rt->port.capacity) {
+            // Out-port FIFO full: values in the fabric pipeline live in
+            // pipeline registers, so only the arrived-but-undrained
+            // backlog exerts backpressure.
             return false;
         }
     }
@@ -1398,6 +1452,9 @@ TileSim::Impl::restore(const Snapshot &snap)
         }
         rt->walker->restore(snap);
         rt->firingRemaining = snap.getI64();
+        rt->firingTotal =
+            elemsForFiring(rt->kind, rt->firingMembers, *rt->walker);
+        refreshFiring(*rt);
         rt->tapsDelivered = snap.getBool();
         rt->engineDone = snap.getBool();
         rt->issuedElems = snap.getI64();
@@ -1406,6 +1463,7 @@ TileSim::Impl::restore(const Snapshot &snap)
         rt->recInitialRemaining = snap.getI64();
         rt->recPool = snap.getI64();
     }
+    refreshFabricDemand();
     uint64_t nengines = snap.getU64();
     OG_ASSERT(nengines == engines.size(),
               "snapshot engine count mismatch: ", nengines, " vs ",

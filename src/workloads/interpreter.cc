@@ -1,9 +1,12 @@
 #include "workloads/interpreter.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
+#include "workloads/program.h"
 
 namespace overgen::wl {
 
@@ -116,13 +119,22 @@ bindAccesses(const KernelSpec &spec)
     return bound;
 }
 
+namespace {
+
+/**
+ * The overlay's arithmetic semantics for one scalar op: the single
+ * body every handler of the dispatch table instantiates. With @p Op
+ * and @p Type compile-time constants, each instance folds to the one
+ * case it evaluates.
+ */
+template <Opcode Op, DataType Type>
 double
-evalScalarOp(Opcode op, DataType type, double a, double b)
+scalarOp(double a, double b)
 {
-    bool flt = dataTypeIsFloat(type);
+    constexpr bool flt = dataTypeIsFloat(Type);
     auto as_int = [](double v) { return static_cast<int64_t>(v); };
     double result = 0.0;
-    switch (op) {
+    switch (Op) {
       case Opcode::Add:
       case Opcode::Acc:
         result = a + b;
@@ -173,6 +185,34 @@ evalScalarOp(Opcode op, DataType type, double a, double b)
     return result;
 }
 
+constexpr size_t kHandlers =
+    static_cast<size_t>(numOpcodes()) * numDataTypes();
+
+template <size_t... I>
+constexpr std::array<ScalarOpFn, kHandlers>
+makeHandlers(std::index_sequence<I...>)
+{
+    return { &scalarOp<static_cast<Opcode>(I / numDataTypes()),
+                       static_cast<DataType>(I % numDataTypes())>... };
+}
+
+/** One handler per (Opcode, DataType), opcode-major. */
+constexpr std::array<ScalarOpFn, kHandlers> handlers =
+    makeHandlers(std::make_index_sequence<kHandlers>{});
+
+} // namespace
+
+ScalarOpFn
+scalarOpHandler(Opcode op, DataType type)
+{
+    auto o = static_cast<size_t>(op);
+    auto t = static_cast<size_t>(type);
+    OG_ASSERT(o < static_cast<size_t>(numOpcodes()) &&
+                  t < static_cast<size_t>(numDataTypes()),
+              "no handler for opcode ", o, " at data type ", t);
+    return handlers[o * numDataTypes() + t];
+}
+
 int64_t
 loopTrip(const KernelSpec &spec, size_t depth,
          const std::vector<int64_t> &ivs)
@@ -185,83 +225,28 @@ loopTrip(const KernelSpec &spec, size_t depth,
 }
 
 void
-evalIteration(const KernelSpec &spec,
-              const std::vector<BoundAccess> &accesses,
-              const int64_t *ivs, size_t depth, Memory &mem,
-              std::vector<double> &op_values)
+interpret(const KernelSpec &spec, Memory &mem)
 {
-    op_values.assign(spec.ops.size(), 0.0);
-    auto operand_value = [&](const Operand &operand) -> double {
-        switch (operand.kind) {
-          case Operand::Kind::Access: {
-            const BoundAccess &acc = accesses[operand.index];
-            int64_t idx = resolveIndex(acc, ivs, depth, mem);
-            return mem.array(acc.array)[static_cast<size_t>(idx)];
-          }
-          case Operand::Kind::Op:
-            return op_values[operand.index];
-          case Operand::Kind::Imm:
-            return operand.imm;
-          case Operand::Kind::Index:
-            OG_ASSERT(operand.index >= 0 &&
-                          static_cast<size_t>(operand.index) < depth,
-                      "bad loop index operand");
-            return static_cast<double>(ivs[operand.index]);
-        }
-        OG_PANIC("bad operand kind");
-    };
-
-    for (size_t i = 0; i < spec.ops.size(); ++i) {
-        const OpSpec &op = spec.ops[i];
-        double a = operand_value(op.lhs);
-        double b = operand_value(op.rhs);
-        op_values[i] = evalScalarOp(op.op, op.type, a, b);
-        if (op.writeAccess >= 0) {
-            const BoundAccess &acc = accesses[op.writeAccess];
-            OG_ASSERT(acc.spec->isWrite, "writeAccess on a read access");
-            int64_t idx = resolveIndex(acc, ivs, depth, mem);
-            mem.array(acc.array)[static_cast<size_t>(idx)] = op_values[i];
-        }
-    }
-}
-
-namespace {
-
-/** The nest walk of interpret(): bound accesses and scratch live
- * here once per kernel. */
-struct NestRun
-{
-    const KernelSpec &spec;
-    Memory &mem;
-    std::vector<BoundAccess> accesses;
-    std::vector<int64_t> ivs;
-    std::vector<double> opValues;
-
-    void
-    run(size_t depth)
-    {
-        if (depth == spec.loops.size()) {
-            evalIteration(spec, accesses, ivs.data(), ivs.size(), mem,
-                          opValues);
+    Program program(spec);
+    std::vector<int64_t> ivs(spec.loops.size(), 0);
+    // Walk the outer loops; each innermost pass is one program run of
+    // `trip` lanes, evaluated in order.
+    auto walk = [&](auto &self, size_t depth) -> void {
+        if (depth + 1 >= spec.loops.size()) {
+            int64_t trip =
+                spec.loops.empty() ? 1 : loopTrip(spec, depth, ivs);
+            if (trip > 0)
+                program.run(ivs.data(), trip, mem);
             return;
         }
         int64_t trip = loopTrip(spec, depth, ivs);
         for (int64_t i = 0; i < trip; ++i) {
             ivs[depth] = i;
-            run(depth + 1);
+            self(self, depth + 1);
         }
         ivs[depth] = 0;
-    }
-};
-
-} // namespace
-
-void
-interpret(const KernelSpec &spec, Memory &mem)
-{
-    NestRun nest{ spec, mem, bindAccesses(spec),
-                  std::vector<int64_t>(spec.loops.size(), 0), {} };
-    nest.run(0);
+    };
+    walk(walk, 0);
 }
 
 } // namespace overgen::wl

@@ -5,8 +5,9 @@
  * @file
  * Golden reference execution of a KernelSpec: a direct interpreter of the
  * loop nest with sequential semantics. The functional simulator must
- * reproduce these results exactly (both use evalScalarOp), which is how
- * end-to-end compilation + scheduling + simulation is verified.
+ * reproduce these results exactly (both run the kernel's lowered
+ * Program), which is how end-to-end compilation + scheduling +
+ * simulation is verified.
  */
 
 #include <algorithm>
@@ -96,63 +97,98 @@ struct BoundAccess
  * an access names an unknown array. */
 std::vector<BoundAccess> bindAccesses(const KernelSpec &spec);
 
+/** One (Opcode, DataType) pair's arithmetic: a handler of the
+ * evaluator's dispatch table. */
+using ScalarOpFn = double (*)(double a, double b);
+
+/**
+ * @return the handler evaluating @p op at @p type. Every handler is an
+ * instance of the one templated body in interpreter.cc that defines
+ * the overlay's arithmetic semantics; fatal on an undefined pair.
+ */
+ScalarOpFn scalarOpHandler(Opcode op, DataType type);
+
 /**
  * Evaluate one scalar op with the overlay's arithmetic semantics.
  * Integer types truncate division and round results to integers.
  */
-double evalScalarOp(Opcode op, DataType type, double a, double b);
+inline double
+evalScalarOp(Opcode op, DataType type, double a, double b)
+{
+    return scalarOpHandler(op, type)(a, b);
+}
 
-/** Execute @p spec over @p mem with sequential semantics. */
+/** Execute @p spec over @p mem with sequential semantics, through the
+ * kernel's lowered Program (workloads/program.h). */
 void interpret(const KernelSpec &spec, Memory &mem);
+
+/** @return @p index wrapped into [0, elements): unchanged when already
+ * inside, else the non-negative remainder. */
+inline int64_t
+wrapIndex(int64_t index, int64_t elements)
+{
+    if (static_cast<uint64_t>(index) < static_cast<uint64_t>(elements))
+        return index;
+    int64_t wrapped = index % elements;
+    return wrapped < 0 ? wrapped + elements : wrapped;
+}
+
+/** @return the affine index of @p spec at the @p depth loop indices
+ * @p ivs (loops past the access's coefficients contribute nothing). */
+inline int64_t
+affineIndex(const AccessSpec &spec, const int64_t *ivs, size_t depth)
+{
+    int64_t affine = spec.offset;
+    size_t terms = std::min(spec.coeffs.size(), depth);
+    for (size_t d = 0; d < terms; ++d)
+        affine += spec.coeffs[d] * ivs[d];
+    return affine;
+}
+
+/** @return the innermost-loop coefficient of @p spec in a nest of
+ * @p depth loops: how far its affine index moves per inner iteration. */
+inline int64_t
+innerStride(const AccessSpec &spec, size_t depth)
+{
+    return depth > 0 && spec.coeffs.size() >= depth
+               ? spec.coeffs[depth - 1]
+               : 0;
+}
+
+/**
+ * The flat element index @p access reaches at affine index @p affine:
+ * indirect accesses read the index array at the wrapped affine index.
+ * The result is wrapped into the target array (mirrors the paper's
+ * "no memory access will overflow" assumption, §IV-B).
+ */
+inline int64_t
+elementIndex(const BoundAccess &access, int64_t affine, const Memory &mem)
+{
+    int64_t index = affine;
+    if (access.indexArray >= 0) {
+        int64_t pos = wrapIndex(affine, access.indexElements);
+        index = static_cast<int64_t>(
+            mem.array(access.indexArray)[static_cast<size_t>(pos)]);
+    }
+    return wrapIndex(index, access.elements);
+}
 
 /**
  * Resolve the flat element index of @p access at the @p depth loop
- * indices @p ivs. Handles indirect accesses by reading the index array
- * from @p mem. The result is clamped into the target array (mirrors
- * the paper's "no memory access will overflow" assumption, §IV-B).
- * Inline because the simulator calls it once per element.
+ * indices @p ivs (elementIndex of affineIndex). Inline because the
+ * simulator calls it per element of constant-tap streams.
  */
 inline int64_t
 resolveIndex(const BoundAccess &access, const int64_t *ivs, size_t depth,
              const Memory &mem)
 {
-    const AccessSpec &spec = *access.spec;
-    int64_t affine = spec.offset;
-    size_t terms = std::min(spec.coeffs.size(), depth);
-    for (size_t d = 0; d < terms; ++d)
-        affine += spec.coeffs[d] * ivs[d];
-
-    int64_t index = affine;
-    if (access.indexArray >= 0) {
-        int64_t pos = affine % access.indexElements;
-        if (pos < 0)
-            pos += access.indexElements;
-        index = static_cast<int64_t>(
-            mem.array(access.indexArray)[static_cast<size_t>(pos)]);
-    }
-    // Paper assumption: no access overflows; clamp defensively anyway.
-    int64_t wrapped = index % access.elements;
-    if (wrapped < 0)
-        wrapped += access.elements;
-    return wrapped;
+    return elementIndex(access, affineIndex(*access.spec, ivs, depth),
+                        mem);
 }
 
 /** @return trip count of loop @p depth at the given outer indices. */
 int64_t loopTrip(const KernelSpec &spec, size_t depth,
                  const std::vector<int64_t> &ivs);
-
-/**
- * Evaluate the per-iteration op DAG once at the @p depth loop indices
- * @p ivs, reading and writing @p mem with sequential semantics.
- * @p accesses is bindAccesses(spec); @p op_values is caller-owned
- * scratch (resized here, so one buffer serves every call). The
- * simulator's compute fabric calls this per fabric firing lane, which
- * is how simulated results stay bit-identical to interpret().
- */
-void evalIteration(const KernelSpec &spec,
-                   const std::vector<BoundAccess> &accesses,
-                   const int64_t *ivs, size_t depth, Memory &mem,
-                   std::vector<double> &op_values);
 
 } // namespace overgen::wl
 

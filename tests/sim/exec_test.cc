@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "compiler/compile.h"
+#include "common/rng.h"
 #include "sim/exec.h"
 #include "workloads/suites.h"
 
@@ -223,6 +224,82 @@ TEST(ElemsForFiringTest, StationaryOnlyAtInnerStart)
     walker.advance();
     EXPECT_EQ(elemsForFiring(StreamKind::Stationary, members, walker),
               0);
+}
+
+// appendLineRun against the per-element walk it replaces in gatherLine:
+// resolveIndex + elementAddress per element, stopping at the first
+// element off the line of the first one gathered.
+TEST(LineRunTest, MatchesPerElementWalk)
+{
+    static const DataType types[] = { DataType::I8, DataType::I16,
+                                      DataType::I32, DataType::F64 };
+    Rng rng(7);
+    int wrapped_runs = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        wl::KernelSpec k;
+        k.name = "run";
+        k.loops = { { "o", 4, {}, false }, { "i", 64, {}, false } };
+        wl::ArraySpec pad{ "pad", DataType::I8, rng.nextRange(0, 200),
+                           false, "" };
+        wl::ArraySpec array{ "x", types[rng.nextBelow(4)],
+                             rng.nextRange(1, 300), false, "" };
+        k.arrays = { pad, array };
+        int64_t stride = 0;
+        switch (rng.nextBelow(4)) {
+          case 0: stride = 0; break;
+          case 1: stride = rng.nextRange(-4, 4); break;
+          case 2: stride = rng.nextRange(-70, 70); break;
+          default: stride = rng.nextRange(-5000, 5000); break;
+        }
+        wl::AccessSpec access;
+        access.array = "x";
+        access.coeffs = { rng.nextRange(-50, 50), stride };
+        // Offsets that start before, inside, and past the array.
+        access.offset = rng.nextRange(-2 * array.elements,
+                                      2 * array.elements);
+        k.accesses = { access };
+        static const int lines[] = { 32, 64, 128 };
+        int line = lines[rng.nextBelow(3)];
+        AddressMap map = AddressMap::build(k, line);
+        wl::Memory mem;
+        mem.init(k);
+        wl::BoundAccess bound = wl::bindAccesses(k)[0];
+
+        std::vector<int64_t> ivs{ rng.nextRange(0, 3), rng.nextRange(0, 40) };
+        int64_t flat0 = rng.nextRange(0, 20);  // resume mid-firing
+        int64_t limit = rng.nextRange(1, 48);  // max_elems or firing end
+        // Half the runs continue a line another firing opened.
+        std::vector<uint64_t> prefix;
+        if (rng.nextBool()) {
+            int64_t idx = rng.nextRange(0, array.elements - 1);
+            prefix.push_back(map.elementAddress(1, idx));
+        }
+
+        std::vector<uint64_t> want = prefix;
+        for (int64_t e = 0; e < limit; ++e) {
+            std::vector<int64_t> at = ivs;
+            at[1] += flat0 + e;
+            int64_t idx = wl::resolveIndex(bound, at.data(), at.size(), mem);
+            uint64_t addr = map.elementAddress(1, idx);
+            if (!want.empty() && addr / line != want.front() / line)
+                break;
+            want.push_back(addr);
+        }
+
+        AffineRun run{ wl::affineIndex(access, ivs.data(), ivs.size()) +
+                           stride * flat0,
+                       stride, array.elements, map.base(1),
+                       map.elementBytes(1) };
+        std::vector<uint64_t> got = prefix;
+        int64_t n = appendLineRun(run, limit, line, got);
+        ASSERT_EQ(got, want) << "trial " << trial << " stride " << stride
+                             << " line " << line << " limit " << limit;
+        ASSERT_EQ(n, static_cast<int64_t>(want.size() - prefix.size()));
+        int64_t last = run.start + stride * (n > 0 ? n - 1 : 0);
+        wrapped_runs += last < 0 || last >= array.elements;
+    }
+    // The draw must exercise the modulo wrap, not just in-range runs.
+    EXPECT_GT(wrapped_runs, 1000);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "workloads/interpreter.h"
+#include "workloads/program.h"
 #include "workloads/suites.h"
 
 namespace overgen::wl {
@@ -275,10 +276,69 @@ TEST(InterpreterDeathTest, ArrayIdOutOfRangeIsFatal)
     EXPECT_DEATH((void)mem.array(-1), "array id -1 out of range");
 }
 
+// Lowering validates the op DAG once, with a named error per rule, so
+// no lane of any run checks it again.
+
+TEST(InterpreterDeathTest, OpOperandMustNameAnEarlierOp)
+{
+    KernelSpec k = makeFir(64, 7);
+    Memory mem;
+    mem.init(k);
+    KernelSpec self = k;
+    self.ops[0].rhs = Operand::op(0);
+    EXPECT_DEATH(interpret(self, mem),
+                 "kernel 'fir' op 0 rhs names op 0, which is not an "
+                 "earlier op");
+    KernelSpec forward = k;
+    forward.ops[0].lhs = Operand::op(1);
+    EXPECT_DEATH((void)Program(forward),
+                 "kernel 'fir' op 0 lhs names op 1, which is not an "
+                 "earlier op");
+    KernelSpec negative = k;
+    negative.ops[1].lhs = Operand::op(-1);
+    EXPECT_DEATH((void)Program(negative), "op 1 lhs names op -1");
+}
+
+TEST(InterpreterDeathTest, IndexOperandBeyondLoopCountIsFatal)
+{
+    KernelSpec k = makeFir(64, 7);
+    k.ops[0].lhs = Operand::indexVar(3);
+    EXPECT_DEATH((void)Program(k),
+                 "kernel 'fir' op 0 lhs reads loop index 3, but the "
+                 "kernel has 3 loops");
+    k.ops[0].lhs = Operand::indexVar(-1);
+    EXPECT_DEATH((void)Program(k), "op 0 lhs reads loop index -1");
+}
+
+TEST(InterpreterDeathTest, AccessOperandOutOfRangeIsFatal)
+{
+    KernelSpec k = makeFir(64, 7);
+    k.ops[0].rhs = Operand::access(4);
+    EXPECT_DEATH((void)Program(k),
+                 "kernel 'fir' op 0 rhs names access 4, but the kernel "
+                 "has 4 accesses");
+    k.ops[0].rhs = Operand::access(-2);
+    EXPECT_DEATH((void)Program(k), "op 0 rhs names access -2");
+}
+
+TEST(InterpreterDeathTest, WriteAccessMustNameAWriteAccess)
+{
+    KernelSpec k = makeFir(64, 7);
+    int write = k.ops.back().writeAccess;
+    ASSERT_GE(write, 0);
+    k.ops.back().writeAccess = 0;
+    EXPECT_DEATH((void)Program(k),
+                 "kernel 'fir' op 1 writes through access 0, which is a "
+                 "read access");
+    k.ops.back().writeAccess = 9;
+    EXPECT_DEATH((void)Program(k),
+                 "kernel 'fir' op 1 writeAccess names access 9");
+}
+
 // ---------------------------------------------------------------------------
 // Cross-commit pin. GoldenAllWorkloads compares the simulator against
-// interpret(), and both evaluate iterations through the same
-// resolveIndex/evalIteration, so a bug they share passes it. This
+// interpret(), and both evaluate iterations through the same lowered
+// wl::Program, so a bug they share passes it. This
 // digest pins the interpreter's outputs themselves: every array of
 // every evaluation workload at paper size, in name order, bit for bit.
 
