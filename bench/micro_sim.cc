@@ -4,8 +4,8 @@
  * wall-clock second with event-horizon fast-forward on vs off. Four
  * regimes: *bandwidth-bound* fig19-style points (the widened general
  * overlay pinned to narrow DRAM channels behind a slow memory), where
- * the memory system drains queues nearly every cycle and only the
- * drain-replay fast path opens a horizon; the same point at default
+ * a line dispatch waits a few cycles for channel budget and the
+ * horizon opens across those accrual gaps; the same point at default
  * latency/bandwidth, where staggered in-flight fills keep some
  * component busy nearly every cycle; a 4-channel variant of the
  * saturated point; and a compute-bound contrast kernel whose horizon
@@ -15,13 +15,13 @@
  * repetitions and the best (minimum-time) repetition is the headline
  * number. The bench asserts the bit-identity contract — cycles and
  * IPC equal across fast-forward on/off and every repetition — and
- * reports the skipped/drained-cycle fractions plus an explicit
+ * reports the skipped-cycle fraction plus an explicit
  * `fast_forward_speedup` per point so a perf regression can be told
  * apart from a horizon regression (DESIGN.md "SimEngine and
- * event-horizon fast-forward", "Budget-drain fast path and data
- * layout"). A snapshot-resume section times resuming the headline
- * point's final eighth from a checkpoint against a cold run and
- * records `resume_speedup` (DESIGN.md "Snapshots and resume").
+ * event-horizon fast-forward", "Data layout and completion rings").
+ * A snapshot-resume section times resuming the headline point's final
+ * eighth from a checkpoint against a cold run and records
+ * `resume_speedup` (DESIGN.md "Snapshots and resume").
  */
 
 #include <chrono>
@@ -48,8 +48,8 @@ struct Point
     int dramLatency = 0;
     /** DRAM channel bytes/cycle (0 keeps the default). The saturated
      * points narrow it until a line dispatch takes several cycles of
-     * budget accrual: the memory system then progresses nearly every
-     * cycle and only drain-replay windows open the horizon. */
+     * budget accrual: the memory system then progresses every few
+     * cycles, and horizon jumps cross the accrual gaps. */
     int channelBandwidthBytes = 0;
 };
 
@@ -61,8 +61,6 @@ struct Measurement
     double ipc = 0.0;
     uint64_t tickedCycles = 0;
     uint64_t skippedCycles = 0;
-    uint64_t drainedCycles = 0;
-    uint64_t drainJumps = 0;
     uint64_t peakOutstandingTxns = 0;
 };
 
@@ -118,8 +116,6 @@ measure(const Point &point, sim::SimConfig config, bool fast_forward,
             m.bestCyclesPerSec = cps;
             m.tickedCycles = result.tickedCycles;
             m.skippedCycles = result.skippedCycles;
-            m.drainedCycles = result.drainedCycles;
-            m.drainJumps = result.drainJumps;
         }
     }
     m.meanCyclesPerSec = total_cps / reps;
@@ -136,8 +132,6 @@ toJson(const Measurement &m)
     obj.set("ipc", Json(m.ipc));
     obj.set("ticked_cycles", Json(m.tickedCycles));
     obj.set("skipped_cycles", Json(m.skippedCycles));
-    obj.set("drained_cycles", Json(m.drainedCycles));
-    obj.set("drain_jumps", Json(m.drainJumps));
     obj.set("peak_outstanding_txns", Json(m.peakOutstandingTxns));
     return obj;
 }
@@ -177,8 +171,8 @@ main(int argc, char **argv)
     std::vector<Point> points;
     // Bandwidth-bound headline points: slow fills *and* channels so
     // narrow that a 64-byte line dispatch needs 4 cycles of budget.
-    // The memory system progresses nearly every cycle, so the plain
-    // horizon never opens — these were ~1x before drain replay.
+    // The horizon opens only across those accrual gaps, so about two
+    // thirds of the cycles are skipped.
     for (const char *name : { "accumulate", "vecmax" }) {
         Point point;
         point.label = std::string(name) + "@1ch,slow-dram";
@@ -228,9 +222,8 @@ main(int argc, char **argv)
     const int inner = 3;
     std::printf("\nconfig: reps=%d inner=%d (best-of-reps headline)\n",
                 reps, inner);
-    std::printf("%-24s %14s %14s %9s %9s %9s\n", "point",
-                "ff-on Mcyc/s", "ff-off Mcyc/s", "speedup", "skipped",
-                "drained");
+    std::printf("%-24s %14s %14s %9s %9s\n", "point", "ff-on Mcyc/s",
+                "ff-off Mcyc/s", "speedup", "skipped");
 
     Json rows = Json::makeArray();
     for (const Point &point : points) {
@@ -244,13 +237,10 @@ main(int argc, char **argv)
         double skipped =
             static_cast<double>(on.skippedCycles) /
             static_cast<double>(std::max<uint64_t>(on.cycles, 1));
-        double drained =
-            static_cast<double>(on.drainedCycles) /
-            static_cast<double>(std::max<uint64_t>(on.cycles, 1));
-        std::printf("%-24s %14.2f %14.2f %8.2fx %8.1f%% %8.1f%%\n",
+        std::printf("%-24s %14.2f %14.2f %8.2fx %8.1f%%\n",
                     point.label.c_str(), on.bestCyclesPerSec / 1e6,
                     off.bestCyclesPerSec / 1e6, speedup,
-                    skipped * 100.0, drained * 100.0);
+                    skipped * 100.0);
         Json row = Json::makeObject();
         row.set("point", Json(point.label));
         row.set("fast_forward_on", toJson(on));

@@ -17,8 +17,6 @@ EngineCheckpoint::save(Snapshot &snap) const
     snap.putU64(tickedCycles);
     snap.putU64(skippedCycles);
     snap.putU64(horizonJumps);
-    snap.putU64(drainedCycles);
-    snap.putU64(drainJumps);
 }
 
 void
@@ -31,8 +29,6 @@ EngineCheckpoint::restore(const Snapshot &snap)
     tickedCycles = snap.getU64();
     skippedCycles = snap.getU64();
     horizonJumps = snap.getU64();
-    drainedCycles = snap.getU64();
-    drainJumps = snap.getU64();
 }
 
 void
@@ -96,54 +92,6 @@ SimEngine::verifyQuiescent(uint64_t from, uint64_t to,
     }
 }
 
-void
-SimEngine::verifyDrainWindow(uint64_t from, uint64_t to,
-                             size_t drainer,
-                             const std::function<bool()> &all_done)
-{
-    // The drainer checked its closed-form replay against a per-cycle
-    // ghost inside drainReplay(); here the other components execute
-    // the window for real (their ticks are the authoritative
-    // accounting in check mode) while we assert they stay quiescent.
-    // Ticking them against the drainer's end-of-window state is valid
-    // because the coupling surface is invariant across the window by
-    // construction of the window stops: no completion becomes
-    // due and no full queue reopens before `to`.
-    std::vector<uint64_t> prints(components.size());
-    uint64_t progress = 0;
-    for (size_t i = 0; i < components.size(); ++i) {
-        if (i == drainer)
-            continue;
-        prints[i] = components[i]->quiescenceFingerprint();
-        progress += components[i]->progressCount();
-    }
-    for (uint64_t cycle = from + 1; cycle <= to; ++cycle) {
-        for (size_t i = 0; i < components.size(); ++i)
-            if (i != drainer)
-                components[i]->tick(cycle);
-        OG_ASSERT(!all_done(),
-                  "drain window would have skipped the completion "
-                  "at cycle ",
-                  cycle, " (window (", from, ", ", to, "])");
-    }
-    uint64_t progress_after = 0;
-    for (size_t i = 0; i < components.size(); ++i)
-        if (i != drainer)
-            progress_after += components[i]->progressCount();
-    OG_ASSERT(progress_after == progress,
-              "drain window would have skipped non-drainer progress "
-              "in cycles (",
-              from, ", ", to, "]");
-    for (size_t i = 0; i < components.size(); ++i) {
-        if (i == drainer)
-            continue;
-        OG_ASSERT(components[i]->quiescenceFingerprint() == prints[i],
-                  "component ", i,
-                  " mutated frozen state in drain window (", from,
-                  ", ", to, "]");
-    }
-}
-
 EngineOutcome
 SimEngine::run(const std::function<bool()> &all_done)
 {
@@ -172,19 +120,7 @@ SimEngine::runLoop(const std::function<bool()> &all_done,
     OG_ASSERT(!components.empty(), "SimEngine has no components");
     EngineOutcome out;
     uint64_t cycle = 0;
-    // Per-component progress snapshots: the drain fast path needs to
-    // know *which* components progressed, not just whether any did.
-    std::vector<uint64_t> prev(components.size());
-    size_t drainer = components.size();
-    uint64_t progress = 0;
-    for (size_t i = 0; i < components.size(); ++i) {
-        prev[i] = components[i]->progressCount();
-        progress += prev[i];
-        if (drainer == components.size() &&
-            components[i]->supportsDrainReplay()) {
-            drainer = i;
-        }
-    }
+    uint64_t progress = totalProgress();
     uint64_t last_progress_cycle = 0;
     // Horizons are only worth computing once a tick goes by without
     // progress: an active system ticks at full speed with zero
@@ -203,8 +139,6 @@ SimEngine::runLoop(const std::function<bool()> &all_done,
         out.tickedCycles = from->tickedCycles;
         out.skippedCycles = from->skippedCycles;
         out.horizonJumps = from->horizonJumps;
-        out.drainedCycles = from->drainedCycles;
-        out.drainJumps = from->drainJumps;
     }
     bool done = false;
     const uint64_t deadlock = config.deadlockCycles;
@@ -226,8 +160,6 @@ SimEngine::runLoop(const std::function<bool()> &all_done,
             ck.tickedCycles = out.tickedCycles;
             ck.skippedCycles = out.skippedCycles;
             ck.horizonJumps = out.horizonJumps;
-            ck.drainedCycles = out.drainedCycles;
-            ck.drainJumps = out.drainJumps;
             checkpointHook(ck);
             next_ckpt = cycle + checkpointEvery;
         }
@@ -258,69 +190,11 @@ SimEngine::runLoop(const std::function<bool()> &all_done,
             done = true;
             break;
         }
-        uint64_t p = 0;
-        bool drain_only = drainer < components.size();
-        for (size_t i = 0; i < components.size(); ++i) {
-            uint64_t pc = components[i]->progressCount();
-            if (pc != prev[i] && i != drainer)
-                drain_only = false;
-            prev[i] = pc;
-            p += pc;
-        }
+        uint64_t p = totalProgress();
         if (p != progress) {
             progress = p;
             last_progress_cycle = cycle;
             stalled = false;
-            // Drain fast path: only the drain-capable component moved
-            // this tick. Ask the others how long they stay frozen and
-            // let the drainer replay its internal drain events in
-            // closed form across that window — the horizon never
-            // opens here (the drainer progresses nearly every cycle),
-            // but the *external* horizon does.
-            if (drain_only && !config.noFastForward &&
-                cycle < config.maxCycles) {
-                uint64_t limit = config.maxCycles;
-                for (size_t i = 0; i < components.size(); ++i) {
-                    if (i == drainer)
-                        continue;
-                    uint64_t n = components[i]->nextEventCycle(cycle);
-                    if (n != kNoEventCycle)
-                        limit = std::min(limit, n - 1);
-                }
-                if (limit > cycle) {
-                    uint64_t lp = last_progress_cycle;
-                    uint64_t to = components[drainer]->drainReplay(
-                        cycle, limit, deadlock, &lp,
-                        config.checkFastForward);
-                    if (to > cycle) {
-                        if (config.checkFastForward) {
-                            verifyDrainWindow(cycle, to, drainer,
-                                              all_done);
-                            out.tickedCycles += to - cycle;
-                        } else {
-                            for (size_t i = 0;
-                                 i < components.size(); ++i) {
-                                if (i != drainer)
-                                    components[i]->fastForward(cycle,
-                                                               to);
-                            }
-                            out.skippedCycles += to - cycle;
-                        }
-                        out.drainedCycles += to - cycle;
-                        ++out.drainJumps;
-                        cycle = to;
-                        last_progress_cycle = lp;
-                        // Re-snapshot: the replay bumped the
-                        // drainer's progress counter.
-                        progress = 0;
-                        for (size_t i = 0; i < components.size();
-                             ++i) {
-                            prev[i] = components[i]->progressCount();
-                            progress += prev[i];
-                        }
-                    }
-                }
-            }
         } else {
             stalled = true;
             if (deadlock > 0 &&

@@ -52,17 +52,6 @@ inline constexpr uint64_t kNoEventCycle = ~uint64_t{ 0 };
  *    across a skipped range. State whose update fast-forward is
  *    allowed to defer or batch (budgets, MSHR expiry, stall counters)
  *    is excluded. Only evaluated under SimConfig::checkFastForward.
- *
- * The *drain-replay* extension covers windows that are not globally
- * quiescent: when one component alone makes progress (in practice the
- * memory system draining queues against byte budgets), it may opt in
- * via supportsDrainReplay() and replay its internal events in closed
- * form across a window during which every other component is provably
- * frozen. The engine computes the freeze window from the other
- * components' nextEventCycle(); the drainer must additionally stop
- * before any cycle at which its own evolution could wake another
- * component (a completion becoming due, a full queue admitting
- * again) or move the watchdog's abort cycle.
  */
 class ClockedComponent
 {
@@ -78,35 +67,6 @@ class ClockedComponent
 
     /** Apply the skipped quiescent ticks at cycles (@p from, @p to]. */
     virtual void fastForward(uint64_t from, uint64_t to) = 0;
-
-    /** Whether drainReplay() may be used on this component. */
-    virtual bool supportsDrainReplay() const { return false; }
-
-    /**
-     * Replay this component's internal events for cycles (@p from,
-     * some to <= @p limit] in closed form, under the engine's
-     * guarantee that no other component acts through @p limit.
-     * Implementations must stop before any cycle at which their
-     * evolution becomes observable to another component, and — so the
-     * watchdog aborts at the same cycle as the per-cycle loop — never
-     * replay past last_progress + @p deadlock - 1 (when @p deadlock
-     * is nonzero). @p last_progress carries the engine's
-     * last-progress cycle in and the window's last internal-progress
-     * cycle out. With @p verify set (checkFastForward), the
-     * implementation must check its closed-form replay against
-     * per-cycle ground truth. @return the cycle reached (== @p from
-     * when no window opens).
-     */
-    virtual uint64_t
-    drainReplay(uint64_t from, uint64_t limit, uint64_t deadlock,
-                uint64_t *last_progress, bool verify)
-    {
-        (void)limit;
-        (void)deadlock;
-        (void)last_progress;
-        (void)verify;
-        return from;
-    }
 
     /** Monotone count of forward-progress events. */
     virtual uint64_t progressCount() const = 0;
@@ -146,12 +106,6 @@ struct EngineOutcome
     uint64_t skippedCycles = 0;
     /** Number of multi-cycle horizon jumps taken. */
     uint64_t horizonJumps = 0;
-    /** Cycles covered by drain-replay windows (a subset of
-     * skippedCycles; counted into tickedCycles under
-     * checkFastForward, like verified horizon jumps). */
-    uint64_t drainedCycles = 0;
-    /** Number of drain-replay windows taken. */
-    uint64_t drainJumps = 0;
     /** All components reported done before maxCycles. */
     bool completed = false;
     /** The deadlock watchdog aborted the run. */
@@ -178,8 +132,6 @@ struct EngineCheckpoint
     uint64_t tickedCycles = 0;
     uint64_t skippedCycles = 0;
     uint64_t horizonJumps = 0;
-    uint64_t drainedCycles = 0;
-    uint64_t drainJumps = 0;
 
     void save(Snapshot &snap) const;
     void restore(const Snapshot &snap);
@@ -238,12 +190,6 @@ class SimEngine
      * cycle was quiescent under the contract. */
     void verifyQuiescent(uint64_t from, uint64_t to,
                          const std::function<bool()> &all_done);
-    /** checkFastForward for drain windows: the drainer has already
-     * advanced to @p to (self-verified inside drainReplay); execute
-     * every other component per-cycle, asserting the window was
-     * externally quiescent. */
-    void verifyDrainWindow(uint64_t from, uint64_t to, size_t drainer,
-                           const std::function<bool()> &all_done);
 
     SimConfig config;
     std::vector<ClockedComponent *> components;

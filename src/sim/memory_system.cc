@@ -633,163 +633,6 @@ MemorySystem::fastForward(uint64_t from, uint64_t to)
     cycle = to;
 }
 
-bool
-MemorySystem::supportsDrainReplay() const
-{
-    // Interval telemetry observes every cycle; drain windows would
-    // skip samples, so they are disabled alongside horizon jumps.
-    return mshrOccupancy == nullptr && timelineRun == nullptr;
-}
-
-uint64_t
-MemorySystem::replayDrain(uint64_t from, uint64_t limit,
-                          uint64_t deadlock, uint64_t *last_progress)
-{
-    OG_ASSERT(cycle == from, "drain replay clock skew: ", cycle,
-              " vs ", from);
-    // Tiles blocked on canAccept() may act the very cycle a full link
-    // pops its head, so the window must end strictly before the first
-    // such pop. Links only drain while the tiles are frozen (no
-    // submits), so one closed-form solve per full link at window
-    // start holds for the whole window.
-    uint64_t full_link_pop = kNoEventCycle;
-    for (size_t t = 0; t < tileLink.size(); ++t) {
-        if (!canAccept(static_cast<int>(t))) {
-            full_link_pop = std::min(
-                full_link_pop,
-                budgetReadyCycle(from, tileLinkBudget[t],
-                                 sys.nocBytes,
-                                 tileLink[t].frontBytes()));
-        }
-    }
-    uint64_t pos = from;
-    uint64_t lp = *last_progress;
-    for (;;) {
-        uint64_t n = queueEventCycle(pos);
-        uint64_t stop = limit;
-        if (full_link_pop != kNoEventCycle)
-            stop = std::min(stop, full_link_pop - 1);
-        // Completions wake tiles the cycle they become due:
-        // end the window strictly before the earliest ready cycle
-        // (re-read every iteration — replayed events mint new
-        // completions).
-        uint64_t floor = completedFloor();
-        if (floor != kNoEventCycle)
-            stop = std::min(stop, floor - 1);
-        // Watchdog exactness: if the next internal event lies beyond
-        // the abort cycle, stop early so the engine's per-cycle path
-        // reaches the abort at last_progress + deadlock itself.
-        if (deadlock > 0)
-            stop = std::min(stop, lp + deadlock - 1);
-        if (n == kNoEventCycle || n > stop)
-            break;
-        // Quiescent gap up to the event, then the event tick itself —
-        // the same closed form + real tick a horizon jump would use,
-        // only scoped to this component.
-        if (n - 1 > pos)
-            fastForward(pos, n - 1);
-        uint64_t before = progressEvents;
-        tick(n);
-        if (progressEvents != before)
-            lp = n;
-        pos = n;
-    }
-    *last_progress = lp;
-    return pos;
-}
-
-uint64_t
-MemorySystem::drainReplay(uint64_t from, uint64_t limit,
-                          uint64_t deadlock, uint64_t *last_progress,
-                          bool verify)
-{
-    if (!verify)
-        return replayDrain(from, limit, deadlock, last_progress);
-    // checkFastForward: run the closed-form replay, then drive a
-    // per-cycle ghost copy over the same window and require the full
-    // states to match bit-for-bit. Valid because every budget stays
-    // on exact integer-valued doubles, so closed-form accrual and
-    // per-cycle accrual produce identical bit patterns.
-    MemorySystem ghost(*this);
-    uint64_t to = replayDrain(from, limit, deadlock, last_progress);
-    if (to > from) {
-        for (uint64_t c = from + 1; c <= to; ++c)
-            ghost.tick(c);
-        OG_ASSERT(ghost.drainDigest() == drainDigest(),
-                  "drain replay diverged from per-cycle ground truth "
-                  "in (",
-                  from, ", ", to, "]");
-    }
-    return to;
-}
-
-uint64_t
-MemorySystem::drainDigest() const
-{
-    // Full-state digest for the drain-replay self-check: unlike
-    // quiescenceFingerprint, nothing is excluded — budgets, deferred
-    // expiry state, stall counters, the ledger and the clock must all
-    // match the per-cycle ground truth exactly.
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    auto mix_double = [&mix](double d) {
-        mix(std::bit_cast<uint64_t>(d));
-    };
-    auto mix_queue = [&](const TxnQueue &q) {
-        mix(q.size());
-        for (size_t i = 0; i < q.size(); ++i) {
-            mix(static_cast<uint64_t>(q.idAt(i)));
-            mix(static_cast<uint64_t>(q.slotAt(i)));
-            mix(q.addrAt(i));
-            mix(static_cast<uint64_t>(q.bytesAt(i)));
-            mix(static_cast<uint64_t>(q.writeAt(i)));
-        }
-    };
-    mix(cycle);
-    mix(static_cast<uint64_t>(nextId));
-    mix(progressEvents);
-    mix(inFlightCount);
-    for (size_t t = 0; t < tileLink.size(); ++t) {
-        mix_queue(tileLink[t]);
-        mix_double(tileLinkBudget[t]);
-    }
-    for (double budget : channelBudget)
-        mix_double(budget);
-    for (const Bank &bank : banks) {
-        mix_queue(bank.queue);
-        mix_queue(bank.dramQueue);
-        mix(bank.fillReady.size());
-        for (size_t i = 0; i < bank.fillReady.size(); ++i) {
-            mix(bank.fillReady[i].line);
-            mix(bank.fillReady[i].ready);
-        }
-        mix(static_cast<uint64_t>(bank.writebackBytes));
-        mix(static_cast<uint64_t>(bank.mshrsInUse));
-        mix_double(bank.byteBudget);
-    }
-    mix(pendingCompletions);
-    for (const CompletionRing &ring : rings) {
-        mix(ring.count);
-        for (size_t i = 0; i < ring.count; ++i) {
-            mix(static_cast<uint64_t>(ring.at(i).id));
-            mix(ring.at(i).ready);
-        }
-    }
-    mix(memStats.l2Hits);
-    mix(memStats.l2Misses);
-    mix(memStats.dramBytesRead);
-    mix(memStats.dramBytesWritten);
-    mix(memStats.nocBytes);
-    mix(memStats.mshrStallCycles);
-    mix(memStats.peakOutstandingTxns);
-    for (uint64_t c : memStats.ledger.counts)
-        mix(c);
-    return h;
-}
-
 uint64_t
 MemorySystem::quiescenceFingerprint() const
 {
@@ -849,9 +692,9 @@ MemorySystem::save(Snapshot &snap) const
         snap.putDouble(budget);
     snap.putU64(banks.size());
     for (const Bank &bank : banks) {
-        // Tag store (MRU-ordered sets): unlike the drain digest, a
-        // restore must rebuild hit/miss/eviction behavior, so the
-        // whole store is serialized.
+        // Tag store (MRU-ordered sets): a restore must rebuild
+        // hit/miss/eviction behavior, so the whole store is
+        // serialized.
         snap.putU64(bank.sets.size());
         for (const auto &set : bank.sets) {
             snap.putU64(set.size());

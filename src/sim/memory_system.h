@@ -58,6 +58,12 @@ class MemorySystem : public ClockedComponent
 {
   public:
     MemorySystem(const adg::SystemParams &sys, const SimConfig &config);
+    /** Not copyable: the telemetry pointers are non-owning, and a
+     * copy would record into the original's distributions. Moving
+     * hands them over. */
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
+    MemorySystem(MemorySystem &&) = default;
 
     /**
      * Register a memory engine of @p tile whose reorder buffer holds
@@ -112,22 +118,12 @@ class MemorySystem : public ClockedComponent
      * and jump the clock; deferred fill expiry is re-done lazily by
      * the next real tick. */
     void fastForward(uint64_t from, uint64_t to) override;
-    /** Drain windows (see SimEngine): replayable whenever telemetry
-     * is not forcing per-cycle observation. */
-    bool supportsDrainReplay() const override;
-    /** Replay internal drain events (budget-gated queue service, fill
-     * expiry, DRAM dispatch) in closed form while every other
-     * component is provably frozen. See the .cc for the window-stop
-     * safety argument. */
-    uint64_t drainReplay(uint64_t from, uint64_t limit,
-                         uint64_t deadlock, uint64_t *last_progress,
-                         bool verify) override;
     uint64_t progressCount() const override { return progressEvents; }
     uint64_t quiescenceFingerprint() const override;
     void describeState(std::string &out) const override;
-    /** Serialize everything the drain-replay digest covers plus the
-     * tag store: SoA rings, budgets, deferred fill expiry, the
-     * completion rings, stats and ledger, and the clock. */
+    /** Serialize the full mutable state: the tag store, SoA rings,
+     * budgets, deferred fill expiry, the completion rings, stats and
+     * ledger, and the clock. */
     void save(Snapshot &snap) const override;
     void restore(const Snapshot &snap) override;
     /// @}
@@ -322,17 +318,9 @@ class MemorySystem : public ClockedComponent
     /** Earliest ready cycle over the ring fronts, or kNoEventCycle. */
     uint64_t completedFloor() const;
 
-    /** Internal drain/expiry events only — nextEventCycle minus the
-     * completion part (completions wake tiles, not this component). */
+    /** Internal queue-service/expiry events only — nextEventCycle
+     * minus the completion part. */
     uint64_t queueEventCycle(uint64_t now) const;
-    /** The closed-form event-by-event drain replay behind
-     * drainReplay(); shared by the verified and unverified paths. */
-    uint64_t replayDrain(uint64_t from, uint64_t limit,
-                         uint64_t deadlock, uint64_t *last_progress);
-    /** Full-state digest (nothing excluded — budgets, deferred
-     * expiry, stall counters, ledger) for the checkFastForward
-     * drain-replay self-check. */
-    uint64_t drainDigest() const;
 
     /**
      * Classify one quiescent (no-progress) cycle for the ledger. Reads

@@ -268,8 +268,6 @@ runInstance(SimInstance &inst, const wl::KernelSpec &spec,
     result.cycles = cycle;
     result.tickedCycles = outcome.tickedCycles;
     result.skippedCycles = outcome.skippedCycles;
-    result.drainedCycles = outcome.drainedCycles;
-    result.drainJumps = outcome.drainJumps;
     result.memory = inst.memsys->stats();
     double insts = 0.0;
     for (auto &tile : inst.sims) {

@@ -36,10 +36,10 @@ struct SimResult
     uint64_t tickedCycles = 0;
     /** Cycles elided by event-horizon fast-forward. */
     uint64_t skippedCycles = 0;
-    /** Cycles covered by memory drain-replay windows (a subset of
-     * skippedCycles when fast-forward is on). */
+    /** Always 0: the simulator no longer has drain-replay windows.
+     * Kept only because the benchmark's kernel_sweep still reads
+     * both fields; the next change to the benchmark removes them. */
     uint64_t drainedCycles = 0;
-    /** Drain-replay windows taken. */
     uint64_t drainJumps = 0;
     /// @}
     MemoryStats memory;

@@ -11,8 +11,9 @@ namespace {
 
 /** Header of an encode() image: magic, version, digest pair. The
  * version bumps whenever a component's section layout changes (02:
- * the memory system's per-engine completion rings). */
-constexpr char kMagic[8] = { 'O', 'G', 'S', 'N', 'A', 'P', '0', '2' };
+ * the memory system's per-engine completion rings; 03: the engine
+ * section without the drain-window counters). */
+constexpr char kMagic[8] = { 'O', 'G', 'S', 'N', 'A', 'P', '0', '3' };
 
 uint64_t
 fnv1a(const std::vector<uint8_t> &bytes, uint64_t salt)

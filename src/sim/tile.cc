@@ -1220,10 +1220,10 @@ TileSim::Impl::nextEventCycle(uint64_t now) const
             }
             // Link full: the next issue waits on the link head
             // popping — a memory-system progress event, so its
-            // horizon (and the drain-replay full-link window stop)
-            // covers the wake-up. Without this the tile reports
-            // now + 1 forever under bandwidth saturation and no
-            // drain window can open.
+            // horizon covers the wake-up. Without this the tile
+            // reports now + 1 forever under bandwidth saturation, and
+            // no jump can cross the gaps in which the link budget
+            // accrues toward the head's bytes.
             if (!memsys.canAccept(tileIndex))
                 break;
             [[fallthrough]];

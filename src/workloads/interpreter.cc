@@ -146,10 +146,24 @@ scalarOp(double a, double b)
         result = a * b;
         break;
       case Opcode::Div:
-        if (b == 0.0)
-            return 0.0;  // hardware divider saturates on div-by-zero
-        result = flt ? a / b
-                     : static_cast<double>(as_int(a) / as_int(b));
+        // The hardware divider saturates to 0 on a zero divisor. An
+        // integer divisor is the truncated operand, so a fractional
+        // one in (-1, 1) is a zero divisor too.
+        if (flt) {
+            if (b == 0.0)
+                return 0.0;
+            result = a / b;
+        } else {
+            int64_t n = as_int(a);
+            int64_t d = as_int(b);
+            if (d == 0)
+                return 0.0;
+            // Negate in unsigned arithmetic: INT64_MIN / -1 wraps to
+            // INT64_MIN, as a two's-complement divider does.
+            result = d == -1 ? static_cast<double>(static_cast<int64_t>(
+                                   0 - static_cast<uint64_t>(n)))
+                             : static_cast<double>(n / d);
+        }
         break;
       case Opcode::Sqrt:
         result = std::sqrt(std::max(a, 0.0));

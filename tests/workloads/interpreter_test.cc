@@ -137,6 +137,13 @@ TEST(Interpreter, IntegerSemanticsTruncate)
     EXPECT_DOUBLE_EQ(evalScalarOp(Opcode::Div, DataType::I16, 7, 2), 3.0);
     EXPECT_DOUBLE_EQ(evalScalarOp(Opcode::Div, DataType::F64, 7, 2), 3.5);
     EXPECT_DOUBLE_EQ(evalScalarOp(Opcode::Div, DataType::I64, 7, 0), 0.0);
+    // A fractional divisor truncates to 0 and saturates like one.
+    EXPECT_DOUBLE_EQ(evalScalarOp(Opcode::Div, DataType::I64, 3, 0.5),
+                     0.0);
+    // INT64_MIN / -1 wraps in two's complement.
+    const double min64 = -9223372036854775808.0;  // -2^63
+    EXPECT_DOUBLE_EQ(evalScalarOp(Opcode::Div, DataType::I64, min64, -1),
+                     min64);
 }
 
 TEST(Interpreter, BitwiseOps)

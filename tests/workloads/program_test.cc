@@ -73,18 +73,11 @@ TEST(LoweredProgram, MatchesReferenceOnEveryWorkload)
 // op X and clamps it to [-kClamp, kClamp] with I64 Max/Min, so every
 // value later ops read or memory holds is a bounded integer or an
 // initial array value: no int64 conversion overflows, whatever the op
-// mix. Integer division only divides by integral values (a fractional
-// divisor in (-1, 1) truncates to zero).
+// mix.
 
 constexpr double kClamp = 1 << 20;
 const double kImms[] = { 0.0, 1.0, -1.0, 2.5, -3.7, 7.0, -8.0,
                          64.0, 65.0, 100.0, 0.25 };
-
-struct Value
-{
-    Operand operand;
-    bool integral;
-};
 
 KernelSpec
 randomKernel(uint64_t seed, Opcode focus_op, DataType focus_type)
@@ -138,46 +131,29 @@ randomKernel(uint64_t seed, Opcode focus_op, DataType focus_type)
         k.accesses.push_back(access);
         return static_cast<int>(k.accesses.size()) - 1;
     };
-    std::vector<Value> pool;
-    auto integral_array = [&](const AccessSpec &access) {
-        return !dataTypeIsFloat(k.arrayByName(access.array).type);
-    };
+    std::vector<Operand> pool;
     int reads = static_cast<int>(rng.nextRange(2, 5));
-    for (int r = 0; r < reads; ++r) {
-        int id = add_access(false);
-        pool.push_back({ Operand::access(id),
-                         integral_array(k.accesses[id]) });
-    }
+    for (int r = 0; r < reads; ++r)
+        pool.push_back(Operand::access(add_access(false)));
     std::vector<int> writes;
     int nwrites = static_cast<int>(rng.nextRange(1, 2));
     for (int w = 0; w < nwrites; ++w) {
         int id = add_access(true);
         writes.push_back(id);
         // Write accesses are readable too (reductions read them).
-        pool.push_back({ Operand::access(id),
-                         integral_array(k.accesses[id]) });
+        pool.push_back(Operand::access(id));
     }
     for (int d = 0; d < depth; ++d)
-        pool.push_back({ Operand::indexVar(d), true });
+        pool.push_back(Operand::indexVar(d));
 
-    auto pick = [&](bool need_integral) -> Operand {
-        if (rng.nextBool(0.25)) {
-            double imm = kImms[rng.nextBelow(std::size(kImms))];
-            if (need_integral && imm != static_cast<int64_t>(imm))
-                imm = 0.0;
-            return Operand::imm64(imm);
-        }
-        for (;;) {
-            const Value &v = pool[rng.nextBelow(pool.size())];
-            if (v.integral || !need_integral)
-                return v.operand;
-        }
+    auto pick = [&]() -> Operand {
+        if (rng.nextBool(0.25))
+            return Operand::imm64(kImms[rng.nextBelow(std::size(kImms))]);
+        return pool[rng.nextBelow(pool.size())];
     };
     auto add_group = [&](Opcode op, DataType type) {
-        OpSpec x{ op, type, pick(false), {}, -1 };
-        bool int_div = op == Opcode::Div && !dataTypeIsFloat(type);
-        x.rhs = pick(int_div);
-        k.ops.push_back(x);
+        // Braced initializers evaluate left to right: lhs, then rhs.
+        k.ops.push_back({ op, type, pick(), pick(), -1 });
         int xi = static_cast<int>(k.ops.size()) - 1;
         k.ops.push_back({ Opcode::Max, DataType::I64, Operand::op(xi),
                           Operand::imm64(-kClamp), -1 });
@@ -185,17 +161,20 @@ randomKernel(uint64_t seed, Opcode focus_op, DataType focus_type)
                           Operand::imm64(kClamp), -1 });
         if (rng.nextBool(0.6))
             k.ops.back().writeAccess = writes[rng.nextBelow(writes.size())];
-        pool.push_back({ Operand::op(xi + 2), true });
+        pool.push_back(Operand::op(xi + 2));
     };
 
     // The focus pair once with every loop index, then at special
-    // operands: divide by zero, shift by 64 and more.
+    // operands: divide by zero, by a fraction (an integer zero once
+    // truncated), shift by 64 and more.
     for (int d = 0; d < depth; ++d) {
         add_group(focus_op, focus_type);
         k.ops[k.ops.size() - 3].lhs = Operand::indexVar(d);
     }
     add_group(focus_op, focus_type);
     k.ops[k.ops.size() - 3].rhs = Operand::imm64(0.0);
+    add_group(focus_op, focus_type);
+    k.ops[k.ops.size() - 3].rhs = Operand::imm64(0.5);
     add_group(focus_op, focus_type);
     k.ops[k.ops.size() - 3].rhs =
         Operand::imm64(static_cast<double>(rng.nextRange(64, 130)));
