@@ -62,64 +62,142 @@ struct Measurement
     uint64_t tickedCycles = 0;
     uint64_t skippedCycles = 0;
     uint64_t peakOutstandingTxns = 0;
+    int reps = 0;
+    double totalCyclesPerSec = 0.0;
+
+    /** Fold in one repetition: best-of-reps headline, mean, and the
+     * bit-identity check across repetitions. */
+    void
+    add(const Point &point, double cps, const sim::SimResult &result)
+    {
+        if (reps == 0) {
+            cycles = result.cycles;
+            ipc = result.ipc;
+            peakOutstandingTxns = result.memory.peakOutstandingTxns;
+        } else {
+            OG_ASSERT(result.cycles == cycles && result.ipc == ipc, "'",
+                      point.label, "' drifted between repetitions");
+        }
+        ++reps;
+        totalCyclesPerSec += cps;
+        meanCyclesPerSec = totalCyclesPerSec / reps;
+        if (cps > bestCyclesPerSec) {
+            bestCyclesPerSec = cps;
+            tickedCycles = result.tickedCycles;
+            skippedCycles = result.skippedCycles;
+        }
+    }
 };
 
-Measurement
-measure(const Point &point, sim::SimConfig config, bool fast_forward,
-        int reps, int inner, bool analyze_phases = false)
+/** @p config with @p point's DRAM overrides and fast-forward on/off. */
+sim::SimConfig
+pointConfig(const Point &point, sim::SimConfig config, bool fast_forward)
 {
     config.noFastForward = !fast_forward;
     if (point.dramLatency > 0)
         config.dramLatency = point.dramLatency;
     if (point.channelBandwidthBytes > 0)
         config.dramChannelBandwidthBytes = point.channelBandwidthBytes;
-    Measurement m;
-    double total_cps = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        uint64_t cycles = 0;
-        auto t0 = std::chrono::steady_clock::now();
-        sim::SimResult result;
-        for (int i = 0; i < inner; ++i) {
-            wl::Memory memory;
-            memory.init(point.spec);
-            result = sim::simulate(point.spec, point.prepared.mdfg,
-                                   point.prepared.schedule,
-                                   *point.prepared.design, memory,
-                                   config);
-            OG_ASSERT(result.completed, "'", point.label,
-                      "' did not complete");
-            if (analyze_phases) {
-                telemetry::PhaseProfile phases =
-                    sim::analyzeRunPhases(result);
-                OG_ASSERT(phases.cycles == result.cycles,
-                          "phase spans do not cover '", point.label,
-                          "'");
-            }
-            cycles += result.cycles;
+    return config;
+}
+
+/** One repetition, @p inner back-to-back simulations of @p point
+ * (each followed by phase analysis with @p analyze_phases), folded
+ * into @p m as simulated cycles per second. */
+void
+timeRep(const Point &point, const sim::SimConfig &config, int inner,
+        bool analyze_phases, Measurement &m)
+{
+    uint64_t cycles = 0;
+    auto t0 = std::chrono::steady_clock::now();
+    sim::SimResult result;
+    for (int i = 0; i < inner; ++i) {
+        wl::Memory memory;
+        memory.init(point.spec);
+        result = sim::simulate(point.spec, point.prepared.mdfg,
+                               point.prepared.schedule,
+                               *point.prepared.design, memory, config);
+        OG_ASSERT(result.completed, "'", point.label,
+                  "' did not complete");
+        if (analyze_phases) {
+            telemetry::PhaseProfile phases =
+                sim::analyzeRunPhases(result);
+            OG_ASSERT(phases.cycles == result.cycles,
+                      "phase spans do not cover '", point.label, "'");
         }
-        double seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        double cps = static_cast<double>(cycles) / seconds;
-        total_cps += cps;
-        if (rep == 0) {
-            m.cycles = result.cycles;
-            m.ipc = result.ipc;
-            m.peakOutstandingTxns = result.memory.peakOutstandingTxns;
-        } else {
-            OG_ASSERT(result.cycles == m.cycles && result.ipc == m.ipc,
-                      "'", point.label,
-                      "' drifted between repetitions");
-        }
-        if (cps > m.bestCyclesPerSec) {
-            m.bestCyclesPerSec = cps;
-            m.tickedCycles = result.tickedCycles;
-            m.skippedCycles = result.skippedCycles;
-        }
+        cycles += result.cycles;
     }
-    m.meanCyclesPerSec = total_cps / reps;
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    m.add(point, static_cast<double>(cycles) / seconds, result);
+}
+
+Measurement
+measure(const Point &point, sim::SimConfig config, bool fast_forward,
+        int reps, int inner)
+{
+    config = pointConfig(point, config, fast_forward);
+    Measurement m;
+    for (int rep = 0; rep < reps; ++rep)
+        timeRep(point, config, inner, /*analyze_phases=*/false, m);
     return m;
+}
+
+/** An instrumentation-overhead guard's best attempt. */
+struct Guard
+{
+    double overhead = 1.0;  //!< 1 - instrumented / plain cycles/sec
+    Measurement plain;
+    Measurement instrumented;
+};
+
+/**
+ * The cost of a live sink sampling an in-memory timeline every 64
+ * cycles (plus analyzeRunPhases on every run with @p analyze_phases)
+ * on @p point, fast-forward off on both sides so they tick the same
+ * cycles. Each attempt interleaves single plain and instrumented
+ * repetitions, alternating which runs first, so host drift within an
+ * attempt lands on both sides. The guard keeps the minimum over up to
+ * six attempts and stops at the first one under budget. On a shared
+ * host the best-of-repetitions times still swing by more than the
+ * budget between attempts, so that minimum can pass an overhead above
+ * budget: a pass is weaker evidence than an abort.
+ */
+Guard
+overheadGuard(const Point &point, const char *name, bool analyze_phases,
+              int reps, int inner)
+{
+    const int attempts = 6;
+    sim::SimConfig plain_config = pointConfig(point, {}, false);
+    Guard guard;
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+        telemetry::SinkOptions opts;
+        opts.statsInterval = 64;
+        telemetry::Sink sink(opts);
+        sim::SimConfig instr_config = plain_config;
+        instr_config.sink = &sink;
+        Measurement plain, instrumented;
+        for (int rep = 0; rep < reps; ++rep) {
+            for (int side = 0; side < 2; ++side) {
+                if ((side + rep) % 2 == 0)
+                    timeRep(point, plain_config, inner, false, plain);
+                else
+                    timeRep(point, instr_config, inner, analyze_phases,
+                            instrumented);
+            }
+        }
+        double o = 1.0 - instrumented.bestCyclesPerSec /
+                             plain.bestCyclesPerSec;
+        if (o < guard.overhead)
+            guard = { o, plain, instrumented };
+        if (guard.overhead < 0.03)
+            break;
+        std::printf("[bench] %s attempt %d/%d measured %.2f%% "
+                    "(noisy?); retrying\n",
+                    name, attempt + 1, attempts, o * 100.0);
+    }
+    return guard;
 }
 
 Json
@@ -141,6 +219,9 @@ toJson(const Measurement &m)
 int
 main(int argc, char **argv)
 {
+    // Line-buffered, so a run that aborts on a guard keeps every row
+    // it printed even when stdout is a pipe.
+    std::setvbuf(stdout, nullptr, _IOLBF, 0);
     bench::Harness harness(argc, argv);
     bench::banner("micro_sim",
                   "simulator throughput, event-horizon fast-forward "
@@ -252,10 +333,10 @@ main(int argc, char **argv)
     // Snapshot-resume win: capture a checkpoint seven eighths of the
     // way through the long bandwidth-bound headline run, then compare
     // a cold re-simulation against resuming the final eighth from the
-    // checkpoint (what the DSE's warm cache and the serve layer's
-    // crash recovery do). Resume rebuilds the system and restores
-    // state instead of re-simulating the prefix, so it must beat the
-    // cold run; both must agree bit-identically.
+    // checkpoint with sim::resumeFrom (pinned by SnapshotResume.*; no
+    // DSE or serve path resumes a run today). Resume rebuilds the
+    // system and restores state instead of re-simulating the prefix,
+    // so it must beat the cold run; both must agree bit-identically.
     double resume_speedup = 0.0;
     uint64_t resume_checkpoint_cycle = 0;
     double resume_cold_sec = 0.0;
@@ -345,42 +426,12 @@ main(int argc, char **argv)
     // Instrumentation-overhead guard: per-cycle ledger classification
     // is always on, so compare a null-sink run against one with a
     // live sink sampling an in-memory timeline (no trace file, no
-    // JSONL path — pure accounting cost). Both sides disable
-    // fast-forward so they tick the same cycles and the delta is
-    // attributable to sampling alone. The compute-bound point is the
-    // worst case: every cycle ticks, so every cycle pays.
-    // Machine-load noise can depress either side of the comparison by
-    // more than the 3% budget, so the guard takes the *minimum*
-    // overhead over a few attempts: one clean attempt proves the
-    // instrumentation itself is cheap, and a real regression fails
-    // every attempt.
+    // JSONL path — pure accounting cost). The compute-bound point is
+    // the worst case: every cycle ticks, so every cycle pays.
     const Point &guard_point = points.back();
-    double overhead = 1.0;
-    Measurement plain, instrumented;
-    const int guard_attempts = 6;
-    for (int attempt = 0; attempt < guard_attempts; ++attempt) {
-        sim::SimConfig plain_config;
-        Measurement p =
-            measure(guard_point, plain_config, false, reps, inner);
-        telemetry::SinkOptions guard_opts;
-        guard_opts.statsInterval = 64;
-        telemetry::Sink guard_sink(guard_opts);
-        sim::SimConfig instr_config;
-        instr_config.sink = &guard_sink;
-        Measurement i =
-            measure(guard_point, instr_config, false, reps, inner);
-        double o = 1.0 - i.bestCyclesPerSec / p.bestCyclesPerSec;
-        if (o < overhead) {
-            overhead = o;
-            plain = p;
-            instrumented = i;
-        }
-        if (overhead < 0.03)
-            break;
-        std::printf("[bench] overhead attempt %d/%d measured %.2f%% "
-                    "(noisy?); retrying\n",
-                    attempt + 1, guard_attempts, o * 100.0);
-    }
+    Guard sampling = overheadGuard(guard_point, "overhead",
+                                   /*analyze_phases=*/false, reps, inner);
+    double overhead = sampling.overhead;
     std::printf("\ninstrumentation overhead (%s, ff-off, "
                 "stats-interval=64): %.2f%% (guard: <3%%, min over "
                 "attempts)\n",
@@ -395,31 +446,9 @@ main(int argc, char **argv)
     // hysteresis segmentation) on every simulation. The same <3%
     // budget applies: phase analysis is a post-pass over the sampled
     // rows, so it must not cost more than the sampling it consumes.
-    double phase_overhead = 1.0;
-    Measurement phase_plain, phase_instr;
-    for (int attempt = 0; attempt < guard_attempts; ++attempt) {
-        sim::SimConfig plain_config;
-        Measurement p =
-            measure(guard_point, plain_config, false, reps, inner);
-        telemetry::SinkOptions guard_opts;
-        guard_opts.statsInterval = 64;
-        telemetry::Sink guard_sink(guard_opts);
-        sim::SimConfig instr_config;
-        instr_config.sink = &guard_sink;
-        Measurement i = measure(guard_point, instr_config, false, reps,
-                                inner, /*analyze_phases=*/true);
-        double o = 1.0 - i.bestCyclesPerSec / p.bestCyclesPerSec;
-        if (o < phase_overhead) {
-            phase_overhead = o;
-            phase_plain = p;
-            phase_instr = i;
-        }
-        if (phase_overhead < 0.03)
-            break;
-        std::printf("[bench] phase-overhead attempt %d/%d measured "
-                    "%.2f%% (noisy?); retrying\n",
-                    attempt + 1, guard_attempts, o * 100.0);
-    }
+    Guard phases = overheadGuard(guard_point, "phase-overhead",
+                                 /*analyze_phases=*/true, reps, inner);
+    double phase_overhead = phases.overhead;
     std::printf("phase-analysis overhead (%s, ff-off, "
                 "stats-interval=64 + analyzeRunPhases): %.2f%% "
                 "(guard: <3%%, min over attempts)\n",
@@ -490,15 +519,15 @@ main(int argc, char **argv)
     report.set("points", std::move(rows));
     Json guard = Json::makeObject();
     guard.set("point", Json(guard_point.label));
-    guard.set("null_sink", toJson(plain));
-    guard.set("instrumented", toJson(instrumented));
+    guard.set("null_sink", toJson(sampling.plain));
+    guard.set("instrumented", toJson(sampling.instrumented));
     guard.set("overhead", Json(overhead));
     guard.set("budget", Json(0.03));
     report.set("instrumentation_overhead", std::move(guard));
     Json phase_guard = Json::makeObject();
     phase_guard.set("point", Json(guard_point.label));
-    phase_guard.set("null_sink", toJson(phase_plain));
-    phase_guard.set("instrumented", toJson(phase_instr));
+    phase_guard.set("null_sink", toJson(phases.plain));
+    phase_guard.set("instrumented", toJson(phases.instrumented));
     phase_guard.set("overhead", Json(phase_overhead));
     phase_guard.set("budget", Json(0.03));
     report.set("phase_overhead", std::move(phase_guard));

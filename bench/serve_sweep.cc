@@ -9,13 +9,7 @@
  * health check of the whole pipeline.
  *
  * Usage: serve_sweep [--workers=N] [--shard-size=N] [--deadline-ms=N]
- *                    [--checkpoint-every=N] [--out=<path>]
- *                    [harness flags]
- *
- * --checkpoint-every=N makes workers stream a mid-run simulation
- * checkpoint every N cycles, so a crashed worker's replacement
- * resumes the interrupted job instead of restarting it (the merged
- * stream is unchanged either way — resume is bit-identical).
+ *                    [--out=<path>] [harness flags]
  */
 
 #include <cstdio>
@@ -43,9 +37,6 @@ main(int argc, char **argv)
             static_cast<size_t>(std::atoll(value.c_str()));
     if (bench::takeExtraFlag(flags.extra, "--deadline-ms=", value))
         options.deadlineMs = std::atoi(value.c_str());
-    if (bench::takeExtraFlag(flags.extra, "--checkpoint-every=", value))
-        options.checkpointEvery =
-            static_cast<uint64_t>(std::atoll(value.c_str()));
     bench::takeExtraFlag(flags.extra, "--out=", out_path);
     OG_ASSERT(options.workers >= 1, "bad --workers value");
 

@@ -83,6 +83,17 @@ getInteger(const Json &obj, const char *key, int64_t lo, int64_t hi,
     return true;
 }
 
+/** An array field; @p out points into @p obj. */
+inline bool
+getArray(const Json &obj, const char *key, const Json::Array *&out,
+         std::string *error)
+{
+    if (!obj.contains(key) || !obj.at(key).isArray())
+        return fieldError(error, "missing/ill-typed array", key);
+    out = &obj.at(key).asArray();
+    return true;
+}
+
 /** A hexU64() string field. */
 inline bool
 getHex64(const Json &obj, const char *key, uint64_t &out,

@@ -70,12 +70,8 @@ struct ShardTrack
     int attempts = 0;  //!< dispatches so far
     int inFlight = 0;  //!< concurrently running attempts
     bool completed = false;
-    Clock::time_point lastProgress;  //!< last hb/ckpt/result seen
+    Clock::time_point lastProgress;  //!< last hb/result seen
     Clock::time_point notBefore;     //!< backoff gate for re-dispatch
-    /** Latest streamed checkpoint per unfinished job (job index ->
-     * hex snapshot), handed back on re-dispatch so a replacement
-     * worker resumes mid-simulation. Cleared on completion. */
-    std::map<uint64_t, std::string> checkpoints;
 };
 
 } // namespace
@@ -242,7 +238,6 @@ class WorkerPool::Impl
             }
             WorkerOptions wopts;
             wopts.handler = options.handler;
-            wopts.checkpointEvery = options.checkpointEvery;
             ::_exit(workerLoop(toChild[0], fromChild[1], wopts));
         }
         ::close(toChild[0]);
@@ -329,13 +324,11 @@ class WorkerPool::Impl
         Clock::time_point now = Clock::now();
         for (auto it = pending.begin(); it != pending.end();) {
             ShardTrack &track = tracks[*it];
-            if (!track.completed && shardFilled(track)) {
-                // Every row arrived before the attempt's done record
-                // (e.g. the worker crashed between its last result
-                // and shard-done): nothing left to dispatch.
+            // Every row arrived before the attempt's done record
+            // (e.g. the worker crashed between its last result and
+            // shard-done): nothing left to dispatch.
+            if (!track.completed && shardFilled(track))
                 track.completed = true;
-                track.checkpoints.clear();
-            }
             if (track.completed) {
                 // Completed while queued (a duplicate attempt won).
                 it = pending.erase(it);
@@ -359,28 +352,14 @@ class WorkerPool::Impl
         record.set("t", Json("shard"));
         record.set("shard", Json(shardId));
         // Only the jobs still missing rows: a re-dispatch after a
-        // mid-shard crash carries the unfinished remainder, plus the
-        // latest banked checkpoint for any job interrupted mid-run.
+        // mid-shard crash carries the unfinished remainder.
         Json jobs = Json::makeArray();
-        Json resume = Json::makeArray();
-        size_t resumable = 0;
         for (size_t j = 0; j < track.shard.count; ++j) {
             size_t index = track.shard.first + j;
-            if (haveRow[index])
-                continue;
-            jobs.push(jobToJson(set->jobs[index]));
-            auto it = track.checkpoints.find(index);
-            if (it == track.checkpoints.end())
-                continue;
-            Json entry = Json::makeObject();
-            entry.set("job", Json(static_cast<uint64_t>(index)));
-            entry.set("snap", Json(it->second));
-            resume.push(std::move(entry));
-            ++resumable;
+            if (!haveRow[index])
+                jobs.push(jobToJson(set->jobs[index]));
         }
         record.set("jobs", std::move(jobs));
-        if (resumable > 0)
-            record.set("resume", std::move(resume));
 
         if (track.attempts > 0) {
             ++summary().retries;
@@ -501,8 +480,7 @@ class WorkerPool::Impl
             return false;
         if (type == "hello")
             return true;
-        if (type != "hb" && type != "ckpt" && type != "result" &&
-            type != "done") {
+        if (type != "hb" && type != "result" && type != "done") {
             error = "unknown record type '" + type + "'";
             return false;
         }
@@ -517,21 +495,11 @@ class WorkerPool::Impl
         if (type != "result" &&
             !getInteger(record, "shard", shardId, shardId, id, &error))
             return false;
-        if (type == "ckpt" || type == "result") {
+        if (type == "result") {
             int64_t first = static_cast<int64_t>(shard.first);
             int64_t last =
                 first + static_cast<int64_t>(shard.count) - 1;
             if (!getInteger(record, "job", first, last, id, &error))
-                return false;
-        }
-        if (type == "ckpt") {
-            std::string snap;
-            return getString(record, "snap", snap, &error);
-        }
-        if (type == "result") {
-            bool resumed = false;
-            if (record.contains("resumed") &&
-                !getBool(record, "resumed", resumed, &error))
                 return false;
             if (!record.contains("row")) {
                 error = "result record without a row";
@@ -574,23 +542,6 @@ class WorkerPool::Impl
                 track.lastProgress = Clock::now();
             return;
         }
-        if (type == "ckpt") {
-            // A mid-run checkpoint: bank the latest per job so a
-            // replacement attempt resumes instead of restarting. Also
-            // progress for the straggler clock — the simulation is
-            // demonstrably advancing.
-            ++summary().checkpoints;
-            count("serve/checkpoints");
-            if (track.completed)
-                return;
-            track.lastProgress = Clock::now();
-            size_t index =
-                static_cast<size_t>(record.at("job").asInt());
-            if (!haveRow[index])
-                track.checkpoints[index] =
-                    record.at("snap").asString();
-            return;
-        }
         if (type == "result") {
             size_t index =
                 static_cast<size_t>(record.at("job").asInt());
@@ -602,24 +553,15 @@ class WorkerPool::Impl
             outcome.rows[index] = std::move(*row);
             haveRow[index] = true;
             ++filledRows;
-            if (record.contains("resumed") &&
-                record.at("resumed").asBool()) {
-                ++summary().resumed;
-                count("serve/resumed");
-            }
-            if (!track.completed) {
+            if (!track.completed)
                 track.lastProgress = Clock::now();
-                track.checkpoints.erase(index);
-            }
             return;
         }
         // "done": the attempt is over and the worker is idle again.
         track.inFlight = std::max(track.inFlight - 1, 0);
         workers[workerIndex].shard = -1;
-        if (!track.completed && shardFilled(track)) {
+        if (!track.completed && shardFilled(track))
             track.completed = true;
-            track.checkpoints.clear();
-        }
         if (!track.completed && track.inFlight == 0)
             requeueOrAbandon(shardId);
     }
@@ -696,7 +638,6 @@ class WorkerPool::Impl
             count("serve/abandoned");
         }
         track.completed = true;
-        track.checkpoints.clear();
     }
 
     void
@@ -771,10 +712,8 @@ class WorkerPool::Impl
     void
     settle()
     {
-        for (ShardTrack &track : tracks) {
+        for (ShardTrack &track : tracks)
             track.completed = true;
-            track.checkpoints.clear();
-        }
         Clock::time_point start = Clock::now();
         while (anyAttemptHeld() &&
                msBetween(start, Clock::now()) <=
@@ -873,8 +812,6 @@ ServeOutcome::summaryJson() const
     obj.set("crashes", Json(summary.crashes));
     obj.set("duplicates", Json(summary.duplicates));
     obj.set("heartbeats", Json(summary.heartbeats));
-    obj.set("checkpoints", Json(summary.checkpoints));
-    obj.set("resumed", Json(summary.resumed));
     obj.set("abandoned", Json(summary.abandoned));
     obj.set("ok", Json(summary.ok));
     return obj;

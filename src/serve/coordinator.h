@@ -18,16 +18,12 @@
  *    surface as not-ok rows with an "abandoned" diagnostic instead of
  *    hanging the batch.
  *
- * Mid-shard resume: workers stream rows as they finish (never only at
+ * Row banking: workers stream rows as they finish (never only at
  * shard end), so the coordinator banks partial progress and a
- * re-dispatch carries only the jobs still missing rows. With
- * `checkpointEvery` set, workers additionally stream mid-simulation
- * checkpoints (sealed sim::Snapshot images); the coordinator persists
- * the latest one per unfinished job and attaches it to the
- * re-dispatch, so a SIGKILLed worker's replacement re-enters the
- * interrupted simulation via sim::resumeFrom instead of starting from
- * cycle 0 — bit-identically, so the merged output is unchanged
- * (ServeSummary::resumed counts rows produced this way).
+ * re-dispatch carries only the jobs still missing rows. The job a
+ * crashed worker was running reruns from cycle 0 on the replacement;
+ * rows are a pure function of the job, so the merged output is
+ * unchanged.
  *
  * Determinism: rows are stored by job index and serialized in index
  * order; row content is a pure function of the job descriptor, so
@@ -95,12 +91,6 @@ struct CoordinatorOptions
      * an attempt when a run ends, or one that ignores "bye" at pool
      * shutdown. */
     int shutdownGraceMs = 2000;
-    /** Workers stream a mid-run simulation checkpoint every this many
-     * cycles (Generate jobs only; 0 disables). The coordinator
-     * keeps the latest per unfinished job and hands it back on
-     * re-dispatch, so a crashed worker's replacement resumes the
-     * interrupted simulation mid-run (see the file comment). */
-    uint64_t checkpointEvery = 0;
     /** Telemetry sink: serve/... counters land in its registry. */
     telemetry::Sink *sink = nullptr;
     /** Executor for Match/Warm jobs, inherited by every forked worker
@@ -131,8 +121,6 @@ struct ServeSummary
     uint64_t crashes = 0;     //!< workers that died with work in flight
     uint64_t duplicates = 0;  //!< late duplicate rows dropped
     uint64_t heartbeats = 0;
-    uint64_t checkpoints = 0; //!< mid-run "ckpt" records banked
-    uint64_t resumed = 0;     //!< rows produced by a checkpoint resume
     uint64_t abandoned = 0;   //!< jobs failed after maxAttempts
     bool ok = false;          //!< every job produced a real row
 };

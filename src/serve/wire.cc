@@ -169,12 +169,10 @@ jobFromJson(const Json &json, std::string *error)
         }
     }
     if (json.contains("match_designs")) {
-        const Json &ids = json.at("match_designs");
-        if (!ids.isArray()) {
-            fieldError(error, "ill-typed array", "match_designs");
+        const Json::Array *ids = nullptr;
+        if (!getArray(json, "match_designs", ids, error))
             return std::nullopt;
-        }
-        for (const Json &id : ids.asArray()) {
+        for (const Json &id : *ids) {
             if (!integerIn(id, 0, INT32_MAX, value)) {
                 fieldError(error, "ill-typed entry in", "match_designs");
                 return std::nullopt;
@@ -277,12 +275,10 @@ resultFromJson(const Json &json, std::string *error)
         !getString(json, "diagnostic", row.diagnostic, error))
         return std::nullopt;
     if (json.contains("scores")) {
-        const Json &scores = json.at("scores");
-        if (!scores.isArray()) {
-            fieldError(error, "ill-typed array", "scores");
+        const Json::Array *scores = nullptr;
+        if (!getArray(json, "scores", scores, error))
             return std::nullopt;
-        }
-        for (const Json &entry : scores.asArray()) {
+        for (const Json &entry : *scores) {
             std::optional<WireScore> score = scoreFromJson(entry, error);
             if (!score)
                 return std::nullopt;
@@ -318,52 +314,6 @@ mergedJsonl(const JobSet &set, const std::vector<ResultRow> &rows)
         out += '\n';
     }
     return out;
-}
-
-std::string
-bytesToHex(const std::vector<uint8_t> &bytes)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(bytes.size() * 2);
-    for (uint8_t b : bytes) {
-        out.push_back(digits[b >> 4]);
-        out.push_back(digits[b & 0xf]);
-    }
-    return out;
-}
-
-namespace {
-
-int
-hexNibble(char c)
-{
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'a' && c <= 'f')
-        return c - 'a' + 10;
-    return -1;
-}
-
-} // namespace
-
-bool
-hexToBytes(const std::string &hex, std::vector<uint8_t> &out)
-{
-    out.clear();
-    if (hex.size() % 2 != 0)
-        return false;
-    out.reserve(hex.size() / 2);
-    for (size_t i = 0; i < hex.size(); i += 2) {
-        int hi = hexNibble(hex[i]);
-        int lo = hexNibble(hex[i + 1]);
-        if (hi < 0 || lo < 0) {
-            out.clear();
-            return false;
-        }
-        out.push_back(static_cast<uint8_t>((hi << 4) | lo));
-    }
-    return true;
 }
 
 bool

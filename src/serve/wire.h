@@ -12,17 +12,13 @@
  *   coordinator -> worker
  *     {"t":"designs","designs":[<sysadg json>, ...],
  *      "table":[P, ...]}                               design table
- *     {"t":"shard","shard":K,"jobs":[<job>, ...],
- *      "resume":[{"job":J,"snap":"<hex>"}, ...]}       work assignment
+ *     {"t":"shard","shard":K,"jobs":[<job>, ...]}      work assignment
  *     {"t":"bye"}                                      orderly shutdown
  *
  *   worker -> coordinator
  *     {"t":"hello","pid":P}                            post-fork handshake
  *     {"t":"hb","shard":K,"done":D,"total":N}          progress heartbeat
- *     {"t":"ckpt","shard":K,"job":J,"cycle":C,
- *      "snap":"<hex>"}                                 mid-run checkpoint
- *     {"t":"result","job":J,"row":{...},
- *      "resumed":true?}                                one OverlayRun row
+ *     {"t":"result","job":J,"row":{...}}               one OverlayRun row
  *     {"t":"done","shard":K}                           shard complete
  *
  * A worker's design table is append-only (see serve/coordinator.h,
@@ -33,14 +29,9 @@
  *
  * A shard record's "jobs" array holds only the jobs that still need
  * rows — a re-dispatch after a crash carries just the unfinished
- * remainder. Its optional "resume" array carries the latest
- * checkpoint the coordinator banked for each such job (a hex-encoded
- * sim::Snapshot streamed earlier by a "ckpt" record), so the
- * replacement worker re-enters the simulation mid-run via
- * sim::resumeFrom instead of starting from cycle 0. A row produced
- * that way sets "resumed" on its result record; the flag lives on the
- * record wrapper, never in the row, so the merged output stays
- * byte-identical to a crash-free run.
+ * remainder, and an interrupted job reruns from cycle 0. No simulator
+ * state crosses the pipe, so a worker never decodes another process's
+ * snapshot bytes.
  *
  * Determinism contract: a job's result row is a pure function of the
  * job descriptor (the simulator is single-threaded-deterministic), and
@@ -215,14 +206,6 @@ std::string mergedLine(const JobSpec &job, const ResultRow &row);
  * order — byte-identical for every worker count and shard size. */
 std::string mergedJsonl(const JobSet &set,
                         const std::vector<ResultRow> &rows);
-
-/** Lowercase hex of @p bytes (two digits per byte) — how encoded
- * sim::Snapshot images travel inside JSON records. */
-std::string bytesToHex(const std::vector<uint8_t> &bytes);
-
-/** Decode a bytesToHex() string. @return false (leaving @p out
- * empty) on odd length or a non-hex digit. */
-bool hexToBytes(const std::string &hex, std::vector<uint8_t> &out);
 /// @}
 
 /** @name Line framing over pipes */

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -13,100 +12,11 @@
 #include "compiler/compile.h"
 #include "sched/scheduler.h"
 #include "sim/simulate.h"
-#include "sim/snapshot.h"
 #include "workloads/suites.h"
 
 namespace overgen::serve {
 
 namespace {
-
-/** One Generate job compiled and scheduled, ready to simulate. */
-struct PreparedJob
-{
-    bool ok = false;
-    wl::KernelSpec spec;
-    dfg::Mdfg mdfg;
-    sched::Schedule schedule;
-};
-
-sim::SimConfig
-configFor(const JobSpec &job, telemetry::Sink *sink)
-{
-    sim::SimConfig config;
-    config.sink = sink;
-    if (job.dramLatency > 0)
-        config.dramLatency = job.dramLatency;
-    if (job.deadlockCycles >= 0)
-        config.deadlockCycles =
-            static_cast<uint64_t>(job.deadlockCycles);
-    return config;
-}
-
-PreparedJob
-prepare(const JobSpec &job, const adg::SysAdg &design)
-{
-    PreparedJob prepared;
-    prepared.spec = job.smallSize
-                        ? wl::smallWorkloadByName(job.workload)
-                        : wl::workloadByName(job.workload);
-    compiler::CompileOptions copts;
-    copts.applyTuning = job.applyTuning;
-    auto variants = compiler::compileVariants(prepared.spec, copts);
-    sched::SpatialScheduler scheduler(design.adg);
-    auto fit = scheduler.scheduleFirstFit(variants);
-    if (!fit)
-        return prepared;
-    prepared.ok = true;
-    prepared.mdfg = std::move(variants[fit->second]);
-    prepared.schedule = std::move(fit->first);
-    return prepared;
-}
-
-ResultRow
-rowFrom(const PreparedJob &prepared, const sim::SimResult &result)
-{
-    ResultRow row;
-    row.ok = result.completed;
-    row.deadlocked = result.deadlocked;
-    row.diagnostic = result.diagnostic;
-    row.cycles = result.cycles;
-    row.ipc = result.ipc;
-    row.variant = prepared.mdfg.name;
-    return row;
-}
-
-/** A SnapshotSink that streams each engine checkpoint to the
- * coordinator as a "ckpt" record. A failed write means the
- * coordinator is gone; the flag is remembered and the simulation
- * finishes locally (its result write will fail too, exiting the
- * loop). */
-class PipeSnapshotSink : public sim::SnapshotSink
-{
-  public:
-    PipeSnapshotSink(int fd, int shard, uint64_t job)
-        : fd(fd), shard(shard), job(job)
-    {
-    }
-
-    void
-    accept(uint64_t cycle, sim::Snapshot &&snap) override
-    {
-        Json record = Json::makeObject();
-        record.set("t", Json("ckpt"));
-        record.set("shard", Json(shard));
-        record.set("job", Json(job));
-        record.set("cycle", Json(cycle));
-        record.set("snap", Json(bytesToHex(snap.encode())));
-        ok = ok && writeLine(fd, record.dump());
-    }
-
-    bool ok = true;
-
-  private:
-    int fd;
-    int shard;
-    uint64_t job;
-};
 
 /** Route a Match/Warm job through the installed handler. */
 ResultRow
@@ -138,15 +48,37 @@ runJob(const JobSpec &job, const adg::SysAdg &design,
                              &design);
         return dispatchHandled(job, designs, options);
     }
-    PreparedJob prepared = prepare(job, design);
-    if (!prepared.ok)
+    wl::KernelSpec spec = job.smallSize
+                              ? wl::smallWorkloadByName(job.workload)
+                              : wl::workloadByName(job.workload);
+    compiler::CompileOptions copts;
+    copts.applyTuning = job.applyTuning;
+    auto variants = compiler::compileVariants(spec, copts);
+    sched::SpatialScheduler scheduler(design.adg);
+    auto fit = scheduler.scheduleFirstFit(variants);
+    if (!fit)
         return {};
+    const dfg::Mdfg &mdfg = variants[fit->second];
+
+    sim::SimConfig config;
+    config.sink = options.sink;
+    if (job.dramLatency > 0)
+        config.dramLatency = job.dramLatency;
+    if (job.deadlockCycles >= 0)
+        config.deadlockCycles =
+            static_cast<uint64_t>(job.deadlockCycles);
     wl::Memory memory;
-    memory.init(prepared.spec);
-    sim::SimResult result =
-        sim::simulate(prepared.spec, prepared.mdfg, prepared.schedule,
-                      design, memory, configFor(job, options.sink));
-    return rowFrom(prepared, result);
+    memory.init(spec);
+    sim::SimResult result = sim::simulate(spec, mdfg, fit->first,
+                                          design, memory, config);
+    ResultRow row;
+    row.ok = result.completed;
+    row.deadlocked = result.deadlocked;
+    row.diagnostic = result.diagnostic;
+    row.cycles = result.cycles;
+    row.ipc = result.ipc;
+    row.variant = mdfg.name;
+    return row;
 }
 
 int
@@ -184,13 +116,18 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
         if (type == "bye")
             return 0;
         if (type == "designs") {
-            for (const Json &json : record.at("designs").asArray()) {
+            const Json::Array *designJsons = nullptr;
+            const Json::Array *ids = nullptr;
+            if (!getArray(record, "designs", designJsons, &error) ||
+                !getArray(record, "table", ids, &error))
+                return reject(error);
+            for (const Json &json : *designJsons) {
                 table.push_back(std::make_shared<const adg::SysAdg>(
                     adg::SysAdg::fromJson(json)));
             }
             designs.clear();
             int64_t id = 0;
-            for (const Json &entry : record.at("table").asArray()) {
+            for (const Json &entry : *ids) {
                 if (!integerIn(entry, 0,
                                static_cast<int64_t>(table.size()) - 1,
                                id))
@@ -201,47 +138,24 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
         }
         if (type != "shard")
             return reject("unexpected record '" + type + "'");
-        int shard = static_cast<int>(record.at("shard").asInt());
-        const Json::Array &jobJsons = record.at("jobs").asArray();
+        int64_t shard = 0;
+        const Json::Array *jobJsons = nullptr;
+        if (!getInteger(record, "shard", 0, INT32_MAX, shard, &error) ||
+            !getArray(record, "jobs", jobJsons, &error))
+            return reject(error);
 
         std::vector<JobSpec> specs;
-        specs.reserve(jobJsons.size());
-        for (const Json &json : jobJsons) {
+        specs.reserve(jobJsons->size());
+        for (const Json &json : *jobJsons) {
             std::optional<JobSpec> spec = jobFromJson(json, &error);
             if (!spec)
                 return reject(error);
+            if (spec->kind == JobKind::Generate &&
+                spec->designId >= static_cast<int>(designs.size()))
+                return reject("job references unknown design " +
+                              std::to_string(spec->designId));
             specs.push_back(std::move(*spec));
         }
-
-        // Resume snapshots the coordinator banked from an earlier
-        // attempt's "ckpt" records, keyed by job index.
-        std::map<uint64_t, std::string> resumeSnaps;
-        if (record.contains("resume")) {
-            for (const Json &entry : record.at("resume").asArray())
-                resumeSnaps[static_cast<uint64_t>(
-                    entry.at("job").asInt())] =
-                    entry.at("snap").asString();
-        }
-
-        auto heartbeat = [&](size_t i) {
-            Json hb = Json::makeObject();
-            hb.set("t", Json("hb"));
-            hb.set("shard", Json(shard));
-            hb.set("done", Json(static_cast<uint64_t>(i)));
-            hb.set("total",
-                   Json(static_cast<uint64_t>(specs.size())));
-            return writeLine(outFd, hb.dump());
-        };
-        auto streamRow = [&](const JobSpec &spec,
-                             const ResultRow &row, bool resumed) {
-            Json out = Json::makeObject();
-            out.set("t", Json("result"));
-            out.set("job", Json(spec.index));
-            out.set("row", resultToJson(row));
-            if (resumed)
-                out.set("resumed", Json(true));
-            return writeLine(outFd, out.dump());
-        };
 
         // Run the jobs in order, streaming each row as soon as it is
         // computed — partial shard progress survives a crash. Each job
@@ -249,53 +163,22 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
         // forward progress.
         for (size_t i = 0; i < specs.size(); ++i) {
             const JobSpec &spec = specs[i];
-            if (!heartbeat(i))
+            Json hb = Json::makeObject();
+            hb.set("t", Json("hb"));
+            hb.set("shard", Json(shard));
+            hb.set("done", Json(static_cast<uint64_t>(i)));
+            hb.set("total", Json(static_cast<uint64_t>(specs.size())));
+            if (!writeLine(outFd, hb.dump()))
                 return 1;
-            ResultRow row;
-            bool resumed = false;
-            if (spec.kind != JobKind::Generate) {
-                row = dispatchHandled(spec, designs, options);
-            } else {
-                OG_ASSERT(spec.designId >= 0 &&
-                              spec.designId <
-                                  static_cast<int>(designs.size()),
-                          "shard ", shard, " references unknown design ",
-                          spec.designId);
-                const adg::SysAdg &design = *designs[spec.designId];
-                PreparedJob prepared = prepare(spec, design);
-                if (prepared.ok) {
-                    // Stream checkpoints, and resume when the shard
-                    // record carried a snapshot for this job.
-                    sim::SimConfig config = configFor(spec, options.sink);
-                    PipeSnapshotSink ckpt(outFd, shard, spec.index);
-                    if (options.checkpointEvery > 0) {
-                        config.checkpointEvery = options.checkpointEvery;
-                        config.checkpointSink = &ckpt;
-                    }
-                    wl::Memory memory;
-                    memory.init(prepared.spec);
-                    sim::SimResult result;
-                    auto it = resumeSnaps.find(spec.index);
-                    if (it != resumeSnaps.end()) {
-                        std::vector<uint8_t> bytes;
-                        sim::Snapshot snap;
-                        if (hexToBytes(it->second, bytes) &&
-                            sim::Snapshot::decode(bytes, snap)) {
-                            result = sim::resumeFrom(
-                                snap, prepared.spec, prepared.mdfg,
-                                prepared.schedule, design, memory,
-                                config);
-                            resumed = true;
-                        }
-                    }
-                    if (!resumed)
-                        result = sim::simulate(
-                            prepared.spec, prepared.mdfg,
-                            prepared.schedule, design, memory, config);
-                    row = rowFrom(prepared, result);
-                }
-            }
-            if (!streamRow(spec, row, resumed))
+            ResultRow row =
+                spec.kind == JobKind::Generate
+                    ? runJob(spec, *designs[spec.designId], options)
+                    : dispatchHandled(spec, designs, options);
+            Json out = Json::makeObject();
+            out.set("t", Json("result"));
+            out.set("job", Json(spec.index));
+            out.set("row", resultToJson(row));
+            if (!writeLine(outFd, out.dump()))
                 return 1;
         }
         Json done = Json::makeObject();

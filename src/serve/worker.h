@@ -9,12 +9,9 @@
  * schedule + simulate for a Generate job, or the JobHandler for a
  * Match/Warm job), and every row streams back as soon as it is
  * computed — so a crash loses only the in-flight job, never rows
- * already computed. Generate jobs additionally stream mid-run
- * checkpoints (WorkerOptions::checkpointEvery) and accept resume
- * snapshots from the shard record, re-entering an interrupted
- * simulation via sim::resumeFrom (see serve/wire.h for the record
- * grammar). The coordinator's process pool is the parallelism; each
- * worker is single-threaded.
+ * already computed; a re-dispatch reruns that job from cycle 0 (see
+ * serve/wire.h for the record grammar). The coordinator's process
+ * pool is the parallelism; each worker is single-threaded.
  */
 
 #include "serve/wire.h"
@@ -31,10 +28,6 @@ struct WorkerOptions
     /** Telemetry sink for the simulations this worker runs (local to
      * the worker process; null = telemetry-free). */
     telemetry::Sink *sink = nullptr;
-    /** Stream a "ckpt" record (the engine's sealed snapshot, hex
-     * encoded) every this many simulated cycles so the coordinator
-     * can hand the latest one to a replacement worker; 0 disables. */
-    uint64_t checkpointEvery = 0;
     /** Executor for Match/Warm jobs (see serve::JobHandler). Jobs of
      * those kinds fail with a diagnostic row when unset. */
     JobHandler handler;
@@ -51,9 +44,11 @@ ResultRow runJob(const JobSpec &job, const adg::SysAdg &design,
 
 /**
  * Serve shards from @p inFd until a "bye" record or EOF, writing
- * results to @p outFd. @return the process exit code. The caller
- * (a forked child) must _exit() with it rather than return through
- * the parent's stack.
+ * results to @p outFd. Each Generate job is a runJob() call. @return
+ * the process exit code: 0 on "bye" or EOF, 1 when the coordinator
+ * pipe breaks, 2 on a coordinator record this worker cannot decode
+ * (named on stderr). The caller (a forked child) must _exit() with it
+ * rather than return through the parent's stack.
  */
 int workerLoop(int inFd, int outFd, const WorkerOptions &options = {});
 

@@ -96,8 +96,8 @@ struct SimConfig
      * only observe state — results are bit-identical with
      * checkpointing on or off. */
     uint64_t checkpointEvery = 0;
-    /** Receiver of captured snapshots (`--checkpoint-every` in the
-     * benches wires a collector). Null disables capture even when
+    /** Receiver of captured snapshots (`bench/micro_sim` wires a
+     * LatestSnapshotSink). Null disables capture even when
      * checkpointEvery is set. Not owned. */
     SnapshotSink *checkpointSink = nullptr;
     /// @}

@@ -77,7 +77,7 @@ class Snapshot
     /** @return payload size in bytes. */
     size_t sizeBytes() const { return payload.size(); }
 
-    /** @name Transport (serve-layer persistence, fault injection) */
+    /** @name Byte image (pinned by SnapshotPin.*, fault injection) */
     /// @{
     /** Encode the sealed snapshot (header + digest + payload). */
     std::vector<uint8_t> encode() const;

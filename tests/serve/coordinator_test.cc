@@ -65,15 +65,37 @@ testJobs(bool slowFirst = false)
     return set;
 }
 
-/** The in-process ground truth the server must reproduce. */
+/** The in-process ground truth the server must reproduce (Match jobs
+ * go through @p handler). */
 std::string
-referenceJsonl(const JobSet &set)
+referenceJsonl(const JobSet &set, const JobHandler &handler = {})
 {
     adg::SysAdg design = testDesign();
+    WorkerOptions options;
+    options.handler = handler;
     std::vector<ResultRow> rows;
     for (const JobSpec &job : set.jobs)
-        rows.push_back(runJob(job, design));
+        rows.push_back(runJob(job, design, options));
     return mergedJsonl(set, rows);
+}
+
+/** A Match-job handler whose rows are a pure function of the job and
+ * the designs (no scheduling or simulation, so it is fast). */
+ResultRow
+tileCountRow(const JobSpec &job,
+             const std::vector<std::shared_ptr<const adg::SysAdg>> &designs)
+{
+    ResultRow row;
+    for (int id : job.matchDesigns) {
+        WireScore score;
+        score.design = id;
+        score.feasible = true;
+        score.score = designs.at(static_cast<size_t>(id))->sys.numTiles +
+                      0.5 * static_cast<double>(job.workload.size());
+        row.scores.push_back(score);
+    }
+    row.ok = true;
+    return row;
 }
 
 } // namespace
@@ -283,61 +305,46 @@ TEST(Coordinator, PerJobSimOverridesTravelTheWire)
     EXPECT_FALSE(outcome.rows[2].deadlocked);
 }
 
-TEST(Coordinator, SigkilledWorkerReplacementResumesFromCheckpoint)
-{
-    JobSet set = testJobs(/*slowFirst=*/true);
-    std::string reference = referenceJsonl(set);
-
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 4;  // 8 jobs -> 2 shards, one per worker
-    // Full-size gemm runs ~17k cycles, so a 2k-cycle cadence streams
-    // its first checkpoint well before the job can finish.
-    options.checkpointEvery = 2000;
-    bool killed = false;
-    // Kill the worker holding shard 0 at its first mid-run
-    // checkpoint: job 0 (the slow gemm) is provably mid-simulation,
-    // with no rows banked yet. The replacement must pick the shard up
-    // from the banked checkpoint, not from cycle 0.
-    options.onRecord = [&](const Json &record, int, pid_t pid) {
-        if (!killed && record.at("t").asString() == "ckpt" &&
-            record.at("shard").asInt() == 0) {
-            ::kill(pid, SIGKILL);
-            killed = true;
-        }
-    };
-    ServeOutcome outcome = serveJobs(set, options);
-    ASSERT_TRUE(killed);
-    EXPECT_TRUE(outcome.summary.ok);
-    // The resumed suffix is bit-identical to an uninterrupted run, so
-    // the merged stream matches the in-process reference byte for
-    // byte even though job 0 was simulated in two pieces.
-    EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
-    EXPECT_EQ(outcome.summary.crashes, 1u);
-    EXPECT_EQ(outcome.summary.respawns, 1u);
-    EXPECT_EQ(outcome.summary.retries, 1u);
-    EXPECT_GE(outcome.summary.checkpoints, 1u);
-    // Exactly one row (the interrupted gemm) came from a resume; its
-    // shard-mates ran fresh on the replacement.
-    EXPECT_EQ(outcome.summary.resumed, 1u);
-    EXPECT_EQ(outcome.summary.duplicates, 0u);
-    EXPECT_EQ(outcome.summary.abandoned, 0u);
-    EXPECT_EQ(outcome.summary.workersSpawned, 3u);
-}
-
 TEST(Coordinator, RedispatchSkipsRowsAlreadyBanked)
 {
     // Workers stream rows per job, so a crash after some rows arrived
     // must re-run only the remainder — the banked rows' jobs are
-    // never dispatched again, and no duplicates can arise. The slow
-    // gemm up front keeps the kill race-free: the third row lands
-    // ~150 ms in, with five small jobs (~25 ms) still outstanding.
-    JobSet set = testJobs(/*slowFirst=*/true);
-    std::string reference = referenceJsonl(set);
+    // never dispatched again, and no duplicates can arise. Jobs 0 and
+    // 3 are Match jobs: the first worker records its pid at job 0 and
+    // blocks at job 3, so when it is killed at the third row it has
+    // streamed exactly three rows, however far the coordinator falls
+    // behind. The replacement never runs job 0, so it does not block.
+    JobSet set;
+    int id = set.addDesign(testDesign());
+    set.addMatchJob("fir", { id });
+    for (const char *name : { "mm", "accumulate" })
+        set.addJob(name, id, /*applyTuning=*/true, /*smallSize=*/true);
+    set.addMatchJob("vecmax", { id });
+    for (const char *name : { "blur", "bgr2grey", "convert-bit", "acc-sqr" })
+        set.addJob(name, id, /*applyTuning=*/true, /*smallSize=*/true);
+    std::string reference = referenceJsonl(set, tileCountRow);
+
+    // Shared across fork: the pid of the worker that ran job 0.
+    auto *first = static_cast<pid_t *>(
+        ::mmap(nullptr, sizeof(pid_t), PROT_READ | PROT_WRITE,
+               MAP_SHARED | MAP_ANONYMOUS, -1, 0));
+    ASSERT_NE(first, MAP_FAILED);
+    *first = 0;
 
     CoordinatorOptions options;
     options.workers = 1;
     options.shardSize = 0;  // one shard holding all eight jobs
+    options.handler = [&](const JobSpec &job, const auto &table) {
+        if (job.index == 0) {
+            *first = ::getpid();
+        } else if (::getpid() == *first) {
+            // Blocks until killed; bounded, so a coordinator that
+            // never kills fails the assertions below, not the timeout.
+            for (int i = 0; i < 1000; ++i)
+                ::usleep(10000);
+        }
+        return tileCountRow(job, table);
+    };
     uint64_t rows_seen = 0;
     bool killed = false;
     options.onRecord = [&](const Json &record, int, pid_t pid) {
@@ -348,6 +355,7 @@ TEST(Coordinator, RedispatchSkipsRowsAlreadyBanked)
         }
     };
     ServeOutcome outcome = serveJobs(set, options);
+    ::munmap(first, sizeof(pid_t));
     ASSERT_TRUE(killed);
     EXPECT_TRUE(outcome.summary.ok);
     EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
@@ -358,9 +366,6 @@ TEST(Coordinator, RedispatchSkipsRowsAlreadyBanked)
     // cannot produce duplicates.
     EXPECT_EQ(outcome.summary.duplicates, 0u);
     EXPECT_EQ(outcome.summary.abandoned, 0u);
-    // Checkpointing was off: recovery here is row-skipping alone.
-    EXPECT_EQ(outcome.summary.checkpoints, 0u);
-    EXPECT_EQ(outcome.summary.resumed, 0u);
 }
 
 TEST(CoordinatorDeathTest, ForkWithALiveThreadPoolIsFatal)
@@ -620,6 +625,12 @@ const BadRecord kBadRecords[] = {
           return R"({"t":"result","job":)" + std::to_string(job) +
                  R"(,"row":{"ok":true}})";
       } },
+    { "checkpoint",
+      [](uint64_t job) {
+          return R"({"t":"ckpt","shard":)" + std::to_string(job) +
+                 R"(,"job":)" + std::to_string(job) +
+                 R"(,"cycle":1,"snap":"00"})";
+      } },
 };
 
 /** The write end of this worker's pipe to the coordinator: the one
@@ -648,25 +659,6 @@ openFds()
         if (::fcntl(fd, F_GETFD) != -1)
             fds.insert(fd);
     return fds;
-}
-
-/** A Match-job handler whose rows are a pure function of the job and
- * the designs (no scheduling or simulation, so it is fast). */
-ResultRow
-tileCountRow(const JobSpec &job,
-             const std::vector<std::shared_ptr<const adg::SysAdg>> &designs)
-{
-    ResultRow row;
-    for (int id : job.matchDesigns) {
-        WireScore score;
-        score.design = id;
-        score.feasible = true;
-        score.score = designs.at(static_cast<size_t>(id))->sys.numTiles +
-                      0.5 * static_cast<double>(job.workload.size());
-        row.scores.push_back(score);
-    }
-    row.ok = true;
-    return row;
 }
 
 } // namespace

@@ -258,33 +258,6 @@ TEST(Wire, WriteLineReportsClosedPipe)
     ::close(fds[1]);
 }
 
-TEST(Wire, HexBytesRoundTrip)
-{
-    std::vector<uint8_t> bytes;
-    for (int b = 0; b < 256; ++b)
-        bytes.push_back(static_cast<uint8_t>(b));
-    std::string hex = bytesToHex(bytes);
-    EXPECT_EQ(hex.size(), bytes.size() * 2);
-    EXPECT_EQ(hex.substr(0, 8), "00010203");
-
-    std::vector<uint8_t> back;
-    ASSERT_TRUE(hexToBytes(hex, back));
-    EXPECT_EQ(back, bytes);
-
-    EXPECT_TRUE(hexToBytes("", back));
-    EXPECT_TRUE(back.empty());
-}
-
-TEST(Wire, HexBytesRejectsMalformedInput)
-{
-    std::vector<uint8_t> out;
-    EXPECT_FALSE(hexToBytes("abc", out));   // odd length
-    EXPECT_TRUE(out.empty());
-    EXPECT_FALSE(hexToBytes("zz", out));    // not hex
-    EXPECT_FALSE(hexToBytes("AB", out));    // uppercase not accepted
-    EXPECT_FALSE(hexToBytes("0x", out));
-}
-
 namespace {
 
 /** A Match job, a Warm job and a Generate job with every optional
