@@ -8,8 +8,8 @@
  * DESIGN.md "Serving layer"), so diffing two runs is a one-line
  * health check of the whole pipeline.
  *
- * Usage: serve_sweep [--workers=N] [--shard-size=N] [--deadline-ms=N]
- *                    [--out=<path>] [harness flags]
+ * Usage: serve_sweep [--workers=N] [--shard-size=N] [--out=<path>]
+ *                    [harness flags]
  */
 
 #include <cstdio>
@@ -35,8 +35,6 @@ main(int argc, char **argv)
     if (bench::takeExtraFlag(flags.extra, "--shard-size=", value))
         options.shardSize =
             static_cast<size_t>(std::atoll(value.c_str()));
-    if (bench::takeExtraFlag(flags.extra, "--deadline-ms=", value))
-        options.deadlineMs = std::atoi(value.c_str());
     bench::takeExtraFlag(flags.extra, "--out=", out_path);
     OG_ASSERT(options.workers >= 1, "bad --workers value");
 

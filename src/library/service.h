@@ -16,9 +16,9 @@
  * Steps 1, 3 and 4 each build a serve::JobSet of Match or Warm jobs
  * and hand it to one executor, the only place the two modes differ:
  * server mode (ServiceOptions::useServer) runs the set on the
- * service's serve::WorkerPool (forked workers, crash recovery,
- * straggler duplication); in-process mode runs the same library job
- * handler (makeLibraryHandler) on each job inline. The pool is created
+ * service's serve::WorkerPool (forked workers, crash recovery);
+ * in-process mode runs the same library job handler
+ * (makeLibraryHandler) on each job inline. The pool is created
  * at the first server run, after the resource model has trained (so
  * workers inherit it), lives as long as the service, and receives each
  * entry's design once; the service's destructor shuts it down. Any row the server loses
@@ -39,9 +39,8 @@
  *  - per-kernel records are memoized values of pure scoring functions
  *    and kept name-sorted inside each entry, so the record *set* —
  *    not the computation schedule — determines the bytes;
- *  - job rows are pure functions of their JobSpec, so straggler
- *    duplicates, crash retries and inline recomputation all
- *    reproduce the same row.
+ *  - job rows are pure functions of their JobSpec, so crash retries
+ *    and inline recomputation both reproduce the same row.
  */
 
 #include <cstdint>

@@ -25,6 +25,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Backoff base: a re-queued shard waits attempts * kBackoffMs before
+ * re-dispatch. */
+constexpr int64_t kBackoffMs = 25;
+
 int64_t
 msBetween(Clock::time_point from, Clock::time_point to)
 {
@@ -68,10 +72,8 @@ struct ShardTrack
 {
     Shard shard;
     int attempts = 0;  //!< dispatches so far
-    int inFlight = 0;  //!< concurrently running attempts
     bool completed = false;
-    Clock::time_point lastProgress;  //!< last hb/result seen
-    Clock::time_point notBefore;     //!< backoff gate for re-dispatch
+    Clock::time_point notBefore;  //!< backoff gate for re-dispatch
 };
 
 } // namespace
@@ -130,7 +132,6 @@ class WorkerPool::Impl
         while (filledRows < set->jobs.size()) {
             dispatch();
             pollWorkers(nextTimeoutMs());
-            checkDeadlines();
             ensureLiveness();
         }
         settle();
@@ -316,7 +317,7 @@ class WorkerPool::Impl
         }
     }
 
-    /** Pop the first pending shard that is not completed and whose
+    /** Pop the first pending shard that still misses rows and whose
      * backoff gate has passed; -1 when none is ready. */
     int
     popDispatchable()
@@ -324,13 +325,11 @@ class WorkerPool::Impl
         Clock::time_point now = Clock::now();
         for (auto it = pending.begin(); it != pending.end();) {
             ShardTrack &track = tracks[*it];
-            // Every row arrived before the attempt's done record
-            // (e.g. the worker crashed between its last result and
-            // shard-done): nothing left to dispatch.
-            if (!track.completed && shardFilled(track))
+            // Every row is in: the worker crashed between its last
+            // result and its done record, or the dead-pool backstop
+            // abandoned the shard while it was queued.
+            if (shardFilled(track)) {
                 track.completed = true;
-            if (track.completed) {
-                // Completed while queued (a duplicate attempt won).
                 it = pending.erase(it);
                 continue;
             }
@@ -366,8 +365,6 @@ class WorkerPool::Impl
             count("serve/retries");
         }
         ++track.attempts;
-        ++track.inFlight;
-        track.lastProgress = Clock::now();
         workers[workerIndex].shard = shardId;
         count("serve/shards/dispatched");
         if (!writeLine(workers[workerIndex].toFd, record.dump())) {
@@ -382,17 +379,6 @@ class WorkerPool::Impl
     {
         int64_t timeout = 250;  // liveness ceiling
         Clock::time_point now = Clock::now();
-        if (options.deadlineMs > 0) {
-            for (const ShardTrack &track : tracks) {
-                if (track.completed || track.inFlight == 0)
-                    continue;
-                int64_t remain =
-                    options.deadlineMs -
-                    msBetween(track.lastProgress, now);
-                timeout = std::min(timeout, std::max<int64_t>(remain,
-                                                              1));
-            }
-        }
         for (int id : pending) {
             const ShardTrack &track = tracks[id];
             if (track.completed || track.notBefore <= now)
@@ -467,9 +453,10 @@ class WorkerPool::Impl
     /**
      * Check @p record against the attempt worker @p workerIndex
      * holds: a shard id must be that attempt's shard and a job id one
-     * of its jobs, so no record can touch another shard or another
-     * run. Decodes a result's row into @p row. @return false with a
-     * named @p error otherwise.
+     * of its jobs still missing a row, so no record can touch another
+     * shard or another run, or overwrite a banked row. Decodes a
+     * result's row into @p row. @return false with a named @p error
+     * otherwise.
      */
     bool
     checkRecord(int workerIndex, const Json &record,
@@ -501,6 +488,12 @@ class WorkerPool::Impl
                 first + static_cast<int64_t>(shard.count) - 1;
             if (!getInteger(record, "job", first, last, id, &error))
                 return false;
+            if (haveRow[static_cast<size_t>(id)]) {
+                // The one attempt in flight carries only jobs missing
+                // rows, so a well-behaved worker never repeats one.
+                error = "repeated row for job " + std::to_string(id);
+                return false;
+            }
             if (!record.contains("row")) {
                 error = "result record without a row";
                 return false;
@@ -538,31 +531,21 @@ class WorkerPool::Impl
         if (type == "hb") {
             ++summary().heartbeats;
             count("serve/heartbeats");
-            if (!track.completed)
-                track.lastProgress = Clock::now();
             return;
         }
         if (type == "result") {
             size_t index =
                 static_cast<size_t>(record.at("job").asInt());
-            if (haveRow[index]) {
-                ++summary().duplicates;
-                count("serve/duplicates");
-                return;
-            }
             outcome.rows[index] = std::move(*row);
             haveRow[index] = true;
             ++filledRows;
-            if (!track.completed)
-                track.lastProgress = Clock::now();
             return;
         }
         // "done": the attempt is over and the worker is idle again.
-        track.inFlight = std::max(track.inFlight - 1, 0);
         workers[workerIndex].shard = -1;
-        if (!track.completed && shardFilled(track))
+        if (shardFilled(track))
             track.completed = true;
-        if (!track.completed && track.inFlight == 0)
+        else
             requeueOrAbandon(shardId);
     }
 
@@ -595,11 +578,8 @@ class WorkerPool::Impl
         if (shardId >= 0 && !tracks[shardId].completed) {
             ++summary().crashes;
             count("serve/crashes");
-            ShardTrack &track = tracks[shardId];
-            track.inFlight = std::max(track.inFlight - 1, 0);
-            if (track.inFlight == 0)
-                requeueOrAbandon(shardId);
-            if (options.respawnWorkers && respawnBudget > 0) {
+            requeueOrAbandon(shardId);
+            if (respawnBudget > 0) {
                 --respawnBudget;
                 ++summary().respawns;
                 count("serve/respawns");
@@ -615,12 +595,8 @@ class WorkerPool::Impl
         if (track.attempts < options.maxAttempts) {
             track.notBefore =
                 Clock::now() +
-                std::chrono::milliseconds(
-                    static_cast<int64_t>(options.backoffMs) *
-                    track.attempts);
-            if (std::find(pending.begin(), pending.end(), shardId) ==
-                pending.end())
-                pending.push_back(shardId);
+                std::chrono::milliseconds(kBackoffMs * track.attempts);
+            pending.push_back(shardId);
             return;
         }
         for (size_t j = 0; j < track.shard.count; ++j) {
@@ -640,46 +616,15 @@ class WorkerPool::Impl
         track.completed = true;
     }
 
-    void
-    checkDeadlines()
-    {
-        if (options.deadlineMs <= 0)
-            return;
-        Clock::time_point now = Clock::now();
-        for (ShardTrack &track : tracks) {
-            if (track.completed || track.inFlight == 0)
-                continue;
-            if (msBetween(track.lastProgress, now) <
-                options.deadlineMs)
-                continue;
-            ++summary().timeouts;
-            count("serve/timeouts");
-            track.lastProgress = now;  // one firing per deadline
-            if (track.attempts < options.maxAttempts) {
-                // Straggler: race a duplicate attempt; first result
-                // per job wins, the loser's rows count as duplicates.
-                if (std::find(pending.begin(), pending.end(),
-                              track.shard.id) == pending.end())
-                    pending.push_back(track.shard.id);
-            } else {
-                // Every allowed attempt is wedged: abandon now rather
-                // than wait on workers that will never answer (any
-                // late rows they do send drop as duplicates).
-                requeueOrAbandon(track.shard.id);
-            }
-        }
-    }
-
     /** Dead-pool backstop: with work left but nobody to run it (all
-     * workers dead, respawns exhausted or disabled), fail the
-     * remaining shards instead of spinning forever. */
+     * workers dead, respawns exhausted), fail the remaining shards
+     * instead of spinning forever. */
     void
     ensureLiveness()
     {
         if (aliveWorkers() > 0)
             return;
-        if (filledRows < set->jobs.size() &&
-            (!options.respawnWorkers || respawnBudget <= 0)) {
+        if (filledRows < set->jobs.size() && respawnBudget <= 0) {
             for (ShardTrack &track : tracks) {
                 if (!track.completed) {
                     track.attempts = options.maxAttempts;
@@ -707,8 +652,8 @@ class WorkerPool::Impl
 
     /** Run end: every row is in. Give workers still holding an
      * attempt (usually just a "done" in flight) the grace period,
-     * then SIGKILL and reap the rest — a straggler duplicate or a
-     * wedged worker is never reused by a later run. */
+     * then SIGKILL and reap the rest — a worker that sent its rows
+     * but never finished is never reused by a later run. */
     void
     settle()
     {
@@ -808,9 +753,7 @@ ServeOutcome::summaryJson() const
     obj.set("workers_spawned", Json(summary.workersSpawned));
     obj.set("respawns", Json(summary.respawns));
     obj.set("retries", Json(summary.retries));
-    obj.set("timeouts", Json(summary.timeouts));
     obj.set("crashes", Json(summary.crashes));
-    obj.set("duplicates", Json(summary.duplicates));
     obj.set("heartbeats", Json(summary.heartbeats));
     obj.set("abandoned", Json(summary.abandoned));
     obj.set("ok", Json(summary.ok));

@@ -5,18 +5,19 @@
  * @file
  * The coordinator side of the overlay-generation job server: shard a
  * JobSet across a pool of forked worker processes, stream result rows
- * back over pipes, and survive stragglers and crashes (see DESIGN.md
- * "Serving layer" for the retry/timeout state machine).
+ * back over pipes, and survive worker crashes (see DESIGN.md "Serving
+ * layer" for the retry state machine).
  *
- * Robustness:
+ * Robustness: each shard has at most one attempt in flight.
  *  - worker crash (pipe EOF / SIGCHLD reap): the in-flight shard is
  *    re-queued with bounded backoff and a replacement worker forked;
- *  - straggler (no heartbeat/result within `deadlineMs`): a duplicate
- *    attempt is dispatched to another worker — first result per job
- *    wins, late duplicates are counted and dropped;
  *  - attempts are capped at `maxAttempts` per shard; exhausted shards
  *    surface as not-ok rows with an "abandoned" diagnostic instead of
  *    hanging the batch.
+ * There is no deadline: a worker that stays alive but stops answering
+ * while it holds an attempt stalls run(). Job lengths range from
+ * milliseconds to seconds, so no fixed deadline could tell a wedged
+ * worker from a slow job.
  *
  * Row banking: workers stream rows as they finish (never only at
  * shard end), so the coordinator banks partial progress and a
@@ -36,17 +37,18 @@
  * design table, so each worker receives (and decodes) each design
  * once. Per-run state — shard tracks, the respawn budget, the
  * ServeSummary — starts fresh at every run(). At the end of a run a
- * worker still holding an attempt (a straggler duplicate or a wedged
- * worker) gets `shutdownGraceMs` to finish it, then is SIGKILLed and
- * reaped, never reused; at the start of a run, idle workers that died,
- * stopped or sent anything since the last run are reaped and replaced.
+ * worker still holding an attempt (its "done" still in flight, or a
+ * misbehaving worker that sent its rows but never finished) gets
+ * `shutdownGraceMs` to finish it, then is SIGKILLed and reaped, never
+ * reused; at the start of a run, idle workers that died, stopped or
+ * sent anything since the last run are reaped and replaced.
  * So no record from one run is ever applied to another.
  *
  * Worker records are outside input: a line that does not parse, an
- * unknown record type, or an id that does not name the attempt the
- * worker holds (its shard, or a job of that shard) is handled like a
- * crash — the worker is killed and reaped and its shard requeued
- * within the respawn budget.
+ * unknown record type, an id that does not name the attempt the
+ * worker holds (its shard, or a job of that shard), or a row for a job
+ * that already has one is handled like a crash — the worker is killed
+ * and reaped and its shard requeued within the respawn budget.
  *
  * Threading: the coordinator is strictly single-threaded (one poll()
  * loop), which keeps fork() safe — no locks can be held at fork time.
@@ -76,17 +78,11 @@ struct CoordinatorOptions
     int workers = 2;
     /** Jobs per shard (0 = the whole set as one shard). */
     size_t shardSize = 1;
-    /** Straggler deadline: re-dispatch a shard whose attempt shows no
-     * heartbeat or result for this long (0 disables). */
-    int deadlineMs = 0;
-    /** Total attempts per shard before it is abandoned. */
+    /** Total attempts per shard before it is abandoned. A re-queued
+     * shard waits attempts * 25 ms before re-dispatch, and a worker
+     * that dies holding an attempt is replaced within a budget of
+     * shards * maxAttempts forks (see ServeSummary::respawns). */
     int maxAttempts = 3;
-    /** Backoff base: a re-queued shard waits attempts * backoffMs
-     * before re-dispatch. */
-    int backoffMs = 25;
-    /** Fork a replacement when a worker dies (bounded; see
-     * ServeSummary::respawns). */
-    bool respawnWorkers = true;
     /** Grace before SIGKILLing a lingering worker: one still holding
      * an attempt when a run ends, or one that ignores "bye" at pool
      * shutdown. */
@@ -108,7 +104,7 @@ struct CoordinatorOptions
         onRecord;
 };
 
-/** Drop/retry accounting for one run — the payload of the final
+/** Retry accounting for one run — the payload of the final
  * summary record. */
 struct ServeSummary
 {
@@ -116,10 +112,13 @@ struct ServeSummary
     uint64_t shards = 0;
     uint64_t workersSpawned = 0;  //!< forks made during this run
     uint64_t respawns = 0;
-    uint64_t retries = 0;     //!< re-dispatches (crash + straggler)
-    uint64_t timeouts = 0;    //!< straggler deadlines that fired
+    uint64_t retries = 0;     //!< re-dispatches after a crash
     uint64_t crashes = 0;     //!< workers that died with work in flight
-    uint64_t duplicates = 0;  //!< late duplicate rows dropped
+    /** Always 0: a shard has one attempt at a time, and a repeated
+     * row is a bad record (handled like a crash). Kept only because
+     * the benchmark's request_trace still reads it; the next change
+     * to the benchmark removes it. */
+    uint64_t duplicates = 0;
     uint64_t heartbeats = 0;
     uint64_t abandoned = 0;   //!< jobs failed after maxAttempts
     bool ok = false;          //!< every job produced a real row
@@ -154,7 +153,7 @@ class WorkerPool
     /**
      * Run every job of @p set on the pool's workers (forking only
      * those missing) and return the index-ordered rows plus this
-     * run's retry/drop accounting. Blocks until every job has a row
+     * run's retry accounting. Blocks until every job has a row
      * (real or abandoned); on return no worker holds an attempt.
      */
     ServeOutcome run(const JobSet &set);

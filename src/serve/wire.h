@@ -37,9 +37,8 @@
  * job descriptor (the simulator is single-threaded-deterministic), and
  * rows carry no wall-clock, pid, or worker-identity fields — so the
  * merged, index-ordered output is byte-identical for any worker count
- * and shard size. Progress and identity live only in heartbeat
- * records and the final summary, which are not part of the merged
- * stream.
+ * and shard size. Progress counts live only in heartbeat records and
+ * the final summary, which are not part of the merged stream.
  */
 
 #include <cstdint>
@@ -174,9 +173,9 @@ struct ResultRow
  * Executor for non-Generate jobs, installed via WorkerOptions /
  * CoordinatorOptions. Runs inside the (forked) worker process with
  * the shard's decoded design table; must be a pure function of the
- * job + designs so retries and duplicate dispatches stay
- * byte-identical. The overlay library installs one that scores
- * Match jobs and runs bounded DSE for Warm jobs (library/service.h).
+ * job + designs so a retry after a crash stays byte-identical. The
+ * overlay library installs one that scores Match jobs and runs
+ * bounded DSE for Warm jobs (library/service.h).
  */
 using JobHandler = std::function<ResultRow(
     const JobSpec &,

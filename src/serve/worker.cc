@@ -159,8 +159,8 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
 
         // Run the jobs in order, streaming each row as soon as it is
         // computed — partial shard progress survives a crash. Each job
-        // heartbeats first so the coordinator's straggler clock sees
-        // forward progress.
+        // heartbeats first: the one record sent before a job's row, so
+        // the coordinator (and its onRecord hook) sees the job start.
         for (size_t i = 0; i < specs.size(); ++i) {
             const JobSpec &spec = specs[i];
             Json hb = Json::makeObject();

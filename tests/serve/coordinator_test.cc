@@ -2,8 +2,8 @@
  * @file
  * Coordinator contract tests: byte-identical merged output across
  * worker counts and shard sizes, full completion under worker
- * crashes, stragglers and malformed worker records with exact retry
- * accounting, and the WorkerPool lifecycle across runs.
+ * crashes and malformed worker records with exact retry accounting,
+ * and the WorkerPool lifecycle across runs.
  */
 
 #include "serve/coordinator.h"
@@ -98,6 +98,65 @@ tileCountRow(const JobSpec &job,
     return row;
 }
 
+/** Four Match jobs on the test design: their rows need no
+ * simulation, so a fault injected at one job is the run's only slow
+ * part. */
+JobSet
+matchJobs()
+{
+    JobSet set;
+    int id = set.addDesign(testDesign());
+    for (const char *name : { "fir", "mm", "vecmax", "blur" })
+        set.addMatchJob(name, { id });
+    return set;
+}
+
+/** The write end of this worker's pipe to the coordinator: the one
+ * write-only FIFO the worker holds that the test process did not
+ * already have open before the pool forked. */
+int
+coordinatorPipe(const std::set<int> &preexisting)
+{
+    for (int fd = 3; fd < 1024; ++fd) {
+        struct stat st;
+        if (preexisting.count(fd) > 0 || ::fstat(fd, &st) != 0 ||
+            !S_ISFIFO(st.st_mode))
+            continue;
+        int flags = ::fcntl(fd, F_GETFL);
+        if (flags >= 0 && (flags & O_ACCMODE) == O_WRONLY)
+            return fd;
+    }
+    return -1;
+}
+
+std::set<int>
+openFds()
+{
+    std::set<int> fds;
+    for (int fd = 0; fd < 1024; ++fd)
+        if (::fcntl(fd, F_GETFD) != -1)
+            fds.insert(fd);
+    return fds;
+}
+
+/** From inside a worker: send @p row for job @p job on the worker's
+ * coordinator pipe, as the worker itself would; exit with status 3 if
+ * the pipe is not found or the write falls short. */
+void
+sendRow(const std::set<int> &preexisting, uint64_t job,
+        const ResultRow &row)
+{
+    Json record = Json::makeObject();
+    record.set("t", Json("result"));
+    record.set("job", Json(job));
+    record.set("row", resultToJson(row));
+    std::string line = record.dump() + "\n";
+    int fd = coordinatorPipe(preexisting);
+    if (fd < 0 || ::write(fd, line.data(), line.size()) !=
+                      static_cast<ssize_t>(line.size()))
+        ::_exit(3);
+}
+
 } // namespace
 
 TEST(Coordinator, MergedOutputIsByteIdenticalAcrossConfigs)
@@ -166,48 +225,9 @@ TEST(Coordinator, SigkilledWorkerIsRespawnedAndItsShardRetried)
     EXPECT_EQ(outcome.summary.crashes, 1u);
     EXPECT_EQ(outcome.summary.respawns, 1u);
     EXPECT_EQ(outcome.summary.retries, 1u);
-    EXPECT_EQ(outcome.summary.timeouts, 0u);
     EXPECT_EQ(outcome.summary.duplicates, 0u);
     EXPECT_EQ(outcome.summary.abandoned, 0u);
     EXPECT_EQ(outcome.summary.workersSpawned, 3u);
-}
-
-TEST(Coordinator, StragglerDeadlineRedispatchesTheShard)
-{
-    JobSet set = testJobs(/*slowFirst=*/true);
-    std::string reference = referenceJsonl(set);
-
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 1;
-    options.deadlineMs = 400;
-    options.backoffMs = 5;
-    options.shutdownGraceMs = 200;
-    pid_t stopped = -1;
-    // Freeze the worker holding the slow shard 0 at its heartbeat
-    // (sent before the ~200 ms job starts, so the freeze always wins
-    // the race): the shard must get a duplicate attempt on the other
-    // worker after the deadline.
-    options.onRecord = [&](const Json &record, int, pid_t pid) {
-        if (stopped < 0 && record.at("t").asString() == "hb" &&
-            record.at("shard").asInt() == 0) {
-            ::kill(pid, SIGSTOP);
-            stopped = pid;
-        }
-    };
-    ServeOutcome outcome = serveJobs(set, options);
-    ASSERT_GT(stopped, 0);
-    EXPECT_TRUE(outcome.summary.ok);
-    EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
-    EXPECT_GE(outcome.summary.timeouts, 1u);
-    EXPECT_GE(outcome.summary.retries, 1u);
-    EXPECT_EQ(outcome.summary.abandoned, 0u);
-    // The frozen worker never produced rows, so nothing raced: the
-    // duplicate attempt's rows were all first arrivals. It is
-    // SIGKILLed during shutdown, after its shard completed elsewhere,
-    // so it does not count as a mid-work crash.
-    EXPECT_EQ(outcome.summary.duplicates, 0u);
-    EXPECT_EQ(outcome.summary.crashes, 0u);
 }
 
 TEST(Coordinator, CrashLoopExhaustsAttemptsAndAbandons)
@@ -224,54 +244,15 @@ TEST(Coordinator, CrashLoopExhaustsAttemptsAndAbandons)
     options.workers = 1;
     options.shardSize = 1;
     options.maxAttempts = 2;
-    options.backoffMs = 1;
     ServeOutcome outcome = serveJobs(set, options);
     EXPECT_FALSE(outcome.summary.ok);
     EXPECT_EQ(outcome.summary.abandoned, 1u);
     EXPECT_EQ(outcome.summary.crashes, 2u);
     EXPECT_EQ(outcome.summary.retries, 1u);
-    EXPECT_EQ(outcome.summary.timeouts, 0u);
     ASSERT_EQ(outcome.rows.size(), 1u);
     EXPECT_FALSE(outcome.rows[0].ok);
     EXPECT_NE(outcome.rows[0].diagnostic.find(
                   "abandoned after 2 attempts"),
-              std::string::npos);
-}
-
-TEST(Coordinator, WedgedFinalAttemptIsAbandonedNotHung)
-{
-    // The straggler deadline with no retry budget left: the only
-    // attempt is frozen mid-job, so the coordinator must abandon the
-    // shard at the deadline rather than wait forever on a worker that
-    // will never answer. Full-size stencil-3d runs ~2 s, so the
-    // freeze always lands before the job could complete.
-    JobSet set;
-    int id = set.addDesign(testDesign());
-    set.addJob("stencil-3d", id, true, false);
-
-    CoordinatorOptions options;
-    options.workers = 1;
-    options.shardSize = 1;
-    options.maxAttempts = 1;
-    options.deadlineMs = 100;
-    options.shutdownGraceMs = 100;
-    options.respawnWorkers = false;
-    pid_t stopped = -1;
-    options.onRecord = [&](const Json &record, int, pid_t pid) {
-        if (stopped < 0 && record.at("t").asString() == "hb") {
-            ::kill(pid, SIGSTOP);
-            stopped = pid;
-        }
-    };
-    ServeOutcome outcome = serveJobs(set, options);
-    ASSERT_GT(stopped, 0);
-    EXPECT_FALSE(outcome.summary.ok);
-    EXPECT_EQ(outcome.summary.abandoned, 1u);
-    EXPECT_GE(outcome.summary.timeouts, 1u);
-    EXPECT_EQ(outcome.summary.crashes, 0u);
-    ASSERT_EQ(outcome.rows.size(), 1u);
-    EXPECT_FALSE(outcome.rows[0].ok);
-    EXPECT_NE(outcome.rows[0].diagnostic.find("abandoned"),
               std::string::npos);
 }
 
@@ -508,7 +489,6 @@ TEST(WorkerPool, StoppedIdleWorkerIsReplaced)
         EXPECT_TRUE(outcome.summary.ok);
         EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
         EXPECT_EQ(outcome.summary.workersSpawned, 1u);
-        EXPECT_EQ(outcome.summary.timeouts, 0u);
         std::vector<pid_t> after = pool.workerPids();
         EXPECT_EQ(std::count(after.begin(), after.end(), frozen), 0);
         EXPECT_EQ(::kill(frozen, 0), -1);  // reaped: the pid is gone
@@ -518,30 +498,46 @@ TEST(WorkerPool, StoppedIdleWorkerIsReplaced)
 
 TEST(WorkerPool, WorkerHoldingAnAttemptAtRunEndIsKilledNotReused)
 {
-    // The straggler scenario: the worker holding slow shard 0 is
-    // frozen at its heartbeat, and a duplicate attempt finishes the
-    // run elsewhere. The frozen worker still holds its attempt when
-    // the run ends, so it is killed and reaped — its records can
-    // never reach the next run.
-    JobSet set = testJobs(/*slowFirst=*/true);
-    std::string reference = referenceJsonl(set);
+    // A misbehaving worker: the first attempt at job 0 sends job 0's
+    // row from inside the handler and then stops itself, so it never
+    // sends its done record. The other worker finishes the rest, and
+    // the stopped worker still holds its attempt when the run ends,
+    // so it is killed and reaped: its records can never reach the
+    // next run.
+    JobSet set = matchJobs();
+    std::string reference = referenceJsonl(set, tileCountRow);
+
+    // Shared across fork: a once-only gate, then the stopped pid.
+    struct Stop
+    {
+        int gate;
+        pid_t pid;
+    };
+    auto *stop = static_cast<Stop *>(
+        ::mmap(nullptr, sizeof(Stop), PROT_READ | PROT_WRITE,
+               MAP_SHARED | MAP_ANONYMOUS, -1, 0));
+    ASSERT_NE(stop, MAP_FAILED);
+    *stop = Stop{ 0, 0 };
+    std::set<int> preexisting = openFds();
+
     CoordinatorOptions options;
     options.workers = 2;
     options.shardSize = 1;
-    options.deadlineMs = 400;
-    options.backoffMs = 5;
     options.shutdownGraceMs = 200;
-    pid_t stopped = -1;
-    options.onRecord = [&](const Json &record, int, pid_t pid) {
-        if (stopped < 0 && record.at("t").asString() == "hb" &&
-            record.at("shard").asInt() == 0) {
-            ::kill(pid, SIGSTOP);
-            stopped = pid;
+    options.handler = [&](const JobSpec &job, const auto &table) {
+        ResultRow row = tileCountRow(job, table);
+        if (job.index == 0 &&
+            __atomic_fetch_add(&stop->gate, 1, __ATOMIC_SEQ_CST) == 0) {
+            stop->pid = ::getpid();
+            sendRow(preexisting, job.index, row);
+            ::raise(SIGSTOP);
         }
+        return row;
     };
     {
         WorkerPool pool(options);
         ServeOutcome first = pool.run(set);
+        pid_t stopped = stop->pid;
         ASSERT_GT(stopped, 0);
         EXPECT_TRUE(first.summary.ok);
         EXPECT_EQ(mergedJsonl(set, first.rows), reference);
@@ -551,15 +547,13 @@ TEST(WorkerPool, WorkerHoldingAnAttemptAtRunEndIsKilledNotReused)
         EXPECT_EQ(std::count(pids.begin(), pids.end(), stopped), 0);
         EXPECT_EQ(::kill(stopped, 0), -1);  // reaped: the pid is gone
 
-        // The next run refills the pool with one fork. Its jobs are
-        // the short ones, so its outcome does not hang on the deadline
-        // under slow (sanitizer) builds.
-        JobSet fast = testJobs();
-        ServeOutcome second = pool.run(fast);
+        // The next run refills the pool with one fork.
+        ServeOutcome second = pool.run(set);
         EXPECT_TRUE(second.summary.ok);
-        EXPECT_EQ(mergedJsonl(fast, second.rows), referenceJsonl(fast));
+        EXPECT_EQ(mergedJsonl(set, second.rows), reference);
         EXPECT_EQ(second.summary.workersSpawned, 1u);
     }
+    ::munmap(stop, sizeof(Stop));
     EXPECT_TRUE(noChildrenLeft());
 }
 
@@ -633,35 +627,51 @@ const BadRecord kBadRecords[] = {
       } },
 };
 
-/** The write end of this worker's pipe to the coordinator: the one
- * write-only FIFO the worker holds that the test process did not
- * already have open before the pool forked. */
-int
-coordinatorPipe(const std::set<int> &preexisting)
-{
-    for (int fd = 3; fd < 1024; ++fd) {
-        struct stat st;
-        if (preexisting.count(fd) > 0 || ::fstat(fd, &st) != 0 ||
-            !S_ISFIFO(st.st_mode))
-            continue;
-        int flags = ::fcntl(fd, F_GETFL);
-        if (flags >= 0 && (flags & O_ACCMODE) == O_WRONLY)
-            return fd;
-    }
-    return -1;
-}
-
-std::set<int>
-openFds()
-{
-    std::set<int> fds;
-    for (int fd = 0; fd < 1024; ++fd)
-        if (::fcntl(fd, F_GETFD) != -1)
-            fds.insert(fd);
-    return fds;
-}
-
 } // namespace
+
+TEST(Coordinator, RepeatedRowIsHandledLikeACrash)
+{
+    // A shard has one attempt in flight, and a re-dispatch carries
+    // only the jobs still missing rows, so no well-behaved worker
+    // sends a row twice. Here the first attempt at job 0 sends its
+    // real row from inside the handler and then returns the same row,
+    // which the worker sends again: the first copy is banked, and the
+    // repeat retires the worker before its done record is read.
+    JobSet set = matchJobs();
+    std::string reference = referenceJsonl(set, tileCountRow);
+
+    // Shared across fork: how many times job 0 ran, in any worker.
+    auto *runs = static_cast<int *>(
+        ::mmap(nullptr, sizeof(int), PROT_READ | PROT_WRITE,
+               MAP_SHARED | MAP_ANONYMOUS, -1, 0));
+    ASSERT_NE(runs, MAP_FAILED);
+    *runs = 0;
+    std::set<int> preexisting = openFds();
+
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.shardSize = 1;
+    options.handler = [&](const JobSpec &job, const auto &table) {
+        ResultRow row = tileCountRow(job, table);
+        if (job.index == 0 &&
+            __atomic_fetch_add(runs, 1, __ATOMIC_SEQ_CST) == 0)
+            sendRow(preexisting, job.index, row);
+        return row;
+    };
+    ServeOutcome outcome = serveJobs(set, options);
+    EXPECT_EQ(*runs, 1);  // the banked row stands: job 0 never reruns
+    ::munmap(runs, sizeof(int));
+    EXPECT_TRUE(outcome.summary.ok);
+    EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
+    // The retired worker held a shard with every row in but no done
+    // record: one crash and one respawn, and nothing to re-dispatch.
+    EXPECT_EQ(outcome.summary.crashes, 1u);
+    EXPECT_EQ(outcome.summary.respawns, 1u);
+    EXPECT_EQ(outcome.summary.retries, 0u);
+    EXPECT_EQ(outcome.summary.workersSpawned, 3u);
+    EXPECT_EQ(outcome.summary.abandoned, 0u);
+    EXPECT_TRUE(noChildrenLeft());
+}
 
 class BadWorkerRecord : public ::testing::TestWithParam<BadRecord>
 {
