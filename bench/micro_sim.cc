@@ -19,9 +19,6 @@
  * `fast_forward_speedup` per point so a perf regression can be told
  * apart from a horizon regression (DESIGN.md "SimEngine and
  * event-horizon fast-forward", "Data layout and completion rings").
- * A snapshot-resume section times resuming the headline point's final
- * eighth from a checkpoint against a cold run and records
- * `resume_speedup` (DESIGN.md "Snapshots and resume").
  */
 
 #include <chrono>
@@ -330,99 +327,6 @@ main(int argc, char **argv)
         rows.push(std::move(row));
     }
 
-    // Snapshot-resume win: capture a checkpoint seven eighths of the
-    // way through the long bandwidth-bound headline run, then compare
-    // a cold re-simulation against resuming the final eighth from the
-    // checkpoint with sim::resumeFrom (pinned by SnapshotResume.*; no
-    // DSE or serve path resumes a run today). Resume rebuilds the
-    // system and restores state instead of re-simulating the prefix,
-    // so it must beat the cold run; both must agree bit-identically.
-    double resume_speedup = 0.0;
-    uint64_t resume_checkpoint_cycle = 0;
-    double resume_cold_sec = 0.0;
-    double resume_warm_sec = 0.0;
-    const Point &resume_point = points.front();
-    {
-        sim::SimConfig config = bench::withSink(harness.sink());
-        if (resume_point.dramLatency > 0)
-            config.dramLatency = resume_point.dramLatency;
-        if (resume_point.channelBandwidthBytes > 0)
-            config.dramChannelBandwidthBytes =
-                resume_point.channelBandwidthBytes;
-        wl::Memory memory;
-        memory.init(resume_point.spec);
-        sim::SimResult cold = sim::simulate(
-            resume_point.spec, resume_point.prepared.mdfg,
-            resume_point.prepared.schedule,
-            *resume_point.prepared.design, memory, config);
-        OG_ASSERT(cold.completed, "resume point did not complete");
-
-        sim::LatestSnapshotSink latest;
-        sim::SimConfig capture = config;
-        capture.checkpointEvery =
-            std::max<uint64_t>(1, cold.cycles * 7 / 8);
-        capture.checkpointSink = &latest;
-        wl::Memory capture_memory;
-        capture_memory.init(resume_point.spec);
-        sim::simulate(resume_point.spec, resume_point.prepared.mdfg,
-                      resume_point.prepared.schedule,
-                      *resume_point.prepared.design, capture_memory,
-                      capture);
-        OG_ASSERT(latest.hasSnapshot(),
-                  "no checkpoint fired on the resume point");
-        resume_checkpoint_cycle = latest.cycle;
-
-        auto clock_best = [&](auto &&run) {
-            double best = 0.0;
-            for (int rep = 0; rep < reps; ++rep) {
-                auto t0 = std::chrono::steady_clock::now();
-                sim::SimResult result = run();
-                double seconds =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-                OG_ASSERT(result.cycles == cold.cycles &&
-                              result.ipc == cold.ipc,
-                          "resume-point run drifted from the cold "
-                          "reference");
-                if (best == 0.0 || seconds < best)
-                    best = seconds;
-            }
-            return best;
-        };
-        resume_cold_sec = clock_best([&] {
-            wl::Memory m;
-            m.init(resume_point.spec);
-            return sim::simulate(resume_point.spec,
-                                 resume_point.prepared.mdfg,
-                                 resume_point.prepared.schedule,
-                                 *resume_point.prepared.design, m,
-                                 config);
-        });
-        resume_warm_sec = clock_best([&] {
-            wl::Memory m;
-            m.init(resume_point.spec);
-            return sim::resumeFrom(latest.latest, resume_point.spec,
-                                   resume_point.prepared.mdfg,
-                                   resume_point.prepared.schedule,
-                                   *resume_point.prepared.design, m,
-                                   config);
-        });
-        resume_speedup = resume_cold_sec / resume_warm_sec;
-        std::printf("\nsnapshot resume (%s, checkpoint at cycle %llu "
-                    "of %llu): cold %.1f ms vs resumed suffix %.1f ms "
-                    "-> %.2fx (bit-identical)\n",
-                    resume_point.label.c_str(),
-                    static_cast<unsigned long long>(
-                        resume_checkpoint_cycle),
-                    static_cast<unsigned long long>(cold.cycles),
-                    resume_cold_sec * 1e3, resume_warm_sec * 1e3,
-                    resume_speedup);
-        OG_ASSERT(resume_speedup > 1.0,
-                  "resuming the final eighth was not faster than a "
-                  "cold run (", resume_speedup, "x)");
-    }
-
     // Instrumentation-overhead guard: per-cycle ledger classification
     // is always on, so compare a null-sink run against one with a
     // live sink sampling an in-memory timeline (no trace file, no
@@ -531,13 +435,6 @@ main(int argc, char **argv)
     phase_guard.set("overhead", Json(phase_overhead));
     phase_guard.set("budget", Json(0.03));
     report.set("phase_overhead", std::move(phase_guard));
-    Json resume = Json::makeObject();
-    resume.set("point", Json(resume_point.label));
-    resume.set("checkpoint_cycle", Json(resume_checkpoint_cycle));
-    resume.set("cold_seconds", Json(resume_cold_sec));
-    resume.set("resume_seconds", Json(resume_warm_sec));
-    resume.set("resume_speedup", Json(resume_speedup));
-    report.set("snapshot_resume", std::move(resume));
     Json sharing = Json::makeObject();
     sharing.set("entries",
                 Json(static_cast<int64_t>(copied_ok.size())));

@@ -1,7 +1,10 @@
 #include "adg/adg.h"
 
 #include <algorithm>
+#include <limits>
+#include <map>
 
+#include "common/json_fields.h"
 #include "common/logging.h"
 
 namespace overgen::adg {
@@ -32,15 +35,15 @@ nodeKindName(NodeKind kind)
     OG_PANIC("unknown node kind");
 }
 
-NodeKind
-nodeKindFromName(const std::string &name)
+std::optional<NodeKind>
+tryNodeKindFromName(const std::string &name)
 {
     for (int k = 0; k <= static_cast<int>(NodeKind::Register); ++k) {
         auto kind = static_cast<NodeKind>(k);
         if (nodeKindName(kind) == name)
             return kind;
     }
-    OG_FATAL("unknown node kind name '", name, "'");
+    return std::nullopt;
 }
 
 bool
@@ -581,80 +584,133 @@ specToJson(const Node &n)
     return obj;
 }
 
-NodeSpec
-specFromJson(NodeKind kind, const Json &obj)
+/** An int-valued field (a range check precedes the cast). */
+bool
+getInt(const Json &obj, const char *key, int &out, std::string *error)
+{
+    int64_t value = 0;
+    if (!getInteger(obj, key, std::numeric_limits<int>::min(),
+                    std::numeric_limits<int>::max(), value, error))
+        return false;
+    out = static_cast<int>(value);
+    return true;
+}
+
+bool
+capabilitiesFromJson(const Json &obj, std::set<FuCapability> &out,
+                     std::string *error)
+{
+    const Json::Array *caps = nullptr;
+    if (!getArray(obj, "capabilities", caps, error))
+        return false;
+    for (const Json &cap : *caps) {
+        std::optional<Opcode> op;
+        std::optional<DataType> type;
+        if (cap.isString()) {
+            const std::string &name = cap.asString();
+            size_t dot = name.find('.');
+            if (dot != std::string::npos) {
+                op = tryOpcodeFromName(name.substr(0, dot));
+                type = tryDataTypeFromName(name.substr(dot + 1));
+            }
+        }
+        if (!op || !type) {
+            if (error != nullptr)
+                *error = "bad PE capability " + cap.dump();
+            return false;
+        }
+        out.insert(FuCapability{ *op, *type });
+    }
+    return true;
+}
+
+/** Decode a node spec of @p kind; false with a named error. */
+bool
+specFromJson(NodeKind kind, const Json &obj, NodeSpec &out,
+             std::string *error)
 {
     switch (kind) {
       case NodeKind::Pe: {
         PeSpec pe;
-        for (const auto &cap : obj.at("capabilities").asArray()) {
-            const std::string &name = cap.asString();
-            auto dot = name.find('.');
-            OG_ASSERT(dot != std::string::npos, "bad capability ", name);
-            pe.capabilities.insert(
-                FuCapability{ opcodeFromName(name.substr(0, dot)),
-                              dataTypeFromName(name.substr(dot + 1)) });
-        }
-        pe.datapathBytes =
-            static_cast<int>(obj.at("datapath_bytes").asInt());
-        pe.maxDelayFifoDepth =
-            static_cast<int>(obj.at("max_delay_fifo_depth").asInt());
-        pe.controlLut = obj.at("control_lut").asBool();
-        return pe;
+        if (!capabilitiesFromJson(obj, pe.capabilities, error) ||
+            !getInt(obj, "datapath_bytes", pe.datapathBytes, error) ||
+            !getInt(obj, "max_delay_fifo_depth", pe.maxDelayFifoDepth,
+                    error) ||
+            !getBool(obj, "control_lut", pe.controlLut, error))
+            return false;
+        out = std::move(pe);
+        return true;
       }
       case NodeKind::Switch: {
         SwitchSpec sw;
-        sw.datapathBytes =
-            static_cast<int>(obj.at("datapath_bytes").asInt());
-        return sw;
+        if (!getInt(obj, "datapath_bytes", sw.datapathBytes, error))
+            return false;
+        out = sw;
+        return true;
       }
       case NodeKind::InPort:
       case NodeKind::OutPort: {
         PortSpec port;
-        port.widthBytes = static_cast<int>(obj.at("width_bytes").asInt());
-        port.padding = obj.at("padding").asBool();
-        port.statedStream = obj.at("stated_stream").asBool();
-        port.fifoDepth = static_cast<int>(obj.at("fifo_depth").asInt());
-        return port;
+        if (!getInt(obj, "width_bytes", port.widthBytes, error) ||
+            !getBool(obj, "padding", port.padding, error) ||
+            !getBool(obj, "stated_stream", port.statedStream, error) ||
+            !getInt(obj, "fifo_depth", port.fifoDepth, error))
+            return false;
+        out = port;
+        return true;
       }
       case NodeKind::Dma: {
         DmaSpec dma;
-        dma.bandwidthBytes =
-            static_cast<int>(obj.at("bandwidth_bytes").asInt());
-        dma.indirect = obj.at("indirect").asBool();
-        dma.robEntries = static_cast<int>(obj.at("rob_entries").asInt());
-        return dma;
+        if (!getInt(obj, "bandwidth_bytes", dma.bandwidthBytes, error) ||
+            !getBool(obj, "indirect", dma.indirect, error) ||
+            !getInt(obj, "rob_entries", dma.robEntries, error))
+            return false;
+        out = dma;
+        return true;
       }
       case NodeKind::Scratchpad: {
         ScratchpadSpec spad;
-        spad.capacityKiB = static_cast<int>(obj.at("capacity_kib").asInt());
-        spad.readBandwidthBytes =
-            static_cast<int>(obj.at("read_bandwidth_bytes").asInt());
-        spad.writeBandwidthBytes =
-            static_cast<int>(obj.at("write_bandwidth_bytes").asInt());
-        spad.indirect = obj.at("indirect").asBool();
-        return spad;
+        if (!getInt(obj, "capacity_kib", spad.capacityKiB, error) ||
+            !getInt(obj, "read_bandwidth_bytes", spad.readBandwidthBytes,
+                    error) ||
+            !getInt(obj, "write_bandwidth_bytes",
+                    spad.writeBandwidthBytes, error) ||
+            !getBool(obj, "indirect", spad.indirect, error))
+            return false;
+        out = spad;
+        return true;
       }
       case NodeKind::Recurrence: {
         RecurrenceSpec rec;
-        rec.bandwidthBytes =
-            static_cast<int>(obj.at("bandwidth_bytes").asInt());
-        return rec;
+        if (!getInt(obj, "bandwidth_bytes", rec.bandwidthBytes, error))
+            return false;
+        out = rec;
+        return true;
       }
       case NodeKind::Generate: {
         GenerateSpec gen;
-        gen.bandwidthBytes =
-            static_cast<int>(obj.at("bandwidth_bytes").asInt());
-        return gen;
+        if (!getInt(obj, "bandwidth_bytes", gen.bandwidthBytes, error))
+            return false;
+        out = gen;
+        return true;
       }
       case NodeKind::Register: {
         RegisterSpec reg;
-        reg.bandwidthBytes =
-            static_cast<int>(obj.at("bandwidth_bytes").asInt());
-        return reg;
+        if (!getInt(obj, "bandwidth_bytes", reg.bandwidthBytes, error))
+            return false;
+        out = reg;
+        return true;
       }
     }
     OG_PANIC("unknown node kind");
+}
+
+/** Report a decode failure through @p error (when non-null). */
+void
+setError(std::string *error, std::string what)
+{
+    if (error != nullptr)
+        *error = std::move(what);
 }
 
 } // namespace
@@ -686,24 +742,74 @@ Adg::toJson() const
     return obj;
 }
 
+std::optional<Adg>
+Adg::tryFromJson(const Json &json, std::string *error)
+{
+    Adg adg;
+    const Json::Array *nodeArray = nullptr;
+    const Json::Array *edgeArray = nullptr;
+    if (!getArray(json, "nodes", nodeArray, error) ||
+        !getArray(json, "edges", edgeArray, error))
+        return std::nullopt;
+    // Ids in the file may be sparse (post-mutation dumps); remap densely.
+    std::map<int64_t, NodeId> remap;
+    for (const Json &jn : *nodeArray) {
+        std::string kindName;
+        int64_t fileId = 0;
+        if (!getString(jn, "kind", kindName, error) ||
+            !getInteger(jn, "id", 0, std::numeric_limits<int>::max(),
+                        fileId, error))
+            return std::nullopt;
+        std::optional<NodeKind> kind = tryNodeKindFromName(kindName);
+        if (!kind) {
+            setError(error, "unknown node kind '" + kindName + "'");
+            return std::nullopt;
+        }
+        if (!jn.contains("spec") || !jn.at("spec").isObject()) {
+            setError(error, "missing/ill-typed object field 'spec'");
+            return std::nullopt;
+        }
+        NodeSpec spec;
+        if (!specFromJson(*kind, jn.at("spec"), spec, error))
+            return std::nullopt;
+        if (!remap.emplace(fileId, adg.addNode(*kind, std::move(spec)))
+                 .second) {
+            setError(error,
+                        "duplicate node id " + std::to_string(fileId));
+            return std::nullopt;
+        }
+    }
+    for (const Json &je : *edgeArray) {
+        int64_t src = 0;
+        int64_t dst = 0;
+        int delay = 0;
+        if (!getInteger(je, "src", 0, std::numeric_limits<int>::max(),
+                        src, error) ||
+            !getInteger(je, "dst", 0, std::numeric_limits<int>::max(),
+                        dst, error) ||
+            !getInt(je, "delay", delay, error))
+            return std::nullopt;
+        auto from = remap.find(src);
+        auto to = remap.find(dst);
+        if (from == remap.end() || to == remap.end() || src == dst ||
+            delay < 0 ||
+            !edgeLegal(adg.node(from->second).kind,
+                       adg.node(to->second).kind)) {
+            setError(error, "bad edge " + je.dump());
+            return std::nullopt;
+        }
+        adg.addEdge(from->second, to->second, delay);
+    }
+    return adg;
+}
+
 Adg
 Adg::fromJson(const Json &json)
 {
-    Adg adg;
-    // Ids in the file may be sparse (post-mutation dumps); remap densely.
-    std::map<int64_t, NodeId> remap;
-    for (const auto &jn : json.at("nodes").asArray()) {
-        NodeKind kind = nodeKindFromName(jn.at("kind").asString());
-        NodeSpec spec = specFromJson(kind, jn.at("spec"));
-        NodeId id = adg.addNode(kind, std::move(spec));
-        remap[jn.at("id").asInt()] = id;
-    }
-    for (const auto &je : json.at("edges").asArray()) {
-        adg.addEdge(remap.at(je.at("src").asInt()),
-                    remap.at(je.at("dst").asInt()),
-                    static_cast<int>(je.at("delay").asInt()));
-    }
-    return adg;
+    std::string error;
+    std::optional<Adg> adg = tryFromJson(json, &error);
+    OG_ASSERT(adg.has_value(), "malformed ADG JSON: ", error);
+    return std::move(*adg);
 }
 
 Json
@@ -718,17 +824,26 @@ SystemParams::toJson() const
     return obj;
 }
 
+std::optional<SystemParams>
+SystemParams::tryFromJson(const Json &json, std::string *error)
+{
+    SystemParams sys;
+    if (!getInt(json, "num_tiles", sys.numTiles, error) ||
+        !getInt(json, "l2_banks", sys.l2Banks, error) ||
+        !getInt(json, "l2_capacity_kib", sys.l2CapacityKiB, error) ||
+        !getInt(json, "noc_bytes", sys.nocBytes, error) ||
+        !getInt(json, "dram_channels", sys.dramChannels, error))
+        return std::nullopt;
+    return sys;
+}
+
 SystemParams
 SystemParams::fromJson(const Json &json)
 {
-    SystemParams sys;
-    sys.numTiles = static_cast<int>(json.at("num_tiles").asInt());
-    sys.l2Banks = static_cast<int>(json.at("l2_banks").asInt());
-    sys.l2CapacityKiB =
-        static_cast<int>(json.at("l2_capacity_kib").asInt());
-    sys.nocBytes = static_cast<int>(json.at("noc_bytes").asInt());
-    sys.dramChannels = static_cast<int>(json.at("dram_channels").asInt());
-    return sys;
+    std::string error;
+    std::optional<SystemParams> sys = tryFromJson(json, &error);
+    OG_ASSERT(sys.has_value(), "malformed system JSON: ", error);
+    return *sys;
 }
 
 Json
@@ -740,13 +855,30 @@ SysAdg::toJson() const
     return obj;
 }
 
+std::optional<SysAdg>
+SysAdg::tryFromJson(const Json &json, std::string *error)
+{
+    if (!json.contains("adg") || !json.contains("system")) {
+        setError(error, "design lacks an 'adg' or 'system' field");
+        return std::nullopt;
+    }
+    std::optional<Adg> adg = Adg::tryFromJson(json.at("adg"), error);
+    if (!adg)
+        return std::nullopt;
+    std::optional<SystemParams> sys =
+        SystemParams::tryFromJson(json.at("system"), error);
+    if (!sys)
+        return std::nullopt;
+    return SysAdg{ std::move(*adg), *sys };
+}
+
 SysAdg
 SysAdg::fromJson(const Json &json)
 {
-    SysAdg result;
-    result.adg = Adg::fromJson(json.at("adg"));
-    result.sys = SystemParams::fromJson(json.at("system"));
-    return result;
+    std::string error;
+    std::optional<SysAdg> design = tryFromJson(json, &error);
+    OG_ASSERT(design.has_value(), "malformed design JSON: ", error);
+    return std::move(*design);
 }
 
 } // namespace overgen::adg

@@ -41,6 +41,10 @@ struct SystemParams
     Json toJson() const;
     /** Deserialize; fatal on malformed input. */
     static SystemParams fromJson(const Json &json);
+    /** Deserialize outside input: nullopt and a named @p error on
+     * malformed input. */
+    static std::optional<SystemParams> tryFromJson(const Json &json,
+                                                   std::string *error);
 };
 
 /**
@@ -138,6 +142,10 @@ class Adg
     Json toJson() const;
     /** Deserialize; fatal on malformed input. */
     static Adg fromJson(const Json &json);
+    /** Deserialize outside input: nullopt and a named @p error on
+     * malformed input (unknown names, bad edges, duplicate ids). */
+    static std::optional<Adg> tryFromJson(const Json &json,
+                                          std::string *error);
 
     /**
      * 64-bit structural fingerprint over live nodes (id, kind, every
@@ -185,7 +193,11 @@ struct SysAdg
     SystemParams sys;
 
     Json toJson() const;
+    /** Deserialize; fatal on malformed input. */
     static SysAdg fromJson(const Json &json);
+    /** Deserialize outside input (see Adg::tryFromJson). */
+    static std::optional<SysAdg> tryFromJson(const Json &json,
+                                             std::string *error);
 };
 
 } // namespace overgen::adg

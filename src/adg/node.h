@@ -9,6 +9,7 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <variant>
@@ -42,8 +43,9 @@ enum class NodeKind : uint8_t {
 /** @return printable kind name. */
 std::string nodeKindName(NodeKind kind);
 
-/** Parse a name produced by nodeKindName(); fatal on unknown names. */
-NodeKind nodeKindFromName(const std::string &name);
+/** Parse a name produced by nodeKindName(); nullopt on unknown
+ * names. */
+std::optional<NodeKind> tryNodeKindFromName(const std::string &name);
 
 /** @return whether @p kind is one of the five stream-engine kinds. */
 bool isStreamEngine(NodeKind kind);

@@ -36,14 +36,22 @@ opcodeName(Opcode op)
     OG_PANIC("unknown opcode ", static_cast<int>(op));
 }
 
-Opcode
-opcodeFromName(const std::string &name)
+std::optional<Opcode>
+tryOpcodeFromName(const std::string &name)
 {
     for (const auto &entry : opNames) {
         if (name == entry.name)
             return entry.op;
     }
-    OG_FATAL("unknown opcode name '", name, "'");
+    return std::nullopt;
+}
+
+Opcode
+opcodeFromName(const std::string &name)
+{
+    std::optional<Opcode> op = tryOpcodeFromName(name);
+    OG_ASSERT(op.has_value(), "unknown opcode name '", name, "'");
+    return *op;
 }
 
 OpProperties

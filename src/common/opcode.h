@@ -9,6 +9,7 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,8 @@ std::string opcodeName(Opcode op);
 
 /** Parse a name produced by opcodeName(); fatal on unknown names. */
 Opcode opcodeFromName(const std::string &name);
+/** opcodeFromName() for outside input: nullopt on unknown names. */
+std::optional<Opcode> tryOpcodeFromName(const std::string &name);
 
 /** @return static properties of @p op executed on type @p type. */
 OpProperties opProperties(Opcode op, DataType type);

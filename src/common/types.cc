@@ -42,8 +42,8 @@ dataTypeName(DataType type)
     OG_PANIC("unknown data type");
 }
 
-DataType
-dataTypeFromName(const std::string &name)
+std::optional<DataType>
+tryDataTypeFromName(const std::string &name)
 {
     if (name == "i8")
         return DataType::I8;
@@ -57,7 +57,15 @@ dataTypeFromName(const std::string &name)
         return DataType::F32;
     if (name == "f64")
         return DataType::F64;
-    OG_FATAL("unknown data type name '", name, "'");
+    return std::nullopt;
+}
+
+DataType
+dataTypeFromName(const std::string &name)
+{
+    std::optional<DataType> type = tryDataTypeFromName(name);
+    OG_ASSERT(type.has_value(), "unknown data type name '", name, "'");
+    return *type;
 }
 
 int

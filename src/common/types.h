@@ -8,6 +8,7 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace overgen {
@@ -45,6 +46,8 @@ std::string dataTypeName(DataType type);
 
 /** Parse a name produced by dataTypeName(); fatal on unknown names. */
 DataType dataTypeFromName(const std::string &name);
+/** dataTypeFromName() for outside input: nullopt on unknown names. */
+std::optional<DataType> tryDataTypeFromName(const std::string &name);
 
 /**
  * Number of subword SIMD lanes a PE of @p pe_bytes datapath width

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "common/hex.h"
 #include "common/json_fields.h"
@@ -146,14 +147,16 @@ LibraryEntry::fromJson(const Json &json, std::string *error)
         !getNumber(json, "utilization", entry.utilization, error) ||
         !getString(json, "origin", entry.origin, error))
         return std::nullopt;
-    if (!json.contains("design") || !json.at("design").isObject() ||
-        !json.at("design").contains("adg") ||
-        !json.at("design").contains("system")) {
+    if (!json.contains("design")) {
         if (error != nullptr)
-            *error = "missing/ill-typed design field";
+            *error = "missing design field";
         return std::nullopt;
     }
-    entry.design = adg::SysAdg::fromJson(json.at("design"));
+    std::optional<adg::SysAdg> design =
+        adg::SysAdg::tryFromJson(json.at("design"), error);
+    if (!design)
+        return std::nullopt;
+    entry.design = std::move(*design);
     if (!json.contains("resources") ||
         !json.at("resources").isObject()) {
         if (error != nullptr)
@@ -171,13 +174,13 @@ LibraryEntry::fromJson(const Json &json, std::string *error)
             return std::nullopt;
     }
     if (json.contains("warm_iters")) {
-        if (!json.at("warm_iters").isNumber()) {
-            if (error != nullptr)
-                *error = "ill-typed warm_iters field";
+        int64_t iterations = 0;
+        if (!getInteger(json, "warm_iters",
+                        std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max(), iterations,
+                        error))
             return std::nullopt;
-        }
-        entry.warmIterations =
-            static_cast<int>(json.at("warm_iters").asInt());
+        entry.warmIterations = static_cast<int>(iterations);
     }
     if (!json.contains("records") || !json.at("records").isArray()) {
         if (error != nullptr)

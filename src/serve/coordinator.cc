@@ -558,9 +558,13 @@ class WorkerPool::Impl
         return true;
     }
 
-    /** Close worker @p workerIndex's pipes and reap it; an attempt it
-     * held on an unfinished shard counts as a crash (requeue, then a
-     * respawn within the budget). */
+    /** Close worker @p workerIndex's pipes and reap it. An attempt it
+     * held on an unfinished shard counts as a crash. If every row of
+     * the shard is already banked, the shard completes and nothing is
+     * replaced. Otherwise the shard is requeued (or abandoned), and a
+     * respawn within the budget follows while shards are pending:
+     * ensureLiveness() covers an all-dead pool, and the next run()
+     * tops the pool back up. */
     void
     onWorkerGone(int workerIndex)
     {
@@ -578,8 +582,12 @@ class WorkerPool::Impl
         if (shardId >= 0 && !tracks[shardId].completed) {
             ++summary().crashes;
             count("serve/crashes");
+            if (shardFilled(tracks[shardId])) {
+                tracks[shardId].completed = true;
+                return;
+            }
             requeueOrAbandon(shardId);
-            if (respawnBudget > 0) {
+            if (!pending.empty() && respawnBudget > 0) {
                 --respawnBudget;
                 ++summary().respawns;
                 count("serve/respawns");

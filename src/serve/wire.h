@@ -30,8 +30,7 @@
  * A shard record's "jobs" array holds only the jobs that still need
  * rows — a re-dispatch after a crash carries just the unfinished
  * remainder, and an interrupted job reruns from cycle 0. No simulator
- * state crosses the pipe, so a worker never decodes another process's
- * snapshot bytes.
+ * state crosses the pipe.
  *
  * Determinism contract: a job's result row is a pure function of the
  * job descriptor (the simulator is single-threaded-deterministic), and

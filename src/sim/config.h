@@ -18,8 +18,6 @@ class Sink;
 
 namespace overgen::sim {
 
-class SnapshotSink;
-
 /** Simulator configuration. */
 struct SimConfig
 {
@@ -85,21 +83,6 @@ struct SimConfig
      * round-trip (~100 cycles), so the default only fires on genuine
      * deadlocks — long before the maxCycles spin would end. */
     uint64_t deadlockCycles = 2'000'000ull;
-    /// @}
-
-    /** @name Checkpointing (see DESIGN.md "Snapshots and resume") */
-    /// @{
-    /** Capture a full-state snapshot whenever this many cycles have
-     * elapsed since the last one (0 disables). Sites fall on executed
-     * tick or post-horizon-jump boundaries, so a long stall window is
-     * checkpointed once at its far edge, never inside. Checkpoints
-     * only observe state — results are bit-identical with
-     * checkpointing on or off. */
-    uint64_t checkpointEvery = 0;
-    /** Receiver of captured snapshots (`bench/micro_sim` wires a
-     * LatestSnapshotSink). Null disables capture even when
-     * checkpointEvery is set. Not owned. */
-    SnapshotSink *checkpointSink = nullptr;
     /// @}
 
     /**

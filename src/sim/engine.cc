@@ -3,33 +3,8 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "sim/snapshot.h"
 
 namespace overgen::sim {
-
-void
-EngineCheckpoint::save(Snapshot &snap) const
-{
-    snap.beginSection("engine");
-    snap.putU64(cycle);
-    snap.putU64(lastProgressCycle);
-    snap.putBool(stalled);
-    snap.putU64(tickedCycles);
-    snap.putU64(skippedCycles);
-    snap.putU64(horizonJumps);
-}
-
-void
-EngineCheckpoint::restore(const Snapshot &snap)
-{
-    snap.expectSection("engine");
-    cycle = snap.getU64();
-    lastProgressCycle = snap.getU64();
-    stalled = snap.getBool();
-    tickedCycles = snap.getU64();
-    skippedCycles = snap.getU64();
-    horizonJumps = snap.getU64();
-}
 
 void
 SimEngine::add(ClockedComponent *component)
@@ -95,28 +70,6 @@ SimEngine::verifyQuiescent(uint64_t from, uint64_t to,
 EngineOutcome
 SimEngine::run(const std::function<bool()> &all_done)
 {
-    return runLoop(all_done, nullptr);
-}
-
-EngineOutcome
-SimEngine::resume(const std::function<bool()> &all_done,
-                  const EngineCheckpoint &from)
-{
-    return runLoop(all_done, &from);
-}
-
-void
-SimEngine::setCheckpointHook(
-    uint64_t every, std::function<void(const EngineCheckpoint &)> hook)
-{
-    checkpointEvery = every;
-    checkpointHook = std::move(hook);
-}
-
-EngineOutcome
-SimEngine::runLoop(const std::function<bool()> &all_done,
-                   const EngineCheckpoint *from)
-{
     OG_ASSERT(!components.empty(), "SimEngine has no components");
     EngineOutcome out;
     uint64_t cycle = 0;
@@ -127,42 +80,9 @@ SimEngine::runLoop(const std::function<bool()> &all_done,
     // overhead, and a stall window begins with exactly one
     // unproductive tick before the jump.
     bool stalled = false;
-    if (from != nullptr) {
-        // Re-enter the loop exactly where the checkpoint left it: the
-        // components were restore()d to start-of-cycle state, and the
-        // loop's own variables (watchdog bookkeeping, the stall flag,
-        // the outcome counters) come from the checkpoint, so every
-        // branch below decides as the uninterrupted run did.
-        cycle = from->cycle;
-        last_progress_cycle = from->lastProgressCycle;
-        stalled = from->stalled;
-        out.tickedCycles = from->tickedCycles;
-        out.skippedCycles = from->skippedCycles;
-        out.horizonJumps = from->horizonJumps;
-    }
     bool done = false;
     const uint64_t deadlock = config.deadlockCycles;
-    // First checkpoint one cadence past the entry cycle: a resumed
-    // run keeps checkpointing on its own cadence without re-emitting
-    // the state it was restored from.
-    uint64_t next_ckpt = kNoEventCycle;
-    if (checkpointEvery > 0 && checkpointHook)
-        next_ckpt = cycle + checkpointEvery;
     while (cycle < config.maxCycles) {
-        if (cycle >= next_ckpt) {
-            // Loop-top state is start-of-cycle consistent for every
-            // component: the previous iteration's tick (or verified
-            // jump) fully completed, and no skipped range is open.
-            EngineCheckpoint ck;
-            ck.cycle = cycle;
-            ck.lastProgressCycle = last_progress_cycle;
-            ck.stalled = stalled;
-            ck.tickedCycles = out.tickedCycles;
-            ck.skippedCycles = out.skippedCycles;
-            ck.horizonJumps = out.horizonJumps;
-            checkpointHook(ck);
-            next_ckpt = cycle + checkpointEvery;
-        }
         if (stalled && !config.noFastForward) {
             uint64_t stop = config.maxCycles;
             if (deadlock > 0)

@@ -25,8 +25,6 @@
 
 namespace overgen::sim {
 
-class Snapshot;
-
 /** nextEventCycle() sentinel: this component never acts again. */
 inline constexpr uint64_t kNoEventCycle = ~uint64_t{ 0 };
 
@@ -76,21 +74,6 @@ class ClockedComponent
 
     /** Append a human-readable state dump (deadlock diagnostics). */
     virtual void describeState(std::string &out) const = 0;
-
-    /**
-     * Append this component's complete mutable state to @p snap —
-     * everything a later restore() needs to make the component
-     * bit-identical to one that never stopped: queues and rings,
-     * saturating byte budgets, deferred fill expiry, stall counters,
-     * the cycle ledger, and the component's own clock. Structural
-     * state fixed at construction (capacities, wiring, latencies) is
-     * not written; restore() runs on a freshly built twin.
-     */
-    virtual void save(Snapshot &snap) const = 0;
-
-    /** Read back the state written by save(), in the same order. The
-     * component must have been constructed with the same inputs. */
-    virtual void restore(const Snapshot &snap) = 0;
 };
 
 /** Outcome of one SimEngine::run(). */
@@ -115,29 +98,6 @@ struct EngineOutcome
 };
 
 /**
- * The engine's own loop state at a checkpoint site: the cycle the
- * snapshot describes the start of, the watchdog's bookkeeping, and
- * the outcome counters accumulated so far (so a resumed run's final
- * EngineOutcome equals the uninterrupted one field for field).
- * Component state is serialized separately (ClockedComponent::save).
- */
-struct EngineCheckpoint
-{
-    uint64_t cycle = 0;
-    uint64_t lastProgressCycle = 0;
-    /** One unproductive tick has gone by (the loop's fast-forward
-     * arming flag — part of the loop state, so a resume takes the
-     * same horizon jumps the uninterrupted run would). */
-    bool stalled = false;
-    uint64_t tickedCycles = 0;
-    uint64_t skippedCycles = 0;
-    uint64_t horizonJumps = 0;
-
-    void save(Snapshot &snap) const;
-    void restore(const Snapshot &snap);
-};
-
-/**
  * Lockstep driver over a set of components. Components tick in the
  * order they were added (the memory system must be added before the
  * tiles that retire its completions, mirroring the historical loop).
@@ -159,30 +119,7 @@ class SimEngine
      */
     EngineOutcome run(const std::function<bool()> &all_done);
 
-    /**
-     * run() from a restored checkpoint: the components have already
-     * been restore()d to @p from's cycle, and the loop re-enters with
-     * the checkpoint's watchdog state and outcome counters. The
-     * continuation is bit-identical to the uninterrupted run.
-     */
-    EngineOutcome resume(const std::function<bool()> &all_done,
-                         const EngineCheckpoint &from);
-
-    /**
-     * Invoke @p hook at checkpoint sites: at the top of the loop,
-     * whenever at least @p every cycles have elapsed since the last
-     * checkpoint (so sites always fall on executed-tick or
-     * post-horizon-jump boundaries, where every component's state is
-     * start-of-cycle consistent — never inside a skipped range). The
-     * hook must only read component state. 0 disables.
-     */
-    void setCheckpointHook(
-        uint64_t every,
-        std::function<void(const EngineCheckpoint &)> hook);
-
   private:
-    EngineOutcome runLoop(const std::function<bool()> &all_done,
-                          const EngineCheckpoint *from);
     uint64_t horizon(uint64_t now) const;
     uint64_t totalProgress() const;
     std::string dumpComponents() const;
@@ -193,8 +130,6 @@ class SimEngine
 
     SimConfig config;
     std::vector<ClockedComponent *> components;
-    uint64_t checkpointEvery = 0;
-    std::function<void(const EngineCheckpoint &)> checkpointHook;
 };
 
 } // namespace overgen::sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "sim/snapshot.h"
 
 namespace overgen::sim {
 
@@ -106,30 +105,6 @@ IterationWalker::settle()
     }
     chunk = static_cast<int>(
         std::min<int64_t>(unroll, inner_trip - ivs[depth - 1]));
-}
-
-void
-IterationWalker::save(Snapshot &snap) const
-{
-    snap.putU64(ivs.size());
-    for (int64_t iv : ivs)
-        snap.putI64(iv);
-    snap.putI64(chunk);
-    snap.putI64(firings);
-    snap.putBool(finished);
-}
-
-void
-IterationWalker::restore(const Snapshot &snap)
-{
-    uint64_t n = snap.getU64();
-    OG_ASSERT(n == ivs.size(), "walker depth mismatch: snapshot has ",
-              n, " loops, walker ", ivs.size());
-    for (int64_t &iv : ivs)
-        iv = snap.getI64();
-    chunk = static_cast<int>(snap.getI64());
-    firings = snap.getI64();
-    finished = snap.getBool();
 }
 
 void

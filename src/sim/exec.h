@@ -19,8 +19,6 @@
 
 namespace overgen::sim {
 
-class Snapshot;
-
 /** Flat byte-address layout of a kernel's arrays, indexed by array id
  * (the array's index in `spec.arrays`, as in wl::BoundAccess). */
 class AddressMap
@@ -94,12 +92,6 @@ class IterationWalker
     int64_t firingIndex() const { return firings; }
     /** Advance to the next firing. */
     void advance();
-
-    /** Append the cursor state (not the spec) to @p snap. */
-    void save(Snapshot &snap) const;
-    /** Read back a save()d cursor; the walker must have been built
-     * over the same spec/unroll/partition. */
-    void restore(const Snapshot &snap);
 
   private:
     void settle();  //!< skip zero-trip positions, compute chunk

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "sim/snapshot.h"
 #include "telemetry/sink.h"
 #include "telemetry/timeline.h"
 
@@ -22,7 +21,7 @@ MemorySystem::TxnQueue::grow()
     std::vector<int> nbytes(new_cap);
     std::vector<uint8_t> nwrites(new_cap);
     for (size_t i = 0; i < count; ++i) {
-        size_t s = pos(i);
+        size_t s = (head + i) & mask;
         nids[i] = ids[s];
         nslots[i] = slots[s];
         naddrs[i] = addrs[s];
@@ -662,203 +661,6 @@ MemorySystem::quiescenceFingerprint() const
     mix(memStats.nocBytes);
     mix(memStats.peakOutstandingTxns);
     return h;
-}
-
-void
-MemorySystem::save(Snapshot &snap) const
-{
-    auto save_queue = [&snap](const TxnQueue &q) {
-        snap.putU64(q.size());
-        for (size_t i = 0; i < q.size(); ++i) {
-            snap.putI64(q.idAt(i));
-            snap.putI64(q.slotAt(i));
-            snap.putU64(q.addrAt(i));
-            snap.putI64(q.bytesAt(i));
-            snap.putBool(q.writeAt(i));
-        }
-    };
-    snap.beginSection("memsys");
-    snap.putU64(cycle);
-    snap.putI64(nextId);
-    snap.putU64(progressEvents);
-    snap.putU64(inFlightCount);
-    snap.putU64(tileLink.size());
-    for (size_t t = 0; t < tileLink.size(); ++t) {
-        save_queue(tileLink[t]);
-        snap.putDouble(tileLinkBudget[t]);
-    }
-    snap.putU64(channelBudget.size());
-    for (double budget : channelBudget)
-        snap.putDouble(budget);
-    snap.putU64(banks.size());
-    for (const Bank &bank : banks) {
-        // Tag store (MRU-ordered sets): a restore must rebuild
-        // hit/miss/eviction behavior, so the whole store is
-        // serialized.
-        snap.putU64(bank.sets.size());
-        for (const auto &set : bank.sets) {
-            snap.putU64(set.size());
-            for (const CacheLine &cl : set) {
-                snap.putU64(cl.tag);
-                snap.putBool(cl.dirty);
-            }
-        }
-        save_queue(bank.queue);
-        save_queue(bank.dramQueue);
-        snap.putU64(bank.fillReady.size());
-        for (size_t i = 0; i < bank.fillReady.size(); ++i) {
-            snap.putU64(bank.fillReady[i].line);
-            snap.putU64(bank.fillReady[i].ready);
-        }
-        snap.putI64(bank.writebackBytes);
-        snap.putI64(bank.mshrsInUse);
-        snap.putDouble(bank.byteBudget);
-    }
-    snap.putU64(memStats.l2Hits);
-    snap.putU64(memStats.l2Misses);
-    snap.putU64(memStats.dramBytesRead);
-    snap.putU64(memStats.dramBytesWritten);
-    snap.putU64(memStats.nocBytes);
-    snap.putU64(memStats.mshrStallCycles);
-    snap.putU64(memStats.peakOutstandingTxns);
-    for (uint64_t c : memStats.ledger.counts)
-        snap.putU64(c);
-    // Completion rings get their own section: only non-empty rings,
-    // each under its slot index, entries in (ready, id) order.
-    snap.beginSection("memsys.completions");
-    snap.putU64(pendingCompletions);
-    uint64_t nonempty = 0;
-    for (const CompletionRing &ring : rings)
-        nonempty += ring.count > 0;
-    snap.putU64(nonempty);
-    for (size_t slot = 0; slot < rings.size(); ++slot) {
-        const CompletionRing &ring = rings[slot];
-        if (ring.count == 0)
-            continue;
-        snap.putU64(slot);
-        snap.putU64(ring.count);
-        for (size_t i = 0; i < ring.count; ++i) {
-            snap.putI64(ring.at(i).id);
-            snap.putU64(ring.at(i).ready);
-        }
-    }
-}
-
-void
-MemorySystem::restore(const Snapshot &snap)
-{
-    auto restore_queue = [this, &snap](TxnQueue &q) {
-        q.clear();
-        uint64_t n = snap.getU64();
-        for (uint64_t i = 0; i < n; ++i) {
-            TxnId id = snap.getI64();
-            int64_t slot = snap.getI64();
-            OG_ASSERT(slot >= 0 && slot < static_cast<int64_t>(
-                                              rings.size()),
-                      "snapshot queued txn ", id, " names slot ", slot,
-                      ", out of range ", rings.size());
-            uint64_t addr = snap.getU64();
-            int bytes = static_cast<int>(snap.getI64());
-            bool write = snap.getBool();
-            q.push(id, static_cast<int>(slot), addr, bytes, write);
-        }
-    };
-    snap.expectSection("memsys");
-    cycle = snap.getU64();
-    nextId = snap.getI64();
-    progressEvents = snap.getU64();
-    inFlightCount = snap.getU64();
-    uint64_t links = snap.getU64();
-    OG_ASSERT(links == tileLink.size(),
-              "snapshot tile-link count mismatch: ", links, " vs ",
-              tileLink.size());
-    for (size_t t = 0; t < tileLink.size(); ++t) {
-        restore_queue(tileLink[t]);
-        tileLinkBudget[t] = snap.getDouble();
-    }
-    uint64_t channels = snap.getU64();
-    OG_ASSERT(channels == channelBudget.size(),
-              "snapshot channel count mismatch: ", channels, " vs ",
-              channelBudget.size());
-    for (double &budget : channelBudget)
-        budget = snap.getDouble();
-    uint64_t nbanks = snap.getU64();
-    OG_ASSERT(nbanks == banks.size(), "snapshot bank count mismatch: ",
-              nbanks, " vs ", banks.size());
-    for (Bank &bank : banks) {
-        uint64_t nsets = snap.getU64();
-        OG_ASSERT(nsets == bank.sets.size(),
-                  "snapshot set count mismatch: ", nsets, " vs ",
-                  bank.sets.size());
-        for (auto &set : bank.sets) {
-            set.resize(snap.getU64());
-            for (CacheLine &cl : set) {
-                cl.tag = snap.getU64();
-                cl.dirty = snap.getBool();
-            }
-        }
-        restore_queue(bank.queue);
-        restore_queue(bank.dramQueue);
-        bank.fillReady.clear();
-        uint64_t fills = snap.getU64();
-        for (uint64_t i = 0; i < fills; ++i) {
-            FillEntry entry;
-            entry.line = snap.getU64();
-            entry.ready = snap.getU64();
-            bank.fillReady.push_back(entry);
-        }
-        bank.writebackBytes = snap.getI64();
-        bank.mshrsInUse = static_cast<int>(snap.getI64());
-        bank.byteBudget = snap.getDouble();
-    }
-    memStats.l2Hits = snap.getU64();
-    memStats.l2Misses = snap.getU64();
-    memStats.dramBytesRead = snap.getU64();
-    memStats.dramBytesWritten = snap.getU64();
-    memStats.nocBytes = snap.getU64();
-    memStats.mshrStallCycles = snap.getU64();
-    memStats.peakOutstandingTxns = snap.getU64();
-    for (uint64_t &c : memStats.ledger.counts)
-        c = snap.getU64();
-
-    // Ring state is validated as it is read: the engines trust it to
-    // hand back only their own outstanding ids, in due order.
-    snap.expectSection("memsys.completions");
-    for (CompletionRing &ring : rings) {
-        ring.head = 0;
-        ring.count = 0;
-    }
-    uint64_t pending = snap.getU64();
-    uint64_t nonempty = snap.getU64();
-    uint64_t total = 0;
-    uint64_t next_slot = 0;
-    for (uint64_t r = 0; r < nonempty; ++r) {
-        uint64_t slot = snap.getU64();
-        OG_ASSERT(slot < rings.size(), "snapshot completion slot ", slot,
-                  " out of range ", rings.size());
-        OG_ASSERT(slot >= next_slot, "snapshot completion slot ", slot,
-                  " repeated or out of order");
-        next_slot = slot + 1;
-        CompletionRing &ring = rings[slot];
-        uint64_t n = snap.getU64();
-        OG_ASSERT(n <= ring.capacity, "snapshot completion ring of slot ",
-                  slot, " holds ", n, " entries, more than its ROB (",
-                  ring.capacity, ")");
-        for (uint64_t i = 0; i < n; ++i) {
-            Completion entry;
-            entry.id = snap.getI64();
-            entry.ready = snap.getU64();
-            OG_ASSERT(i == 0 || ring.at(i - 1) < entry,
-                      "snapshot completion ring of slot ", slot,
-                      " is not sorted by (ready, id) at entry ", i);
-            ring.at(i) = entry;
-            ++ring.count;
-        }
-        total += n;
-    }
-    OG_ASSERT(pending == total, "snapshot pending completion count ",
-              pending, " disagrees with its ring sizes (", total, ")");
-    pendingCompletions = pending;
 }
 
 void

@@ -68,8 +68,7 @@ class MemorySystem : public ClockedComponent
     /**
      * Register a memory engine of @p tile whose reorder buffer holds
      * @p rob_entries transactions. @return its completion slot. Slots
-     * are numbered in registration order, so a system rebuilt the same
-     * way (snapshot resume) gets the same slots.
+     * are numbered in registration order.
      */
     int registerEngine(int tile, int rob_entries);
 
@@ -121,11 +120,6 @@ class MemorySystem : public ClockedComponent
     uint64_t progressCount() const override { return progressEvents; }
     uint64_t quiescenceFingerprint() const override;
     void describeState(std::string &out) const override;
-    /** Serialize the full mutable state: the tag store, SoA rings,
-     * budgets, deferred fill expiry, the completion rings, stats and
-     * ledger, and the clock. */
-    void save(Snapshot &snap) const override;
-    void restore(const Snapshot &snap) override;
     /// @}
 
     /** @return current cycle count. */
@@ -170,11 +164,6 @@ class MemorySystem : public ClockedComponent
         uint64_t frontAddr() const { return addrs[head]; }
         int frontBytes() const { return bytes[head]; }
         bool frontWrite() const { return writes[head] != 0; }
-        TxnId idAt(size_t i) const { return ids[pos(i)]; }
-        int slotAt(size_t i) const { return slots[pos(i)]; }
-        uint64_t addrAt(size_t i) const { return addrs[pos(i)]; }
-        int bytesAt(size_t i) const { return bytes[pos(i)]; }
-        bool writeAt(size_t i) const { return writes[pos(i)] != 0; }
 
         void
         push(TxnId id, int slot, uint64_t addr, int txn_bytes,
@@ -198,15 +187,7 @@ class MemorySystem : public ClockedComponent
             --count;
         }
 
-        void
-        clear()
-        {
-            head = 0;
-            count = 0;
-        }
-
       private:
-        size_t pos(size_t i) const { return (head + i) & mask; }
         void grow();
 
         std::vector<TxnId> ids;

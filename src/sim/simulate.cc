@@ -9,31 +9,6 @@
 
 namespace overgen::sim {
 
-uint64_t
-configDigest(const SimConfig &config)
-{
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    mix(static_cast<uint64_t>(config.cacheLineBytes));
-    mix(static_cast<uint64_t>(config.l2HitLatency));
-    mix(static_cast<uint64_t>(config.l2Ways));
-    mix(static_cast<uint64_t>(config.l2MshrsPerBank));
-    mix(static_cast<uint64_t>(config.dramLatency));
-    mix(static_cast<uint64_t>(config.dramChannelBandwidthBytes));
-    mix(static_cast<uint64_t>(config.l2BankBandwidthBytes));
-    mix(static_cast<uint64_t>(config.configCyclesPerStream));
-    mix(static_cast<uint64_t>(config.dispatchLatency));
-    mix(static_cast<uint64_t>(config.dispatchBusStages));
-    mix(static_cast<uint64_t>(config.spadLatency));
-    mix(static_cast<uint64_t>(config.oneHotBypass));
-    mix(static_cast<uint64_t>(config.recurrenceLatency));
-    mix(config.deadlockCycles);
-    return h;
-}
-
 namespace {
 
 /** Dump the run's aggregate statistics into the counter registry
@@ -88,13 +63,7 @@ dumpCounters(telemetry::Sink &sink, const std::string &kernel,
     }
 }
 
-/**
- * The simulated system of one simulate()/resumeFrom() call. Both
- * entry points build their components through the same function, so a
- * resumed system is structurally identical to the one that captured
- * the snapshot (streams, engines, partitions, trace identities) and
- * component restore() only has to fill in mutable state.
- */
+/** The simulated system of one simulate() call. */
 struct SimInstance
 {
     std::unique_ptr<AddressMap> addresses;
@@ -178,49 +147,10 @@ buildInstance(const wl::KernelSpec &spec, const dfg::Mdfg &mdfg,
     return inst;
 }
 
-/**
- * Serialize the whole simulated system at a checkpoint site: the
- * identity header, the engine's loop state, the functional memory
- * contents (the fabric evaluates real iterations — array values are
- * as much simulation state as any queue), then every component in
- * engine tick order.
- */
-void
-writeCheckpoint(Snapshot &snap, const wl::KernelSpec &spec,
-                const SimConfig &config, const SimInstance &inst,
-                const wl::Memory &memory, const EngineCheckpoint &ck)
-{
-    snap.beginSection("meta");
-    snap.putString(spec.name);
-    snap.putU64(configDigest(config));
-    snap.putU64(inst.sims.size());
-    for (int t : inst.tileIds)
-        snap.putI64(t);
-    ck.save(snap);
-    snap.beginSection("arrays");
-    snap.putU64(memory.size());
-    for (int id : memory.nameOrder()) {
-        const std::vector<double> &values = memory.array(id);
-        snap.putString(memory.name(id));
-        snap.putU64(values.size());
-        for (double v : values)
-            snap.putDouble(v);
-    }
-    inst.memsys->save(snap);
-    for (const auto &sim : inst.sims)
-        sim->save(snap);
-}
-
-/**
- * Drive @p inst to completion (optionally resuming from @p
- * resume_from) and assemble the SimResult. Shared tail of simulate()
- * and resumeFrom().
- */
+/** Drive @p inst to completion and assemble the SimResult. */
 SimResult
 runInstance(SimInstance &inst, const wl::KernelSpec &spec,
-            const dfg::Mdfg &mdfg, wl::Memory &memory,
-            const SimConfig &config,
-            const EngineCheckpoint *resume_from)
+            const dfg::Mdfg &mdfg, const SimConfig &config)
 {
     // The engine ticks the memory system first, then the tiles, in
     // the order the historical loop did.
@@ -228,18 +158,6 @@ runInstance(SimInstance &inst, const wl::KernelSpec &spec,
     engine.add(inst.memsys.get());
     for (auto &sim : inst.sims)
         engine.add(sim.get());
-    if (config.checkpointEvery > 0 &&
-        config.checkpointSink != nullptr) {
-        engine.setCheckpointHook(
-            config.checkpointEvery,
-            [&](const EngineCheckpoint &ck) {
-                Snapshot snap;
-                writeCheckpoint(snap, spec, config, inst, memory, ck);
-                snap.seal();
-                config.checkpointSink->accept(ck.cycle,
-                                              std::move(snap));
-            });
-    }
     std::vector<bool> traceEnded(inst.sims.size(), false);
     auto all_done = [&]() {
         bool all = true;
@@ -256,9 +174,7 @@ runInstance(SimInstance &inst, const wl::KernelSpec &spec,
         }
         return all;
     };
-    EngineOutcome outcome = resume_from != nullptr
-                                ? engine.resume(all_done, *resume_from)
-                                : engine.run(all_done);
+    EngineOutcome outcome = engine.run(all_done);
     uint64_t cycle = outcome.cycles;
 
     SimResult result;
@@ -308,78 +224,15 @@ simulate(const wl::KernelSpec &spec, const dfg::Mdfg &mdfg,
 {
     SimInstance inst =
         buildInstance(spec, mdfg, schedule, design, memory, config);
-    return runInstance(inst, spec, mdfg, memory, config, nullptr);
-}
-
-SimResult
-resumeFrom(const Snapshot &snap, const wl::KernelSpec &spec,
-           const dfg::Mdfg &mdfg, const sched::Schedule &schedule,
-           const adg::SysAdg &design, wl::Memory &memory,
-           const SimConfig &config)
-{
-    OG_ASSERT(snap.verify(),
-              "snapshot failed its digest check (truncated, "
-              "corrupted, or never sealed)");
-    SimInstance inst =
-        buildInstance(spec, mdfg, schedule, design, memory, config);
-
-    snap.rewind();
-    snap.expectSection("meta");
-    std::string kernel = snap.getString();
-    OG_ASSERT(kernel == spec.name, "snapshot is of kernel '", kernel,
-              "', resuming '", spec.name, "'");
-    uint64_t cfg = snap.getU64();
-    OG_ASSERT(cfg == configDigest(config),
-              "snapshot was captured under a different simulator "
-              "configuration");
-    uint64_t nsims = snap.getU64();
-    OG_ASSERT(nsims == inst.sims.size(),
-              "snapshot tile count mismatch: ", nsims, " vs ",
-              inst.sims.size());
-    for (int t : inst.tileIds) {
-        int64_t saved = snap.getI64();
-        OG_ASSERT(saved == t, "snapshot tile id mismatch: ", saved,
-                  " vs ", t);
-    }
-    EngineCheckpoint ck;
-    ck.restore(snap);
-    snap.expectSection("arrays");
-    uint64_t narrays = snap.getU64();
-    OG_ASSERT(narrays == memory.size(),
-              "snapshot array count mismatch: ", narrays, " vs ",
-              memory.size(),
-              " (memory must be init()ed for the kernel)");
-    // The section lists the kernel's arrays once each, in name order:
-    // a repeated or foreign name would leave some array at its init
-    // values.
-    for (int id : memory.nameOrder()) {
-        std::string name = snap.getString();
-        OG_ASSERT(name == memory.name(id), "snapshot arrays section "
-                  "lists '", name, "' where '", memory.name(id),
-                  "' is due (each of the kernel's arrays once, in name "
-                  "order)");
-        std::vector<double> &values = memory.array(id);
-        uint64_t len = snap.getU64();
-        OG_ASSERT(len == values.size(), "snapshot array '", name,
-                  "' length mismatch: ", len, " vs ", values.size());
-        for (double &v : values)
-            v = snap.getDouble();
-    }
-    inst.memsys->restore(snap);
-    for (auto &sim : inst.sims)
-        sim->restore(snap);
-    return runInstance(inst, spec, mdfg, memory, config, &ck);
+    return runInstance(inst, spec, mdfg, config);
 }
 
 telemetry::PhaseProfile
-analyzeRunPhases(const SimResult &result, std::string_view prefix_rows)
+analyzeRunPhases(const SimResult &result)
 {
     std::vector<telemetry::PhaseSample> samples;
-    if (!prefix_rows.empty() || !result.timelineRows.empty()) {
-        std::string rows(prefix_rows);
-        rows += result.timelineRows;
-        samples = telemetry::phaseSamplesFromRows(rows);
-    }
+    if (!result.timelineRows.empty())
+        samples = telemetry::phaseSamplesFromRows(result.timelineRows);
     telemetry::CycleLedger tiles;
     uint64_t iterations = 0;
     uint64_t firings = 0;

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/ring.h"
-#include "sim/snapshot.h"
 #include "telemetry/sink.h"
 #include "telemetry/timeline.h"
 #include "workloads/program.h"
@@ -106,9 +105,8 @@ struct TileSim::Impl
          * access of an index feed, else `accesses` in order (empty
          * for constant taps and non-memory engines). */
         std::vector<AddrMember> addrMembers;
-        /** @name Derived state, rebuilt on every firing change and on
-         * restore(), never serialized: the snapshot holds the walkers
-         * and counters these follow from. */
+        /** @name Derived state, rebuilt on every firing change from
+         * the walkers and counters it follows from. */
         /// @{
         /** elemsForFiring at the engine cursor's firing. */
         int64_t firingTotal = 0;
@@ -208,8 +206,6 @@ struct TileSim::Impl
     void buildStreams(int64_t outer_lo, int64_t outer_hi);
     void tick(uint64_t cycle);
     bool done() const;
-    void save(Snapshot &snap) const;
-    void restore(const Snapshot &snap);
 
     /** @name ClockedComponent backing (see sim/engine.h) */
     /// @{
@@ -1359,140 +1355,6 @@ TileSim::Impl::fingerprint() const
 }
 
 void
-TileSim::Impl::save(Snapshot &snap) const
-{
-    snap.beginSection("tile" + std::to_string(tileIndex));
-    snap.putU64(progressEvents);
-    snap.putBool(finished);
-    snap.putDouble(nextFire);
-    fabricWalker.save(snap);
-    snap.putU64(stats.firings);
-    snap.putU64(stats.iterations);
-    snap.putU64(stats.fabricStallCycles);
-    snap.putU64(stats.startupCycles);
-    snap.putU64(stats.spadBytes);
-    snap.putU64(stats.dmaBytes);
-    snap.putU64(stats.recurrenceBytes);
-    snap.putU64(stats.finishCycle);
-    for (uint64_t c : stats.ledger.counts)
-        snap.putU64(c);
-    snap.putU64(streams.size());
-    for (const auto &rt : streams) {
-        snap.putI64(rt->port.available);
-        snap.putI64(rt->port.pending);
-        snap.putU64(rt->port.arrivals.size());
-        for (size_t i = 0; i < rt->port.arrivals.size(); ++i) {
-            snap.putU64(rt->port.arrivals[i].first);
-            snap.putI64(rt->port.arrivals[i].second);
-        }
-        rt->walker->save(snap);
-        snap.putI64(rt->firingRemaining);
-        snap.putBool(rt->tapsDelivered);
-        snap.putBool(rt->engineDone);
-        snap.putI64(rt->issuedElems);
-        snap.putI64(rt->drainedElems);
-        snap.putI64(rt->indexAvail);
-        snap.putI64(rt->recInitialRemaining);
-        snap.putI64(rt->recPool);
-    }
-    // Stream pointers serialize as indices into `streams`: both sides
-    // build the same stream list in mdfg declaration order.
-    auto stream_index = [this](const StreamRt *rt) -> uint64_t {
-        for (size_t i = 0; i < streams.size(); ++i)
-            if (streams[i].get() == rt)
-                return i;
-        OG_PANIC("outstanding txn references an unknown stream");
-    };
-    snap.putU64(engines.size());
-    for (const auto &[engine_id, engine] : engines) {
-        snap.putU64(static_cast<uint64_t>(engine_id));
-        snap.putDouble(engine.budget);
-        snap.putBool(engine.issueToggle);
-        snap.putU64(engine.rrNext);
-        snap.putU64(engine.outstanding.size());
-        for (const OutstandingTxn &txn : engine.outstanding) {
-            snap.putI64(txn.txn);
-            snap.putU64(stream_index(txn.stream));
-            snap.putI64(txn.elems);
-        }
-    }
-}
-
-void
-TileSim::Impl::restore(const Snapshot &snap)
-{
-    snap.expectSection("tile" + std::to_string(tileIndex));
-    progressEvents = snap.getU64();
-    finished = snap.getBool();
-    nextFire = snap.getDouble();
-    fabricWalker.restore(snap);
-    stats.firings = snap.getU64();
-    stats.iterations = snap.getU64();
-    stats.fabricStallCycles = snap.getU64();
-    stats.startupCycles = snap.getU64();
-    stats.spadBytes = snap.getU64();
-    stats.dmaBytes = snap.getU64();
-    stats.recurrenceBytes = snap.getU64();
-    stats.finishCycle = snap.getU64();
-    for (uint64_t &c : stats.ledger.counts)
-        c = snap.getU64();
-    uint64_t nstreams = snap.getU64();
-    OG_ASSERT(nstreams == streams.size(),
-              "snapshot stream count mismatch: ", nstreams, " vs ",
-              streams.size());
-    for (auto &rt : streams) {
-        rt->port.available = snap.getI64();
-        rt->port.pending = snap.getI64();
-        rt->port.arrivals.clear();
-        uint64_t narrivals = snap.getU64();
-        for (uint64_t i = 0; i < narrivals; ++i) {
-            uint64_t ready_at = snap.getU64();
-            int64_t elems = snap.getI64();
-            rt->port.arrivals.push_back({ ready_at, elems });
-        }
-        rt->walker->restore(snap);
-        rt->firingRemaining = snap.getI64();
-        rt->firingTotal =
-            elemsForFiring(rt->kind, rt->firingMembers, *rt->walker);
-        refreshFiring(*rt);
-        rt->tapsDelivered = snap.getBool();
-        rt->engineDone = snap.getBool();
-        rt->issuedElems = snap.getI64();
-        rt->drainedElems = snap.getI64();
-        rt->indexAvail = snap.getI64();
-        rt->recInitialRemaining = snap.getI64();
-        rt->recPool = snap.getI64();
-    }
-    refreshFabricDemand();
-    uint64_t nengines = snap.getU64();
-    OG_ASSERT(nengines == engines.size(),
-              "snapshot engine count mismatch: ", nengines, " vs ",
-              engines.size());
-    for (auto &[engine_id, engine] : engines) {
-        uint64_t id = snap.getU64();
-        OG_ASSERT(id == static_cast<uint64_t>(engine_id),
-                  "snapshot engine id mismatch: ", id, " vs ",
-                  engine_id);
-        engine.budget = snap.getDouble();
-        engine.issueToggle = snap.getBool();
-        engine.rrNext = snap.getU64();
-        engine.outstanding.clear();
-        uint64_t ntxns = snap.getU64();
-        for (uint64_t i = 0; i < ntxns; ++i) {
-            OutstandingTxn txn;
-            txn.txn = snap.getI64();
-            uint64_t stream = snap.getU64();
-            OG_ASSERT(stream < streams.size(),
-                      "snapshot stream index ", stream,
-                      " out of range ", streams.size());
-            txn.stream = streams[stream].get();
-            txn.elems = snap.getI64();
-            engine.outstanding.push_back(txn);
-        }
-    }
-}
-
-void
 TileSim::Impl::describe(std::string &out) const
 {
     out += "tile" + std::to_string(tileIndex) + ": " +
@@ -1575,18 +1437,6 @@ void
 TileSim::describeState(std::string &out) const
 {
     impl->describe(out);
-}
-
-void
-TileSim::save(Snapshot &snap) const
-{
-    impl->save(snap);
-}
-
-void
-TileSim::restore(const Snapshot &snap)
-{
-    impl->restore(snap);
 }
 
 void

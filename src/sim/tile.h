@@ -63,11 +63,6 @@ class TileSim : public ClockedComponent
     uint64_t progressCount() const override;
     uint64_t quiescenceFingerprint() const override;
     void describeState(std::string &out) const override;
-    /** Serialize all runtime state: port FIFOs and arrival rings,
-     * stream/engine cursors, in-flight transactions (stream pointers
-     * as indices), the fabric walker, stats and ledger. */
-    void save(Snapshot &snap) const override;
-    void restore(const Snapshot &snap) override;
     /// @}
 
     /** @return whether all work (including drains) has retired. */

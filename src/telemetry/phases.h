@@ -14,8 +14,8 @@
  * run's cycles even when the run ends between boundaries), and
  * analyzePhases() segments with hysteresis thresholds on the
  * per-interval busy fraction. Because the timeline rows themselves are
- * bit-identical across `--sim-threads`, engine modes (naive /
- * fast-forward / check) and checkpoint-resume, so is the PhaseProfile
+ * bit-identical across `--sim-threads` and engine modes (naive /
+ * fast-forward / check), so is the PhaseProfile
  * — the determinism argument is inherited wholesale, see DESIGN.md
  * "Phase-aware analysis".
  */
@@ -129,9 +129,8 @@ struct PhaseProfile
  * Parse timeline rows (newline-separated compact JSON, the exact
  * bytes TimelineRun holds) into per-cycle samples: rows of every
  * "tileN" component are summed, the "memory" component keeps its own
- * ledger. Rows may come from several concatenated buffers (e.g. a
- * checkpoint-interrupted prefix plus a resumed suffix) in any order;
- * samples are aggregated by cycle and returned cycle-sorted. Rows of
+ * ledger. Rows may come in any order; samples are aggregated by
+ * cycle and returned cycle-sorted. Rows of
  * more than one run must not be mixed (labels are not consulted).
  */
 std::vector<PhaseSample> phaseSamplesFromRows(std::string_view rows);

@@ -57,11 +57,6 @@ class Memory
     /** @return name of array @p id. */
     const std::string &name(int id) const;
 
-    /** @return array ids in name order (snapshot serialization — the
-     * simulator saves and restores functional memory contents
-     * alongside its own clocked state, name-ordered). */
-    const std::vector<int> &nameOrder() const { return byName; }
-
   private:
     void
     checkId(int id) const

@@ -9,6 +9,7 @@
 #include "library/store.h"
 
 #include <cstdio>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -233,4 +234,79 @@ TEST(LibraryStore, TryParseReportsErrorsWithoutDying)
     std::optional<Json> ok = Json::tryParse("{\"a\": [1, 2.5, true]}");
     ASSERT_TRUE(ok.has_value());
     EXPECT_EQ(ok->at("a").asArray().size(), 3u);
+}
+
+namespace {
+
+size_t
+nonBlankLines(const std::string &text)
+{
+    size_t lines = 0;
+    size_t start = 0;
+    while (start < text.size()) {
+        size_t end = text.find('\n', start);
+        if (end == std::string::npos)
+            end = text.size();
+        lines += end > start;
+        start = end + 1;
+    }
+    return lines;
+}
+
+} // namespace
+
+TEST(LibraryStore, DamagedFilesLoadWithoutDyingAndCountEveryLine)
+{
+    // Seeded damage to a real library file: truncation at any byte,
+    // single-byte flips (which may rename keys, break names or edge
+    // endpoints, or split a line), and splices of two lines' halves.
+    // Every line must end up loaded or counted as skipped, and every
+    // loaded entry must carry a fingerprint that re-verifies.
+    const std::string original = testLibrary().toJsonl();
+    std::vector<std::string> lines;
+    for (size_t start = 0; start < original.size();) {
+        size_t end = original.find('\n', start);
+        lines.push_back(original.substr(start, end - start));
+        start = end + 1;
+    }
+    ASSERT_EQ(lines.size(), 3u);
+
+    std::mt19937_64 rng(0x6f67'6c69'6266'757aull);
+    auto below = [&rng](size_t n) {
+        return static_cast<size_t>(rng() % n);
+    };
+    const std::string path = tempPath("damaged.jsonl");
+    for (int trial = 0; trial < 150; ++trial) {
+        std::string text;
+        const int kind = trial % 3;
+        if (kind == 0) {
+            text = original.substr(0, below(original.size()));
+        } else if (kind == 1) {
+            text = original;
+            text[below(text.size())] ^=
+                static_cast<char>(1 + below(255));
+        } else {
+            std::vector<std::string> spliced = lines;
+            const std::string &head = lines[below(lines.size())];
+            const std::string &tail = lines[below(lines.size())];
+            spliced[below(lines.size())] =
+                head.substr(0, below(head.size() + 1)) +
+                tail.substr(below(tail.size() + 1));
+            for (const std::string &line : spliced)
+                text += line + "\n";
+        }
+        writeFile(path, text);
+
+        OverlayLibrary loaded;
+        ASSERT_TRUE(loaded.load(path)) << "trial " << trial;
+        EXPECT_EQ(loaded.lastLoad.entries + loaded.lastLoad.skipped(),
+                  nonBlankLines(text))
+            << "trial " << trial;
+        for (const LibraryEntry &entry : loaded.entries) {
+            std::pair<uint64_t, uint64_t> fp =
+                fingerprintDesign(entry.design);
+            EXPECT_EQ(fp.first, entry.fpA) << "trial " << trial;
+            EXPECT_EQ(fp.second, entry.fpB) << "trial " << trial;
+        }
+    }
 }

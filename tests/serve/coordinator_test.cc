@@ -664,11 +664,11 @@ TEST(Coordinator, RepeatedRowIsHandledLikeACrash)
     EXPECT_TRUE(outcome.summary.ok);
     EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
     // The retired worker held a shard with every row in but no done
-    // record: one crash and one respawn, and nothing to re-dispatch.
+    // record: one crash, and nothing to re-dispatch or replace.
     EXPECT_EQ(outcome.summary.crashes, 1u);
-    EXPECT_EQ(outcome.summary.respawns, 1u);
+    EXPECT_EQ(outcome.summary.respawns, 0u);
     EXPECT_EQ(outcome.summary.retries, 0u);
-    EXPECT_EQ(outcome.summary.workersSpawned, 3u);
+    EXPECT_EQ(outcome.summary.workersSpawned, 2u);
     EXPECT_EQ(outcome.summary.abandoned, 0u);
     EXPECT_TRUE(noChildrenLeft());
 }

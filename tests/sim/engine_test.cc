@@ -301,6 +301,7 @@ struct BandwidthPoint
     int dramLatency;
     int channelBandwidthBytes;
     int dramChannels;
+    int tiles = 2;
 };
 
 const BandwidthPoint kBandwidthGrid[] = {
@@ -312,6 +313,10 @@ const BandwidthPoint kBandwidthGrid[] = {
     { "lat600_bw8_4ch", 600, 8, 4 },
     { "lat600_bw16_1ch", 600, 16, 1 },
     { "lat600_bw16_4ch", 600, 16, 4 },
+    // Four tiles behind slow DRAM at the default channel bandwidth:
+    // several engines' completion rings hold pushed-but-not-yet-due
+    // entries at once.
+    { "lat600_bw192_1ch_4tiles", 600, 192, 1, 4 },
 };
 
 Compiled
@@ -332,7 +337,7 @@ class BandwidthExactness
 TEST_P(BandwidthExactness, DrainReplayIsBitIdentical)
 {
     const BandwidthPoint &point = GetParam();
-    Compiled c = compileBandwidthBound(point.dramChannels);
+    Compiled c = compileBandwidthBound(point.dramChannels, point.tiles);
 
     SimConfig config;
     config.dramLatency = point.dramLatency;
@@ -440,6 +445,34 @@ TEST(Engine, WatchdogAbortsAtTheSameCycleInBothModes)
     SimRun reference = runWith(c, config);
     EXPECT_TRUE(reference.result.deadlocked);
     expectIdentical(reference.result, fast.result, "watchdog");
+}
+
+TEST(Engine, CycleBudgetCutsTheRunShortInEveryMode)
+{
+    // A maxCycles budget shorter than the run: every engine mode
+    // stops at the budget with identical partial stats, and the run
+    // reports neither completion nor a deadlock.
+    Compiled c = compileBandwidthBound(1);
+    SimConfig config;
+    config.dramLatency = 600;
+    SimRun full = runWith(c, config);
+    ASSERT_TRUE(full.result.completed);
+    config.maxCycles = full.result.cycles / 2;
+
+    SimRun fast = runWith(c, config);
+    EXPECT_FALSE(fast.result.completed);
+    EXPECT_FALSE(fast.result.deadlocked);
+    EXPECT_EQ(fast.result.cycles, config.maxCycles);
+
+    SimConfig naive = config;
+    naive.noFastForward = true;
+    SimRun reference = runWith(c, naive);
+    expectIdentical(reference.result, fast.result, "budget");
+
+    SimConfig checked = config;
+    checked.checkFastForward = true;
+    SimRun check = runWith(c, checked);
+    expectIdentical(reference.result, check.result, "budget-check");
 }
 
 TEST(Engine, WatchdogDisabledByZero)

@@ -3,8 +3,6 @@
 #include <set>
 
 #include "sim/memory_system.h"
-#include "sim/snapshot.h"
-#include "snapshot_edit.h"
 
 namespace overgen::sim {
 namespace {
@@ -324,117 +322,7 @@ TEST(MemorySystem, SlotsOnOneTileNeverSeeEachOthersCompletions)
     EXPECT_EQ(seen[1], mine[1]);
 }
 
-// ---------------------------------------------------------------------------
-// Completion-ring validation on restore
-
-/**
- * A memory system with three single-tile slots (ROB 4): two cold
- * misses pending on slot 0, none on slot 1, one on slot 2.
- */
-struct PendingRings
-{
-    PendingRings() : mem(smallSys(), config)
-    {
-        for (int s = 0; s < 3; ++s)
-            mem.registerEngine(0, 4);
-        mem.submit(0, 0, 64, false);
-        mem.submit(0, 64, 64, false);
-        mem.submit(2, 128, 64, false);
-        for (int c = 0; c < 30; ++c)
-            mem.tick();
-        mem.save(snap);
-        snap.seal();
-    }
-
-    /** A fresh system with the same registrations. */
-    MemorySystem
-    fresh() const
-    {
-        MemorySystem other(smallSys(), config);
-        for (int s = 0; s < 3; ++s)
-            other.registerEngine(0, 4);
-        return other;
-    }
-
-    /** @p snap with one value of its completion section replaced. */
-    Snapshot
-    forge(size_t index, uint64_t value) const
-    {
-        return test::patchSection(snap, "memsys.completions",
-                                  [&](size_t i, uint64_t &v) {
-                                      if (i == index)
-                                          v = value;
-                                  });
-    }
-
-    SimConfig config;
-    MemorySystem mem;
-    Snapshot snap;
-};
-
-// Completion section layout: pending, non-empty ring count, then per
-// ring: slot, size, (id, ready) x size.
-constexpr size_t kPending = 0;
-constexpr size_t kFirstSlot = 2;
-constexpr size_t kFirstSize = 3;
-constexpr size_t kFirstReady = 5;
-constexpr size_t kSecondReady = 7;
-
-TEST(MemorySystem, PendingRingsRoundTripThroughRestore)
-{
-    PendingRings p;
-    std::vector<uint64_t> values =
-        test::sectionValues(p.snap, "memsys.completions");
-    ASSERT_GE(values.size(), 8u);
-    EXPECT_EQ(values[kPending], 3u);
-    EXPECT_EQ(values[1], 2u);  // slots 0 and 2
-    EXPECT_EQ(values[kFirstSlot], 0u);
-    EXPECT_EQ(values[kFirstSize], 2u);
-
-    MemorySystem restored = p.fresh();
-    restored.restore(p.snap);
-    Snapshot again;
-    restored.save(again);
-    again.seal();
-    EXPECT_EQ(again.digest(), p.snap.digest());
-}
-
 using MemorySystemDeathTest = ::testing::Test;
-
-TEST(MemorySystemDeathTest, RestoreRejectsSlotOutOfRange)
-{
-    PendingRings p;
-    Snapshot bad = p.forge(kFirstSlot, 7);
-    MemorySystem mem = p.fresh();
-    EXPECT_DEATH(mem.restore(bad), "completion slot 7 out of range 3");
-}
-
-TEST(MemorySystemDeathTest, RestoreRejectsRingLongerThanRob)
-{
-    PendingRings p;
-    Snapshot bad = p.forge(kFirstSize, 5);
-    MemorySystem mem = p.fresh();
-    EXPECT_DEATH(mem.restore(bad), "more than its ROB \\(4\\)");
-}
-
-TEST(MemorySystemDeathTest, RestoreRejectsUnsortedRing)
-{
-    PendingRings p;
-    std::vector<uint64_t> values =
-        test::sectionValues(p.snap, "memsys.completions");
-    Snapshot bad = p.forge(kFirstReady, values[kSecondReady] + 1);
-    MemorySystem mem = p.fresh();
-    EXPECT_DEATH(mem.restore(bad), "not sorted by \\(ready, id\\)");
-}
-
-TEST(MemorySystemDeathTest, RestoreRejectsPendingCountMismatch)
-{
-    PendingRings p;
-    Snapshot bad = p.forge(kPending, 4);
-    MemorySystem mem = p.fresh();
-    EXPECT_DEATH(mem.restore(bad),
-                 "pending completion count 4 disagrees");
-}
 
 TEST(MemorySystemDeathTest, RingOverflowIsFatal)
 {

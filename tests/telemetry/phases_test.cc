@@ -5,7 +5,6 @@
 #include "sched/scheduler.h"
 #include "sim/batch.h"
 #include "sim/simulate.h"
-#include "sim/snapshot.h"
 #include "telemetry/phases.h"
 #include "telemetry/sink.h"
 #include "workloads/suites.h"
@@ -14,9 +13,9 @@
 // segmentation algorithm itself — startup prefix, hysteresis-held
 // steady span, drain, the no-steady degenerate — and the simulation
 // cases pin the determinism contract: analyzeRunPhases produces a
-// bit-identical PhaseProfile for every sim::runBatch thread count,
-// every engine mode, and across a snapshot/resume seam, with spans
-// summing exactly to the run's cycles and terminal ledgers.
+// bit-identical PhaseProfile for every sim::runBatch thread count and
+// every engine mode, with spans summing exactly to the run's cycles
+// and terminal ledgers.
 
 namespace overgen {
 namespace {
@@ -266,7 +265,7 @@ TEST(PhaseSamples, TerminalSampleClosesTheSeriesExactlyOnce)
 }
 
 // ---------------------------------------------------------------------------
-// Simulation invariance: thread counts, engine modes, resume seam
+// Simulation invariance: thread counts, engine modes
 
 adg::Adg
 richTile()
@@ -453,56 +452,6 @@ TEST_P(PhaseInvariance, ProfileIsIdenticalInEveryEngineMode)
         EXPECT_EQ(result.timelineRows, fast.timelineRows) << tag;
         EXPECT_EQ(sim::analyzeRunPhases(result), reference) << tag;
     }
-}
-
-TEST_P(PhaseInvariance, ResumeSeamReconstructsTheFullProfile)
-{
-    Compiled c = compileFor(GetParam(), 2);
-
-    // Capture run: checkpoints + a sampled timeline.
-    telemetry::SinkOptions opts;
-    opts.statsInterval = 32;
-    telemetry::Sink sink(opts);
-    sim::SnapshotCollector collector;
-    sim::SimConfig capture;
-    capture.sink = &sink;
-    capture.runLabel = "0:" + c.spec.name;
-    capture.checkpointEvery = 64;
-    capture.checkpointSink = &collector;
-    wl::Memory memory;
-    memory.init(c.spec);
-    sim::SimResult full = sim::simulate(c.spec, c.mdfg, c.schedule,
-                                        c.design, memory, capture);
-    ASSERT_TRUE(full.completed) << GetParam();
-    ASSERT_GE(collector.snaps.size(), 2u) << GetParam();
-    PhaseProfile reference = sim::analyzeRunPhases(full);
-
-    // Resume from the middle checkpoint with its own sink: the
-    // resumed run samples only post-checkpoint boundaries, and the
-    // interrupted run's earlier rows complete the series.
-    size_t mid = collector.snaps.size() / 2;
-    telemetry::Sink resumed_sink(opts);
-    sim::SimConfig resume_cfg;
-    resume_cfg.sink = &resumed_sink;
-    resume_cfg.runLabel = "0:" + c.spec.name;
-    wl::Memory resumed_memory;
-    resumed_memory.init(c.spec);
-    sim::SimResult resumed =
-        sim::resumeFrom(collector.snaps[mid], c.spec, c.mdfg,
-                        c.schedule, c.design, resumed_memory,
-                        resume_cfg);
-    ASSERT_TRUE(resumed.completed) << GetParam();
-
-    // The resumed rows are a byte-exact suffix of the full run's.
-    ASSERT_LE(resumed.timelineRows.size(), full.timelineRows.size())
-        << GetParam();
-    std::string prefix = full.timelineRows.substr(
-        0, full.timelineRows.size() - resumed.timelineRows.size());
-    EXPECT_EQ(prefix + resumed.timelineRows, full.timelineRows)
-        << GetParam();
-
-    EXPECT_EQ(sim::analyzeRunPhases(resumed, prefix), reference)
-        << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, PhaseInvariance,
