@@ -59,8 +59,6 @@ struct CommonFlags
     int threads = 1;
     int simThreads = 1;
     bool noFastForward = false;
-    /** DSE candidate scoring mode (`--objective=scalar|phase`). */
-    dse::DseObjective objective = dse::DseObjective::Scalar;
     /** Unrecognized arguments, in order (allowExtra mode only). */
     std::vector<std::string> extra;
 };
@@ -89,11 +87,6 @@ struct CommonFlags
  * the path is given, path "timeline.jsonl" when only the interval
  * is).
  *
- * DSE: `--objective=scalar|phase` selects the candidate scoring mode
- * (dse::DseObjective) — `phase` weights each kernel's estimated IPC
- * by its model-estimated steady fraction, penalizing long ramps on
- * short kernels (see DESIGN.md "Phase-aware analysis").
- *
  * Unknown arguments are fatal unless @p allowExtra, in which case
  * they collect in `extra` for the harness to consume (report_cycles'
  * `--suite=`, the serve drivers' `--workers=`/`--shard-size=`/...);
@@ -110,7 +103,6 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
     std::string threadsArg;
     std::string simThreadsArg;
     std::string statsIntervalArg;
-    std::string objectiveArg;
     std::vector<std::string> seenFlags;
     auto once = [&seenFlags](const char *name) {
         for (const std::string &seen : seenFlags)
@@ -163,10 +155,6 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
             once("--stats-interval");
             continue;
         }
-        if (eatFlag(arg, "--objective=", objectiveArg)) {
-            once("--objective");
-            continue;
-        }
         if (arg == "--trace-detail") {
             once("--trace-detail");
             flags.sink.traceDetail = true;
@@ -186,7 +174,6 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
                  "--sim-threads[=]<n>, --trace=<path>, "
                  "--dse-log=<path>, --trace-detail, "
                  "--no-fast-forward, "
-                 "--objective=scalar|phase, "
                  "--stats-interval[=]<n>, "
                  "--stats-jsonl=<path>, or "
                  "--telemetry-json=<path>)");
@@ -200,16 +187,6 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
             flags.sink.timelinePath = "timeline.jsonl";
     } else if (!flags.sink.timelinePath.empty()) {
         flags.sink.statsInterval = 4096;  // path given: default cadence
-    }
-    if (!objectiveArg.empty()) {
-        if (objectiveArg == "scalar") {
-            flags.objective = dse::DseObjective::Scalar;
-        } else if (objectiveArg == "phase") {
-            flags.objective = dse::DseObjective::Phase;
-        } else {
-            OG_FATAL("bad --objective value '", objectiveArg,
-                     "' (expected scalar or phase)");
-        }
     }
     if (!threadsArg.empty()) {
         flags.threads = std::atoi(threadsArg.c_str());
@@ -269,8 +246,7 @@ class Harness
         : registryPath(flags.registryPath),
           numThreads(flags.threads),
           numSimThreads(flags.simThreads),
-          noFastForward(flags.noFastForward),
-          dseObjective(flags.objective)
+          noFastForward(flags.noFastForward)
     {
         rejectExtraFlags(flags.extra);
         if (!flags.sink.tracePath.empty() ||
@@ -309,9 +285,6 @@ class Harness
         return config;
     }
 
-    /** Candidate scoring mode (`--objective=scalar|phase`). */
-    dse::DseObjective objective() const { return dseObjective; }
-
     /**
      * The harness-level work pool for fanning out independent
      * explorations and simulations; lazily built at threads() wide.
@@ -335,7 +308,6 @@ class Harness
         options.iterations = iterations;
         options.seed = seed;
         options.threads = numThreads;
-        options.objective = dseObjective;
         options.sink = sink();
         options.telemetryLabel = label;
         return options;
@@ -385,7 +357,6 @@ class Harness
     int numThreads = 1;
     int numSimThreads = 1;
     bool noFastForward = false;
-    dse::DseObjective dseObjective = dse::DseObjective::Scalar;
 };
 
 /** Overlay fabric clock (paper: quad-tile floorplan at 92.87 MHz). */

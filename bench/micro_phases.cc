@@ -1,27 +1,15 @@
 /**
  * @file
- * Phase-aware analysis benchmark, two claims (DESIGN.md "Phase-aware
- * analysis"):
- *
- * 1. *Profiles are informative*: a long kernel reaches steady state
- *    and spends most cycles there; a short variant of the same kernel
- *    spends proportionally more of its run ramping — the regime
- *    split the phase objective exploits.
- * 2. *The phase objective changes designs for the better on short
- *    kernels*: over a scan of (short kernel, seed) pairs on a mixed
- *    long+short domain, `--objective=phase` selects at least one
- *    final design whose simulated short-kernel latency is strictly
- *    better than the scalar objective's choice, while both finals are
- *    validated by cycle simulation exactly as usual.
- *
- * Also pins phase-mode determinism (threads 1 vs 4 produce the same
- * design and objective) and writes BENCH_phases.json next to the
- * binary.
+ * Phase segmentation benchmark (DESIGN.md "Phase-aware analysis"):
+ * profiles are informative. A long kernel reaches steady state and
+ * spends most cycles there; a short variant of the same kernel
+ * spends proportionally more of its run ramping. Prints both
+ * profiles, asserts the split, and writes BENCH_phases.json to the
+ * working directory.
  */
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "common.h"
 
@@ -35,8 +23,7 @@ namespace {
 /** Simulate @p spec on the general overlay with an in-memory timeline
  * at @p interval cycles and return its phase profile. */
 telemetry::PhaseProfile
-profileOf(const wl::KernelSpec &spec, uint64_t interval,
-          uint64_t *cycles_out)
+profileOf(const wl::KernelSpec &spec, uint64_t interval)
 {
     telemetry::SinkOptions opts;
     opts.statsInterval = interval;
@@ -46,8 +33,6 @@ profileOf(const wl::KernelSpec &spec, uint64_t interval,
     bench::OverlayRun run = bench::runOnOverlay(
         spec, bench::generalOverlay(), /*apply_tuning=*/true, config);
     OG_ASSERT(run.ok, "'", spec.name, "' did not complete");
-    if (cycles_out != nullptr)
-        *cycles_out = run.cycles;
     return run.phases;
 }
 
@@ -97,20 +82,16 @@ int
 main(int argc, char **argv)
 {
     bench::Harness harness(argc, argv);
-    bench::banner("micro_phases",
-                  "phase segmentation and the phase-aware DSE "
-                  "objective");
+    bench::banner("micro_phases", "phase segmentation");
 
-    // --- Claim 1: long vs short phase structure. -------------------
+    // Long vs short phase structure.
     std::printf("\nphase profiles (general overlay, interval 128):\n");
     wl::KernelSpec long_fir = wl::makeFir(2048, 64);
     long_fir.name = "fir-long";
     wl::KernelSpec short_fir = wl::makeFir(64, 16);
     short_fir.name = "fir-short";
-    telemetry::PhaseProfile long_profile =
-        profileOf(long_fir, 128, nullptr);
-    telemetry::PhaseProfile short_profile =
-        profileOf(short_fir, 128, nullptr);
+    telemetry::PhaseProfile long_profile = profileOf(long_fir, 128);
+    telemetry::PhaseProfile short_profile = profileOf(short_fir, 128);
     printProfile("fir(2048,64)", long_profile);
     printProfile("fir(64,16)", short_profile);
     OG_ASSERT(long_profile.reachedSteady,
@@ -127,152 +108,12 @@ main(int argc, char **argv)
               "ramping (short ", short_ramp_share, " vs long ",
               long_ramp_share, ")");
 
-    // --- Claim 2: the phase objective wins on short kernels. -------
-    // Mixed domain per scan point: one long kernel anchoring steady
-    // throughput plus one short kernel dominated by its ramp. Both
-    // objectives explore with the same seed and budget, both finals
-    // are validated by cycle simulation, and the comparison is the
-    // short kernel's *simulated* latency — the quantity the model
-    // never sees directly.
-    struct ScanRow
-    {
-        std::string shortKernel;
-        uint64_t seed = 0;
-        uint64_t scalarCycles = 0;
-        uint64_t phaseCycles = 0;
-        double scalarObjective = 0.0;
-        double phaseObjective = 0.0;
-        bool phaseWin = false;   //!< strictly fewer short cycles
-        bool designDiffers = false;
-    };
-    std::vector<wl::KernelSpec> shorts = { wl::makeAccumulate(32),
-                                           wl::makeVecMax(32),
-                                           wl::makeDerivative(18) };
-    const std::vector<uint64_t> seeds = { 50, 51, 52, 53, 54 };
-    const int iters = bench::benchIterations(12);
-    std::vector<ScanRow> scan;
-    int wins = 0;
-    std::printf("\nscalar vs phase objective (mixed long+short "
-                "domain, %d DSE iters, validated by sim):\n",
-                iters);
-    std::printf("%-14s %6s %14s %14s %s\n", "short kernel", "seed",
-                "scalar cycles", "phase cycles", "verdict");
-    for (const wl::KernelSpec &short_spec : shorts) {
-        for (uint64_t seed : seeds) {
-            std::vector<wl::KernelSpec> domain = { long_fir,
-                                                   short_spec };
-            auto explore = [&](dse::DseObjective objective) {
-                dse::DseOptions options = harness.dseOptions(
-                    iters, seed,
-                    short_spec.name + "/" +
-                        dse::dseObjectiveName(objective));
-                options.objective = objective;
-                options.validateFinal = true;
-                return dse::exploreOverlay(domain, options);
-            };
-            dse::DseResult scalar =
-                explore(dse::DseObjective::Scalar);
-            dse::DseResult phase = explore(dse::DseObjective::Phase);
-            OG_ASSERT(scalar.mappings[1].simCompleted &&
-                          phase.mappings[1].simCompleted,
-                      "short-kernel validation did not complete");
-            ScanRow row;
-            row.shortKernel = short_spec.name;
-            row.seed = seed;
-            row.scalarCycles = scalar.mappings[1].simulatedCycles;
-            row.phaseCycles = phase.mappings[1].simulatedCycles;
-            row.scalarObjective = scalar.objective;
-            row.phaseObjective = phase.objective;
-            row.phaseWin = row.phaseCycles < row.scalarCycles;
-            // A "design" here is the full deliverable: the tile ADG,
-            // the system point, and the per-kernel mapping (variant +
-            // schedule placement — Phase mode's measured refinement
-            // changes the latter two; differing deterministic cycle
-            // counts imply a different mapping).
-            row.designDiffers =
-                scalar.design.adg.toJson().dump() !=
-                    phase.design.adg.toJson().dump() ||
-                scalar.design.sys.numTiles !=
-                    phase.design.sys.numTiles ||
-                scalar.mappings[1].variantName !=
-                    phase.mappings[1].variantName ||
-                row.scalarCycles != row.phaseCycles;
-            wins += row.phaseWin ? 1 : 0;
-            std::printf("%-14s %6llu %14llu %14llu %s%s\n",
-                        row.shortKernel.c_str(),
-                        static_cast<unsigned long long>(row.seed),
-                        static_cast<unsigned long long>(
-                            row.scalarCycles),
-                        static_cast<unsigned long long>(
-                            row.phaseCycles),
-                        row.phaseWin ? "phase wins"
-                        : row.phaseCycles == row.scalarCycles
-                            ? "tie"
-                            : "scalar wins",
-                        row.designDiffers ? "" : " (same design)");
-            scan.push_back(std::move(row));
-        }
-    }
-    std::printf("phase objective strictly better on %d/%zu scan "
-                "points\n",
-                wins, scan.size());
-    OG_ASSERT(wins >= 1,
-              "the phase objective never selected a design with "
-              "strictly better short-kernel latency");
-
-    // --- Phase-mode determinism across thread counts. --------------
-    {
-        std::vector<wl::KernelSpec> domain = { long_fir,
-                                               wl::makeAccumulate(32) };
-        auto explore = [&](int threads) {
-            dse::DseOptions options;
-            options.iterations = iters;
-            options.seed = seeds.front();
-            options.threads = threads;
-            options.objective = dse::DseObjective::Phase;
-            return dse::exploreOverlay(domain, options);
-        };
-        dse::DseResult one = explore(1);
-        dse::DseResult four = explore(4);
-        bool identical =
-            one.design.adg.toJson().dump() ==
-                four.design.adg.toJson().dump() &&
-            one.objective == four.objective &&
-            one.accepted == four.accepted;
-        std::printf("\nphase-mode determinism: threads 1 vs 4 -> %s\n",
-                    identical ? "identical design + objective"
-                              : "DIFFERENT");
-        OG_ASSERT(identical,
-                  "phase-objective trajectory depends on the thread "
-                  "count");
-    }
-
     Json report = Json::makeObject();
     report.set("bench", Json("micro_phases"));
-    report.set("iterations", Json(iters));
     Json profiles = Json::makeArray();
     profiles.push(profileJson("fir(2048,64)", long_profile));
     profiles.push(profileJson("fir(64,16)", short_profile));
     report.set("profiles", std::move(profiles));
-    Json rows = Json::makeArray();
-    for (const ScanRow &row : scan) {
-        Json r = Json::makeObject();
-        r.set("short_kernel", Json(row.shortKernel));
-        r.set("seed", Json(static_cast<int64_t>(row.seed)));
-        r.set("scalar_cycles",
-              Json(static_cast<int64_t>(row.scalarCycles)));
-        r.set("phase_cycles",
-              Json(static_cast<int64_t>(row.phaseCycles)));
-        r.set("scalar_objective", Json(row.scalarObjective));
-        r.set("phase_objective", Json(row.phaseObjective));
-        r.set("phase_win", Json(row.phaseWin));
-        r.set("design_differs", Json(row.designDiffers));
-        rows.push(std::move(r));
-    }
-    report.set("scan", std::move(rows));
-    report.set("phase_wins", Json(static_cast<int64_t>(wins)));
-    report.set("scan_points",
-               Json(static_cast<int64_t>(scan.size())));
     std::string text = report.dump(2);
     const char *path = "BENCH_phases.json";
     std::FILE *f = std::fopen(path, "w");

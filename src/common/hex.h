@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/logging.h"
-
 namespace overgen {
 
 /** @return @p value as a 16-digit lowercase hex string ("0x" free,
@@ -51,16 +49,6 @@ tryParseHexU64(const std::string &text, uint64_t &out)
     }
     out = value;
     return true;
-}
-
-/** Decode a hexU64() string; fatal on malformed input. */
-inline uint64_t
-parseHexU64(const std::string &text)
-{
-    uint64_t value = 0;
-    OG_ASSERT(tryParseHexU64(text, value), "bad hex64 value '", text,
-              "'");
-    return value;
 }
 
 } // namespace overgen

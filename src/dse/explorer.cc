@@ -37,28 +37,9 @@ struct Candidate
     model::Resources resources;
     double utilization = 0.0;
     bool valid = false;
-    /** @name Phase features at the chosen system point (computed
-     * under both objectives; Phase mode also weights the score by
-     * the steady fractions). @{ */
-    double phaseRampMean = 0.0;       //!< mean ramp cycles per kernel
-    double phaseSteadyFracMin = 1.0;  //!< worst kernel's S/(S+R)
-    double phaseSteadyFracMean = 1.0;
-    /// @}
 };
 
 } // namespace
-
-const char *
-dseObjectiveName(DseObjective objective)
-{
-    switch (objective) {
-    case DseObjective::Scalar:
-        return "scalar";
-    case DseObjective::Phase:
-        return "phase";
-    }
-    return "?";
-}
 
 adg::Adg
 seedTile(const std::vector<wl::KernelSpec> &kernels)
@@ -189,11 +170,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         std::vector<model::TilePerfSummary> summaries;
         std::vector<double> weights;
         std::vector<double> throughput;
-        // Phase features: per-kernel model ramp (a function of the
-        // chosen variant's stream count, system-independent) and the
-        // source-iteration totals the steady span has to cover.
-        std::vector<double> ramp;
-        std::vector<double> iters;
         summaries.reserve(kernels.size());
         for (size_t k = 0; k < kernels.size(); ++k) {
             const dfg::Mdfg &m = variants[k][cand.variantIndex[k]];
@@ -205,17 +181,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
             weights.push_back(m.weight);
             throughput.push_back(
                 cand.schedules[k].throughputFactor());
-            ramp.push_back(model::estimateRampCycles(m, options.phase));
-            iters.push_back(static_cast<double>(
-                std::max<int64_t>(kernels[k].totalIterations(), 1)));
         }
-        const bool phase_mode =
-            options.objective == DseObjective::Phase;
-        double ramp_sum = 0.0;
-        for (double r : ramp)
-            ramp_sum += r;
-        cand.phaseRampMean =
-            ramp_sum / static_cast<double>(kernels.size());
         std::vector<model::PerfBreakdown> perf(kernels.size());
         double best_score = -1.0;
         const size_t nb = bank_grid.size(), nn = noc_grid.size();
@@ -247,32 +213,13 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
                                 l2_over = ci == 0;
                                 break;
                             }
-                            // Estimated performance objective. The
-                            // steady fraction S/(S+R) is computed for
-                            // every kernel under both objectives
-                            // (logged as phase features); Phase mode
-                            // also weights each kernel's IPC by it —
-                            // the estimated whole-run average IPC
-                            // including the ramp.
-                            double frac_min = 1.0;
-                            double frac_sum = 0.0;
+                            // Estimated performance objective
+                            // (paper Eq. 1).
                             for (size_t k = 0; k < kernels.size();
                                  ++k) {
                                 perf[k] = model::combineSystemPerf(
                                     summaries[k], sys, options.perf);
                                 perf[k].ipc *= throughput[k];
-                                double rate = perf[k].workRate *
-                                              throughput[k];
-                                double steady =
-                                    rate > 0.0 ? iters[k] / rate : 0.0;
-                                double frac =
-                                    steady > 0.0
-                                        ? steady / (steady + ramp[k])
-                                        : 0.0;
-                                frac_min = std::min(frac_min, frac);
-                                frac_sum += frac;
-                                if (phase_mode)
-                                    perf[k].ipc *= frac;
                             }
                             double ipc = model::performanceObjective(
                                 perf, weights);
@@ -289,11 +236,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
                                 cand.resources = total;
                                 cand.utilization = util;
                                 cand.valid = true;
-                                cand.phaseSteadyFracMin = frac_min;
-                                cand.phaseSteadyFracMean =
-                                    frac_sum /
-                                    static_cast<double>(
-                                        kernels.size());
                             }
                         }
                         if (l2_over) {
@@ -388,17 +330,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         record.set("utilization", Json(state.utilization));
         record.set("resource_slack",
                    Json(options.budgetFraction - state.utilization));
-        // Phase features of the logged state — deterministic model
-        // quantities (not wall-clock-flavored), present under both
-        // objectives.
-        Json phases = Json::makeObject();
-        phases.set("objective",
-                   Json(dseObjectiveName(options.objective)));
-        phases.set("ramp_mean", Json(state.phaseRampMean));
-        phases.set("steady_frac_min", Json(state.phaseSteadyFracMin));
-        phases.set("steady_frac_mean",
-                   Json(state.phaseSteadyFracMean));
-        record.set("phases", std::move(phases));
         // Cumulative over examined candidates, so deterministic across
         // thread counts.
         record.set("grid_pruned", Json(static_cast<int64_t>(grid_pruned)));
@@ -462,13 +393,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         record.set("best_objective", Json(best.objective));
         record.set("temperature", Json(temperature));
         record.set("grid_pruned", Json(static_cast<int64_t>(grid_pruned)));
-        Json phases = Json::makeObject();
-        phases.set("objective",
-                   Json(dseObjectiveName(options.objective)));
-        phases.set("ramp_mean", Json(best.phaseRampMean));
-        phases.set("steady_frac_min", Json(best.phaseSteadyFracMin));
-        phases.set("steady_frac_mean", Json(best.phaseSteadyFracMean));
-        record.set("phases", std::move(phases));
         record.set("seconds", Json(seconds));
         record.set("candidates_per_sec",
                    Json(seconds > 0.0
@@ -569,81 +493,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     if (round == 0 || round % std::max(1, options.heartbeatEvery) != 0)
         log_heartbeat(examined, temperature, true);
 
-    // Phase mode + validateFinal: measured refinement of
-    // ramp-dominated mappings. The annealer scores candidates with
-    // the analytic steady-state model; for a kernel whose modeled
-    // steady fraction S/(S+R) on the final design is below
-    // phaseShortSteadyFraction, most of the run is ramp — exactly the
-    // regime the steady-state model does not capture (dispatcher
-    // startup, DRAM fill, placement-sensitive drain). Such kernels
-    // finish in a few hundred cycles, so instead of trusting the
-    // model the explorer simulates every schedulable variant on the
-    // final design and adopts a strictly faster mapping; ties keep
-    // the annealer's choice, so the pass never churns and never
-    // regresses. Deterministic: serial scan in variant order, no RNG,
-    // no dependence on the thread count.
-    if (options.objective == DseObjective::Phase &&
-        options.validateFinal &&
-        options.phaseShortSteadyFraction > 0.0) {
-        adg::SysAdg final_design;
-        final_design.adg = best.adg;
-        final_design.sys = best.sys;
-        // Two deterministic placement attempts per variant: the
-        // annealer's seeded scheduler configuration and the default
-        // one. Placement alone can swing a short kernel's whole-run
-        // cycles by double digits, so the extra attempt is worth its
-        // (microsecond) simulation.
-        sched::SpatialScheduler refine_scheduler(
-            best.adg, sched::SchedulerOptions{ options.seed, 2 });
-        sched::SpatialScheduler default_scheduler(best.adg);
-        for (size_t k = 0; k < kernels.size(); ++k) {
-            double iters = static_cast<double>(
-                std::max<int64_t>(kernels[k].totalIterations(), 1));
-            const dfg::Mdfg &m0 = variants[k][best.variantIndex[k]];
-            model::PerfInput input;
-            input.mdfg = &m0;
-            input.backing = sched::backingFromSchedule(
-                best.schedules[k], best.adg, m0);
-            model::PerfBreakdown b = model::estimateIpc(
-                input, best.adg, best.sys, options.perf);
-            double rate =
-                b.workRate * best.schedules[k].throughputFactor();
-            double steady = rate > 0.0 ? iters / rate : 0.0;
-            double ramp0 =
-                model::estimateRampCycles(m0, options.phase);
-            double frac =
-                steady > 0.0 ? steady / (steady + ramp0) : 0.0;
-            if (frac >= options.phaseShortSteadyFraction)
-                continue;  // long enough to trust the model
-            wl::Memory memory;
-            memory.init(kernels[k]);
-            sim::SimResult incumbent =
-                sim::simulate(kernels[k], m0, best.schedules[k],
-                              final_design, memory);
-            uint64_t best_cycles = incumbent.completed
-                                       ? incumbent.cycles
-                                       : UINT64_MAX;
-            for (size_t v = 0; v < variants[k].size(); ++v) {
-                const dfg::Mdfg &m = variants[k][v];
-                for (sched::SpatialScheduler *scheduler :
-                     { &refine_scheduler, &default_scheduler }) {
-                    auto s = scheduler->schedule(m);
-                    if (!s)
-                        continue;
-                    wl::Memory mem;
-                    mem.init(kernels[k]);
-                    sim::SimResult r = sim::simulate(
-                        kernels[k], m, *s, final_design, mem);
-                    if (r.completed && r.cycles < best_cycles) {
-                        best_cycles = r.cycles;
-                        best.variantIndex[k] = static_cast<int>(v);
-                        best.schedules[k] = std::move(*s);
-                    }
-                }
-            }
-        }
-    }
-
     // Package the best design.
     result.design.adg = best.adg;
     result.design.sys = best.sys;
@@ -666,21 +515,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         mapping.estimatedIpc =
             b.ipc * best.schedules[k].throughputFactor();
         mapping.bottleneck = b.bottleneck;
-        mapping.estimatedRampCycles =
-            model::estimateRampCycles(m, options.phase);
-        double rate =
-            b.workRate * best.schedules[k].throughputFactor();
-        double steady =
-            rate > 0.0
-                ? static_cast<double>(
-                      std::max<int64_t>(kernels[k].totalIterations(),
-                                        1)) /
-                      rate
-                : 0.0;
-        mapping.estimatedSteadyFraction =
-            steady > 0.0
-                ? steady / (steady + mapping.estimatedRampCycles)
-                : 0.0;
         result.mappings.push_back(std::move(mapping));
         result.schedules.push_back(best.schedules[k]);
         result.mdfgs.push_back(m);

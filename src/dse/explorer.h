@@ -25,27 +25,17 @@ class Sink;
 
 namespace overgen::dse {
 
-/** How the explorer scores a candidate's per-kernel IPC estimates. */
+/**
+ * Candidate scoring rule. The explorer has one: the weighted geomean
+ * of estimated IPC (paper Eq. 1). The explorer reads neither this
+ * one-value enum nor DseOptions::objective; they remain only because
+ * `e2ebench/overlay_gen.cc` assigns `DseObjective::Scalar`, their
+ * only user.
+ */
 enum class DseObjective : int
 {
-    /** Whole-run average IPC as estimated by the perf model — the
-     * historical objective. */
     Scalar = 0,
-    /**
-     * Phase-aware: each kernel's estimated IPC is weighted by its
-     * steady fraction S/(S+R), where S is the model-estimated steady
-     * cycles (iterations / work rate) and R the model-estimated ramp
-     * (model::estimateRampCycles). Long kernels (S >> R) score as
-     * under Scalar; short kernels are penalized in proportion to the
-     * ramp they spend not at steady state — the design that wins
-     * steady-state can lose here (see DESIGN.md "Phase-aware
-     * analysis").
-     */
-    Phase,
 };
-
-/** @return "scalar" / "phase". */
-const char *dseObjectiveName(DseObjective objective);
 
 /** Explorer options. */
 struct DseOptions
@@ -95,25 +85,8 @@ struct DseOptions
     std::vector<int> l2CapacityGrid{ 256, 512, 1024 };
     std::vector<int> dramChannelGrid{ 1 };
     model::PerfConfig perf;
-    /** Candidate scoring mode (`--objective` on the bench harnesses).
-     * Phase features are computed and logged under both modes; the
-     * mode only decides whether they weight the score. */
+    /** Always Scalar; see DseObjective. */
     DseObjective objective = DseObjective::Scalar;
-    /** Ramp cost constants for DseObjective::Phase. */
-    model::PhaseWeights phase;
-    /**
-     * Phase mode + validateFinal: a kernel whose modeled steady
-     * fraction S/(S+R) on the final design falls below this threshold
-     * is ramp-dominated — the analytic model's steady-state lens is
-     * unreliable for it, so the explorer refines its final mapping by
-     * *measured* whole-run cycles (simulating each schedulable
-     * variant, adopting a strictly faster one; ties keep the
-     * annealer's mapping). Short kernels simulate in microseconds, so
-     * the pass is cheap; 0 disables it. The default trusts the model
-     * only once the modeled steady span is at least three times the
-     * ramp (long kernels sit near 1.0 and are always exempt).
-     */
-    double phaseShortSteadyFraction = 0.75;
     /**
      * Cycle-simulate every kernel on the final design after the
      * anneal (sim::runBatch over `threads` workers) and record the
@@ -161,12 +134,6 @@ struct KernelMapping
     std::string variantName;
     double estimatedIpc = 0.0;
     std::string bottleneck;
-    /** Model-estimated ramp cycles on the final design (phase
-     * features; computed under both objectives). */
-    double estimatedRampCycles = 0.0;
-    /** Model-estimated steady fraction S/(S+R) — the weight Phase
-     * mode applies to this kernel's IPC. */
-    double estimatedSteadyFraction = 1.0;
     /** @name Filled only with DseOptions::validateFinal. @{ */
     bool simulated = false;      //!< a cycle simulation ran
     bool simCompleted = false;   //!< it finished within maxCycles

@@ -304,14 +304,4 @@ performanceObjective(const std::vector<PerfBreakdown> &per_workload,
     return weightedGeometricMean(ipcs, weights);
 }
 
-double
-estimateRampCycles(const dfg::Mdfg &mdfg, const PhaseWeights &weights)
-{
-    using dfg::NodeKind;
-    size_t streams = mdfg.nodeIdsOfKind(NodeKind::InputStream).size() +
-                     mdfg.nodeIdsOfKind(NodeKind::OutputStream).size();
-    return static_cast<double>(streams) * weights.configCyclesPerStream +
-           weights.dispatchOverhead + weights.pipelineFill;
-}
-
 } // namespace overgen::model

@@ -77,8 +77,9 @@ struct PerfBreakdown
     double ipc = 0.0;
     /**
      * Source-iteration throughput: vectorization x tiles x bottleneck.
-     * IPC rewards memory ops as work (Eq. 1), so when choosing among
-     * variants of the *same* kernel the DSE compares work rates.
+     * IPC rewards memory ops as work (Eq. 1); the work rate does not,
+     * so it is the fairer lens across variants of the *same* kernel.
+     * The explorer scores IPC only; this is a diagnostic output.
      */
     double workRate = 0.0;
     double instBandwidth = 0.0;
@@ -163,37 +164,6 @@ PerfBreakdown combineSystemPerf(const TilePerfSummary &summary,
  */
 double performanceObjective(const std::vector<PerfBreakdown> &per_workload,
                             const std::vector<double> &weights);
-
-/**
- * Model-side ramp cost constants for the phase-aware DSE objective
- * (DseObjective::Phase). Mirrors the simulator's startup accounting —
- * SimConfig::configCyclesPerStream per stream plus the dispatch
- * pipeline — with a pipeline-fill allowance for the ramp the
- * hysteresis segmentation observes after startup.
- */
-struct PhaseWeights
-{
-    /** Cycles to configure one stream engine (matches the simulator's
-     * SimConfig::configCyclesPerStream default). */
-    double configCyclesPerStream = 1.0;
-    /** Dispatch pipeline depth (dispatchLatency + dispatchBusStages
-     * simulator defaults). */
-    double dispatchOverhead = 4.0;
-    /** Flat allowance for pipelines and the memory hierarchy filling
-     * before steady state; the knob that strengthens the short-kernel
-     * ramp penalty. */
-    double pipelineFill = 64.0;
-};
-
-/**
- * Model-estimated ramp length of @p mdfg on any design point: stream
- * configuration + dispatch + pipeline fill. A pure function of the
- * mDFG's stream count and @p weights — candidate-independent, so the
- * phase objective's steady fraction S/(S+R) differs across candidates
- * only through their steady-state work rate.
- */
-double estimateRampCycles(const dfg::Mdfg &mdfg,
-                          const PhaseWeights &weights = {});
 
 } // namespace overgen::model
 

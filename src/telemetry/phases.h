@@ -160,8 +160,7 @@ void appendTerminalSample(std::vector<PhaseSample> &samples,
  *  - *ramp*: between startup and steady; *drain*: the suffix after
  *    steady. A run that never reaches the enter threshold has no
  *    steady phase: everything after startup is ramp (rampCycles then
- *    spans the whole run — the signal the phase-aware DSE objective
- *    penalizes on short kernels).
+ *    spans the whole run, as on many short kernels).
  *
  * @p instsPerFiring scales firing deltas to instructions for
  * steadyIpc (pass the run's insts/firings ratio; 0 leaves steadyIpc

@@ -82,6 +82,10 @@ TEST(BenchFlagsDeathTest, RepeatedBooleanFlagIsFatal)
 
 TEST(BenchFlagsDeathTest, UnknownFlagIsStillFatal)
 {
-    EXPECT_EXIT(parse({ "--no-such-flag" }),
-                ::testing::ExitedWithCode(1), "unknown argument");
+    // `--objective=` is not a flag: the explorer has one scoring rule.
+    for (const char *arg : { "--no-such-flag", "--objective=phase" }) {
+        EXPECT_EXIT(parse({ arg }), ::testing::ExitedWithCode(1),
+                    "unknown argument")
+            << arg;
+    }
 }

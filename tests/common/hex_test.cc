@@ -24,7 +24,6 @@ TEST(Hex, RoundTripsValuesAboveDoublePrecision)
         0xfedcba9876543210ull,
     };
     for (uint64_t v : values) {
-        EXPECT_EQ(parseHexU64(hexU64(v)), v);
         uint64_t out = 0;
         EXPECT_TRUE(tryParseHexU64(hexU64(v), out));
         EXPECT_EQ(out, v);
@@ -36,7 +35,9 @@ TEST(Hex, RandomRoundTrip)
     Rng rng(13);
     for (int i = 0; i < 1000; ++i) {
         uint64_t v = rng.next();
-        EXPECT_EQ(parseHexU64(hexU64(v)), v);
+        uint64_t out = 0;
+        EXPECT_TRUE(tryParseHexU64(hexU64(v), out));
+        EXPECT_EQ(out, v);
     }
 }
 
@@ -61,13 +62,6 @@ TEST(Hex, RejectsMalformedInput)
     EXPECT_FALSE(tryParseHexU64("12 34", out));
     EXPECT_FALSE(tryParseHexU64("g", out));
     EXPECT_FALSE(tryParseHexU64("-1", out));
-}
-
-using HexDeathTest = ::testing::Test;
-
-TEST(HexDeathTest, ParseOfMalformedInputIsFatal)
-{
-    EXPECT_DEATH((void)parseHexU64("not-hex"), "bad hex64");
 }
 
 } // namespace

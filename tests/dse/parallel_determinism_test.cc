@@ -63,9 +63,7 @@ canonicalRecords(const std::vector<std::string> &lines)
 }
 
 ExploreRun
-explore(int threads, uint64_t seed,
-        dse::DseObjective objective = dse::DseObjective::Scalar,
-        bool validate_final = false,
+explore(int threads, uint64_t seed, bool validate_final = false,
         const std::function<void(dse::DseOptions &)> &adjust = {})
 {
     std::vector<wl::KernelSpec> domain = { wl::makeFir(128, 16),
@@ -81,7 +79,6 @@ explore(int threads, uint64_t seed,
     options.l2CapacityGrid = { 512 };
     options.sink = &sink;
     options.telemetryLabel = "determinism";
-    options.objective = objective;
     options.validateFinal = validate_final;
     if (adjust)
         adjust(options);
@@ -163,32 +160,24 @@ TEST(ParallelDeterminism, DifferentSeedsDiverge)
     EXPECT_NE(a.records, b.records);
 }
 
-TEST(ParallelDeterminism, PhaseObjectiveTrajectoryIsThreadIndependent)
+TEST(ParallelDeterminism, ValidatedFinalIsThreadIndependent)
 {
-    // The phase-aware objective weights candidate IPC by modeled
-    // steady fractions and (with validateFinal) runs the measured
-    // refinement pass over ramp-dominated mappings; both are part of
-    // the same determinism contract — the trajectory, the final
-    // mappings, and the refined simulated cycle counts must be
-    // bit-identical across thread counts.
-    auto phase_run = [](int threads) {
-        return explore(threads, 42, dse::DseObjective::Phase,
-                       /*validate_final=*/true);
+    // validateFinal simulates the final mappings in one sim::runBatch
+    // sweep over the explorer's thread budget; it is part of the same
+    // determinism contract — the trajectory, the final mappings, and
+    // the simulated cycle counts must be bit-identical across thread
+    // counts.
+    auto validated_run = [](int threads) {
+        return explore(threads, 42, /*validate_final=*/true);
     };
-    ExploreRun serial = phase_run(1);
-    ExploreRun four = phase_run(4);
-    expectIdentical(serial, four, "phase objective threads 1 vs 4");
+    ExploreRun serial = validated_run(1);
+    ExploreRun four = validated_run(4);
+    expectIdentical(serial, four, "validated final threads 1 vs 4");
     ASSERT_EQ(serial.result.mappings.size(),
               four.result.mappings.size());
     for (size_t i = 0; i < serial.result.mappings.size(); ++i) {
         EXPECT_EQ(serial.result.mappings[i].simulatedCycles,
                   four.result.mappings[i].simulatedCycles)
-            << i;
-        EXPECT_EQ(serial.result.mappings[i].estimatedSteadyFraction,
-                  four.result.mappings[i].estimatedSteadyFraction)
-            << i;
-        EXPECT_EQ(serial.result.mappings[i].estimatedRampCycles,
-                  four.result.mappings[i].estimatedRampCycles)
             << i;
     }
 }
@@ -255,10 +244,9 @@ TEST(ParallelDeterminism, ScoredCountsOnlyExaminedWork)
     ExploreRun serial = explore(1, 5);
     EXPECT_GT(serial.result.discarded, 0);
     EXPECT_EQ(serial.result.scored, serial.result.iterationsRun);
-    ExploreRun eight = explore(8, 5, dse::DseObjective::Scalar, false,
-                               [](dse::DseOptions &o) {
-                                   o.speculation = 8;
-                               });
+    ExploreRun eight = explore(8, 5, false, [](dse::DseOptions &o) {
+        o.speculation = 8;
+    });
     EXPECT_EQ(eight.result.scored, eight.result.evaluated);
     for (int threads : { 1, 2, 3, 4, 8 }) {
         ExploreRun run = explore(threads, 5);
@@ -283,14 +271,11 @@ TEST(ParallelDeterminism, GridPrunedIsThreadIndependent)
         o.nocBytesGrid = { 32, 64 };
         o.budgetFraction = 0.35;
     };
-    ExploreRun serial =
-        explore(1, 42, dse::DseObjective::Scalar, false, pruning);
+    ExploreRun serial = explore(1, 42, false, pruning);
     EXPECT_GT(serial.result.gridPruned, 0u);
     EXPECT_GT(serial.result.discarded, 0);
     for (int threads : { 2, 8 }) {
-        ExploreRun run =
-            explore(threads, 42, dse::DseObjective::Scalar, false,
-                    pruning);
+        ExploreRun run = explore(threads, 42, false, pruning);
         const std::string label =
             "threads 1 vs " + std::to_string(threads);
         EXPECT_EQ(serial.result.gridPruned, run.result.gridPruned)
