@@ -662,14 +662,18 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-/** Print a standard bench header. */
+/** Print a standard bench header. Harnesses that run a DSE pass
+ * their benchIterations() budget as @p dse_budget; the others leave
+ * it 0 and print no budget line. */
 inline void
-banner(const char *experiment, const char *what)
+banner(const char *experiment, const char *what, int dse_budget = 0)
 {
     std::printf("==============================================\n");
     std::printf("%s — %s\n", experiment, what);
-    std::printf("(reduced DSE budget: OVERGEN_BENCH_ITERS=%d)\n",
-                benchIterations());
+    if (dse_budget > 0) {
+        std::printf("(reduced DSE budget: OVERGEN_BENCH_ITERS=%d)\n",
+                    dse_budget);
+    }
     std::printf("==============================================\n");
 }
 

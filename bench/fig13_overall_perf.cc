@@ -48,10 +48,11 @@ int
 main(int argc, char **argv)
 {
     bench::Harness harness(argc, argv);
+    int iters = bench::benchIterations();
     bench::banner("Figure 13",
                   "overall performance vs AutoDSE (speedup > 1 means "
-                  "OverGen is faster)");
-    int iters = bench::benchIterations();
+                  "OverGen is faster)",
+                  iters);
     // One shared copy of the general overlay serves every kernel's
     // prepared mapping (PreparedSim shares designs, not copies them).
     auto general = bench::shareDesign(bench::generalOverlay());

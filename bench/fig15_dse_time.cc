@@ -34,9 +34,9 @@ int
 main(int argc, char **argv)
 {
     bench::Harness harness(argc, argv);
-    bench::banner("Figure 15", "DSE and synthesis time (hours)");
     constexpr int paper_iterations = 2000;
     int iters = bench::benchIterations();
+    bench::banner("Figure 15", "DSE and synthesis time (hours)", iters);
 
     std::vector<std::string> names = { "dsp", "machsuite", "vision" };
     std::vector<std::vector<wl::KernelSpec>> suites = {

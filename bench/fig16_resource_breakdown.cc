@@ -51,8 +51,8 @@ int
 main(int argc, char **argv)
 {
     bench::Harness harness(argc, argv);
-    bench::banner("Figure 16", "FPGA resource breakdown");
     int iters = bench::benchIterations();
+    bench::banner("Figure 16", "FPGA resource breakdown", iters);
     model::FpgaDevice device = model::FpgaDevice::xcvu9p();
 
     std::printf("(a) overlay designs (component %% of device LUTs)\n");

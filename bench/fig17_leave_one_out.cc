@@ -47,8 +47,9 @@ int
 main(int argc, char **argv)
 {
     bench::Harness harness(argc, argv);
-    bench::banner("Figure 17", "leave-one-out flexibility (MachSuite)");
     int iters = bench::benchIterations();
+    bench::banner("Figure 17", "leave-one-out flexibility (MachSuite)",
+                  iters);
     std::vector<wl::KernelSpec> suite = wl::machSuite();
 
     dse::DseOptions options =

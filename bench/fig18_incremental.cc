@@ -21,8 +21,8 @@ int
 main(int argc, char **argv)
 {
     bench::Harness harness(argc, argv);
-    bench::banner("Figure 18", "incremental workload addition");
     int iters = bench::benchIterations();
+    bench::banner("Figure 18", "incremental workload addition", iters);
     const auto &prices = model::FpgaResourceModel::defaultModel();
     model::FpgaDevice device = model::FpgaDevice::xcvu9p();
 

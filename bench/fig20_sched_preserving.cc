@@ -17,7 +17,8 @@ main(int argc, char **argv)
 {
     bench::Harness harness(argc, argv);
     bench::banner("Figure 20",
-                  "schedule-preserving transformations ablation");
+                  "schedule-preserving transformations ablation",
+                  bench::benchIterations());
     int iters = std::max(2 * bench::benchIterations(), 24);
 
     std::vector<std::string> names = { "dsp", "machsuite", "vision" };

@@ -33,15 +33,16 @@ int
 main(int argc, char **argv)
 {
     bench::Harness harness(argc, argv);
+    const int iterations = bench::benchIterations(40);
     bench::banner("micro_dse_eval",
                   "DSE candidate-evaluation throughput (DSP suite, "
-                  "default grids)");
+                  "default grids)",
+                  iterations);
 
     // Train outside the timed region: candidate evaluation never
     // trains, it only prices.
     (void)model::FpgaResourceModel::defaultModel();
 
-    const int iterations = bench::benchIterations(40);
     const int reps = 5;
     std::vector<wl::KernelSpec> domain = wl::dspSuite();
     double best_eps = 0.0;

@@ -153,7 +153,8 @@ main(int argc, char **argv)
     }
     bench::Harness harness(flags);
     bench::banner("serve_requests",
-                  "request-level overlay-library serving");
+                  "request-level overlay-library serving",
+                  bench::benchIterations(8));
 
     const int warmIterations = std::max(4, bench::benchIterations(8));
     std::vector<std::string> trace =

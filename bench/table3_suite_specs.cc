@@ -81,8 +81,8 @@ int
 main(int argc, char **argv)
 {
     bench::Harness harness(argc, argv);
-    bench::banner("Table III", "suite-specialized overlay specs");
     int iters = bench::benchIterations();
+    bench::banner("Table III", "suite-specialized overlay specs", iters);
     std::vector<Spec> specs;
     std::vector<std::string> names = { "machsuite", "vision", "dsp" };
     std::vector<std::vector<wl::KernelSpec>> suites = {

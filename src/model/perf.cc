@@ -157,7 +157,6 @@ precomputeTilePerf(const Mdfg &mdfg, const BackingVec &backing_in,
 
     TilePerfSummary s;
     s.instBandwidth = mdfg.instructionBandwidth();
-    s.vectorization = mdfg.vectorization();
     s.dmaBytes = bw.dmaBytes;
 
     // Consumption accumulators (bytes/cycle demanded per tile), input
@@ -287,8 +286,6 @@ combineSystemPerf(const TilePerfSummary &summary,
         out.bottleneck = "compute";
 
     out.ipc = summary.instBandwidth * tiles * limit;
-    out.workRate =
-        static_cast<double>(summary.vectorization) * tiles * limit;
     return out;
 }
 

@@ -75,13 +75,6 @@ struct PerfInput
 struct PerfBreakdown
 {
     double ipc = 0.0;
-    /**
-     * Source-iteration throughput: vectorization x tiles x bottleneck.
-     * IPC rewards memory ops as work (Eq. 1); the work rate does not,
-     * so it is the fairer lens across variants of the *same* kernel.
-     * The explorer scores IPC only; this is a diagnostic output.
-     */
-    double workRate = 0.0;
     double instBandwidth = 0.0;
     double fabricFactor = 1.0;  //!< in/out port interface
     double spadFactor = 1.0;
@@ -101,7 +94,6 @@ struct PerfBreakdown
 struct TilePerfSummary
 {
     double instBandwidth = 0.0;
-    int vectorization = 1;
     /** Port-interface and scratchpad factors are system-independent
      * and carried over verbatim. */
     double fabricFactor = 1.0;

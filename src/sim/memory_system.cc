@@ -76,6 +76,7 @@ MemorySystem::attachTimeline(telemetry::TimelineRun *run,
               "timeline sampling needs a positive interval");
     timelineRun = run;
     timelineInterval = interval;
+    nextTimelineSample = interval;
 }
 
 void
@@ -404,8 +405,8 @@ MemorySystem::tick()
         memStats.ledger.add(telemetry::CycleCategory::Busy);
     else
         memStats.ledger.add(classifyStall());
-    if (timelineRun != nullptr && cycle % timelineInterval == 0)
-        emitTimelineRow();
+    if (timelineRun != nullptr && cycle == nextTimelineSample)
+        sampleTimeline();
 }
 
 telemetry::CycleCategory
@@ -446,45 +447,23 @@ MemorySystem::classifyStall() const
 }
 
 void
-MemorySystem::emitTimelineRow()
+MemorySystem::sampleTimeline()
 {
-    int mshrs = 0;
-    int64_t queued = 0;
+    using S = telemetry::TimelineSample;
+    S sample{ cycle, S::kMemory, memStats.ledger };
     for (const Bank &bank : banks) {
-        mshrs += bank.mshrsInUse;
-        queued += static_cast<int64_t>(bank.queue.size());
+        sample.gauges[S::MshrsInUse] += bank.mshrsInUse;
+        sample.gauges[S::BankQueueDepth] += bank.queue.size();
     }
-    // Hand-formatted compact JSON, keys sorted — same bytes as a
-    // Json::dump of the equivalent object, minus the map allocations
-    // and snprintf format parsing (per-cycle hot path; see the
-    // bench/micro_sim instrumentation-overhead guard).
-    std::string &row = timelineRun->beginRow();
-    row += "{\"bank_queue_depth\":";
-    telemetry::appendDecimal(row, static_cast<uint64_t>(queued));
-    row += ",\"comp\":\"memory\",\"cycle\":";
-    telemetry::appendDecimal(row, cycle);
-    row += ",\"dram_bytes_read\":";
-    telemetry::appendDecimal(row, memStats.dramBytesRead);
-    row += ",\"dram_bytes_written\":";
-    telemetry::appendDecimal(row, memStats.dramBytesWritten);
-    row += ",\"l2_hits\":";
-    telemetry::appendDecimal(row, memStats.l2Hits);
-    row += ",\"l2_misses\":";
-    telemetry::appendDecimal(row, memStats.l2Misses);
-    row += ",\"ledger\":";
-    memStats.ledger.appendCompact(row);
-    row += ",\"mshr_stall_cycles\":";
-    telemetry::appendDecimal(row, memStats.mshrStallCycles);
-    row += ",\"mshrs_in_use\":";
-    telemetry::appendDecimal(row, static_cast<uint64_t>(mshrs));
-    row += ",\"noc_bytes\":";
-    telemetry::appendDecimal(row, memStats.nocBytes);
-    row += ",\"outstanding\":";
-    telemetry::appendDecimal(row, inFlightCount + pendingCompletions);
-    row += ",\"run\":\"";
-    row += timelineRun->label();
-    row += "\"}";
-    timelineRun->endRow();
+    sample.gauges[S::DramBytesRead] = memStats.dramBytesRead;
+    sample.gauges[S::DramBytesWritten] = memStats.dramBytesWritten;
+    sample.gauges[S::L2Hits] = memStats.l2Hits;
+    sample.gauges[S::L2Misses] = memStats.l2Misses;
+    sample.gauges[S::MshrStallCycles] = memStats.mshrStallCycles;
+    sample.gauges[S::NocBytes] = memStats.nocBytes;
+    sample.gauges[S::Outstanding] = inFlightCount + pendingCompletions;
+    timelineRun->add(sample);
+    nextTimelineSample += timelineInterval;
 }
 
 void

@@ -343,9 +343,12 @@ class MemorySystem : public ClockedComponent
 
     /** @name Interval time-series (null when sampling is off) */
     /// @{
-    void emitTimelineRow();
+    void sampleTimeline();
     telemetry::TimelineRun *timelineRun = nullptr;
     uint64_t timelineInterval = 0;
+    /** The next sampled cycle; nextEventCycle() ticks every cycle
+     * while a timeline is attached, so no boundary is stepped over. */
+    uint64_t nextTimelineSample = 0;
     /// @}
 };
 

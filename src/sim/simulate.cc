@@ -196,7 +196,7 @@ runInstance(SimInstance &inst, const wl::KernelSpec &spec,
     }
     result.ipc = cycle > 0 ? insts / static_cast<double>(cycle) : 0.0;
     if (inst.timelineRun != nullptr)
-        result.timelineRows = inst.timelineRun->bytes();
+        result.timelineRows = inst.timelineRun->samples();
 
     if (inst.tracing) {
         // Deadlocked tiles still need their end events matched.
@@ -230,9 +230,8 @@ simulate(const wl::KernelSpec &spec, const dfg::Mdfg &mdfg,
 telemetry::PhaseProfile
 analyzeRunPhases(const SimResult &result)
 {
-    std::vector<telemetry::PhaseSample> samples;
-    if (!result.timelineRows.empty())
-        samples = telemetry::phaseSamplesFromRows(result.timelineRows);
+    std::vector<telemetry::PhaseSample> samples =
+        telemetry::foldPhaseSamples(result.timelineRows);
     telemetry::CycleLedger tiles;
     uint64_t iterations = 0;
     uint64_t firings = 0;

@@ -43,18 +43,18 @@ struct SimResult
     /// @}
     MemoryStats memory;
     std::vector<TileStats> tiles;
-    /** This run's interval time-series rows (the exact bytes of its
-     * TimelineRun; empty unless the sink sampled a timeline).
-     * Observability like the ledger: bit-identical across thread
-     * counts and engine modes. */
-    std::string timelineRows;
+    /** This run's interval time-series samples (a copy of its
+     * TimelineRun's, in cycle order; empty unless the sink sampled a
+     * timeline). Observability like the ledger: bit-identical across
+     * thread counts and engine modes. */
+    std::vector<telemetry::TimelineSample> timelineRows;
 };
 
 /**
- * Phase decomposition of one simulated run: parse @p result's sampled
- * timeline rows, close the series with the run's terminal ledgers so
- * spans sum exactly to result.cycles, and segment
- * (telemetry::analyzePhases). steadyIpc is scaled to the same
+ * Phase decomposition of one simulated run: fold @p result's sampled
+ * timeline rows into per-cycle samples, close the series with the
+ * run's terminal ledgers so spans sum exactly to result.cycles, and
+ * segment (telemetry::analyzePhases). steadyIpc is scaled to the same
  * committed-instruction convention as SimResult::ipc. Works on runs
  * with no sampled rows (single terminal sample, whole run one phase).
  */

@@ -310,9 +310,13 @@ struct TileSim::Impl
 
     /** @name Interval time-series (null when sampling is off) */
     /// @{
-    void emitTimelineRow(uint64_t cycle);
+    void sampleTimeline(uint64_t cycle);
     telemetry::TimelineRun *timelineRun = nullptr;
     uint64_t timelineInterval = 0;
+    /** The next sampled cycle. Every cycle is ticked while a timeline
+     * is attached (MemorySystem::nextEventCycle), so no boundary is
+     * stepped over. */
+    uint64_t nextTimelineSample = 0;
     /// @}
 };
 
@@ -1018,8 +1022,8 @@ TileSim::Impl::tick(uint64_t cycle)
 {
     if (finished) {
         stats.ledger.add(telemetry::CycleCategory::Barrier);
-        if (timelineRun != nullptr && cycle % timelineInterval == 0)
-            emitTimelineRow(cycle);
+        if (timelineRun != nullptr && cycle == nextTimelineSample)
+            sampleTimeline(cycle);
         return;
     }
     uint64_t progress_before = progressEvents;
@@ -1050,8 +1054,8 @@ TileSim::Impl::tick(uint64_t cycle)
         stats.ledger.add(telemetry::CycleCategory::Busy);
     else
         stats.ledger.add(classifyStall(cycle));
-    if (timelineRun != nullptr && cycle % timelineInterval == 0)
-        emitTimelineRow(cycle);
+    if (timelineRun != nullptr && cycle == nextTimelineSample)
+        sampleTimeline(cycle);
 }
 
 bool
@@ -1155,34 +1159,17 @@ TileSim::Impl::accountWindow(uint64_t from, uint64_t to)
 }
 
 void
-TileSim::Impl::emitTimelineRow(uint64_t cycle)
+TileSim::Impl::sampleTimeline(uint64_t cycle)
 {
-    // Hand-formatted compact JSON, keys sorted — the same bytes a
-    // Json::dump of the equivalent object would give, minus the map
-    // allocations and snprintf format parsing (this runs on the
-    // per-cycle hot path; see the bench/micro_sim
-    // instrumentation-overhead guard).
-    std::string &row = timelineRun->beginRow();
-    row += "{\"comp\":\"tile";
-    telemetry::appendDecimal(row, static_cast<uint64_t>(tileIndex));
-    row += "\",\"cycle\":";
-    telemetry::appendDecimal(row, cycle);
-    row += ",\"dma_bytes\":";
-    telemetry::appendDecimal(row, stats.dmaBytes);
-    row += ",\"fabric_stall_cycles\":";
-    telemetry::appendDecimal(row, stats.fabricStallCycles);
-    row += ",\"firings\":";
-    telemetry::appendDecimal(row, stats.firings);
-    row += ",\"iterations\":";
-    telemetry::appendDecimal(row, stats.iterations);
-    row += ",\"ledger\":";
-    stats.ledger.appendCompact(row);
-    row += ",\"run\":\"";
-    row += timelineRun->label();
-    row += "\",\"spad_bytes\":";
-    telemetry::appendDecimal(row, stats.spadBytes);
-    row += '}';
-    timelineRun->endRow();
+    using S = telemetry::TimelineSample;
+    S sample{ cycle, tileIndex, stats.ledger };
+    sample.gauges[S::DmaBytes] = stats.dmaBytes;
+    sample.gauges[S::FabricStallCycles] = stats.fabricStallCycles;
+    sample.gauges[S::Firings] = stats.firings;
+    sample.gauges[S::Iterations] = stats.iterations;
+    sample.gauges[S::SpadBytes] = stats.spadBytes;
+    timelineRun->add(sample);
+    nextTimelineSample += timelineInterval;
 }
 
 uint64_t
@@ -1447,6 +1434,7 @@ TileSim::attachTimeline(telemetry::TimelineRun *run,
               "timeline sampling needs a positive interval");
     impl->timelineRun = run;
     impl->timelineInterval = interval;
+    impl->nextTimelineSample = interval;
 }
 
 const TileStats &

@@ -28,8 +28,8 @@
 
 namespace overgen::telemetry {
 
-/** Append @p value in decimal to @p out — the hot-path alternative to
- * std::to_string / snprintf for timeline row formatting. */
+/** Append @p value in decimal to @p out, without the temporary of
+ * std::to_string (timeline row rendering, telemetry/timeline.cc). */
 inline void
 appendDecimal(std::string &out, uint64_t value)
 {
@@ -105,10 +105,8 @@ struct CycleLedger
     Json toJson() const;
 
     /** Append the compact serialization of toJson() — same bytes,
-     * sorted keys — to @p out without building the object. Timeline
-     * rows are formatted on the simulation hot path; the map-based
-     * builder would dominate the instrumentation budget enforced by
-     * bench/micro_sim. */
+     * sorted keys — to @p out without building the object (used to
+     * render every timeline row, telemetry/timeline.cc). */
     void appendCompact(std::string &out) const;
 };
 

@@ -1,8 +1,6 @@
 #include "telemetry/phases.h"
 
 #include <algorithm>
-#include <charconv>
-#include <array>
 
 #include "common/logging.h"
 
@@ -19,102 +17,6 @@ constexpr double kSteadyExitFraction = 0.70;
 /** An interval is startup when the majority of its tile cycles are in
  * the Startup category (stream configuration + dispatch pipeline). */
 constexpr double kStartupMajority = 0.5;
-
-/** Parse the unsigned decimal following @p key in @p row; @return
- * whether the key was present. */
-bool
-parseField(std::string_view row, std::string_view key, uint64_t &out)
-{
-    size_t at = row.find(key);
-    if (at == std::string_view::npos)
-        return false;
-    const char *begin = row.data() + at + key.size();
-    const char *end = row.data() + row.size();
-    auto res = std::from_chars(begin, end, out);
-    OG_ASSERT(res.ec == std::errc(), "bad timeline field ", key);
-    return true;
-}
-
-/** Category names in the alphabetical order
- * CycleLedger::appendCompact emits, paired with their enum value. */
-struct SortedCategory
-{
-    std::string_view name;
-    int index;
-};
-
-const std::array<SortedCategory, kNumCycleCategories> &
-sortedCategories()
-{
-    static const auto table = [] {
-        std::array<SortedCategory, kNumCycleCategories> t;
-        for (int c = 0; c < kNumCycleCategories; ++c)
-            t[c] = { cycleCategoryName(static_cast<CycleCategory>(c)),
-                     c };
-        std::sort(t.begin(), t.end(),
-                  [](const SortedCategory &a, const SortedCategory &b) {
-                      return a.name < b.name;
-                  });
-        return t;
-    }();
-    return table;
-}
-
-/** Parse the `"ledger":{...}` object of @p row into @p out. Keys are
- * the snake_case category names in sorted order (the exact bytes
- * CycleLedger::appendCompact writes), so the matcher expects them in
- * that order and only falls back to a scan on rows from another
- * writer. */
-void
-parseLedger(std::string_view row, CycleLedger &out)
-{
-    constexpr std::string_view key = "\"ledger\":{";
-    size_t at = row.find(key);
-    OG_ASSERT(at != std::string_view::npos,
-              "timeline row without a ledger: ", std::string(row));
-    size_t pos = at + key.size();
-    size_t close = row.find('}', pos);
-    OG_ASSERT(close != std::string_view::npos,
-              "unterminated ledger in timeline row");
-    std::string_view body = row.substr(pos, close - pos);
-    const auto &sorted = sortedCategories();
-    size_t expected = 0;
-    while (!body.empty()) {
-        OG_ASSERT(body.front() == '"', "malformed ledger entry");
-        size_t name_end = body.find('"', 1);
-        OG_ASSERT(name_end != std::string_view::npos,
-                  "malformed ledger key");
-        std::string_view name = body.substr(1, name_end - 1);
-        OG_ASSERT(body.size() > name_end + 1 &&
-                      body[name_end + 1] == ':',
-                  "malformed ledger entry");
-        const char *vbegin = body.data() + name_end + 2;
-        const char *vend = body.data() + body.size();
-        uint64_t value = 0;
-        auto res = std::from_chars(vbegin, vend, value);
-        OG_ASSERT(res.ec == std::errc(), "bad ledger count");
-        int matched = -1;
-        if (expected < sorted.size() &&
-            name == sorted[expected].name) {
-            matched = sorted[expected].index;
-            ++expected;
-        } else {
-            for (const SortedCategory &cat : sorted) {
-                if (name == cat.name) {
-                    matched = cat.index;
-                    break;
-                }
-            }
-        }
-        OG_ASSERT(matched >= 0, "unknown ledger category '",
-                  std::string(name), "'");
-        out.counts[matched] = value;
-        body.remove_prefix(
-            static_cast<size_t>(res.ptr - body.data()));
-        if (!body.empty() && body.front() == ',')
-            body.remove_prefix(1);
-    }
-}
 
 /** The dominant non-busy category of @p ledger (Busy when nothing
  * stalls). Ties break toward the lower enum value — deterministic. */
@@ -212,63 +114,25 @@ PhaseProfile::toJson() const
 }
 
 std::vector<PhaseSample>
-phaseSamplesFromRows(std::string_view rows)
+foldPhaseSamples(const std::vector<TimelineSample> &rows)
 {
-    // Aggregate by cycle: rows of one boundary (memory + each tile)
-    // merge into one sample regardless of the order they were
-    // appended or concatenated in. The vector is kept cycle-sorted
-    // with a back() fast path — a run's buffer appends boundaries in
-    // order, so the sorted insert only runs on shuffled input.
+    // A run adds its rows in cycle order, so one boundary's rows
+    // (memory + each tile) are adjacent.
     std::vector<PhaseSample> samples;
-    auto sample_at = [&samples](uint64_t cycle) -> PhaseSample & {
-        if (!samples.empty() && samples.back().cycle == cycle)
-            return samples.back();
-        if (samples.empty() || cycle > samples.back().cycle) {
-            samples.emplace_back().cycle = cycle;
-            return samples.back();
+    for (const TimelineSample &row : rows) {
+        if (samples.empty() || samples.back().cycle != row.cycle) {
+            OG_ASSERT(samples.empty() || samples.back().cycle < row.cycle,
+                      "timeline rows out of cycle order at ", row.cycle);
+            samples.emplace_back().cycle = row.cycle;
         }
-        auto it = std::lower_bound(
-            samples.begin(), samples.end(), cycle,
-            [](const PhaseSample &s, uint64_t c) {
-                return s.cycle < c;
-            });
-        if (it == samples.end() || it->cycle != cycle) {
-            it = samples.insert(it, PhaseSample{});
-            it->cycle = cycle;
-        }
-        return *it;
-    };
-    size_t pos = 0;
-    while (pos < rows.size()) {
-        size_t eol = rows.find('\n', pos);
-        if (eol == std::string_view::npos)
-            eol = rows.size();
-        std::string_view row = rows.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (row.empty())
+        PhaseSample &sample = samples.back();
+        if (row.isMemory()) {
+            sample.memory = row.ledger;
             continue;
-        uint64_t cycle = 0;
-        OG_ASSERT(parseField(row, "\"cycle\":", cycle),
-                  "timeline row without a cycle: ", std::string(row));
-        PhaseSample &sample = sample_at(cycle);
-        constexpr std::string_view comp_key = "\"comp\":\"";
-        size_t comp_at = row.find(comp_key);
-        OG_ASSERT(comp_at != std::string_view::npos,
-                  "timeline row without a comp: ", std::string(row));
-        bool is_memory =
-            row.compare(comp_at + comp_key.size(), 7, "memory\"") == 0;
-        if (is_memory) {
-            parseLedger(row, sample.memory);
-        } else {
-            CycleLedger tile;
-            parseLedger(row, tile);
-            ledgerAccumulate(sample.tiles, tile);
-            uint64_t v = 0;
-            if (parseField(row, "\"iterations\":", v))
-                sample.iterations += v;
-            if (parseField(row, "\"firings\":", v))
-                sample.firings += v;
         }
+        ledgerAccumulate(sample.tiles, row.ledger);
+        sample.iterations += row.gauges[TimelineSample::Iterations];
+        sample.firings += row.gauges[TimelineSample::Firings];
     }
     return samples;
 }

@@ -8,7 +8,7 @@
  * decomposition with per-phase stall attribution.
  *
  * The pipeline is a pure function of the sampled rows plus the run's
- * terminal totals: phaseSamplesFromRows() parses the compact row JSON
+ * terminal totals: foldPhaseSamples() sums a run's TimelineSamples
  * into per-cycle aggregates, appendTerminalSample() closes the series
  * with the run's final ledgers (so per-phase spans sum exactly to the
  * run's cycles even when the run ends between boundaries), and
@@ -21,12 +21,11 @@
  */
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/json.h"
 #include "telemetry/ledger.h"
+#include "telemetry/timeline.h"
 
 namespace overgen::telemetry {
 
@@ -126,14 +125,13 @@ struct PhaseProfile
 };
 
 /**
- * Parse timeline rows (newline-separated compact JSON, the exact
- * bytes TimelineRun holds) into per-cycle samples: rows of every
- * "tileN" component are summed, the "memory" component keeps its own
- * ledger. Rows may come in any order; samples are aggregated by
- * cycle and returned cycle-sorted. Rows of
- * more than one run must not be mixed (labels are not consulted).
+ * Fold one run's timeline rows (TimelineRun::samples(), in the cycle
+ * order the run added them) into one sample per sampled cycle: tile
+ * ledgers, iterations and firings are summed, the memory system keeps
+ * its own ledger.
  */
-std::vector<PhaseSample> phaseSamplesFromRows(std::string_view rows);
+std::vector<PhaseSample>
+foldPhaseSamples(const std::vector<TimelineSample> &rows);
 
 /**
  * Append the run-final sample at @p cycles from the terminal ledgers,
@@ -148,7 +146,7 @@ void appendTerminalSample(std::vector<PhaseSample> &samples,
 
 /**
  * Segment @p samples (cycle-sorted cumulative series, e.g. from
- * phaseSamplesFromRows + appendTerminalSample) into phases:
+ * foldPhaseSamples + appendTerminalSample) into phases:
  *
  *  - *startup*: maximal prefix of intervals whose tile-ledger delta is
  *    majority Startup;

@@ -2,23 +2,93 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <span>
+#include <string_view>
 
 #include "common/logging.h"
 
 namespace overgen::telemetry {
 
+namespace {
+
+constexpr std::string_view kTileGaugeKeys[] = {
+    "dma_bytes", "fabric_stall_cycles", "firings", "iterations",
+    "spad_bytes",
+};
+constexpr std::string_view kMemoryGaugeKeys[] = {
+    "bank_queue_depth", "dram_bytes_read", "dram_bytes_written",
+    "l2_hits", "l2_misses", "mshr_stall_cycles", "mshrs_in_use",
+    "noc_bytes", "outstanding",
+};
+static_assert(std::size(kTileGaugeKeys) == TimelineSample::kTileGauges);
+static_assert(std::size(kMemoryGaugeKeys) ==
+              TimelineSample::kMemoryGauges);
+
+/** Append @p sample as one compact JSON row with sorted keys — the
+ * bytes Json::dump gives the equivalent object. The gauge keys and the
+ * four fixed keys are each sorted, so merging the two lists gives the
+ * row's key order. */
+void
+appendRow(std::string &out, const TimelineSample &sample,
+          const std::string &label)
+{
+    enum Fixed { Comp, Cycle, Ledger, Run, kFixed };
+    static constexpr std::string_view kFixedKeys[] = { "comp", "cycle",
+                                                       "ledger", "run" };
+    std::span<const std::string_view> gauges = kTileGaugeKeys;
+    if (sample.isMemory())
+        gauges = kMemoryGaugeKeys;
+    size_t g = 0;
+    int f = 0;
+    char sep = '{';
+    while (g < gauges.size() || f < kFixed) {
+        bool gauge = f == kFixed ||
+                     (g < gauges.size() && gauges[g] < kFixedKeys[f]);
+        out += sep;
+        sep = ',';
+        out += '"';
+        out += gauge ? gauges[g] : kFixedKeys[f];
+        out += "\":";
+        if (gauge) {
+            appendDecimal(out, sample.gauges[g++]);
+            continue;
+        }
+        switch (f++) {
+          case Comp:
+            if (sample.isMemory()) {
+                out += "\"memory\"";
+            } else {
+                out += "\"tile";
+                appendDecimal(out,
+                              static_cast<uint64_t>(sample.component));
+                out += '"';
+            }
+            break;
+          case Cycle:
+            appendDecimal(out, sample.cycle);
+            break;
+          case Ledger:
+            sample.ledger.appendCompact(out);
+            break;
+          case Run:
+            out += '"';
+            out += label;
+            out += '"';
+            break;
+        }
+    }
+    out += '}';
+}
+
+} // namespace
+
 std::vector<std::string>
 TimelineRun::lines() const
 {
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start < buf.size()) {
-        size_t end = buf.find('\n', start);
-        OG_ASSERT(end != std::string::npos,
-                  "unterminated timeline row");
-        out.push_back(buf.substr(start, end - start));
-        start = end + 1;
-    }
+    std::vector<std::string> out(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i)
+        appendRow(out[i], rows[i], tag);
     return out;
 }
 
@@ -30,45 +100,37 @@ Timeline::beginRun(const std::string &label)
     return &runs.back();
 }
 
-std::vector<const TimelineRun *>
-Timeline::sortedRuns() const
-{
-    std::vector<const TimelineRun *> order;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        for (const TimelineRun &run : runs)
-            order.push_back(&run);
-    }
-    std::sort(order.begin(), order.end(),
-              [](const TimelineRun *a, const TimelineRun *b) {
-                  if (a->label() != b->label())
-                      return a->label() < b->label();
-                  return a->bytes() < b->bytes();
-              });
-    return order;
-}
-
 size_t
 Timeline::rowCount() const
 {
     size_t n = 0;
     std::lock_guard<std::mutex> lock(mutex);
-    for (const TimelineRun &run : runs) {
-        const std::string &bytes = run.bytes();
-        n += static_cast<size_t>(
-            std::count(bytes.begin(), bytes.end(), '\n'));
-    }
+    for (const TimelineRun &run : runs)
+        n += run.samples().size();
     return n;
 }
 
 std::vector<std::string>
 Timeline::lines() const
 {
+    std::vector<std::pair<const TimelineRun *, std::vector<std::string>>>
+        order;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        for (const TimelineRun &run : runs)
+            order.emplace_back(&run, run.lines());
+    }
+    // Rows hold no byte below '\n', so comparing runs row by row gives
+    // the byte order of their newline-joined JSONL.
+    std::sort(order.begin(), order.end(),
+              [](const auto &a, const auto &b) {
+                  if (a.first->label() != b.first->label())
+                      return a.first->label() < b.first->label();
+                  return a.second < b.second;
+              });
     std::vector<std::string> out;
-    for (const TimelineRun *run : sortedRuns()) {
-        std::vector<std::string> rows = run->lines();
-        out.insert(out.end(),
-                   std::make_move_iterator(rows.begin()),
+    for (auto &[run, rows] : order) {
+        out.insert(out.end(), std::make_move_iterator(rows.begin()),
                    std::make_move_iterator(rows.end()));
     }
     return out;

@@ -4,35 +4,80 @@
 /**
  * @file
  * Interval time-series sampling. A Timeline collects TimelineRuns —
- * one per simulate() call — each a stream of JSONL rows snapshotting
- * the run's CycleLedgers and key gauges every
+ * one per simulate() call — each a stream of TimelineSamples
+ * snapshotting the run's CycleLedgers and key gauges every
  * `SinkOptions::statsInterval` cycles (`--stats-interval` on the
- * bench harnesses).
+ * bench harnesses). Components append fixed-layout numeric samples;
+ * this file is the only place that renders them as JSONL text, and it
+ * does so only when lines() or writeTo() asks for bytes.
  *
  * Concurrency contract (mirrors Sink::logDse): beginRun() is
  * mutex-guarded so concurrent sim::runBatch jobs can open runs in any
  * completion order, while each TimelineRun is appended to by exactly
  * one simulation thread (a simulation is single-threaded), so
- * append() takes no lock. lines() and writeTo() serialize runs sorted
- * by (label, content) — byte-identical output for every
+ * add() takes no lock. lines() and writeTo() serialize runs sorted
+ * by (label, rendered content) — byte-identical output for every
  * `--sim-threads` value — and require the batch to have completed
- * (no concurrent append), like Sink::dseLines().
+ * (no concurrent add), like Sink::dseLines().
  */
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "telemetry/ledger.h"
+
 namespace overgen::telemetry {
 
-/** The row stream of one simulated run (single-writer). Rows live in
- * one contiguous newline-separated byte buffer: emitters format
- * directly into it via beginRow()/endRow(), so sampling costs no
- * per-row allocation (amortized buffer growth only — the
- * bench/micro_sim overhead guard holds the whole instrumentation
- * path under 3%). */
+/** One row of a timeline: a component's cumulative ledger and gauges
+ * at a sampled cycle. Rendered as compact JSON with sorted keys:
+ * "comp", "cycle", "ledger", "run" and one key per gauge. */
+struct TimelineSample
+{
+    /** Gauge slots of a tile row, in rendered key order. */
+    enum TileGauge : int
+    {
+        DmaBytes,           //!< "dma_bytes"
+        FabricStallCycles,  //!< "fabric_stall_cycles"
+        Firings,            //!< "firings"
+        Iterations,         //!< "iterations"
+        SpadBytes,          //!< "spad_bytes"
+        kTileGauges
+    };
+    /** Gauge slots of a memory-system row, in rendered key order. */
+    enum MemoryGauge : int
+    {
+        BankQueueDepth,    //!< "bank_queue_depth"
+        DramBytesRead,     //!< "dram_bytes_read"
+        DramBytesWritten,  //!< "dram_bytes_written"
+        L2Hits,            //!< "l2_hits"
+        L2Misses,          //!< "l2_misses"
+        MshrStallCycles,   //!< "mshr_stall_cycles"
+        MshrsInUse,        //!< "mshrs_in_use"
+        NocBytes,          //!< "noc_bytes"
+        Outstanding,       //!< "outstanding"
+        kMemoryGauges
+    };
+    /** `component` of the memory system's rows ("memory"). */
+    static constexpr int kMemory = -1;
+
+    uint64_t cycle = 0;
+    /** Tile index ("tileN"), or kMemory. */
+    int component = kMemory;
+    /** The component's cumulative ledger at `cycle`. */
+    CycleLedger ledger;
+    /** TileGauge or MemoryGauge slots; a tile row leaves the tail 0. */
+    std::array<uint64_t, kMemoryGauges> gauges{};
+
+    bool isMemory() const { return component == kMemory; }
+
+    bool operator==(const TimelineSample &other) const = default;
+};
+
+/** The sample stream of one simulated run (single-writer). */
 class TimelineRun
 {
   public:
@@ -41,31 +86,19 @@ class TimelineRun
     /** Run label stamped into each row ("run"). */
     const std::string &label() const { return tag; }
 
-    /** Start one row: append the serialized JSON to the returned
-     * buffer, then call endRow(). No other beginRow() may intervene
-     * (single-writer). */
-    std::string &beginRow() { return buf; }
+    /** Append one sample (rows of a run arrive in cycle order). */
+    void add(const TimelineSample &sample) { rows.push_back(sample); }
 
-    /** Terminate the row begun by beginRow(). */
-    void endRow() { buf += '\n'; }
+    /** The samples in the order they were added. */
+    const std::vector<TimelineSample> &samples() const { return rows; }
 
-    /** Append one pre-serialized JSON row (no trailing newline). */
-    void
-    append(const std::string &row)
-    {
-        buf += row;
-        buf += '\n';
-    }
-
-    /** The raw newline-terminated row bytes. */
-    const std::string &bytes() const { return buf; }
-
-    /** The rows as individual lines (cold path: reports/tests). */
+    /** The samples rendered as JSONL lines (cold path: reports and
+     * tests). */
     std::vector<std::string> lines() const;
 
   private:
     std::string tag;
-    std::string buf;
+    std::vector<TimelineSample> rows;
 };
 
 /** See file comment. */
@@ -73,20 +106,20 @@ class Timeline
 {
   public:
     /**
-     * Open the row stream for one run. The returned pointer is stable
-     * for the Timeline's lifetime and owned by it. Safe to call
+     * Open the sample stream for one run. The returned pointer is
+     * stable for the Timeline's lifetime and owned by it. Safe to call
      * concurrently (one call per runBatch job).
      */
     TimelineRun *beginRun(const std::string &label);
 
     /** @return total rows sampled so far (requires no concurrent
-     * append; test/report convenience). */
+     * add; test/report convenience). */
     size_t rowCount() const;
 
     /**
-     * All rows as JSONL lines, runs ordered by (label, row content) —
-     * a pure function of the sampled data, independent of the thread
-     * count or completion order that produced it.
+     * All rows as JSONL lines, runs ordered by (label, rendered
+     * content) — a pure function of the sampled data, independent of
+     * the thread count or completion order that produced it.
      */
     std::vector<std::string> lines() const;
 
@@ -94,9 +127,6 @@ class Timeline
     void writeTo(const std::string &path) const;
 
   private:
-    /** Runs in sorted serialization order (see lines()). */
-    std::vector<const TimelineRun *> sortedRuns() const;
-
     mutable std::mutex mutex;
     /** deque: stable element addresses across beginRun() growth. */
     std::deque<TimelineRun> runs;

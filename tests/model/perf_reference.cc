@@ -173,8 +173,6 @@ referenceEstimateIpc(const PerfInput &input, const adg::Adg &tile,
         out.bottleneck = "compute";
 
     out.ipc = out.instBandwidth * tiles * limit;
-    out.workRate =
-        static_cast<double>(mdfg.vectorization()) * tiles * limit;
     return out;
 }
 

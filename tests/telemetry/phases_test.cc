@@ -189,46 +189,70 @@ TEST(AnalyzePhases, NoSteadyStateMeansWholeRunRamps)
 }
 
 // ---------------------------------------------------------------------------
-// Row parsing and the terminal sample
+// Folding timeline rows and the terminal sample
 
-TEST(PhaseSamples, RowsAggregateByCycleAcrossComponents)
+TEST(PhaseSamples, TypedRowsFoldIntoOneSamplePerCycle)
 {
-    // Rows of one boundary (memory + each tile) merge into one sample
-    // regardless of append order; tile ledgers/gauges sum, the memory
-    // ledger stays separate.
-    std::string rows;
-    rows += "{\"run\":\"r\",\"cycle\":64,\"comp\":\"tile1\","
-            "\"iterations\":3,\"firings\":7,"
-            "\"ledger\":{\"busy\":50,\"port_stall\":14}}\n";
-    rows += "{\"run\":\"r\",\"cycle\":128,\"comp\":\"memory\","
-            "\"ledger\":{\"busy\":8,\"idle\":120}}\n";
-    rows += "{\"run\":\"r\",\"cycle\":64,\"comp\":\"memory\","
-            "\"ledger\":{\"busy\":4,\"idle\":60}}\n";
-    rows += "{\"run\":\"r\",\"cycle\":64,\"comp\":\"tile0\","
-            "\"iterations\":5,\"firings\":11,"
-            "\"ledger\":{\"busy\":60,\"ii_gate\":4}}\n";
-    rows += "{\"run\":\"r\",\"cycle\":128,\"comp\":\"tile0\","
-            "\"iterations\":9,\"firings\":20,"
-            "\"ledger\":{\"busy\":124,\"ii_gate\":4}}\n";
-    rows += "{\"run\":\"r\",\"cycle\":128,\"comp\":\"tile1\","
-            "\"iterations\":6,\"firings\":13,"
-            "\"ledger\":{\"busy\":110,\"port_stall\":18}}\n";
+    // A run adds each boundary's rows memory first, then one per tile.
+    // Tile ledgers and gauges sum; the memory ledger stays separate.
+    using telemetry::TimelineSample;
+    auto ledger = [](std::initializer_list<
+                      std::pair<CycleCategory, uint64_t>> counts) {
+        CycleLedger l;
+        for (const auto &[cat, n] : counts)
+            l.add(cat, n);
+        return l;
+    };
+    auto tile = [](uint64_t cycle, int index, CycleLedger l,
+                   uint64_t iterations, uint64_t firings) {
+        TimelineSample row{ cycle, index, l };
+        row.gauges[TimelineSample::Iterations] = iterations;
+        row.gauges[TimelineSample::Firings] = firings;
+        row.gauges[TimelineSample::SpadBytes] = 999;  // not folded
+        return row;
+    };
+    std::vector<TimelineSample> rows = {
+        { 64, TimelineSample::kMemory,
+          ledger({ { CycleCategory::Busy, 4 },
+                   { CycleCategory::Idle, 60 } }) },
+        tile(64, 0,
+             ledger({ { CycleCategory::Busy, 60 },
+                      { CycleCategory::IiGate, 4 } }),
+             5, 11),
+        tile(64, 1,
+             ledger({ { CycleCategory::Busy, 50 },
+                      { CycleCategory::PortStall, 14 } }),
+             3, 7),
+        { 128, TimelineSample::kMemory,
+          ledger({ { CycleCategory::Busy, 8 },
+                   { CycleCategory::Idle, 120 } }) },
+        tile(128, 0,
+             ledger({ { CycleCategory::Busy, 124 },
+                      { CycleCategory::IiGate, 4 } }),
+             9, 20),
+        tile(128, 1,
+             ledger({ { CycleCategory::Busy, 110 },
+                      { CycleCategory::PortStall, 18 } }),
+             6, 13),
+    };
 
-    std::vector<PhaseSample> samples =
-        telemetry::phaseSamplesFromRows(rows);
+    std::vector<PhaseSample> samples = telemetry::foldPhaseSamples(rows);
     ASSERT_EQ(samples.size(), 2u);
     EXPECT_EQ(samples[0].cycle, 64u);
     EXPECT_EQ(samples[0].tiles[CycleCategory::Busy], 110u);
     EXPECT_EQ(samples[0].tiles[CycleCategory::PortStall], 14u);
     EXPECT_EQ(samples[0].tiles[CycleCategory::IiGate], 4u);
-    EXPECT_EQ(samples[0].memory[CycleCategory::Idle], 60u);
+    EXPECT_EQ(samples[0].tiles.total(), 128u);
+    EXPECT_EQ(samples[0].memory, rows[0].ledger);
     EXPECT_EQ(samples[0].iterations, 8u);
     EXPECT_EQ(samples[0].firings, 18u);
     EXPECT_EQ(samples[1].cycle, 128u);
     EXPECT_EQ(samples[1].tiles[CycleCategory::Busy], 234u);
-    EXPECT_EQ(samples[1].memory[CycleCategory::Busy], 8u);
+    EXPECT_EQ(samples[1].tiles.total(), 256u);
+    EXPECT_EQ(samples[1].memory, rows[3].ledger);
     EXPECT_EQ(samples[1].iterations, 15u);
     EXPECT_EQ(samples[1].firings, 33u);
+    EXPECT_TRUE(telemetry::foldPhaseSamples({}).empty());
 }
 
 TEST(PhaseSamples, TerminalSampleClosesTheSeriesExactlyOnce)
