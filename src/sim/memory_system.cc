@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "telemetry/sink.h"
 #include "telemetry/timeline.h"
 
 namespace overgen::sim {
@@ -56,19 +55,6 @@ MemorySystem::MemorySystem(const adg::SystemParams &sys,
 }
 
 void
-MemorySystem::attachTelemetry(int trace_pid, const std::string &prefix)
-{
-    telemetry::Sink *sink = config.sink;
-    if (sink == nullptr)
-        return;
-    tracePid = trace_pid;
-    mshrOccupancy =
-        &sink->registry().distribution(prefix + "/mshr_occupancy");
-    bankQueueDepth =
-        &sink->registry().distribution(prefix + "/bank_queue_depth");
-}
-
-void
 MemorySystem::attachTimeline(telemetry::TimelineRun *run,
                              uint64_t interval)
 {
@@ -77,40 +63,6 @@ MemorySystem::attachTimeline(telemetry::TimelineRun *run,
     timelineRun = run;
     timelineInterval = interval;
     nextTimelineSample = interval;
-}
-
-void
-MemorySystem::sampleTelemetry()
-{
-    telemetry::Sink *sink = config.sink;
-    // Distributions and counters sample on the same interval: a
-    // per-cycle mutex-guarded record would dominate simulation cost
-    // (the micro_sim overhead guard holds instrumentation under 3%).
-    if (cycle % sink->options().counterSampleInterval != 0)
-        return;
-    int mshrs = 0;
-    int64_t queued = 0;
-    for (const Bank &bank : banks) {
-        mshrs += bank.mshrsInUse;
-        queued += static_cast<int64_t>(bank.queue.size());
-    }
-    mshrOccupancy->record(static_cast<double>(mshrs));
-    bankQueueDepth->record(static_cast<double>(queued) /
-                           static_cast<double>(banks.size()));
-    if (sink->tracing()) {
-        telemetry::TraceEmitter &trace = sink->trace();
-        trace.counter("l2.mshrs_in_use", tracePid, 0, cycle,
-                      static_cast<double>(mshrs));
-        uint64_t noc = memStats.nocBytes;
-        uint64_t dram =
-            memStats.dramBytesRead + memStats.dramBytesWritten;
-        trace.counter("noc.bytes_per_interval", tracePid, 0, cycle,
-                      static_cast<double>(noc - lastNocBytes));
-        trace.counter("dram.bytes_per_interval", tracePid, 0, cycle,
-                      static_cast<double>(dram - lastDramBytes));
-        lastNocBytes = noc;
-        lastDramBytes = dram;
-    }
 }
 
 int
@@ -259,8 +211,6 @@ MemorySystem::tick()
 {
     ++cycle;
     uint64_t progress_before = progressEvents;
-    if (mshrOccupancy != nullptr)
-        sampleTelemetry();
 
     // Tile links: move requests to their bank queues within the NoC
     // byte budget of each tile's link.
@@ -544,17 +494,16 @@ MemorySystem::queueEventCycle(uint64_t now) const
 uint64_t
 MemorySystem::nextEventCycle(uint64_t now) const
 {
-    // Interval telemetry sampling (distributions, timeline rows)
-    // cannot be replayed in closed form; with a sink or timeline
-    // attached, observation degrades to per-cycle ticking.
-    if (mshrOccupancy != nullptr || timelineRun != nullptr)
-        return now + 1;
     uint64_t ev = queueEventCycle(now);
     // Completions become due at their ready cycle: the earliest is
     // one of the ring fronts.
     uint64_t floor = completedFloor();
     if (floor != kNoEventCycle)
         ev = std::min(ev, std::max(floor, now + 1));
+    // A timeline sample reads state at the end of its cycle's tick,
+    // so that cycle is ticked, never skipped.
+    if (timelineRun != nullptr)
+        ev = std::min(ev, nextTimelineSample);
     return ev;
 }
 

@@ -20,7 +20,6 @@
 #include "telemetry/ledger.h"
 
 namespace overgen::telemetry {
-class Distribution;
 class TimelineRun;
 } // namespace overgen::telemetry
 
@@ -58,9 +57,9 @@ class MemorySystem : public ClockedComponent
 {
   public:
     MemorySystem(const adg::SystemParams &sys, const SimConfig &config);
-    /** Not copyable: the telemetry pointers are non-owning, and a
-     * copy would record into the original's distributions. Moving
-     * hands them over. */
+    /** Not copyable: the timeline pointer is non-owning, and a copy
+     * would append rows to the original's run. Moving hands it
+     * over. */
     MemorySystem(const MemorySystem &) = delete;
     MemorySystem &operator=(const MemorySystem &) = delete;
     MemorySystem(MemorySystem &&) = default;
@@ -109,9 +108,10 @@ class MemorySystem : public ClockedComponent
     /** @name ClockedComponent */
     /// @{
     void tick(uint64_t engine_cycle) override;
-    /** Next completion becoming due, or the next internal drain
-     * or fill-expiry event (queues drain with per-cycle budgets whose
-     * next service cycle is solved in closed form). */
+    /** Next completion becoming due, the next internal drain or
+     * fill-expiry event (queues drain with per-cycle budgets whose
+     * next service cycle is solved in closed form), or the next
+     * timeline sample. */
     uint64_t nextEventCycle(uint64_t now) const override;
     /** Saturate the per-link/bank/channel byte budgets in closed form
      * and jump the clock; deferred fill expiry is re-done lazily by
@@ -132,17 +132,10 @@ class MemorySystem : public ClockedComponent
     bool busy() const;
 
     /**
-     * Attach this run's trace identity (pid) and counter prefix.
-     * Telemetry itself comes from `config.sink`; nothing is recorded
-     * until this is called (simulate() attaches each run under
-     * "sim/<kernel>/memory").
-     */
-    void attachTelemetry(int trace_pid, const std::string &prefix);
-
-    /**
      * Stream interval time-series rows into @p run every @p interval
-     * cycles (requires a live `config.sink`, whose presence already
-     * degrades the horizon to per-cycle ticking).
+     * cycles. Each sample cycle is a horizon event (nextEventCycle),
+     * so fast-forward stops on it instead of stepping over it, and
+     * the rows are the same with fast-forward on or off.
      */
     void attachTimeline(telemetry::TimelineRun *run,
                         uint64_t interval);
@@ -331,23 +324,13 @@ class MemorySystem : public ClockedComponent
     uint64_t progressEvents = 0;
     MemoryStats memStats;
 
-    /** @name Telemetry (null when config.sink is null) */
-    /// @{
-    void sampleTelemetry();
-    telemetry::Distribution *mshrOccupancy = nullptr;
-    telemetry::Distribution *bankQueueDepth = nullptr;
-    int tracePid = 0;
-    uint64_t lastNocBytes = 0;
-    uint64_t lastDramBytes = 0;
-    /// @}
-
     /** @name Interval time-series (null when sampling is off) */
     /// @{
     void sampleTimeline();
     telemetry::TimelineRun *timelineRun = nullptr;
     uint64_t timelineInterval = 0;
-    /** The next sampled cycle; nextEventCycle() ticks every cycle
-     * while a timeline is attached, so no boundary is stepped over. */
+    /** The next sampled cycle, reported as a horizon event so no
+     * boundary is stepped over. */
     uint64_t nextTimelineSample = 0;
     /// @}
 };

@@ -96,11 +96,8 @@ buildInstance(const wl::KernelSpec &spec, const dfg::Mdfg &mdfg,
     inst.sink = config.sink;
     inst.tracing = inst.sink != nullptr && inst.sink->tracing();
     inst.runName = "simulate:" + spec.name;
-    if (inst.sink != nullptr) {
+    if (inst.sink != nullptr)
         inst.pid = inst.sink->nextRunId();
-        inst.memsys->attachTelemetry(inst.pid,
-                                     "sim/" + spec.name + "/memory");
-    }
     if (inst.tracing) {
         telemetry::TraceEmitter &trace = inst.sink->trace();
         trace.processName(inst.pid, inst.runName);
@@ -209,6 +206,10 @@ runInstance(SimInstance &inst, const wl::KernelSpec &spec,
         }
         inst.sink->trace().end(inst.runName, "sim", inst.pid, 0,
                                cycle);
+        // Counter tracks come from the timeline, at its cadence.
+        if (inst.timelineRun != nullptr)
+            telemetry::renderCounterTracks(*inst.timelineRun,
+                                           inst.sink->trace(), inst.pid);
     }
     if (inst.sink != nullptr)
         dumpCounters(*inst.sink, spec.name, result);

@@ -302,10 +302,7 @@ struct TileSim::Impl
     /** @name Telemetry (trace tid 0 is the memory system) */
     /// @{
     int traceTid() const { return tileIndex + 1; }
-    void sampleTelemetry(uint64_t cycle);
     int tracePid = 0;
-    uint64_t lastFirings = 0;
-    uint64_t lastStallCycles = 0;
     /// @}
 
     /** @name Interval time-series (null when sampling is off) */
@@ -313,9 +310,8 @@ struct TileSim::Impl
     void sampleTimeline(uint64_t cycle);
     telemetry::TimelineRun *timelineRun = nullptr;
     uint64_t timelineInterval = 0;
-    /** The next sampled cycle. Every cycle is ticked while a timeline
-     * is attached (MemorySystem::nextEventCycle), so no boundary is
-     * stepped over. */
+    /** The next sampled cycle, reported as a horizon event so no
+     * boundary is stepped over. */
     uint64_t nextTimelineSample = 0;
     /// @}
 };
@@ -999,25 +995,6 @@ TileSim::Impl::fabricTick(uint64_t cycle)
 }
 
 void
-TileSim::Impl::sampleTelemetry(uint64_t cycle)
-{
-    telemetry::Sink *sink = config.sink;
-    if (cycle % sink->options().counterSampleInterval != 0)
-        return;
-    std::string tag = "tile" + std::to_string(tileIndex);
-    sink->trace().counter(
-        tag + ".firings_per_interval", tracePid, traceTid(), cycle,
-        static_cast<double>(stats.firings - lastFirings));
-    sink->trace().counter(
-        tag + ".stall_cycles_per_interval", tracePid, traceTid(),
-        cycle,
-        static_cast<double>(stats.fabricStallCycles -
-                            lastStallCycles));
-    lastFirings = stats.firings;
-    lastStallCycles = stats.fabricStallCycles;
-}
-
-void
 TileSim::Impl::tick(uint64_t cycle)
 {
     if (finished) {
@@ -1032,8 +1009,6 @@ TileSim::Impl::tick(uint64_t cycle)
     for (auto &[engine_id, engine] : engines)
         engineTick(engine_id, engine, cycle);
     fabricTick(cycle);
-    if (config.sink != nullptr && config.sink->tracing())
-        sampleTelemetry(cycle);
 
     if (fabricWalker.done()) {
         bool drained = true;
@@ -1175,14 +1150,13 @@ TileSim::Impl::sampleTimeline(uint64_t cycle)
 uint64_t
 TileSim::Impl::nextEventCycle(uint64_t now) const
 {
+    // A timeline sample reads state at the end of its cycle's tick
+    // (finished tiles sample too), so that cycle is ticked, never
+    // skipped.
+    uint64_t ev =
+        timelineRun != nullptr ? nextTimelineSample : kNoEventCycle;
     if (finished)
-        return kNoEventCycle;
-    // Any attached sink samples per-cycle/per-interval telemetry that
-    // cannot be replayed in closed form: observation degrades to
-    // per-cycle ticking (the memory system does the same).
-    if (config.sink != nullptr)
-        return now + 1;
-    uint64_t ev = kNoEventCycle;
+        return ev;
     auto at = [&ev, now](uint64_t cycle) {
         ev = std::min(ev, std::max(cycle, now + 1));
     };

@@ -70,8 +70,10 @@ class TileSim : public ClockedComponent
 
     /**
      * Stream interval time-series rows for this tile into @p run
-     * every @p interval cycles (requires a live `config.sink`, whose
-     * presence already degrades the horizon to per-cycle ticking).
+     * every @p interval cycles. Each sample cycle is a horizon event
+     * (nextEventCycle), so fast-forward stops on it instead of
+     * stepping over it, and the rows are the same with fast-forward
+     * on or off.
      */
     void attachTimeline(telemetry::TimelineRun *run,
                         uint64_t interval);

@@ -9,13 +9,6 @@ Registry::counter(const std::string &path)
     return counterMap[path];
 }
 
-Distribution &
-Registry::distribution(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return distMap[path];
-}
-
 namespace {
 
 /** Insert @p leaf into @p root under the '/'-separated @p path. */
@@ -49,15 +42,6 @@ Registry::toJson() const
     Json root = Json::makeObject();
     for (const auto &[path, c] : counterMap)
         insertAtPath(root, path, Json(c.value()));
-    for (const auto &[path, d] : distMap) {
-        Json leaf = Json::makeObject();
-        leaf.set("count", Json(d.count()));
-        leaf.set("sum", Json(d.total()));
-        leaf.set("min", Json(d.min()));
-        leaf.set("max", Json(d.max()));
-        leaf.set("mean", Json(d.mean()));
-        insertAtPath(root, path, std::move(leaf));
-    }
     return root;
 }
 
@@ -66,7 +50,6 @@ Registry::clear()
 {
     std::lock_guard<std::mutex> lock(mutex);
     counterMap.clear();
-    distMap.clear();
 }
 
 } // namespace overgen::telemetry

@@ -3,13 +3,14 @@
 
 /**
  * @file
- * Hierarchical counter registry: named u64 counters and value
- * distributions, addressed by '/'-separated paths (e.g.
- * "sim/fir/tile0/firings"). Lookup interns the path once; callers
- * cache the returned reference, so per-cycle increments are a single
- * add on a stable address. The registry nests by path segment when
- * serialized, giving a browsable JSON tree of everything the
- * simulator and DSE observed.
+ * Hierarchical counter registry: named u64 counters addressed by
+ * '/'-separated paths (e.g. "sim/fir/tile0/firings"), and nothing
+ * else — periodic gauges (MSHR occupancy, queue depths) live in the
+ * simulator's timeline samples (timeline.h), not here. Lookup interns
+ * the path once; callers cache the returned reference, so per-cycle
+ * increments are a single add on a stable address. The registry nests
+ * by path segment when serialized, giving a browsable JSON tree of
+ * everything the simulator and DSE observed.
  */
 
 #include <atomic>
@@ -41,79 +42,17 @@ class Counter
 };
 
 /**
- * Summary statistics of a stream of samples (occupancies, depths).
- * record() updates several fields together, so it takes a per-
- * distribution mutex; these are sampled-interval paths, not per-cycle
- * hot paths.
- */
-class Distribution
-{
-  public:
-    void
-    record(double v)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (n == 0 || v < lo)
-            lo = v;
-        if (n == 0 || v > hi)
-            hi = v;
-        sum += v;
-        ++n;
-    }
-
-    uint64_t
-    count() const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return n;
-    }
-    double
-    total() const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return sum;
-    }
-    double
-    min() const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return n ? lo : 0.0;
-    }
-    double
-    max() const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return n ? hi : 0.0;
-    }
-    double
-    mean() const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return n ? sum / static_cast<double>(n) : 0.0;
-    }
-
-  private:
-    mutable std::mutex mutex;
-    uint64_t n = 0;
-    double sum = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-};
-
-/**
  * The registry. std::map guarantees node stability, so references
- * returned by counter()/distribution() stay valid for the registry's
- * lifetime regardless of later insertions; interning itself is
- * mutex-guarded, so threads may look up paths concurrently. Callers
- * cache the returned reference and pay no lock on the increment.
+ * returned by counter() stay valid for the registry's lifetime
+ * regardless of later insertions; interning itself is mutex-guarded,
+ * so threads may look up paths concurrently. Callers cache the
+ * returned reference and pay no lock on the increment.
  */
 class Registry
 {
   public:
     /** @return the counter at @p path, creating it at zero. */
     Counter &counter(const std::string &path);
-    /** @return the distribution at @p path, creating it empty. */
-    Distribution &distribution(const std::string &path);
 
     /** Direct map access; callers must be quiescent (no concurrent
      * interning) — serialization and tests, not instrumentation. */
@@ -121,21 +60,16 @@ class Registry
     {
         return counterMap;
     }
-    const std::map<std::string, Distribution> &distributions() const
-    {
-        return distMap;
-    }
 
     /** Serialize as a tree nested by '/'-separated path segments. */
     Json toJson() const;
 
-    /** Drop every counter and distribution. */
+    /** Drop every counter. */
     void clear();
 
   private:
     mutable std::mutex mutex;  //!< guards map interning, not updates
     std::map<std::string, Counter> counterMap;
-    std::map<std::string, Distribution> distMap;
 };
 
 } // namespace overgen::telemetry

@@ -13,6 +13,11 @@
  *  - a counter Registry (always on),
  *  - a Chrome trace_event emitter (on when a trace path is configured
  *    or explicitly enabled; see trace.h for the pid/tid convention),
+ *  - an interval Timeline (on when `statsInterval` > 0): the
+ *    simulator's one periodic sampler. Its sample cycles are ordinary
+ *    fast-forward horizon events, so attaching a sink never changes
+ *    how the engine ticks a run; a traced run's counter tracks are
+ *    rendered from these samples (renderCounterTracks),
  *  - a JSONL log for per-iteration DSE records.
  *
  * flush() writes the configured output files; in-memory accessors
@@ -43,13 +48,12 @@ struct SinkOptions
     bool enableTrace = false;
     /** Also emit per-issue instant events (large traces). */
     bool traceDetail = false;
-    /** Cycles between periodic counter samples in the trace. */
-    uint64_t counterSampleInterval = 64;
     /** Interval time-series JSONL output (`--stats-jsonl`); rows are
      * kept in memory (Timeline) when empty. */
     std::string timelinePath;
-    /** Cycles between timeline samples (`--stats-interval`); 0
-     * disables interval sampling entirely. */
+    /** Cycles between timeline samples (`--stats-interval`), which
+     * are also the cycles of a trace's counter tracks; 0 disables
+     * interval sampling and counter tracks entirely. */
     uint64_t statsInterval = 0;
 };
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
+#include <map>
 #include <span>
 #include <string_view>
 
 #include "common/logging.h"
+#include "telemetry/trace.h"
 
 namespace overgen::telemetry {
 
@@ -90,6 +92,43 @@ TimelineRun::lines() const
     for (size_t i = 0; i < rows.size(); ++i)
         appendRow(out[i], rows[i], tag);
     return out;
+}
+
+void
+renderCounterTracks(const TimelineRun &run, TraceEmitter &trace,
+                    int pid)
+{
+    using S = TimelineSample;
+    // Each component's gauges at its previous sample (zero before the
+    // first).
+    std::map<int, std::array<uint64_t, S::kMemoryGauges>> last;
+    for (const S &sample : run.samples()) {
+        std::array<uint64_t, S::kMemoryGauges> &prev =
+            last[sample.component];
+        auto delta = [&](int gauge) {
+            return static_cast<double>(sample.gauges[gauge] -
+                                       prev[gauge]);
+        };
+        if (sample.isMemory()) {
+            trace.counter(
+                "l2.mshrs_in_use", pid, 0, sample.cycle,
+                static_cast<double>(sample.gauges[S::MshrsInUse]));
+            trace.counter("noc.bytes_per_interval", pid, 0,
+                          sample.cycle, delta(S::NocBytes));
+            trace.counter("dram.bytes_per_interval", pid, 0,
+                          sample.cycle,
+                          delta(S::DramBytesRead) +
+                              delta(S::DramBytesWritten));
+        } else {
+            std::string tag = "tile" + std::to_string(sample.component);
+            int tid = sample.component + 1;
+            trace.counter(tag + ".firings_per_interval", pid, tid,
+                          sample.cycle, delta(S::Firings));
+            trace.counter(tag + ".stall_cycles_per_interval", pid, tid,
+                          sample.cycle, delta(S::FabricStallCycles));
+        }
+        prev = sample.gauges;
+    }
 }
 
 TimelineRun *

@@ -8,8 +8,9 @@
  * snapshotting the run's CycleLedgers and key gauges every
  * `SinkOptions::statsInterval` cycles (`--stats-interval` on the
  * bench harnesses). Components append fixed-layout numeric samples;
- * this file is the only place that renders them as JSONL text, and it
- * does so only when lines() or writeTo() asks for bytes.
+ * this file is the only place that renders them — as JSONL text when
+ * lines() or writeTo() asks for bytes, and as a traced run's counter
+ * tracks (renderCounterTracks) when the run ends.
  *
  * Concurrency contract (mirrors Sink::logDse): beginRun() is
  * mutex-guarded so concurrent sim::runBatch jobs can open runs in any
@@ -31,6 +32,8 @@
 #include "telemetry/ledger.h"
 
 namespace overgen::telemetry {
+
+class TraceEmitter;
 
 /** One row of a timeline: a component's cumulative ledger and gauges
  * at a sampled cycle. Rendered as compact JSON with sorted keys:
@@ -100,6 +103,18 @@ class TimelineRun
     std::string tag;
     std::vector<TimelineSample> rows;
 };
+
+/**
+ * Render @p run's samples as the Chrome-trace counter tracks of trace
+ * process @p pid, one point per sample: "l2.mshrs_in_use",
+ * "noc.bytes_per_interval" and "dram.bytes_per_interval" on the
+ * memory system's thread (tid 0), "tileN.firings_per_interval" and
+ * "tileN.stall_cycles_per_interval" on tile N's (tid 1+N). A
+ * per-interval point is the difference of its component's consecutive
+ * cumulative gauges, so each such track sums to the last sample.
+ */
+void renderCounterTracks(const TimelineRun &run, TraceEmitter &trace,
+                         int pid);
 
 /** See file comment. */
 class Timeline

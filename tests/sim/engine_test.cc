@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "adg/builders.h"
 #include "compiler/compile.h"
@@ -191,6 +193,69 @@ expectIdentical(const SimResult &a, const SimResult &b,
     }
 }
 
+/** What a live sink recorded of one run. */
+struct Observed
+{
+    SimResult result;
+    std::string registry;
+    std::vector<std::string> timeline;
+    std::string trace;
+};
+
+/** Run @p c with a sink that traces and samples a timeline every
+ * @p interval cycles. */
+Observed
+observeWith(const Compiled &c, SimConfig config, uint64_t interval)
+{
+    telemetry::SinkOptions opts;
+    opts.enableTrace = true;
+    opts.statsInterval = interval;
+    telemetry::Sink sink(opts);
+    config.sink = &sink;
+    Observed out;
+    out.result = runWith(c, config).result;
+    out.registry = sink.registry().toJson().dump(2);
+    out.timeline = sink.timeline().lines();
+    out.trace = sink.trace().toJson().dump();
+    return out;
+}
+
+/**
+ * Observe @p c traced and sampled every 7 cycles through the naive,
+ * fast-forwarding and checked engines: the registry, the timeline rows
+ * and the trace (counter tracks included) must be identical, since
+ * sample cycles are horizon events rather than a reason to tick every
+ * cycle. @return the cycles the fast-forwarding engine skipped.
+ */
+uint64_t
+expectObservationMatchesAcrossModes(const Compiled &c,
+                                    const SimConfig &config,
+                                    const std::string &label)
+{
+    SimConfig naive = config;
+    naive.noFastForward = true;
+    Observed reference = observeWith(c, naive, 7);
+    EXPECT_TRUE(reference.result.completed) << label;
+    EXPECT_FALSE(reference.timeline.empty()) << label;
+    EXPECT_NE(reference.trace.find("\"ph\":\"C\""), std::string::npos)
+        << label;
+
+    SimConfig checked = config;
+    checked.checkFastForward = true;
+    uint64_t skipped = 0;
+    for (const auto &[mode, modeConfig] :
+         { std::pair{ "fast", config }, std::pair{ "checked", checked } }) {
+        Observed other = observeWith(c, modeConfig, 7);
+        const std::string at = label + " " + mode + "-vs-naive";
+        expectIdentical(reference.result, other.result, at);
+        EXPECT_EQ(reference.registry, other.registry) << at;
+        EXPECT_EQ(reference.timeline, other.timeline) << at;
+        EXPECT_EQ(reference.trace, other.trace) << at;
+        skipped += other.result.skippedCycles;  // checked skips none
+    }
+    return skipped;
+}
+
 class EngineExactness
     : public ::testing::TestWithParam<const char *>
 {
@@ -228,18 +293,8 @@ TEST_P(EngineExactness, FastForwardIsBitIdentical)
 
 TEST_P(EngineExactness, TelemetryCountersMatchAcrossModes)
 {
-    Compiled c = compileFor(GetParam(), 1);
-    auto counters_with = [&](bool no_ff) {
-        telemetry::SinkOptions sink_opts;
-        telemetry::Sink sink(sink_opts);
-        SimConfig config;
-        config.noFastForward = no_ff;
-        config.sink = &sink;
-        SimRun run = runWith(c, config);
-        EXPECT_TRUE(run.result.completed) << GetParam();
-        return sink.registry().toJson().dump(2);
-    };
-    EXPECT_EQ(counters_with(true), counters_with(false)) << GetParam();
+    expectObservationMatchesAcrossModes(compileFor(GetParam(), 1), {},
+                                        GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, EngineExactness,
@@ -284,6 +339,19 @@ TEST(Engine, FastForwardSkipsMostCyclesWhenMemoryBound)
     EXPECT_EQ(reference.result.skippedCycles, 0u);
     EXPECT_EQ(reference.result.tickedCycles, reference.result.cycles);
     expectIdentical(reference.result, fast.result, "memory-bound");
+
+    // Observing the run (trace plus a timeline) must not turn
+    // fast-forward off. A sample cycle is a horizon event, so the only
+    // cycles it may cost are the sampled ones that the bare run
+    // skipped: they are ticked instead, at most one per sample.
+    Observed observed = observeWith(c, config, 64);
+    const SimResult &seen = observed.result;
+    expectIdentical(fast.result, seen, "memory-bound observed");
+    EXPECT_EQ(seen.tickedCycles + seen.skippedCycles, seen.cycles);
+    ASSERT_LE(seen.skippedCycles, fast.result.skippedCycles);
+    EXPECT_LE(fast.result.skippedCycles - seen.skippedCycles,
+              seen.cycles / 64);
+    EXPECT_GE(seen.skippedCycles, 2 * seen.tickedCycles);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,6 +433,20 @@ TEST_P(BandwidthExactness, DrainReplayIsBitIdentical)
                   fast.memory.array(array.name))
             << point.name << " array " << array.name;
     }
+}
+
+TEST_P(BandwidthExactness, TelemetryMatchesAcrossModes)
+{
+    const BandwidthPoint &point = GetParam();
+    SimConfig config;
+    config.dramLatency = point.dramLatency;
+    config.dramChannelBandwidthBytes = point.channelBandwidthBytes;
+    uint64_t skipped = expectObservationMatchesAcrossModes(
+        compileBandwidthBound(point.dramChannels, point.tiles), config,
+        point.name);
+    // Every grid point leaves quiescent windows between samples, so
+    // the observed run still fast-forwards.
+    EXPECT_GT(skipped, 0u) << point.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(BandwidthGrid, BandwidthExactness,

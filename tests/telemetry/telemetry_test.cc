@@ -13,13 +13,14 @@
 #include "telemetry/bridge.h"
 #include "telemetry/registry.h"
 #include "telemetry/sink.h"
+#include "telemetry/timeline.h"
 #include "telemetry/trace.h"
 #include "workloads/suites.h"
 
 namespace overgen::telemetry {
 namespace {
 
-TEST(Registry, CountersAndDistributions)
+TEST(Registry, Counters)
 {
     Registry reg;
     Counter &c = reg.counter("sim/k/cycles");
@@ -28,14 +29,6 @@ TEST(Registry, CountersAndDistributions)
     EXPECT_EQ(c.value(), 10u);
     // Same path returns the same counter.
     EXPECT_EQ(&reg.counter("sim/k/cycles"), &c);
-
-    Distribution &d = reg.distribution("sim/k/queue");
-    d.record(2.0);
-    d.record(4.0);
-    EXPECT_EQ(d.count(), 2u);
-    EXPECT_DOUBLE_EQ(d.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 4.0);
 }
 
 TEST(Registry, ToJsonNestsByPath)
@@ -163,6 +156,125 @@ TEST(Sink, SimulationTraceHasMatchedBeginEndPairs)
     }
     for (const auto &[key, d] : depth)
         EXPECT_EQ(d, 0) << std::get<2>(key);
+}
+
+/** Run @p spec with a trace and a timeline every @p interval cycles
+ * into @p result; @return the parsed trace. */
+Json
+traceSampled(const wl::KernelSpec &spec, uint64_t interval,
+             sim::SimResult &result)
+{
+    SinkOptions opts;
+    opts.enableTrace = true;
+    opts.statsInterval = interval;
+    Sink sink(opts);
+    sim::SimConfig config;
+    config.sink = &sink;
+    result = runGeneral(spec, config);
+    EXPECT_TRUE(result.completed) << spec.name;
+    return Json::parse(sink.trace().toJson().dump());
+}
+
+TEST(Trace, CounterTracksComeFromTimelineSamples)
+{
+    using S = TimelineSample;
+    using Tracks = std::map<std::pair<int, std::string>,
+                            std::vector<std::pair<uint64_t, double>>>;
+    // fir runs out of the scratchpads, so vecmax exercises the
+    // memory system's tracks.
+    uint64_t noc_bytes = 0;
+    for (const wl::KernelSpec &spec :
+         { wl::makeFir(256, 16), wl::makeVecMax(64) }) {
+        sim::SimResult result;
+        Json trace = traceSampled(spec, 64, result);
+        ASSERT_FALSE(result.timelineRows.empty()) << spec.name;
+        // Each track's (cycle, value) points, keyed by (tid, name).
+        Tracks tracks;
+        for (const Json &e : trace.at("traceEvents").asArray()) {
+            if (e.at("ph").asString() != "C")
+                continue;
+            tracks[{ static_cast<int>(e.at("tid").asNumber()),
+                     e.at("name").asString() }]
+                .emplace_back(
+                    static_cast<uint64_t>(e.at("ts").asNumber()),
+                    e.at("args").at("value").asNumber());
+        }
+
+        // Replay the samples into the tracks they should render: a
+        // point at every sampled cycle and nowhere else, a gauge as-is
+        // or as the delta of consecutive cumulative gauges.
+        Tracks expected;
+        std::map<int, S> last;
+        for (const S &sample : result.timelineRows) {
+            auto it = last.find(sample.component);
+            auto delta = [&](int gauge) {
+                uint64_t before =
+                    it != last.end() ? it->second.gauges[gauge] : 0;
+                return static_cast<double>(sample.gauges[gauge] -
+                                           before);
+            };
+            auto point = [&](int tid, const std::string &name,
+                             double value) {
+                expected[{ tid, name }].emplace_back(sample.cycle,
+                                                     value);
+            };
+            if (sample.isMemory()) {
+                point(0, "l2.mshrs_in_use",
+                      static_cast<double>(sample.gauges[S::MshrsInUse]));
+                point(0, "noc.bytes_per_interval", delta(S::NocBytes));
+                point(0, "dram.bytes_per_interval",
+                      delta(S::DramBytesRead) +
+                          delta(S::DramBytesWritten));
+            } else {
+                int tid = sample.component + 1;
+                std::string tag =
+                    "tile" + std::to_string(sample.component);
+                point(tid, tag + ".firings_per_interval",
+                      delta(S::Firings));
+                point(tid, tag + ".stall_cycles_per_interval",
+                      delta(S::FabricStallCycles));
+            }
+            last[sample.component] = sample;
+        }
+        EXPECT_EQ(tracks, expected) << spec.name;
+        EXPECT_EQ(tracks.size(), 3 + 2 * result.tiles.size())
+            << spec.name;
+
+        // Each per-interval track sums to its final cumulative gauge.
+        auto sum = [&](int tid, const std::string &name) {
+            double total = 0.0;
+            for (const auto &[cycle, value] : tracks[{ tid, name }])
+                total += value;
+            return static_cast<uint64_t>(total);
+        };
+        for (const auto &[component, sample] : last) {
+            if (sample.isMemory()) {
+                noc_bytes += sample.gauges[S::NocBytes];
+                EXPECT_EQ(sum(0, "noc.bytes_per_interval"),
+                          sample.gauges[S::NocBytes]);
+                EXPECT_EQ(sum(0, "dram.bytes_per_interval"),
+                          sample.gauges[S::DramBytesRead] +
+                              sample.gauges[S::DramBytesWritten]);
+                continue;
+            }
+            std::string tag = "tile" + std::to_string(component);
+            EXPECT_GT(sample.gauges[S::Firings], 0u) << tag;
+            EXPECT_EQ(sum(component + 1, tag + ".firings_per_interval"),
+                      sample.gauges[S::Firings])
+                << spec.name << " " << tag;
+            EXPECT_EQ(
+                sum(component + 1, tag + ".stall_cycles_per_interval"),
+                sample.gauges[S::FabricStallCycles])
+                << spec.name << " " << tag;
+        }
+    }
+    EXPECT_GT(noc_bytes, 0u);
+
+    // No timeline, no counter tracks.
+    sim::SimResult result;
+    Json unsampled = traceSampled(wl::makeFir(256, 16), 0, result);
+    for (const Json &e : unsampled.at("traceEvents").asArray())
+        EXPECT_NE(e.at("ph").asString(), "C");
 }
 
 TEST(Dse, OneJsonlRecordPerIteration)
