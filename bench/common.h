@@ -387,14 +387,6 @@ generalOverlay()
     return design;
 }
 
-/** @return @p config with @p sink attached (harness convenience). */
-inline sim::SimConfig
-withSink(telemetry::Sink *sink, sim::SimConfig config = {})
-{
-    config.sink = sink;
-    return config;
-}
-
 /** Simulated seconds of one kernel on one overlay design. */
 struct OverlayRun
 {
@@ -457,22 +449,6 @@ runOnOverlay(const wl::KernelSpec &spec, const adg::SysAdg &design,
         config);
     fillRunRow(run, result);
     run.variant = variants[fit->second].name;
-    return run;
-}
-
-/** Simulate a kernel with the schedule a DSE result chose for it. */
-inline OverlayRun
-runMapped(const wl::KernelSpec &spec, const dse::DseResult &dse,
-          size_t index, const sim::SimConfig &config = {})
-{
-    wl::Memory memory;
-    memory.init(spec);
-    sim::SimResult result =
-        sim::simulate(spec, dse.mdfgs[index], dse.schedules[index],
-                      dse.design, memory, config);
-    OverlayRun run;
-    fillRunRow(run, result);
-    run.variant = dse.mdfgs[index].name;
     return run;
 }
 
@@ -632,24 +608,6 @@ makeJobSet(const std::vector<wl::KernelSpec> &specs,
     for (const auto &spec : specs)
         set.addJob(spec.name, designId, apply_tuning, small_size);
     return set;
-}
-
-/** Convert a serve-layer result row into the harness OverlayRun shape
- * (seconds derived from the overlay clock; the wire row carries no
- * per-component stats). */
-inline OverlayRun
-fromResultRow(const serve::ResultRow &row)
-{
-    OverlayRun run;
-    run.ok = row.ok;
-    run.deadlocked = row.deadlocked;
-    run.diagnostic = row.diagnostic;
-    run.cycles = row.cycles;
-    run.seconds =
-        static_cast<double>(row.cycles) / (overlayClockMhz * 1e6);
-    run.ipc = row.ipc;
-    run.variant = row.variant;
-    return run;
 }
 
 /** Geometric mean helper over positive values. */

@@ -305,7 +305,7 @@ main(int argc, char **argv)
 
     Json rows = Json::makeArray();
     for (const Point &point : points) {
-        sim::SimConfig config = bench::withSink(harness.sink());
+        sim::SimConfig config = harness.simConfig();
         Measurement on = measure(point, config, true, reps, inner);
         Measurement off = measure(point, config, false, reps, inner);
         OG_ASSERT(on.cycles == off.cycles && on.ipc == off.ipc,

@@ -26,7 +26,7 @@ main(int argc, char **argv)
     adg::SysAdg design = bench::generalOverlay();
     std::vector<wl::KernelSpec> suite = wl::allWorkloads();
     std::vector<telemetry::KernelObservation> observations;
-    sim::SimConfig config = bench::withSink(harness.sink());
+    sim::SimConfig config = harness.simConfig();
 
     for (const wl::KernelSpec &spec : suite) {
         compiler::CompileOptions copts;

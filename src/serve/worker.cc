@@ -122,8 +122,12 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
                 !getArray(record, "table", ids, &error))
                 return reject(error);
             for (const Json &json : *designJsons) {
+                std::optional<adg::SysAdg> design =
+                    adg::SysAdg::tryFromJson(json, &error);
+                if (!design)
+                    return reject(error);
                 table.push_back(std::make_shared<const adg::SysAdg>(
-                    adg::SysAdg::fromJson(json)));
+                    std::move(*design)));
             }
             designs.clear();
             int64_t id = 0;
@@ -150,10 +154,13 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
             std::optional<JobSpec> spec = jobFromJson(json, &error);
             if (!spec)
                 return reject(error);
-            if (spec->kind == JobKind::Generate &&
-                spec->designId >= static_cast<int>(designs.size()))
-                return reject("job references unknown design " +
-                              std::to_string(spec->designId));
+            std::vector<int> ids = spec->matchDesigns;
+            if (spec->kind == JobKind::Generate)
+                ids.push_back(spec->designId);
+            for (int id : ids)
+                if (id >= static_cast<int>(designs.size()))
+                    return reject("job references unknown design " +
+                                  std::to_string(id));
             specs.push_back(std::move(*spec));
         }
 

@@ -22,8 +22,6 @@ runBatch(const std::vector<SimJob> &jobs, const BatchOptions &options)
         return simulate(*job.spec, *job.mdfg, *job.schedule,
                         *job.design, memory, job.config);
     };
-    if (options.pool != nullptr)
-        return options.pool->parallelMap(jobs.size(), run_one);
     ThreadPool pool(options.threads);
     return pool.parallelMap(jobs.size(), run_one);
 }

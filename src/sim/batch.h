@@ -44,12 +44,8 @@ struct SimJob
 /** Execution knobs for runBatch. */
 struct BatchOptions
 {
-    /** Worker threads: 0 = hardware concurrency, 1 = inline serial.
-     * Ignored when `pool` is set. */
+    /** Worker threads: 0 = hardware concurrency, 1 = inline serial. */
     int threads = 1;
-    /** Run on an existing pool instead of creating one. The call must
-     * not come from inside that pool's own tasks. */
-    ThreadPool *pool = nullptr;
 };
 
 /** Simulate every job; results are index-ordered (result[i] is

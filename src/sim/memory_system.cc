@@ -13,22 +13,22 @@ namespace overgen::sim {
 void
 MemorySystem::TxnQueue::grow()
 {
-    size_t new_cap = ids.empty() ? 8 : ids.size() * 2;
-    std::vector<TxnId> nids(new_cap);
+    size_t new_cap = slots.empty() ? 8 : slots.size() * 2;
     std::vector<int> nslots(new_cap);
+    std::vector<uint64_t> ntags(new_cap);
     std::vector<uint64_t> naddrs(new_cap);
     std::vector<int> nbytes(new_cap);
     std::vector<uint8_t> nwrites(new_cap);
     for (size_t i = 0; i < count; ++i) {
         size_t s = (head + i) & mask;
-        nids[i] = ids[s];
         nslots[i] = slots[s];
+        ntags[i] = tags[s];
         naddrs[i] = addrs[s];
         nbytes[i] = bytes[s];
         nwrites[i] = writes[s];
     }
-    ids = std::move(nids);
     slots = std::move(nslots);
+    tags = std::move(ntags);
     addrs = std::move(naddrs);
     bytes = std::move(nbytes);
     writes = std::move(nwrites);
@@ -135,16 +135,15 @@ MemorySystem::setFill(Bank &bank, uint64_t line, uint64_t ready)
 }
 
 void
-MemorySystem::insertCompleted(int slot, TxnId id, uint64_t ready)
+MemorySystem::insertCompleted(int slot, uint64_t tag, uint64_t ready)
 {
     CompletionRing &ring = rings[static_cast<size_t>(slot)];
     OG_ASSERT(ring.count < ring.capacity, "completion ring of slot ",
               slot, " overflows its ROB (", ring.capacity, " entries)");
-    Completion entry{ ready, id };
     size_t i = ring.count;
-    for (; i > 0 && entry < ring.at(i - 1); --i)
+    for (; i > 0 && ready < ring.at(i - 1).ready; --i)
         ring.at(i) = ring.at(i - 1);
-    ring.at(i) = entry;
+    ring.at(i) = Completion{ ready, tag };
     ++ring.count;
     ++pendingCompletions;
 }
@@ -185,19 +184,18 @@ MemorySystem::canAccept(int tile) const
     return tileLink[tile].size() < 64;
 }
 
-TxnId
-MemorySystem::submit(int slot, uint64_t addr, int bytes, bool write)
+void
+MemorySystem::submit(int slot, uint64_t addr, int bytes, bool write,
+                     uint64_t tag)
 {
     OG_ASSERT(slot >= 0 && slot < static_cast<int>(rings.size()),
               "submit through unregistered slot ", slot);
     int tile = rings[static_cast<size_t>(slot)].tile;
     OG_ASSERT(canAccept(tile), "submit to a full tile link");
-    TxnId id = nextId++;
     ++inFlightCount;
-    tileLink[tile].push(id, slot, addr, bytes, write);
+    tileLink[tile].push(slot, tag, addr, bytes, write);
     memStats.peakOutstandingTxns = std::max(
         memStats.peakOutstandingTxns, inFlightCount + pendingCompletions);
-    return id;
 }
 
 bool
@@ -224,8 +222,8 @@ MemorySystem::tick()
             tileLinkBudget[t] -= txn_bytes;
             memStats.nocBytes += txn_bytes;
             uint64_t addr = link.frontAddr();
-            banks[bankOf(addr)].queue.push(link.frontId(),
-                                           link.frontSlot(), addr,
+            banks[bankOf(addr)].queue.push(link.frontSlot(),
+                                           link.frontTag(), addr,
                                            txn_bytes,
                                            link.frontWrite());
             link.pop();
@@ -256,8 +254,8 @@ MemorySystem::tick()
             if (bank.byteBudget < txn_bytes)
                 break;
             uint64_t addr = bank.queue.frontAddr();
-            TxnId id = bank.queue.frontId();
             int slot = bank.queue.frontSlot();
+            uint64_t tag = bank.queue.frontTag();
             bool write = bank.queue.frontWrite();
             uint64_t line = addr / config.cacheLineBytes;
             if (const FillEntry *fill = findFill(bank, line)) {
@@ -265,7 +263,7 @@ MemorySystem::tick()
                 // line is already tagged, no extra DRAM traffic.
                 ++memStats.l2Hits;
                 bank.byteBudget -= txn_bytes;
-                insertCompleted(slot, id, fill->ready);
+                insertCompleted(slot, tag, fill->ready);
                 if (write)
                     lookup(bank, addr, true);  // set dirty
                 --inFlightCount;
@@ -284,19 +282,19 @@ MemorySystem::tick()
             }
             if (result.hit) {
                 ++memStats.l2Hits;
-                insertCompleted(slot, id, cycle + config.l2HitLatency);
+                insertCompleted(slot, tag, cycle + config.l2HitLatency);
                 --inFlightCount;
             } else if (write) {
                 // Write-allocate, no fetch: the line is established
                 // and dirtied; data arrives from the tile.
                 ++memStats.l2Misses;
-                insertCompleted(slot, id, cycle + config.l2HitLatency);
+                insertCompleted(slot, tag, cycle + config.l2HitLatency);
                 --inFlightCount;
             } else {
                 // Read miss: fetch the line from DRAM.
                 ++memStats.l2Misses;
                 ++bank.mshrsInUse;
-                bank.dramQueue.push(id, slot, addr, txn_bytes, write);
+                bank.dramQueue.push(slot, tag, addr, txn_bytes, write);
             }
             bank.queue.pop();
             ++progressEvents;
@@ -322,7 +320,7 @@ MemorySystem::tick()
             uint64_t ready =
                 cycle + config.l2HitLatency + config.dramLatency;
             insertCompleted(bank.dramQueue.frontSlot(),
-                            bank.dramQueue.frontId(), ready);
+                            bank.dramQueue.frontTag(), ready);
             uint64_t line = addr / config.cacheLineBytes;
             setFill(bank, line, ready);  // MSHR held until fill
             --inFlightCount;
@@ -581,7 +579,6 @@ MemorySystem::quiescenceFingerprint() const
     }
     mix(inFlightCount);
     mix(pendingCompletions);
-    mix(static_cast<uint64_t>(nextId));
     mix(memStats.l2Hits);
     mix(memStats.l2Misses);
     mix(memStats.dramBytesRead);

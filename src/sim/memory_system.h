@@ -8,7 +8,6 @@
  * channel-interleaved DRAM bandwidth/latency model (paper Fig. 8).
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,9 +23,6 @@ class TimelineRun;
 } // namespace overgen::telemetry
 
 namespace overgen::sim {
-
-/** Identifier of an in-flight memory transaction. */
-using TxnId = int64_t;
 
 /** Aggregate memory-system statistics. */
 struct MemoryStats
@@ -48,9 +44,10 @@ struct MemoryStats
 
 /**
  * The shared memory system. Each memory engine registers once for a
- * completion slot and submits line-granular transactions through it;
- * completions are pushed into the slot's due-time ring and the engine
- * pops only the ones that are due. Contention is modeled with
+ * completion slot and submits line-granular transactions through it,
+ * each with an opaque tag; completions are pushed into the slot's
+ * due-time ring and the engine pops the tags of the ones that are due.
+ * The engine keeps no record of its own for an in-flight transaction. Contention is modeled with
  * per-cycle byte budgets on each tile link, L2 bank, and DRAM channel.
  */
 class MemorySystem : public ClockedComponent
@@ -74,32 +71,33 @@ class MemorySystem : public ClockedComponent
     /**
      * Submit a line transaction through completion slot @p slot (its
      * tile's link must canAccept()). @p addr is a byte address in the
-     * simulated flat address space. @return the txn id, which
-     * popCompleted() later hands back on @p slot.
+     * simulated flat address space. @p tag is opaque to the memory
+     * system: popCompleted() hands it back on @p slot when the
+     * transaction retires.
      */
-    TxnId submit(int slot, uint64_t addr, int bytes, bool write);
+    void submit(int slot, uint64_t addr, int bytes, bool write,
+                uint64_t tag);
 
     /** @return whether @p tile may submit a transaction this cycle. */
     bool canAccept(int tile) const;
 
     /**
-     * Move every completion of @p slot that is due (ready <= now())
-     * into @p ids, in txn-id order; @p ids is cleared first. O(1) when
+     * Move the tags of every completion of @p slot that is due
+     * (ready <= now()) into @p tags, in ring order: by ready cycle,
+     * then by completion order. @p tags is cleared first. O(1) when
      * nothing is due — the per-cycle common case.
      */
     void
-    popCompleted(int slot, std::vector<TxnId> &ids)
+    popCompleted(int slot, std::vector<uint64_t> &tags)
     {
-        ids.clear();
+        tags.clear();
         CompletionRing &ring = rings[static_cast<size_t>(slot)];
         while (ring.count > 0 && ring.at(0).ready <= cycle) {
-            ids.push_back(ring.at(0).id);
+            tags.push_back(ring.at(0).tag);
             ring.head = (ring.head + 1) & ring.mask;
             --ring.count;
         }
-        pendingCompletions -= ids.size();
-        if (ids.size() > 1)
-            std::sort(ids.begin(), ids.end());
+        pendingCompletions -= tags.size();
     }
 
     /** Advance one cycle. */
@@ -152,21 +150,21 @@ class MemorySystem : public ClockedComponent
       public:
         size_t size() const { return count; }
         bool empty() const { return count == 0; }
-        TxnId frontId() const { return ids[head]; }
+        uint64_t frontTag() const { return tags[head]; }
         int frontSlot() const { return slots[head]; }
         uint64_t frontAddr() const { return addrs[head]; }
         int frontBytes() const { return bytes[head]; }
         bool frontWrite() const { return writes[head] != 0; }
 
         void
-        push(TxnId id, int slot, uint64_t addr, int txn_bytes,
+        push(int slot, uint64_t tag, uint64_t addr, int txn_bytes,
              bool write)
         {
-            if (count == ids.size())
+            if (count == slots.size())
                 grow();
             size_t s = (head + count) & mask;
-            ids[s] = id;
             slots[s] = slot;
+            tags[s] = tag;
             addrs[s] = addr;
             bytes[s] = txn_bytes;
             writes[s] = write ? 1 : 0;
@@ -183,8 +181,8 @@ class MemorySystem : public ClockedComponent
       private:
         void grow();
 
-        std::vector<TxnId> ids;
         std::vector<int> slots;  //!< submitting completion slot
+        std::vector<uint64_t> tags;  //!< the submitter's tag
         std::vector<uint64_t> addrs;
         std::vector<int> bytes;
         std::vector<uint8_t> writes;
@@ -228,18 +226,13 @@ class MemorySystem : public ClockedComponent
     struct Completion
     {
         uint64_t ready = 0;
-        TxnId id = 0;
-
-        bool
-        operator<(const Completion &o) const
-        {
-            return ready != o.ready ? ready < o.ready : id < o.id;
-        }
+        uint64_t tag = 0;
     };
 
     /**
-     * One engine's pending completions, sorted by (ready, id) so the
-     * due ones are a front run. The engine's ROB bounds the ring
+     * One engine's pending completions, sorted by ready cycle (equal
+     * ready cycles in completion order) so the due ones are a front
+     * run. The engine's ROB bounds the ring
      * (every entry is still one of its outstanding transactions), so
      * storage is allocated once at registration. Ready cycles are not
      * monotone per engine — MSHR merges complete with their fill, L2
@@ -287,8 +280,9 @@ class MemorySystem : public ClockedComponent
      * line (the map-overwrite semantics the expiry queue inherits). */
     static void setFill(Bank &bank, uint64_t line, uint64_t ready);
     /** Push a completion into the ring of the slot that submitted
-     * @p id (queues carry the slot alongside each transaction). */
-    void insertCompleted(int slot, TxnId id, uint64_t ready);
+     * it (queues carry the slot and tag alongside each transaction),
+     * after every entry due no later than @p ready. */
+    void insertCompleted(int slot, uint64_t tag, uint64_t ready);
     /** Earliest ready cycle over the ring fronts, or kNoEventCycle. */
     uint64_t completedFloor() const;
 
@@ -319,7 +313,6 @@ class MemorySystem : public ClockedComponent
      * the SoA queues; only the count is observable). */
     uint64_t inFlightCount = 0;
     int setsPerBank = 0;
-    TxnId nextId = 1;
     uint64_t cycle = 0;
     uint64_t progressEvents = 0;
     MemoryStats memStats;

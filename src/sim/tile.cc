@@ -126,14 +126,6 @@ struct TileSim::Impl
         adg::NodeId engine = adg::invalidNode;
     };
 
-    /** One in-flight line transaction of a memory engine. */
-    struct OutstandingTxn
-    {
-        TxnId txn = -1;
-        StreamRt *stream = nullptr;
-        int64_t elems = 0;
-    };
-
     /** Stream-engine runtime (one per ADG engine with mapped work). */
     struct EngineRt
     {
@@ -142,10 +134,11 @@ struct TileSim::Impl
         double budget = 0.0;
         bool issueToggle = false;
         std::vector<StreamRt *> streams;
-        /** In-flight line transactions. TxnIds are handed out
-         * monotonically, so append order is txn-id order — the order
-         * retire() merge-walks and delivers in. */
-        std::vector<OutstandingTxn> outstanding;
+        /** Line transactions submitted and not yet retired. The
+         * memory system holds each one with the tag the engine gave
+         * it: the issuing stream's index in `streams` (high 32 bits)
+         * and the line's element count (low 32 bits). */
+        int inFlight = 0;
         int robEntries = 16;
         /** Memory-system completion slot (DMA engines only). */
         int slot = -1;
@@ -236,8 +229,12 @@ struct TileSim::Impl
 
     void engineTick(adg::NodeId engine_id, EngineRt &engine,
                     uint64_t cycle);
-    /** Retire the outstanding entries named by `retired` (sorted). */
+    /** Deliver the transactions whose tags are in `retired`. */
     void retire(EngineRt &engine, uint64_t cycle);
+    /** Land @p elems of @p rt's data from its engine: input elements
+     * reach the port (or the consumer's index buffer) at @p ready,
+     * output elements are drained. */
+    void land(StreamRt &rt, uint64_t ready, int64_t elems);
     void memoryEngineIssue(EngineRt &engine, uint64_t cycle);
     void recurrenceTick(EngineRt &engine, uint64_t cycle);
     void generateTick(EngineRt &engine, uint64_t cycle);
@@ -286,8 +283,8 @@ struct TileSim::Impl
     /** Scratch for gatherLine (reused across calls — the per-issue
      * vector allocation showed up in the issue-loop profile). */
     std::vector<uint64_t> lineScratch;
-    /** Scratch for the txn ids an engine pops each cycle. */
-    std::vector<TxnId> retired;
+    /** Scratch for the txn tags an engine pops each cycle. */
+    std::vector<uint64_t> retired;
 
     IterationWalker fabricWalker;
     double iiInterval = 1.0;
@@ -678,25 +675,22 @@ TileSim::Impl::memoryEngineIssue(EngineRt &engine, uint64_t cycle)
             return;
     }
     if (!is_spad &&
-        (static_cast<int>(engine.outstanding.size()) >=
-             engine.robEntries ||
+        (engine.inFlight >= engine.robEntries ||
          !memsys.canAccept(tileIndex))) {
         return;
     }
 
     // Round-robin stream selection.
     for (size_t probe = 0; probe < engine.streams.size(); ++probe) {
-        StreamRt &rt =
-            *engine.streams[(engine.rrNext + probe) %
-                            engine.streams.size()];
+        size_t index = (engine.rrNext + probe) % engine.streams.size();
+        StreamRt &rt = *engine.streams[index];
         bool ready = rt.input ? readReady(rt, cycle)
                               : writeReady(rt, cycle);
         if (!ready)
             continue;
         if (engine.budget < rt.elemBytes)
             return;  // accumulate bandwidth before issuing
-        engine.rrNext =
-            (engine.rrNext + probe + 1) % engine.streams.size();
+        engine.rrNext = (index + 1) % engine.streams.size();
 
         int64_t max_elems;
         if (rt.input) {
@@ -743,25 +737,15 @@ TileSim::Impl::memoryEngineIssue(EngineRt &engine, uint64_t cycle)
         if (is_spad) {
             engine.budget -= bytes;
             stats.spadBytes += static_cast<uint64_t>(bytes);
-            if (rt.input) {
-                if (rt.isIndexFeed) {
-                    rt.indexConsumer->indexAvail += elems;
-                } else {
-                    rt.port.deliver(cycle + config.spadLatency, elems);
-                }
-            } else {
-                rt.drainedElems += elems;
-            }
-            if (rt.walker->done() && rt.firingRemaining == 0)
-                settleDemand(rt);
+            land(rt, cycle + config.spadLatency, elems);
         } else {
             // DMA: one line transaction covering the gathered elems.
             engine.budget -= config.cacheLineBytes;
             stats.dmaBytes += config.cacheLineBytes;
-            TxnId txn = memsys.submit(engine.slot, addrs.front(),
-                                      config.cacheLineBytes,
-                                      !rt.input);
-            engine.outstanding.push_back({ txn, &rt, elems });
+            memsys.submit(engine.slot, addrs.front(),
+                          config.cacheLineBytes, !rt.input,
+                          index << 32 | static_cast<uint64_t>(elems));
+            ++engine.inFlight;
         }
         ++progressEvents;
         return;  // one issue per cycle
@@ -923,36 +907,29 @@ TileSim::Impl::engineTick(adg::NodeId engine_id, EngineRt &engine,
 void
 TileSim::Impl::retire(EngineRt &engine, uint64_t cycle)
 {
-    // Both lists are in txn-id order: one merge walk delivers the
-    // retired entries in that order and compacts the survivors in
-    // place.
-    size_t next = 0;
-    size_t keep = 0;
-    for (size_t i = 0; i < engine.outstanding.size(); ++i) {
-        OutstandingTxn entry = engine.outstanding[i];
-        if (next == retired.size() || entry.txn != retired[next]) {
-            engine.outstanding[keep++] = entry;
-            continue;
-        }
-        ++next;
-        StreamRt *rt = entry.stream;
-        int64_t elems = entry.elems;
-        if (rt->input) {
-            if (rt->isIndexFeed)
-                rt->indexConsumer->indexAvail += elems;
-            else
-                rt->port.deliver(cycle, elems);
-        } else {
-            rt->drainedElems += elems;
-        }
-        if (rt->walker->done() && rt->firingRemaining == 0)
-            settleDemand(*rt);
-        ++progressEvents;
+    // Within one batch the delivery order is unobservable: same-cycle
+    // port arrivals are summed at one tick, the index and drain
+    // counters are sums, and settleDemand is idempotent.
+    for (uint64_t tag : retired)
+        land(*engine.streams[tag >> 32], cycle,
+             static_cast<int64_t>(tag & 0xffffffffu));
+    engine.inFlight -= static_cast<int>(retired.size());
+    progressEvents += retired.size();
+}
+
+void
+TileSim::Impl::land(StreamRt &rt, uint64_t ready, int64_t elems)
+{
+    if (rt.input) {
+        if (rt.isIndexFeed)
+            rt.indexConsumer->indexAvail += elems;
+        else
+            rt.port.deliver(ready, elems);
+    } else {
+        rt.drainedElems += elems;
     }
-    OG_ASSERT(next == retired.size(), "tile ", tileIndex, " slot ",
-              engine.slot, " popped txn ", retired[next],
-              ", which is not outstanding on its engine");
-    engine.outstanding.resize(keep);
+    if (rt.walker->done() && rt.firingRemaining == 0)
+        settleDemand(rt);
 }
 
 void
@@ -1018,7 +995,7 @@ TileSim::Impl::tick(uint64_t cycle)
             }
         }
         for (auto &[engine_id, engine] : engines)
-            drained &= engine.outstanding.empty();
+            drained &= engine.inFlight == 0;
         if (drained) {
             finished = true;
             stats.finishCycle = cycle;
@@ -1072,7 +1049,7 @@ bool
 TileSim::Impl::anyOutstanding() const
 {
     for (const auto &[engine_id, engine] : engines)
-        if (!engine.outstanding.empty())
+        if (engine.inFlight > 0)
             return true;
     return false;
 }
@@ -1171,10 +1148,8 @@ TileSim::Impl::nextEventCycle(uint64_t now) const
             // retirements are completions — the memory system's
             // horizon covers them. (A full tile link likewise keeps
             // the memory system ticking.)
-            if (static_cast<int>(engine.outstanding.size()) >=
-                engine.robEntries) {
+            if (engine.inFlight >= engine.robEntries)
                 break;
-            }
             // Link full: the next issue waits on the link head
             // popping — a memory-system progress event, so its
             // horizon covers the wake-up. Without this the tile
@@ -1309,7 +1284,7 @@ TileSim::Impl::fingerprint() const
         mix(static_cast<uint64_t>(rt->engineDone));
     }
     for (const auto &[engine_id, engine] : engines) {
-        mix(engine.outstanding.size());
+        mix(static_cast<uint64_t>(engine.inFlight));
         mix(engine.rrNext);
     }
     return h;
@@ -1327,7 +1302,7 @@ TileSim::Impl::describe(std::string &out) const
            std::to_string(stats.startupCycles) + "\n";
     for (const auto &[engine_id, engine] : engines) {
         out += "  engine" + std::to_string(engine_id) + ": rob=" +
-               std::to_string(engine.outstanding.size()) + "/" +
+               std::to_string(engine.inFlight) + "/" +
                std::to_string(engine.robEntries) + "\n";
         for (const StreamRt *rt : engine.streams) {
             out += "    stream" + std::to_string(rt->id) +

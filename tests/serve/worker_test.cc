@@ -118,6 +118,8 @@ TEST(WorkerLoop, MissingOrIllTypedFieldsAreNamedErrors)
         R"({"t":"designs","designs":[],"table":0})",
         R"({"t":"designs","designs":[],"table":[0]})",
         R"({"t":"designs","designs":[],"table":["0"]})",
+        R"({"t":"designs","designs":[7],"table":[]})",
+        R"({"t":"designs","designs":[{}],"table":[]})",
         R"({"t":"shard","jobs":[]})",
         R"({"t":"shard","shard":"0","jobs":[]})",
         R"({"t":"shard","shard":-1,"jobs":[]})",
@@ -130,6 +132,9 @@ TEST(WorkerLoop, MissingOrIllTypedFieldsAreNamedErrors)
         // A Generate job naming a design the worker was never sent.
         R"({"t":"shard","shard":0,"jobs":[{"design":0,"index":0,)"
         R"("workload":"fir"}]})",
+        // A Match job naming a design outside the run's table.
+        R"({"t":"shard","shard":0,"jobs":[{"design":0,"index":0,)"
+        R"("kind":"match","match_designs":[3],"workload":"fir"}]})",
     };
     for (const std::string &line : lines)
         expectRejected(line);

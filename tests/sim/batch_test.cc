@@ -132,20 +132,6 @@ TEST(Batch, ThreadCountInvariant)
         expectIdentical(a[i], b[i], prepared[i].spec.name);
 }
 
-TEST(Batch, RunsOnCallerProvidedPool)
-{
-    std::vector<Prepared> prepared = prepareJobs();
-    std::vector<SimJob> jobs = toJobs(prepared);
-    ThreadPool pool(3);
-    BatchOptions options;
-    options.pool = &pool;
-    std::vector<SimResult> pooled = runBatch(jobs, options);
-    std::vector<SimResult> serial = runBatch(jobs, {});
-    ASSERT_EQ(pooled.size(), serial.size());
-    for (size_t i = 0; i < pooled.size(); ++i)
-        expectIdentical(serial[i], pooled[i], prepared[i].spec.name);
-}
-
 TEST(Batch, SharedSinkCountersAreDeterministic)
 {
     // Counter adds commute, so a shared sink must accumulate the same
