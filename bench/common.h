@@ -57,7 +57,6 @@ struct CommonFlags
     telemetry::SinkOptions sink;
     std::string registryPath;
     int threads = 1;
-    int simThreads = 1;
     bool noFastForward = false;
     /** Unrecognized arguments, in order (allowExtra mode only). */
     std::vector<std::string> extra;
@@ -67,13 +66,12 @@ struct CommonFlags
  * Parse the common harness flags:
  *
  * Parallelism: `--threads N` (or `--threads=N`) sizes the work pool
- * used for both the DSE's speculative candidate evaluation and the
- * harness-level fan-out of independent explorations/simulations. The
- * default is the hardware concurrency; `--threads 1` is the legacy
- * serial path. Results are identical for every thread count — only
- * wall-clock changes (see DESIGN.md "Determinism under parallelism").
- * `--sim-threads[=]N` independently sizes batched simulation
- * (sim::runBatch), defaulting to `--threads`.
+ * used for the DSE's speculative candidate evaluation, the
+ * harness-level fan-out of independent explorations, and batched
+ * simulation (sim::runBatch). The default is the hardware
+ * concurrency; `--threads 1` is the serial path. Results are
+ * identical for every thread count — only wall-clock changes (see
+ * DESIGN.md "Determinism under parallelism").
  *
  * Telemetry: `--trace=<path>` records a Chrome trace_event file of
  * every simulation the harness runs (open in chrome://tracing or
@@ -101,7 +99,6 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
 {
     CommonFlags flags;
     std::string threadsArg;
-    std::string simThreadsArg;
     std::string statsIntervalArg;
     std::vector<std::string> seenFlags;
     auto once = [&seenFlags](const char *name) {
@@ -115,11 +112,6 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
         if (arg == "--threads" && i + 1 < argc) {
             once("--threads");
             threadsArg = argv[++i];
-            continue;
-        }
-        if (arg == "--sim-threads" && i + 1 < argc) {
-            once("--sim-threads");
-            simThreadsArg = argv[++i];
             continue;
         }
         if (arg == "--stats-interval" && i + 1 < argc) {
@@ -147,10 +139,6 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
             once("--threads");
             continue;
         }
-        if (eatFlag(arg, "--sim-threads=", simThreadsArg)) {
-            once("--sim-threads");
-            continue;
-        }
         if (eatFlag(arg, "--stats-interval=", statsIntervalArg)) {
             once("--stats-interval");
             continue;
@@ -170,8 +158,7 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
             continue;
         }
         OG_FATAL("unknown argument '", arg,
-                 "' (expected --threads[=]<n>, "
-                 "--sim-threads[=]<n>, --trace=<path>, "
+                 "' (expected --threads[=]<n>, --trace=<path>, "
                  "--dse-log=<path>, --trace-detail, "
                  "--no-fast-forward, "
                  "--stats-interval[=]<n>, "
@@ -194,13 +181,6 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
                   threadsArg, "'");
     } else {
         flags.threads = ThreadPool::hardwareThreads();
-    }
-    if (!simThreadsArg.empty()) {
-        flags.simThreads = std::atoi(simThreadsArg.c_str());
-        OG_ASSERT(flags.simThreads >= 1, "bad --sim-threads value '",
-                  simThreadsArg, "'");
-    } else {
-        flags.simThreads = flags.threads;
     }
     return flags;
 }
@@ -245,7 +225,6 @@ class Harness
     explicit Harness(const CommonFlags &flags)
         : registryPath(flags.registryPath),
           numThreads(flags.threads),
-          numSimThreads(flags.simThreads),
           noFastForward(flags.noFastForward)
     {
         rejectExtraFlags(flags.extra);
@@ -259,16 +238,11 @@ class Harness
     /** Null when no telemetry flag was given. */
     telemetry::Sink *sink() const { return live.get(); }
 
-    /** Resolved worker count (>= 1). */
+    /** Resolved worker count (>= 1). Cycle results are bit-identical
+     * for every value — each simulation is single-threaded-
+     * deterministic and sim::runBatch stores results at the job's own
+     * index. */
     int threads() const { return numThreads; }
-
-    /**
-     * Worker count for batched simulation (`--sim-threads[=]N`,
-     * defaulting to threads()). Cycle results are bit-identical for
-     * every value — each simulation is single-threaded-deterministic
-     * and sim::runBatch stores results at the job's own index.
-     */
-    int simThreads() const { return numSimThreads; }
 
     /**
      * Per-run SimConfig honoring `--no-fast-forward` (naive per-cycle
@@ -355,7 +329,6 @@ class Harness
     std::unique_ptr<ThreadPool> workPool;
     std::string registryPath;
     int numThreads = 1;
-    int numSimThreads = 1;
     bool noFastForward = false;
 };
 
@@ -387,77 +360,19 @@ generalOverlay()
     return design;
 }
 
-/** Simulated seconds of one kernel on one overlay design. */
-struct OverlayRun
+/** Simulated seconds of @p cycles at the overlay clock. */
+inline double
+overlaySeconds(uint64_t cycles)
 {
-    bool ok = false;
-    /** The deadlock watchdog aborted the run (a failure mode distinct
-     * from "unschedulable": the kernel mapped but never finished). */
-    bool deadlocked = false;
-    /** Per-component describeState() dump at watchdog abort (empty
-     * unless deadlocked). */
-    std::string diagnostic;
-    uint64_t cycles = 0;
-    double seconds = 0.0;
-    double ipc = 0.0;
-    std::string variant;
-    /** Full per-run statistics (cycle ledgers included), for
-     * harnesses that break runs down (bench/report_cycles). */
-    sim::MemoryStats memory;
-    std::vector<sim::TileStats> tiles;
-    /** Phase decomposition of the run (sim::analyzeRunPhases).
-     * Segmented from sampled timeline rows when the harness sampled
-     * one (`--stats-interval`); otherwise a single whole-run span
-     * from the terminal ledgers. */
-    telemetry::PhaseProfile phases;
-};
-
-/** Copy one SimResult into @p row (everything but `variant`). */
-inline void
-fillRunRow(OverlayRun &row, const sim::SimResult &result)
-{
-    row.ok = result.completed;
-    row.deadlocked = result.deadlocked;
-    row.diagnostic = result.diagnostic;
-    row.cycles = result.cycles;
-    row.seconds =
-        static_cast<double>(result.cycles) / (overlayClockMhz * 1e6);
-    row.ipc = result.ipc;
-    row.memory = result.memory;
-    row.tiles = result.tiles;
-    row.phases = sim::analyzeRunPhases(result);
-}
-
-/** Compile/schedule/simulate @p spec on @p design (first-fit variant). */
-inline OverlayRun
-runOnOverlay(const wl::KernelSpec &spec, const adg::SysAdg &design,
-             bool apply_tuning = false,
-             const sim::SimConfig &config = {})
-{
-    compiler::CompileOptions copts;
-    copts.applyTuning = apply_tuning;
-    auto variants = compiler::compileVariants(spec, copts);
-    sched::SpatialScheduler scheduler(design.adg);
-    auto fit = scheduler.scheduleFirstFit(variants);
-    OverlayRun run;
-    if (!fit)
-        return run;
-    wl::Memory memory;
-    memory.init(spec);
-    sim::SimResult result = sim::simulate(
-        spec, variants[fit->second], fit->first, design, memory,
-        config);
-    fillRunRow(run, result);
-    run.variant = variants[fit->second].name;
-    return run;
+    return static_cast<double>(cycles) / (overlayClockMhz * 1e6);
 }
 
 /**
  * A compiled + scheduled (kernel, design) pair awaiting simulation.
  * Harnesses prepare these (cheap, serial) and then execute many at
  * once with runPreparedBatch — the sim::runBatch fan-out across
- * `--sim-threads` workers. `ok == false` marks an unschedulable
- * kernel; it flows through the batch as a skipped row.
+ * `--threads` workers. `ok == false` marks an unschedulable kernel;
+ * it flows through the batch as a skipped row.
  *
  * The design is shared, not owned: a 19-kernel suite on one overlay
  * holds one SysAdg, not 19 copies (share with shareDesign() and pass
@@ -471,9 +386,10 @@ struct PreparedSim
     std::shared_ptr<const adg::SysAdg> design;
     dfg::Mdfg mdfg;
     sched::Schedule schedule;
-    /** Per-entry SimConfig overrides (0 / -1 = harness default). The
-     * serve workers and the watchdog tests use these to tighten one
-     * row's memory system without touching its batch siblings. */
+    /** Per-entry SimConfig overrides (0 / -1 = harness default):
+     * tighten one row's memory system without touching its batch
+     * siblings. Only the watchdog tests set them (serve workers carry
+     * their own overrides in serve::JobSpec). */
     int dramLatency = 0;
     int64_t deadlockCycles = -1;
 };
@@ -508,15 +424,6 @@ prepareOverlayRun(const wl::KernelSpec &spec,
     return prepared;
 }
 
-/** Convenience overload copying @p design once (prefer the shared
- * overload when preparing many kernels on one design). */
-inline PreparedSim
-prepareOverlayRun(const wl::KernelSpec &spec, const adg::SysAdg &design,
-                  bool apply_tuning = false)
-{
-    return prepareOverlayRun(spec, shareDesign(design), apply_tuning);
-}
-
 /** Pair @p spec with the schedule a DSE result chose for it; @p design
  * must be the shared form of `dse.design` (shared by the caller so N
  * kernels of one DSE result hold one copy). */
@@ -534,20 +441,13 @@ prepareMapped(const wl::KernelSpec &spec, const dse::DseResult &dse,
     return prepared;
 }
 
-/** Convenience overload copying `dse.design` once per call. */
-inline PreparedSim
-prepareMapped(const wl::KernelSpec &spec, const dse::DseResult &dse,
-              size_t index)
-{
-    return prepareMapped(spec, dse, index, shareDesign(dse.design));
-}
-
 /**
- * Simulate every prepared entry concurrently (harness sim threads,
- * harness SimConfig) and return OverlayRun rows in the same order.
- * Entries with `ok == false` come back as the default (not-ok) row.
+ * Simulate every prepared entry concurrently (harness threads,
+ * harness SimConfig) and return the results in the same order.
+ * Entries with `ok == false` come back as a default SimResult
+ * (`completed == false`).
  */
-inline std::vector<OverlayRun>
+inline std::vector<sim::SimResult>
 runPreparedBatch(const std::vector<PreparedSim> &prepared,
                  Harness &harness)
 {
@@ -569,7 +469,7 @@ runPreparedBatch(const std::vector<PreparedSim> &prepared,
         if (prepared[i].deadlockCycles >= 0)
             job.config.deadlockCycles = prepared[i].deadlockCycles;
         // Unique per-job timeline label so `--stats-jsonl` output is
-        // byte-identical for every --sim-threads value (the timeline
+        // byte-identical for every --threads value (the timeline
         // sorts runs by label at write time).
         job.config.runLabel =
             std::to_string(i) + ":" + prepared[i].spec->name;
@@ -577,13 +477,12 @@ runPreparedBatch(const std::vector<PreparedSim> &prepared,
         job_row.push_back(i);
     }
     sim::BatchOptions options;
-    options.threads = harness.simThreads();
+    options.threads = harness.threads();
     std::vector<sim::SimResult> results = sim::runBatch(jobs, options);
-    std::vector<OverlayRun> rows(prepared.size());
+    std::vector<sim::SimResult> rows(prepared.size());
     for (size_t j = 0; j < results.size(); ++j) {
-        OverlayRun &row = rows[job_row[j]];
-        fillRunRow(row, results[j]);
-        row.variant = prepared[job_row[j]].mdfg.name;
+        sim::SimResult &row = rows[job_row[j]];
+        row = std::move(results[j]);
         if (row.deadlocked) {
             // Surface the watchdog verdict where the harness user
             // sees it; the full component dump names the stuck state.

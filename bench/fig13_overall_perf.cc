@@ -101,35 +101,35 @@ main(int argc, char **argv)
                                          // parallelism here
                 dse::DseResult wl_dse =
                     dse::exploreOverlay({ spec }, wl_options);
-                prep.onWl = bench::prepareMapped(spec, wl_dse, 0);
+                prep.onWl = bench::prepareMapped(
+                    spec, wl_dse, 0, bench::shareDesign(wl_dse.design));
                 return prep;
             });
 
         // Phase 2: simulate every mapping in one batch
-        // (`--sim-threads` workers, index-ordered results).
+        // (`--threads` workers, index-ordered results).
         std::vector<bench::PreparedSim> prepared;
         for (const KernelPrep &prep : preps) {
             prepared.push_back(prep.onGeneral);
             prepared.push_back(prep.onSuite);
             prepared.push_back(prep.onWl);
         }
-        std::vector<bench::OverlayRun> runs =
+        std::vector<sim::SimResult> runs =
             bench::runPreparedBatch(prepared, harness);
 
         std::vector<KernelRow> rows(suites[s].size());
         for (size_t k = 0; k < suites[s].size(); ++k) {
             KernelRow &row = rows[k];
-            const bench::OverlayRun &on_general = runs[3 * k];
-            const bench::OverlayRun &on_suite = runs[3 * k + 1];
-            const bench::OverlayRun &on_wl = runs[3 * k + 2];
             row.base = preps[k].ad.perf.seconds;
             row.spTuned = row.base / preps[k].adTuned.perf.seconds;
-            row.spGeneral = on_general.ok
-                                ? row.base / on_general.seconds
-                                : 0.0;
-            row.spSuite =
-                on_suite.ok ? row.base / on_suite.seconds : 0.0;
-            row.spWl = on_wl.ok ? row.base / on_wl.seconds : 0.0;
+            auto speedup = [&](const sim::SimResult &run) {
+                return run.completed
+                           ? row.base / bench::overlaySeconds(run.cycles)
+                           : 0.0;
+            };
+            row.spGeneral = speedup(runs[3 * k]);
+            row.spSuite = speedup(runs[3 * k + 1]);
+            row.spWl = speedup(runs[3 * k + 2]);
         }
 
         std::vector<double> g_general, g_suite, g_wl, g_tuned;

@@ -28,7 +28,7 @@ main(int argc, char **argv)
         specs.push_back(wl::workloadByName(name));
 
     // Compile + schedule every (workload, tuning) pair, then simulate
-    // all of them in one batched fan-out across `--sim-threads`.
+    // all of them in one batched fan-out across `--threads`.
     std::vector<bench::PreparedSim> prepared;
     for (const wl::KernelSpec &spec : specs) {
         prepared.push_back(bench::prepareOverlayRun(spec, general,
@@ -36,7 +36,7 @@ main(int argc, char **argv)
         prepared.push_back(bench::prepareOverlayRun(spec, general,
                                                     true));
     }
-    std::vector<bench::OverlayRun> runs =
+    std::vector<sim::SimResult> runs =
         bench::runPreparedBatch(prepared, harness);
 
     std::printf("%-12s | %13s | %13s | %13s\n", "workload",
@@ -46,13 +46,15 @@ main(int argc, char **argv)
         const wl::KernelSpec &spec = specs[i];
         hls::AutoDseResult ad = hls::runAutoDse(spec, false);
         hls::AutoDseResult ad_tuned = hls::runAutoDse(spec, true);
-        const bench::OverlayRun &og = runs[2 * i];
-        const bench::OverlayRun &og_tuned = runs[2 * i + 1];
+        const sim::SimResult &og = runs[2 * i];
+        const sim::SimResult &og_tuned = runs[2 * i + 1];
+        double og_seconds = bench::overlaySeconds(og.cycles);
         double ad_gain = ad.perf.seconds / ad_tuned.perf.seconds;
         double og_gain =
-            og.ok && og_tuned.ok ? og.seconds / og_tuned.seconds : 1.0;
-        double ratio =
-            og.ok ? ad.perf.seconds / og.seconds : 0.0;
+            og.completed && og_tuned.completed
+                ? og_seconds / bench::overlaySeconds(og_tuned.cycles)
+                : 1.0;
+        double ratio = og.completed ? ad.perf.seconds / og_seconds : 0.0;
         bool deadlocked = og.deadlocked || og_tuned.deadlocked;
         std::printf("%-12s | %12.2fx | %12.2fx | %12.2fx%s\n",
                     spec.name.c_str(), ad_gain, og_gain, ratio,

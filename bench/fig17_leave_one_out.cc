@@ -114,7 +114,7 @@ main(int argc, char **argv)
         prepared.push_back(prep.onLoo);
         prepared.push_back(prep.onFull);
     }
-    std::vector<bench::OverlayRun> runs =
+    std::vector<sim::SimResult> runs =
         bench::runPreparedBatch(prepared, harness);
 
     std::vector<LooRow> rows(suite.size());
@@ -122,10 +122,10 @@ main(int argc, char **argv)
         LooRow &row = rows[held];
         if (!preps[held].maps)
             continue;
-        const bench::OverlayRun &on_loo = runs[2 * held];
-        const bench::OverlayRun &on_full = runs[2 * held + 1];
+        const sim::SimResult &on_loo = runs[2 * held];
+        const sim::SimResult &on_full = runs[2 * held + 1];
         row.maps = true;
-        row.relative = on_full.ok && on_loo.ok
+        row.relative = on_full.completed && on_loo.completed
                            ? static_cast<double>(on_full.cycles) /
                                  on_loo.cycles
                            : 0.0;

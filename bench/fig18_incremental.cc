@@ -7,8 +7,8 @@
  * only a modest slowdown on the original workload. The five
  * explorations (one per prefix of the pool) are independent, so they
  * run concurrently on the harness pool; rows print in paper order.
- * Each exploration validates its final design by simulation, and the
- * step's stencil-2d cycles are that validation's measurement.
+ * stencil-2d's mapping on each final design is then simulated, all
+ * five in one batch, and those are the step's stencil-2d cycles.
  */
 
 #include "common.h"
@@ -35,8 +35,8 @@ main(int argc, char **argv)
     {
         int tiles = 0;
         double tileLut = 0.0;
-        uint64_t cycles = 0;
         double objective = 0.0;
+        bench::PreparedSim stencil;
     };
     std::vector<Step> steps = harness.pool().parallelMap(
         pool.size(), [&](size_t n) {
@@ -44,21 +44,23 @@ main(int argc, char **argv)
                 pool.begin(), pool.begin() + n + 1);
             dse::DseOptions options = harness.dseOptions(
                 iters, 50 + n, "upto-" + pool[n].name);
-            options.validateFinal = true;
             dse::DseResult result =
                 dse::exploreOverlay(target, options);
             Step step;
             step.tiles = result.design.sys.numTiles;
             step.tileLut = prices.tileResources(result.design.adg).lut /
                            device.total.lut * 100.0;
-            // stencil-2d is the first kernel of every target set.
-            const dse::KernelMapping &stencil = result.mappings[0];
-            OG_ASSERT(stencil.simulated,
-                      "stencil-2d mapping was not validated");
-            step.cycles = stencil.simulatedCycles;
             step.objective = result.objective;
+            // stencil-2d is the first kernel of every target set.
+            step.stencil = bench::prepareMapped(
+                pool[0], result, 0, bench::shareDesign(result.design));
             return step;
         });
+    std::vector<bench::PreparedSim> prepared;
+    for (Step &step : steps)
+        prepared.push_back(std::move(step.stencil));
+    std::vector<sim::SimResult> runs =
+        bench::runPreparedBatch(prepared, harness);
 
     std::printf("%-14s %6s %12s %14s %12s\n", "target set", "tiles",
                 "LUT/tile(%)", "stencil-2d cyc", "est.IPC");
@@ -66,11 +68,11 @@ main(int argc, char **argv)
         std::printf("+%-13s %6d %11.2f%% %14llu %12.1f\n",
                     pool[n].name.c_str(), steps[n].tiles,
                     steps[n].tileLut,
-                    static_cast<unsigned long long>(steps[n].cycles),
+                    static_cast<unsigned long long>(runs[n].cycles),
                     steps[n].objective);
     }
-    uint64_t first_cycles = steps.front().cycles;
-    uint64_t last_cycles = steps.back().cycles;
+    uint64_t first_cycles = runs.front().cycles;
+    uint64_t last_cycles = runs.back().cycles;
     double cost = first_cycles > 0
                       ? 100.0 * (static_cast<double>(last_cycles) /
                                      first_cycles -

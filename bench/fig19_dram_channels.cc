@@ -88,12 +88,12 @@ main(int argc, char **argv)
     }
 
     // Phase 2: the whole 19-workload x 3-channel sweep as one batch.
-    std::vector<bench::OverlayRun> runs =
+    std::vector<sim::SimResult> runs =
         bench::runPreparedBatch(prepared, harness);
     for (size_t i = 0; i < workloads.size(); ++i) {
         auto cycles = [&](size_t point) {
-            const bench::OverlayRun &r = runs[3 * i + point];
-            return r.ok ? static_cast<double>(r.cycles) : 0.0;
+            const sim::SimResult &r = runs[3 * i + point];
+            return r.completed ? static_cast<double>(r.cycles) : 0.0;
         };
         double og1 = cycles(0);
         rows[i].og2 = og1 > 0 ? og1 / cycles(1) : 0.0;

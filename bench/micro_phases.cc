@@ -30,10 +30,17 @@ profileOf(const wl::KernelSpec &spec, uint64_t interval)
     telemetry::Sink sink(opts);
     sim::SimConfig config;
     config.sink = &sink;
-    bench::OverlayRun run = bench::runOnOverlay(
-        spec, bench::generalOverlay(), /*apply_tuning=*/true, config);
-    OG_ASSERT(run.ok, "'", spec.name, "' did not complete");
-    return run.phases;
+    bench::PreparedSim prepared = bench::prepareOverlayRun(
+        spec, bench::shareDesign(bench::generalOverlay()),
+        /*apply_tuning=*/true);
+    OG_ASSERT(prepared.ok, "'", spec.name, "' does not map");
+    wl::Memory memory;
+    memory.init(spec);
+    sim::SimResult run =
+        sim::simulate(spec, prepared.mdfg, prepared.schedule,
+                      *prepared.design, memory, config);
+    OG_ASSERT(run.completed, "'", spec.name, "' did not complete");
+    return sim::analyzeRunPhases(run);
 }
 
 void

@@ -245,6 +245,8 @@ main(int argc, char **argv)
     // with the line traffic spread over four 8-byte/cycle channels.
     adg::SysAdg starved4ch = starved;
     starved4ch.sys.dramChannels = 4;
+    auto starved_design = bench::shareDesign(starved);
+    auto starved4ch_design = bench::shareDesign(starved4ch);
 
     std::vector<Point> points;
     // Bandwidth-bound headline points: slow fills *and* channels so
@@ -256,7 +258,7 @@ main(int argc, char **argv)
         point.label = std::string(name) + "@1ch,slow-dram";
         point.spec = wl::workloadByName(name);
         point.prepared =
-            bench::prepareOverlayRun(point.spec, starved, true);
+            bench::prepareOverlayRun(point.spec, starved_design, true);
         OG_ASSERT(point.prepared.ok, "cannot schedule '", point.label,
                   "'");
         point.dramLatency = 4000;
@@ -268,7 +270,7 @@ main(int argc, char **argv)
         point.label = "accumulate@4ch,slow-dram";
         point.spec = wl::workloadByName("accumulate");
         point.prepared =
-            bench::prepareOverlayRun(point.spec, starved4ch, true);
+            bench::prepareOverlayRun(point.spec, starved4ch_design, true);
         OG_ASSERT(point.prepared.ok, "cannot schedule '", point.label,
                   "'");
         point.dramLatency = 4000;
@@ -280,7 +282,7 @@ main(int argc, char **argv)
         point.label = "accumulate@1ch";
         point.spec = wl::workloadByName("accumulate");
         point.prepared =
-            bench::prepareOverlayRun(point.spec, starved, true);
+            bench::prepareOverlayRun(point.spec, starved_design, true);
         OG_ASSERT(point.prepared.ok, "cannot schedule '", point.label,
                   "'");
         points.push_back(std::move(point));
@@ -290,7 +292,7 @@ main(int argc, char **argv)
         point.label = "fir(compute-bound)";
         point.spec = wl::workloadByName("fir");
         point.prepared = bench::prepareOverlayRun(
-            point.spec, bench::generalOverlay(), true);
+            point.spec, bench::shareDesign(bench::generalOverlay()), true);
         OG_ASSERT(point.prepared.ok, "cannot schedule '", point.label,
                   "'");
         points.push_back(std::move(point));
@@ -361,61 +363,6 @@ main(int argc, char **argv)
               "timeline sampling + phase analysis costs ",
               phase_overhead * 100.0, "% cycles/sec (budget 3%)");
 
-    // Prepared-design sharing win: a PreparedSim used to embed its
-    // own SysAdg copy, so preparing the 19-workload suite on one
-    // overlay carried 19 design copies into the batch. Time the full
-    // suite prepare both ways (the const-ref overload still copies
-    // once per call) and report the design footprint each leaves
-    // behind, using the serialized-JSON size as the footprint proxy
-    // for the design's heap tables.
-    std::vector<wl::KernelSpec> suite = wl::allWorkloads();
-    adg::SysAdg suite_design = bench::generalOverlay();
-    auto shared_design = bench::shareDesign(suite_design);
-    // Not every suite workload fits this one overlay; the timing
-    // comparison only needs both paths to prepare the *same* set, so
-    // skip the ones that don't schedule (with a note) instead of
-    // asserting a property of the overlay.
-    auto prep_clock = [&](auto &&prepare,
-                          std::vector<std::string> &scheduled) {
-        auto t0 = std::chrono::steady_clock::now();
-        for (const wl::KernelSpec &spec : suite) {
-            bench::PreparedSim p = prepare(spec);
-            if (p.ok)
-                scheduled.push_back(spec.name);
-        }
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-    std::vector<std::string> copied_ok, shared_ok;
-    double prep_copied = prep_clock(
-        [&](const wl::KernelSpec &spec) {
-            return bench::prepareOverlayRun(spec, suite_design, true);
-        },
-        copied_ok);
-    double prep_shared = prep_clock(
-        [&](const wl::KernelSpec &spec) {
-            return bench::prepareOverlayRun(spec, shared_design, true);
-        },
-        shared_ok);
-    OG_ASSERT(copied_ok == shared_ok,
-              "copied and shared prepare paths scheduled different "
-              "workload sets");
-    OG_ASSERT(!copied_ok.empty(), "no suite workload schedules on the "
-                                  "general overlay");
-    if (copied_ok.size() < suite.size()) {
-        std::printf("[bench] note: %zu/%zu suite workloads schedule "
-                    "on the general overlay (rest skipped)\n",
-                    copied_ok.size(), suite.size());
-    }
-    size_t design_bytes = shared_design->toJson().dump().size();
-    std::printf("\nprepared-design sharing (%zu workloads, one "
-                "design): prep %.1f ms copied vs %.1f ms shared; "
-                "design footprint %zu B shared vs %zu B copied\n",
-                copied_ok.size(), prep_copied * 1e3,
-                prep_shared * 1e3, design_bytes,
-                design_bytes * copied_ok.size());
-
     Json report = Json::makeObject();
     report.set("bench", Json("micro_sim"));
     report.set("reps", Json(reps));
@@ -435,18 +382,6 @@ main(int argc, char **argv)
     phase_guard.set("overhead", Json(phase_overhead));
     phase_guard.set("budget", Json(0.03));
     report.set("phase_overhead", std::move(phase_guard));
-    Json sharing = Json::makeObject();
-    sharing.set("entries",
-                Json(static_cast<int64_t>(copied_ok.size())));
-    sharing.set("suite_size", Json(static_cast<int64_t>(suite.size())));
-    sharing.set("prep_seconds_copied", Json(prep_copied));
-    sharing.set("prep_seconds_shared", Json(prep_shared));
-    sharing.set("design_json_bytes",
-                Json(static_cast<int64_t>(design_bytes)));
-    sharing.set("design_bytes_if_copied",
-                Json(static_cast<int64_t>(design_bytes *
-                                          copied_ok.size())));
-    report.set("prepared_design_sharing", std::move(sharing));
     std::string text = report.dump(2);
     const char *path = "BENCH_sim.json";
     std::FILE *f = std::fopen(path, "w");

@@ -118,7 +118,7 @@ main(int argc, char **argv)
     std::vector<bench::PreparedSim> prepared;
     for (const wl::KernelSpec &spec : workloads)
         prepared.push_back(bench::prepareOverlayRun(spec, design));
-    std::vector<bench::OverlayRun> runs =
+    std::vector<sim::SimResult> runs =
         bench::runPreparedBatch(prepared, harness);
 
     // Header: one column per taxonomy category.
@@ -130,7 +130,7 @@ main(int argc, char **argv)
     std::printf("\n");
 
     for (size_t i = 0; i < workloads.size(); ++i) {
-        const bench::OverlayRun &run = runs[i];
+        const sim::SimResult &run = runs[i];
         if (!prepared[i].ok) {
             std::printf("%s: does not map\n\n",
                         workloads[i].name.c_str());
@@ -139,7 +139,7 @@ main(int argc, char **argv)
         std::printf("%s: %llu cycles%s%s\n",
                     workloads[i].name.c_str(),
                     static_cast<unsigned long long>(run.cycles),
-                    run.ok ? "" : " (incomplete)",
+                    run.completed ? "" : " (incomplete)",
                     run.deadlocked ? " [deadlock]" : "");
         printLedgerRow("memory", run.memory.ledger, run.cycles,
                        /*flag_bottleneck=*/false);
@@ -167,7 +167,7 @@ main(int argc, char **argv)
         }
         // Per-phase breakdown: where the cycles went within each
         // execution regime, with the phase-local bottleneck flagged.
-        const telemetry::PhaseProfile &phases = run.phases;
+        telemetry::PhaseProfile phases = sim::analyzeRunPhases(run);
         if (!phases.spans.empty()) {
             std::printf("  phases (ramp %llu cycles, %s",
                         static_cast<unsigned long long>(

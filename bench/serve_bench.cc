@@ -24,10 +24,10 @@ main(int argc, char **argv)
     // The coordinator forks; keep the parent free of thread pools
     // until all serving is done (fork-safety contract), so the
     // harness is built but pool() is never touched before the sweeps.
-    // Both sides run one sim thread: the scaling axis under test is
-    // worker processes, not in-process sim threads.
+    // Both sides run one simulation at a time: the scaling axis under
+    // test is worker processes, not in-process threads.
     bench::CommonFlags flags = bench::parseCommonFlags(argc, argv);
-    flags.simThreads = 1;
+    flags.threads = 1;
     bench::Harness harness(flags);
     bench::banner("serve_bench",
                   "job-server throughput vs in-process batching");
@@ -42,9 +42,9 @@ main(int argc, char **argv)
     const int reps = 3;
 
     // In-process baseline: same jobs, same serial per-job execution
-    // (sim-threads 1 mirrors the workers' default), no processes.
+    // (one thread, like each single-threaded worker), no processes.
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<bench::OverlayRun> reference;
+    std::vector<sim::SimResult> reference;
     double base_seconds = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
         auto shared = bench::shareDesign(design);
@@ -92,7 +92,7 @@ main(int argc, char **argv)
         // Correctness gate: the server must reproduce the in-process
         // batch bit-for-bit (cycles are the sensitive field).
         for (size_t i = 0; i < outcome.rows.size(); ++i) {
-            OG_ASSERT(outcome.rows[i].ok == reference[i].ok &&
+            OG_ASSERT(outcome.rows[i].ok == reference[i].completed &&
                           outcome.rows[i].cycles ==
                               reference[i].cycles,
                       "server row ", i, " ('",

@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/stats.h"
-#include "sim/batch.h"
 #include "compiler/compile.h"
 #include "dse/mutations.h"
 #include "model/oracle.h"
@@ -518,29 +517,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         result.mappings.push_back(std::move(mapping));
         result.schedules.push_back(best.schedules[k]);
         result.mdfgs.push_back(m);
-    }
-    // Optional final validation: one batched cycle-simulation sweep
-    // over the chosen mappings, sharing the explorer's thread budget.
-    if (options.validateFinal) {
-        std::vector<sim::SimJob> jobs;
-        for (size_t k = 0; k < kernels.size(); ++k) {
-            sim::SimJob job;
-            job.spec = &kernels[k];
-            job.mdfg = &result.mdfgs[k];
-            job.schedule = &result.schedules[k];
-            job.design = &result.design;
-            jobs.push_back(job);
-        }
-        sim::BatchOptions batch;
-        batch.threads = options.threads;
-        std::vector<sim::SimResult> sims = sim::runBatch(jobs, batch);
-        for (size_t k = 0; k < sims.size(); ++k) {
-            KernelMapping &mapping = result.mappings[k];
-            mapping.simulated = true;
-            mapping.simCompleted = sims[k].completed;
-            mapping.simulatedCycles = sims[k].cycles;
-            mapping.simulatedIpc = sims[k].ipc;
-        }
     }
     result.gridPruned = grid_pruned;
     if (sink != nullptr)

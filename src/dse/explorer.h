@@ -10,6 +10,9 @@
  * count, L2 banking/capacity and NoC width under the FPGA resource
  * budget; the objective is the weighted geomean of estimated IPC,
  * with estimated resources-per-accelerator as a pruning secondary.
+ * Candidates are scored by the models alone: the explorer never
+ * simulates, and running the chosen overlay is the caller's step
+ * (sim::runBatch over DseResult::mdfgs/schedules).
  */
 
 #include <vector>
@@ -87,14 +90,6 @@ struct DseOptions
     model::PerfConfig perf;
     /** Always Scalar; see DseObjective. */
     DseObjective objective = DseObjective::Scalar;
-    /**
-     * Cycle-simulate every kernel on the final design after the
-     * anneal (sim::runBatch over `threads` workers) and record the
-     * measured cycles/IPC next to the model estimate in each
-     * KernelMapping. Off by default: the anneal itself never
-     * simulates, so this only adds one batched sweep at the end.
-     */
-    bool validateFinal = false;
 
     /**
      * Telemetry sink: when live, the explorer appends one JSONL
@@ -134,12 +129,6 @@ struct KernelMapping
     std::string variantName;
     double estimatedIpc = 0.0;
     std::string bottleneck;
-    /** @name Filled only with DseOptions::validateFinal. @{ */
-    bool simulated = false;      //!< a cycle simulation ran
-    bool simCompleted = false;   //!< it finished within maxCycles
-    uint64_t simulatedCycles = 0;
-    double simulatedIpc = 0.0;
-    /// @}
 };
 
 /** Explorer result. */

@@ -515,7 +515,7 @@ class WorkerPool::Impl
             OG_WARN("serve worker ", workers[workerIndex].pid,
                     " sent a bad record (", error, "); retiring it");
             ::kill(workers[workerIndex].pid, SIGKILL);
-            onWorkerGone(workerIndex);
+            onWorkerGone(workerIndex, /*badRecord=*/true);
             return;
         }
         const Json &record = *parsed;
@@ -559,14 +559,16 @@ class WorkerPool::Impl
     }
 
     /** Close worker @p workerIndex's pipes and reap it. An attempt it
-     * held on an unfinished shard counts as a crash. If every row of
-     * the shard is already banked, the shard completes and nothing is
-     * replaced. Otherwise the shard is requeued (or abandoned), and a
-     * respawn within the budget follows while shards are pending:
-     * ensureLiveness() covers an all-dead pool, and the next run()
-     * tops the pool back up. */
+     * held on an unfinished shard counts as a crash, and so does one
+     * it held when retired for a @p badRecord, even after settle()
+     * marked every shard complete (a silent worker settle() kills
+     * counts none). If every row of the shard is already banked, the
+     * shard completes and nothing is replaced. Otherwise the shard is
+     * requeued (or abandoned), and a respawn within the budget
+     * follows while shards are pending: ensureLiveness() covers an
+     * all-dead pool, and the next run() tops the pool back up. */
     void
-    onWorkerGone(int workerIndex)
+    onWorkerGone(int workerIndex, bool badRecord = false)
     {
         WorkerState &worker = workers[workerIndex];
         if (!worker.alive)
@@ -579,7 +581,7 @@ class WorkerPool::Impl
         ::waitpid(worker.pid, &status, 0);
         int shardId = worker.shard;
         worker.shard = -1;
-        if (shardId >= 0 && !tracks[shardId].completed) {
+        if (shardId >= 0 && (badRecord || !tracks[shardId].completed)) {
             ++summary().crashes;
             count("serve/crashes");
             if (shardFilled(tracks[shardId])) {

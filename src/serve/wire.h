@@ -18,7 +18,7 @@
  *   worker -> coordinator
  *     {"t":"hello","pid":P}                            post-fork handshake
  *     {"t":"hb","shard":K,"done":D,"total":N}          progress heartbeat
- *     {"t":"result","job":J,"row":{...}}               one OverlayRun row
+ *     {"t":"result","job":J,"row":{...}}               one ResultRow
  *     {"t":"done","shard":K}                           shard complete
  *
  * A worker's design table is append-only (see serve/coordinator.h,
@@ -149,8 +149,9 @@ struct WireScore
     std::string bottleneck; //!< perf-model limiting level
 };
 
-/** One result row: the scalar OverlayRun fields (per-component stats
- * stay in-process; see DESIGN.md "Serving layer"). */
+/** One result row: the scalar sim::SimResult fields (`ok` is
+ * `completed`) plus the first-fit variant name; per-component stats
+ * stay in-process (see DESIGN.md "Serving layer"). */
 struct ResultRow
 {
     bool ok = false;

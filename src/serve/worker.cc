@@ -61,7 +61,6 @@ runJob(const JobSpec &job, const adg::SysAdg &design,
     const dfg::Mdfg &mdfg = variants[fit->second];
 
     sim::SimConfig config;
-    config.sink = options.sink;
     if (job.dramLatency > 0)
         config.dramLatency = job.dramLatency;
     if (job.deadlockCycles >= 0)

@@ -16,18 +16,12 @@
 
 #include "serve/wire.h"
 
-namespace overgen::telemetry {
-class Sink;
-} // namespace overgen::telemetry
-
 namespace overgen::serve {
 
-/** Worker execution knobs. */
+/** Worker execution knobs. Worker simulations run without a telemetry
+ * sink. */
 struct WorkerOptions
 {
-    /** Telemetry sink for the simulations this worker runs (local to
-     * the worker process; null = telemetry-free). */
-    telemetry::Sink *sink = nullptr;
     /** Executor for Match/Warm jobs (see serve::JobHandler). Jobs of
      * those kinds fail with a diagnostic row when unset. */
     JobHandler handler;

@@ -96,7 +96,7 @@ struct SimConfig
      * Timeline run label (`"run"` in interval time-series rows).
      * Empty uses the kernel name; batch drivers set a unique
      * "<index>:<kernel>" so runs serialize in a deterministic order
-     * for every `--sim-threads` value.
+     * for every batch thread count.
      */
     std::string runLabel;
 };

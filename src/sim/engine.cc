@@ -98,7 +98,6 @@ SimEngine::run(const std::function<bool()> &all_done)
                         c->fastForward(cycle, target - 1);
                     out.skippedCycles += skipped;
                 }
-                ++out.horizonJumps;
                 cycle = target - 1;
             }
         }

@@ -87,8 +87,6 @@ struct EngineOutcome
     uint64_t tickedCycles = 0;
     /** Cycles skipped by event-horizon fast-forward. */
     uint64_t skippedCycles = 0;
-    /** Number of multi-cycle horizon jumps taken. */
-    uint64_t horizonJumps = 0;
     /** All components reported done before maxCycles. */
     bool completed = false;
     /** The deadlock watchdog aborted the run. */

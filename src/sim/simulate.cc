@@ -129,7 +129,7 @@ buildInstance(const wl::KernelSpec &spec, const dfg::Mdfg &mdfg,
     // by the memory system and every tile. Rows within a run are
     // appended by the single thread driving this engine; batch
     // drivers give each job a unique runLabel so lines() serializes
-    // deterministically for every --sim-threads value.
+    // deterministically for every batch thread count.
     if (inst.sink != nullptr && inst.sink->timelineEnabled()) {
         const std::string label =
             config.runLabel.empty() ? spec.name : config.runLabel;

@@ -221,9 +221,9 @@ struct TileSim::Impl
     /// @{
     /** Whether any engine has memory transactions in flight. */
     bool anyOutstanding() const;
-    /** Classify one quiescent (no-progress, unfinished) cycle. */
-    telemetry::CycleCategory classifyStall(uint64_t cycle) const;
-    /** Closed-form attribution of the skipped window (from, to]. */
+    /** Closed-form attribution of the no-progress window (from, to]
+     * of an unfinished tile: a skipped window, or (cycle - 1, cycle]
+     * for one ticked cycle that made no progress. */
     void accountWindow(uint64_t from, uint64_t to);
     /// @}
 
@@ -1005,7 +1005,7 @@ TileSim::Impl::tick(uint64_t cycle)
     if (progressEvents != progress_before)
         stats.ledger.add(telemetry::CycleCategory::Busy);
     else
-        stats.ledger.add(classifyStall(cycle));
+        accountWindow(cycle - 1, cycle);
     if (timelineRun != nullptr && cycle == nextTimelineSample)
         sampleTimeline(cycle);
 }
@@ -1054,28 +1054,6 @@ TileSim::Impl::anyOutstanding() const
     return false;
 }
 
-telemetry::CycleCategory
-TileSim::Impl::classifyStall(uint64_t cycle) const
-{
-    using C = telemetry::CycleCategory;
-    if (cycle < stats.startupCycles)
-        return C::Startup;
-    if (anyOutstanding())
-        return C::DramFill;
-    if (!fabricWalker.done()) {
-        if (!fabricPortsReady())
-            return C::PortStall;
-        if (cycle < fireReadyCycle())
-            return C::IiGate;
-        // Defensive: gate passed with ready ports would have fired
-        // (and counted Busy); only reachable through a model change.
-        return C::Idle;
-    }
-    // Fabric done but not drained: retiring output ports / in-flight
-    // stores (in-flight DRAM work was caught by anyOutstanding()).
-    return C::PortStall;
-}
-
 void
 TileSim::Impl::accountWindow(uint64_t from, uint64_t to)
 {
@@ -1106,6 +1084,8 @@ TileSim::Impl::accountWindow(uint64_t from, uint64_t to)
                 stats.ledger.add(C::Idle, n - ii);
         }
     } else {
+        // Fabric done but not drained: retiring output ports and
+        // in-flight stores.
         stats.ledger.add(C::PortStall, n);
     }
 }

@@ -14,7 +14,7 @@
  * run's cycles even when the run ends between boundaries), and
  * analyzePhases() segments with hysteresis thresholds on the
  * per-interval busy fraction. Because the timeline rows themselves are
- * bit-identical across `--sim-threads` and engine modes (naive /
+ * bit-identical across batch thread counts and engine modes (naive /
  * fast-forward / check), so is the PhaseProfile
  * — the determinism argument is inherited wholesale, see DESIGN.md
  * "Phase-aware analysis".

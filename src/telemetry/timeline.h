@@ -18,7 +18,7 @@
  * one simulation thread (a simulation is single-threaded), so
  * add() takes no lock. lines() and writeTo() serialize runs sorted
  * by (label, rendered content) — byte-identical output for every
- * `--sim-threads` value — and require the batch to have completed
+ * batch thread count — and require the batch to have completed
  * (no concurrent add), like Sink::dseLines().
  */
 

@@ -30,10 +30,9 @@ parse(std::vector<std::string> args, bool allowExtra = false)
 TEST(BenchFlags, BothSpellingsParse)
 {
     bench::CommonFlags flags =
-        parse({ "--threads", "3", "--sim-threads=2", "--trace=t.json",
+        parse({ "--threads", "3", "--trace=t.json",
                 "--no-fast-forward", "--stats-interval", "512" });
     EXPECT_EQ(flags.threads, 3);
-    EXPECT_EQ(flags.simThreads, 2);
     EXPECT_EQ(flags.sink.tracePath, "t.json");
     EXPECT_TRUE(flags.noFastForward);
     EXPECT_EQ(flags.sink.statsInterval, 512u);
@@ -88,4 +87,12 @@ TEST(BenchFlagsDeathTest, UnknownFlagIsStillFatal)
                     "unknown argument")
             << arg;
     }
+}
+
+TEST(BenchFlagsDeathTest, RetiredSimulationThreadFlagIsUnknown)
+{
+    // Batched simulation runs on `--threads`; its former separate
+    // thread flag is gone, so it is rejected like any other typo.
+    EXPECT_EXIT(parse({ "--sim-threads=2" }),
+                ::testing::ExitedWithCode(1), "unknown argument");
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "dse/explorer.h"
+#include "sim/batch.h"
 #include "sim/simulate.h"
 #include "model/resource_model.h"
 #include "workloads/suites.h"
@@ -172,18 +173,31 @@ TEST(Explorer, TracksAcceptanceStats)
 
 TEST(Explorer, ValidateFinalSimulatesMappings)
 {
+    // The explorer never simulates; its result carries everything a
+    // caller needs to validate the final mappings in one batch.
     DseOptions options = fastOptions(6);
-    options.validateFinal = true;
     options.threads = 4;
     DseResult r = exploreOverlay(smallSuite(), options, &testModel());
     ASSERT_EQ(r.mappings.size(), 3u);
     std::vector<wl::KernelSpec> suite = smallSuite();
+    std::vector<sim::SimJob> jobs;
+    for (size_t k = 0; k < r.mappings.size(); ++k) {
+        sim::SimJob job;
+        job.spec = &suite[k];
+        job.mdfg = &r.mdfgs[k];
+        job.schedule = &r.schedules[k];
+        job.design = &r.design;
+        jobs.push_back(job);
+    }
+    sim::BatchOptions batch;
+    batch.threads = 4;
+    std::vector<sim::SimResult> sims = sim::runBatch(jobs, batch);
+    ASSERT_EQ(sims.size(), r.mappings.size());
     for (size_t k = 0; k < r.mappings.size(); ++k) {
         const KernelMapping &mapping = r.mappings[k];
-        EXPECT_TRUE(mapping.simulated) << mapping.kernel;
-        EXPECT_TRUE(mapping.simCompleted) << mapping.kernel;
-        EXPECT_GT(mapping.simulatedCycles, 0u) << mapping.kernel;
-        EXPECT_GT(mapping.simulatedIpc, 0.0) << mapping.kernel;
+        EXPECT_TRUE(sims[k].completed) << mapping.kernel;
+        EXPECT_GT(sims[k].cycles, 0u) << mapping.kernel;
+        EXPECT_GT(sims[k].ipc, 0.0) << mapping.kernel;
         // The batched validation matches a direct simulation of the
         // same mapping exactly.
         wl::Memory memory;
@@ -191,19 +205,8 @@ TEST(Explorer, ValidateFinalSimulatesMappings)
         sim::SimResult direct =
             sim::simulate(suite[k], r.mdfgs[k], r.schedules[k],
                           r.design, memory, {});
-        EXPECT_EQ(mapping.simulatedCycles, direct.cycles)
-            << mapping.kernel;
-        EXPECT_EQ(mapping.simulatedIpc, direct.ipc) << mapping.kernel;
-    }
-}
-
-TEST(Explorer, ValidateFinalOffLeavesMappingsUnsimulated)
-{
-    DseResult r =
-        exploreOverlay(smallSuite(), fastOptions(4), &testModel());
-    for (const KernelMapping &mapping : r.mappings) {
-        EXPECT_FALSE(mapping.simulated);
-        EXPECT_EQ(mapping.simulatedCycles, 0u);
+        EXPECT_EQ(sims[k].cycles, direct.cycles) << mapping.kernel;
+        EXPECT_EQ(sims[k].ipc, direct.ipc) << mapping.kernel;
     }
 }
 

@@ -8,6 +8,7 @@
 #include "dse/explorer.h"
 #include "library/store.h"
 #include "model/resource_model.h"
+#include "sim/batch.h"
 #include "telemetry/sink.h"
 #include "workloads/suites.h"
 
@@ -62,12 +63,17 @@ canonicalRecords(const std::vector<std::string> &lines)
     return out;
 }
 
+/** The two-kernel domain every exploration here targets. */
+std::vector<wl::KernelSpec>
+domain()
+{
+    return { wl::makeFir(128, 16), wl::makeAccumulate(16) };
+}
+
 ExploreRun
-explore(int threads, uint64_t seed, bool validate_final = false,
+explore(int threads, uint64_t seed,
         const std::function<void(dse::DseOptions &)> &adjust = {})
 {
-    std::vector<wl::KernelSpec> domain = { wl::makeFir(128, 16),
-                                           wl::makeAccumulate(16) };
     telemetry::Sink sink;
     dse::DseOptions options;
     options.seed = seed;
@@ -79,11 +85,10 @@ explore(int threads, uint64_t seed, bool validate_final = false,
     options.l2CapacityGrid = { 512 };
     options.sink = &sink;
     options.telemetryLabel = "determinism";
-    options.validateFinal = validate_final;
     if (adjust)
         adjust(options);
     ExploreRun run;
-    run.result = dse::exploreOverlay(domain, options, &testModel());
+    run.result = dse::exploreOverlay(domain(), options, &testModel());
     run.records = canonicalRecords(sink.dseLines());
     return run;
 }
@@ -162,24 +167,40 @@ TEST(ParallelDeterminism, DifferentSeedsDiverge)
 
 TEST(ParallelDeterminism, ValidatedFinalIsThreadIndependent)
 {
-    // validateFinal simulates the final mappings in one sim::runBatch
-    // sweep over the explorer's thread budget; it is part of the same
-    // determinism contract — the trajectory, the final mappings, and
-    // the simulated cycle counts must be bit-identical across thread
-    // counts.
-    auto validated_run = [](int threads) {
-        return explore(threads, 42, /*validate_final=*/true);
+    // Validating the final mappings in one sim::runBatch sweep is part
+    // of the same determinism contract — the trajectory, the final
+    // mappings, and the simulated cycle counts must be bit-identical
+    // across thread counts.
+    std::vector<wl::KernelSpec> kernels = domain();
+    auto validated_cycles = [&kernels](const dse::DseResult &result,
+                                       int threads) {
+        std::vector<sim::SimJob> jobs;
+        for (size_t k = 0; k < result.mappings.size(); ++k) {
+            sim::SimJob job;
+            job.spec = &kernels[k];
+            job.mdfg = &result.mdfgs[k];
+            job.schedule = &result.schedules[k];
+            job.design = &result.design;
+            jobs.push_back(job);
+        }
+        sim::BatchOptions batch;
+        batch.threads = threads;
+        std::vector<uint64_t> cycles;
+        for (const sim::SimResult &sim : sim::runBatch(jobs, batch))
+            cycles.push_back(sim.cycles);
+        return cycles;
     };
-    ExploreRun serial = validated_run(1);
-    ExploreRun four = validated_run(4);
+    ExploreRun serial = explore(1, 42);
+    ExploreRun four = explore(4, 42);
     expectIdentical(serial, four, "validated final threads 1 vs 4");
     ASSERT_EQ(serial.result.mappings.size(),
               four.result.mappings.size());
-    for (size_t i = 0; i < serial.result.mappings.size(); ++i) {
-        EXPECT_EQ(serial.result.mappings[i].simulatedCycles,
-                  four.result.mappings[i].simulatedCycles)
-            << i;
-    }
+    std::vector<uint64_t> serial_cycles =
+        validated_cycles(serial.result, 1);
+    std::vector<uint64_t> four_cycles = validated_cycles(four.result, 4);
+    ASSERT_EQ(serial_cycles.size(), serial.result.mappings.size());
+    for (size_t i = 0; i < serial_cycles.size(); ++i)
+        EXPECT_EQ(serial_cycles[i], four_cycles[i]) << i;
 }
 
 TEST(ParallelDeterminism, EvaluationCountIsThreadIndependent)
@@ -244,7 +265,7 @@ TEST(ParallelDeterminism, ScoredCountsOnlyExaminedWork)
     ExploreRun serial = explore(1, 5);
     EXPECT_GT(serial.result.discarded, 0);
     EXPECT_EQ(serial.result.scored, serial.result.iterationsRun);
-    ExploreRun eight = explore(8, 5, false, [](dse::DseOptions &o) {
+    ExploreRun eight = explore(8, 5, [](dse::DseOptions &o) {
         o.speculation = 8;
     });
     EXPECT_EQ(eight.result.scored, eight.result.evaluated);
@@ -271,11 +292,11 @@ TEST(ParallelDeterminism, GridPrunedIsThreadIndependent)
         o.nocBytesGrid = { 32, 64 };
         o.budgetFraction = 0.35;
     };
-    ExploreRun serial = explore(1, 42, false, pruning);
+    ExploreRun serial = explore(1, 42, pruning);
     EXPECT_GT(serial.result.gridPruned, 0u);
     EXPECT_GT(serial.result.discarded, 0);
     for (int threads : { 2, 8 }) {
-        ExploreRun run = explore(threads, 42, false, pruning);
+        ExploreRun run = explore(threads, 42, pruning);
         const std::string label =
             "threads 1 vs " + std::to_string(threads);
         EXPECT_EQ(serial.result.gridPruned, run.result.gridPruned)

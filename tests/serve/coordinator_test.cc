@@ -673,6 +673,77 @@ TEST(Coordinator, RepeatedRowIsHandledLikeACrash)
     EXPECT_TRUE(noChildrenLeft());
 }
 
+TEST(Coordinator, RepeatedRowReadAtRunEndIsStillACrash)
+{
+    // The settle-time interleaving of the test above, forced: the
+    // repeat of job 0's row reaches the coordinator only after every
+    // row is banked, while run end waits for the last done records.
+    // Jobs 1-3 wait until job 0's first copy is banked, so that copy
+    // is never the run's last row, and the repeat is held until the
+    // coordinator has seen all four rows. A bad record costs one
+    // crash whether or not the rows are all in.
+    JobSet set = matchJobs();
+    std::string reference = referenceJsonl(set, tileCountRow);
+
+    // Shared across fork: job 0's run count (workers), and the rows
+    // the coordinator has seen (onRecord).
+    struct Gate
+    {
+        int runs;
+        int firstCopySeen;
+        int rowsSeen;
+    };
+    auto *gate = static_cast<Gate *>(
+        ::mmap(nullptr, sizeof(Gate), PROT_READ | PROT_WRITE,
+               MAP_SHARED | MAP_ANONYMOUS, -1, 0));
+    ASSERT_NE(gate, MAP_FAILED);
+    *gate = Gate{ 0, 0, 0 };
+    std::set<int> preexisting = openFds();
+    // Bounded, so a coordinator that never advances the gate fails
+    // the assertions below, not the test timeout.
+    auto waitUntil = [](const int *value, int target) {
+        for (int i = 0; i < 10000 &&
+                        __atomic_load_n(value, __ATOMIC_SEQ_CST) < target;
+             ++i)
+            ::usleep(1000);
+    };
+
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.shardSize = 1;
+    options.handler = [&](const JobSpec &job, const auto &table) {
+        ResultRow row = tileCountRow(job, table);
+        if (job.index != 0) {
+            waitUntil(&gate->firstCopySeen, 1);
+        } else if (__atomic_fetch_add(&gate->runs, 1,
+                                      __ATOMIC_SEQ_CST) == 0) {
+            sendRow(preexisting, job.index, row);
+            // The row returned below is the repeat.
+            waitUntil(&gate->rowsSeen, 4);
+        }
+        return row;
+    };
+    options.onRecord = [&](const Json &record, int, pid_t) {
+        if (record.at("t").asString() != "result")
+            return;
+        if (record.at("job").asInt() == 0)
+            __atomic_store_n(&gate->firstCopySeen, 1, __ATOMIC_SEQ_CST);
+        __atomic_add_fetch(&gate->rowsSeen, 1, __ATOMIC_SEQ_CST);
+    };
+    ServeOutcome outcome = serveJobs(set, options);
+    EXPECT_EQ(gate->runs, 1);  // the banked row stands
+    EXPECT_EQ(gate->rowsSeen, 4);
+    ::munmap(gate, sizeof(Gate));
+    EXPECT_TRUE(outcome.summary.ok);
+    EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
+    EXPECT_EQ(outcome.summary.crashes, 1u);
+    EXPECT_EQ(outcome.summary.respawns, 0u);
+    EXPECT_EQ(outcome.summary.retries, 0u);
+    EXPECT_EQ(outcome.summary.workersSpawned, 2u);
+    EXPECT_EQ(outcome.summary.abandoned, 0u);
+    EXPECT_TRUE(noChildrenLeft());
+}
+
 class BadWorkerRecord : public ::testing::TestWithParam<BadRecord>
 {
 };

@@ -51,21 +51,21 @@ TEST(PreparedWatchdog, DeadlockedEntryDoesNotPoisonSiblings)
     ASSERT_TRUE(prepared[0].ok);
     ASSERT_TRUE(prepared[2].ok);
 
-    std::vector<bench::OverlayRun> rows =
+    std::vector<sim::SimResult> rows =
         bench::runPreparedBatch(prepared, harness);
     ASSERT_EQ(rows.size(), 3u);
 
     // The victim hits the watchdog (OG_WARN dump on stderr) ...
     EXPECT_TRUE(rows[1].deadlocked);
-    EXPECT_FALSE(rows[1].ok);
+    EXPECT_FALSE(rows[1].completed);
     EXPECT_FALSE(rows[1].diagnostic.empty());
     EXPECT_LT(rows[1].cycles, 100'000u);
 
     // ... while its siblings complete normally.
-    EXPECT_TRUE(rows[0].ok);
+    EXPECT_TRUE(rows[0].completed);
     EXPECT_FALSE(rows[0].deadlocked);
     EXPECT_TRUE(rows[0].diagnostic.empty());
-    EXPECT_TRUE(rows[2].ok);
+    EXPECT_TRUE(rows[2].completed);
     EXPECT_FALSE(rows[2].deadlocked);
 
     // And bit-identically to a batch without the deadlocking entry —
@@ -73,7 +73,7 @@ TEST(PreparedWatchdog, DeadlockedEntryDoesNotPoisonSiblings)
     std::vector<bench::PreparedSim> clean;
     clean.push_back(bench::prepareOverlayRun(specs[0], design, true));
     clean.push_back(bench::prepareOverlayRun(specs[2], design, true));
-    std::vector<bench::OverlayRun> alone =
+    std::vector<sim::SimResult> alone =
         bench::runPreparedBatch(clean, harness);
     ASSERT_EQ(alone.size(), 2u);
     EXPECT_EQ(rows[0].cycles, alone[0].cycles);
@@ -92,9 +92,9 @@ TEST(PreparedWatchdog, DefaultOverridesKeepStockConfig)
     std::vector<bench::PreparedSim> prepared = {
         bench::prepareOverlayRun(specs[0], design, true)
     };
-    std::vector<bench::OverlayRun> rows =
+    std::vector<sim::SimResult> rows =
         bench::runPreparedBatch(prepared, harness);
     ASSERT_EQ(rows.size(), 1u);
-    EXPECT_TRUE(rows[0].ok);
+    EXPECT_TRUE(rows[0].completed);
     EXPECT_FALSE(rows[0].deadlocked);
 }
