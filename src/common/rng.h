@@ -6,15 +6,39 @@
  * Deterministic pseudo-random number generator (xoshiro256**) used by the
  * DSE, the spatial scheduler, and synthetic data generation. All
  * randomized components take an explicit Rng so experiments are exactly
- * reproducible from a seed.
+ * reproducible from a seed. Also the two fixed hashes that seeds and
+ * fingerprints derive from: the splitmix64 finalizer and FNV-1a.
  */
 
 #include <cmath>
 #include <cstdint>
+#include <string_view>
 
 #include "common/logging.h"
 
 namespace overgen {
+
+/** splitmix64 finalizer: full-avalanche mixing of one 64-bit word. */
+inline uint64_t
+mix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/** 64-bit FNV-1a of @p s. */
+inline uint64_t
+fnv1a(std::string_view s)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
 
 /** Deterministic xoshiro256** generator. */
 class Rng
@@ -111,11 +135,9 @@ class Rng
     static uint64_t
     splitmix64(uint64_t &x)
     {
+        uint64_t z = mix64(x);
         x += 0x9e3779b97f4a7c15ull;
-        uint64_t z = x;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
+        return z;
     }
 
     uint64_t state[4];

@@ -1,5 +1,6 @@
 #include "library/matcher.h"
 
+#include <optional>
 #include <utility>
 
 #include "compiler/compile.h"
@@ -38,18 +39,22 @@ scoreKernelOnDesign(const wl::KernelSpec &spec,
 }
 
 MatchResult
-matchKernel(const OverlayLibrary &lib, const wl::KernelSpec &spec,
+matchKernel(const OverlayLibrary &lib, const std::string &kernel,
+            const std::function<wl::KernelSpec()> &resolve,
             const MatchOptions &options)
 {
     // Sequential argmax over feasible entries; strict > means the
     // lowest index wins ties, however each score was obtained.
     MatchResult result;
+    std::optional<wl::KernelSpec> spec;
     for (size_t i = 0; i < lib.entries.size(); ++i) {
-        const KernelRecord *memo = lib.entries[i].findRecord(spec.name);
+        const KernelRecord *memo = lib.entries[i].findRecord(kernel);
+        if (memo == nullptr && !spec)
+            spec = resolve();
         KernelRecord record =
             memo != nullptr
                 ? *memo
-                : scoreKernelOnDesign(spec, lib.entries[i].design,
+                : scoreKernelOnDesign(*spec, lib.entries[i].design,
                                       options);
         if (!record.feasible)
             continue;

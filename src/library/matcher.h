@@ -22,6 +22,8 @@
  * ships scoring to the serve worker pool (library/service.h).
  */
 
+#include <functional>
+
 #include "library/store.h"
 #include "model/perf.h"
 #include "workloads/kernelspec.h"
@@ -60,14 +62,25 @@ KernelRecord scoreKernelOnDesign(const wl::KernelSpec &spec,
                                  const MatchOptions &options = {});
 
 /**
- * Route @p spec to the best feasible entry of @p lib. Entries with a
- * memoized record for this kernel cost a lookup; the rest are scored
- * inline without mutating the library. The library service records
- * every pair before it picks, so its picks are pure lookups.
+ * Route the kernel named @p kernel to the best feasible entry of
+ * @p lib. Entries with a memoized record for it cost a lookup; the
+ * rest are scored inline, without mutating the library, on the spec
+ * that @p resolve builds once, only if some entry lacks a record. The
+ * library service records every pair before it picks, so its picks
+ * are pure lookups that build no spec. The second form takes a built
+ * @p spec.
  */
 MatchResult matchKernel(const OverlayLibrary &lib,
-                        const wl::KernelSpec &spec,
+                        const std::string &kernel,
+                        const std::function<wl::KernelSpec()> &resolve,
                         const MatchOptions &options = {});
+inline MatchResult
+matchKernel(const OverlayLibrary &lib, const wl::KernelSpec &spec,
+            const MatchOptions &options = {})
+{
+    return matchKernel(
+        lib, spec.name, [&spec] { return spec; }, options);
+}
 
 } // namespace overgen::library
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "dse/explorer.h"
 #include "model/resource_model.h"
 #include "workloads/suites.h"
@@ -15,15 +16,6 @@
 namespace overgen::library {
 
 namespace {
-
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 wl::KernelSpec
 resolveSpec(const std::string &workload, bool smallSize)
@@ -38,14 +30,9 @@ uint64_t
 warmSeedFor(const std::string &workload)
 {
     constexpr uint64_t kWarmSeedSalt = 0x5eedf00dcafe2026ull;
-    uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-    for (char c : workload) {
-        h ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
-        h *= 1099511628211ull;
-    }
     // DseOptions::seed feeds splitmix expansion, so 0 is legal, but
     // avoid it anyway: a zero seed reads as "unset" in entry JSON.
-    uint64_t seed = mix64(h ^ kWarmSeedSalt);
+    uint64_t seed = mix64(fnv1a(workload) ^ kWarmSeedSalt);
     return seed == 0 ? 1 : seed;
 }
 
@@ -122,8 +109,8 @@ makeLibraryHandler(MatchOptions options)
                 warmOverlay(job.workload, job.smallSize,
                             job.applyTuning, job.warmSeed,
                             job.warmIterations, mopts);
-            if (const KernelRecord *record = entry.findRecord(
-                    resolveSpec(job.workload, job.smallSize).name)) {
+            if (const KernelRecord *record =
+                    entry.findRecord(job.workload)) {
                 row.ipc = record->ipc;
                 row.variant = record->variant;
             }
@@ -254,8 +241,8 @@ LibraryService::warm(const std::vector<std::string> &misses)
 MatchResult
 LibraryService::pick(const std::string &workload) const
 {
-    return matchKernel(lib, resolveSpec(workload, options.smallSize),
-                       options.match);
+    auto resolve = [&] { return resolveSpec(workload, options.smallSize); };
+    return matchKernel(lib, workload, resolve, options.match);
 }
 
 std::vector<RequestOutcome>

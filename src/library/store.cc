@@ -7,6 +7,7 @@
 #include "common/hex.h"
 #include "common/json_fields.h"
 #include "common/logging.h"
+#include "common/rng.h"
 
 namespace overgen::library {
 
@@ -16,16 +17,6 @@ namespace {
  * match needs a simultaneous 2x64-bit collision. */
 constexpr uint64_t kSaltA = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kSaltB = 0xd1b54a32d192ed03ull;
-
-/** splitmix64-style finalizer for mixing system params in. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 uint64_t
 systemParamsHash(const adg::SystemParams &sys)

@@ -6,25 +6,10 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "workloads/program.h"
 
 namespace overgen::wl {
-
-namespace {
-
-/** FNV-1a hash for deterministic per-array initialization. */
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-} // namespace
 
 void
 Memory::init(const KernelSpec &spec, uint64_t seed)

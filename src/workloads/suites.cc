@@ -672,105 +672,106 @@ makeDerivative(int n)
     return k;
 }
 
+namespace {
+
+/** One kernel: name, suite, and makers at paper and test size. */
+struct CatalogueRow
+{
+    const char *name;
+    Suite suite;
+    KernelSpec (*paper)();
+    KernelSpec (*small)();
+};
+
+/** A row whose paper maker is @p make at its default sizes and whose
+ * small maker is @p make at the sizes that follow. */
+#define OG_KERNEL(name, suite, make, ...)                 \
+    { name, Suite::suite, [] { return make(); },          \
+      [] { return make(__VA_ARGS__); } }
+
+/** All 19 kernels, DSP then MachSuite then Vision. */
+constexpr CatalogueRow kCatalogue[] = {
+    OG_KERNEL("cholesky", Dsp, makeCholesky, 16),
+    OG_KERNEL("fft", Dsp, makeFft, 7),
+    OG_KERNEL("fir", Dsp, makeFir, 128, 16),
+    OG_KERNEL("solver", Dsp, makeSolver, 16),
+    OG_KERNEL("mm", Dsp, makeMm, 8),
+    OG_KERNEL("stencil-3d", MachSuite, makeStencil3d, 8, 2),
+    OG_KERNEL("crs", MachSuite, makeCrs, 32, 4),
+    OG_KERNEL("gemm", MachSuite, makeGemm, 8),
+    OG_KERNEL("stencil-2d", MachSuite, makeStencil2d, 8, 2),
+    OG_KERNEL("ellpack", MachSuite, makeEllpack, 32, 4),
+    OG_KERNEL("channel-ext", Vision, makeChannelExtract, 16),
+    OG_KERNEL("bgr2grey", Vision, makeBgr2Grey, 16),
+    OG_KERNEL("blur", Vision, makeBlur, 16),
+    OG_KERNEL("accumulate", Vision, makeAccumulate, 16),
+    OG_KERNEL("acc-sqr", Vision, makeAccSqr, 16),
+    OG_KERNEL("vecmax", Vision, makeVecMax, 16),
+    OG_KERNEL("acc-weight", Vision, makeAccWeight, 16),
+    OG_KERNEL("convert-bit", Vision, makeConvertBit, 16),
+    OG_KERNEL("derivative", Vision, makeDerivative, 18),
+};
+
+#undef OG_KERNEL
+
+const CatalogueRow &
+catalogueRow(const std::string &name)
+{
+    for (const CatalogueRow &row : kCatalogue)
+        if (name == row.name)
+            return row;
+    OG_FATAL("unknown workload '", name, "'");
+}
+
+} // namespace
+
 std::vector<KernelSpec>
 dspSuite()
 {
-    return { makeCholesky(), makeFft(), makeFir(), makeSolver(),
-             makeMm() };
+    return suiteWorkloads(Suite::Dsp);
 }
 
 std::vector<KernelSpec>
 machSuite()
 {
-    return { makeStencil3d(), makeCrs(), makeGemm(), makeStencil2d(),
-             makeEllpack() };
+    return suiteWorkloads(Suite::MachSuite);
 }
 
 std::vector<KernelSpec>
 visionSuite()
 {
-    return { makeChannelExtract(), makeBgr2Grey(), makeBlur(),
-             makeAccumulate(), makeAccSqr(),      makeVecMax(),
-             makeAccWeight(),     makeConvertBit(), makeDerivative() };
+    return suiteWorkloads(Suite::Vision);
 }
 
 std::vector<KernelSpec>
 allWorkloads()
 {
-    std::vector<KernelSpec> all = dspSuite();
-    for (auto &k : machSuite())
-        all.push_back(std::move(k));
-    for (auto &k : visionSuite())
-        all.push_back(std::move(k));
+    std::vector<KernelSpec> all;
+    for (const CatalogueRow &row : kCatalogue)
+        all.push_back(row.paper());
     return all;
 }
 
 std::vector<KernelSpec>
 suiteWorkloads(Suite suite)
 {
-    switch (suite) {
-      case Suite::Dsp:
-        return dspSuite();
-      case Suite::MachSuite:
-        return machSuite();
-      case Suite::Vision:
-        return visionSuite();
-    }
-    OG_PANIC("unknown suite");
+    std::vector<KernelSpec> specs;
+    for (const CatalogueRow &row : kCatalogue)
+        if (row.suite == suite)
+            specs.push_back(row.paper());
+    return specs;
 }
 
 KernelSpec
 workloadByName(const std::string &name)
 {
-    for (KernelSpec &k : allWorkloads()) {
-        if (k.name == name)
-            return k;
-    }
-    OG_FATAL("unknown workload '", name, "'");
+    return catalogueRow(name).paper();
 }
 
 KernelSpec
 smallWorkloadByName(const std::string &name)
 {
-    if (name == "fir")
-        return makeFir(128, 16);
-    if (name == "mm")
-        return makeMm(8);
-    if (name == "cholesky")
-        return makeCholesky(16);
-    if (name == "solver")
-        return makeSolver(16);
-    if (name == "fft")
-        return makeFft(7);
-    if (name == "stencil-3d")
-        return makeStencil3d(8, 2);
-    if (name == "crs")
-        return makeCrs(32, 4);
-    if (name == "gemm")
-        return makeGemm(8);
-    if (name == "stencil-2d")
-        return makeStencil2d(8, 2);
-    if (name == "ellpack")
-        return makeEllpack(32, 4);
-    if (name == "channel-ext")
-        return makeChannelExtract(16);
-    if (name == "bgr2grey")
-        return makeBgr2Grey(16);
-    if (name == "blur")
-        return makeBlur(16);
-    if (name == "accumulate")
-        return makeAccumulate(16);
-    if (name == "acc-sqr")
-        return makeAccSqr(16);
-    if (name == "vecmax")
-        return makeVecMax(16);
-    if (name == "acc-weight")
-        return makeAccWeight(16);
-    if (name == "convert-bit")
-        return makeConvertBit(16);
-    if (name == "derivative")
-        return makeDerivative(18);
-    OG_FATAL("unknown workload '", name, "'");
+    return catalogueRow(name).small();
 }
 
 KernelSpec

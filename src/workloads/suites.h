@@ -5,9 +5,10 @@
  * @file
  * The 19 evaluation workloads (paper Table II): 5 DSP kernels (REVEL),
  * 5 MachSuite kernels, and 9 Vitis Vision kernels, encoded as
- * KernelSpecs at the paper's data sizes. Each builder takes a scale
- * parameter so functional tests can run shrunken instances; the default
- * is the paper size.
+ * KernelSpecs at the paper's data sizes. Each builder defaults to the
+ * paper size. One catalogue table in suites.cc holds all 19 (name,
+ * suite, paper-size and test-size makers): the listings iterate it,
+ * and a by-name lookup builds only the named kernel.
  */
 
 #include <vector>
@@ -62,10 +63,10 @@ std::vector<KernelSpec> suiteWorkloads(Suite suite);
 KernelSpec workloadByName(const std::string &name);
 
 /**
- * @return workload by name at a shrunken test size (the golden-test
- * small-workload table: every kernel finishes in milliseconds); fatal
- * when unknown. The serve wire protocol's `smallSize` jobs resolve
- * through this, so multi-process tests stay fast.
+ * @return workload by name at the catalogue's test size (every kernel
+ * finishes in milliseconds); fatal when unknown. The serve wire's
+ * `smallSize` jobs resolve through this, so multi-process tests stay
+ * fast.
  */
 KernelSpec smallWorkloadByName(const std::string &name);
 

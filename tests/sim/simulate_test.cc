@@ -47,51 +47,6 @@ testDesign(int tiles = 1)
     return design;
 }
 
-/** Small-instance builders so tests run fast. */
-wl::KernelSpec
-smallWorkload(const std::string &name)
-{
-    if (name == "cholesky")
-        return wl::makeCholesky(16);
-    if (name == "fft")
-        return wl::makeFft(7);
-    if (name == "fir")
-        return wl::makeFir(128, 16);
-    if (name == "solver")
-        return wl::makeSolver(16);
-    if (name == "mm")
-        return wl::makeMm(8);
-    if (name == "stencil-3d")
-        return wl::makeStencil3d(8, 2);
-    if (name == "crs")
-        return wl::makeCrs(32, 4);
-    if (name == "gemm")
-        return wl::makeGemm(8);
-    if (name == "stencil-2d")
-        return wl::makeStencil2d(8, 2);
-    if (name == "ellpack")
-        return wl::makeEllpack(32, 4);
-    if (name == "channel-ext")
-        return wl::makeChannelExtract(16);
-    if (name == "bgr2grey")
-        return wl::makeBgr2Grey(16);
-    if (name == "blur")
-        return wl::makeBlur(16);
-    if (name == "accumulate")
-        return wl::makeAccumulate(16);
-    if (name == "acc-sqr")
-        return wl::makeAccSqr(16);
-    if (name == "vecmax")
-        return wl::makeVecMax(16);
-    if (name == "acc-weight")
-        return wl::makeAccWeight(16);
-    if (name == "convert-bit")
-        return wl::makeConvertBit(16);
-    if (name == "derivative")
-        return wl::makeDerivative(18);
-    OG_FATAL("unknown small workload ", name);
-}
-
 /** Compile + schedule + simulate; verify against the interpreter. */
 SimResult
 runAndVerify(const wl::KernelSpec &spec, int tiles,
@@ -129,12 +84,12 @@ class SimFunctional : public ::testing::TestWithParam<std::string>
 
 TEST_P(SimFunctional, SingleTileMatchesInterpreter)
 {
-    runAndVerify(smallWorkload(GetParam()), 1);
+    runAndVerify(wl::smallWorkloadByName(GetParam()), 1);
 }
 
 TEST_P(SimFunctional, IterationCountMatchesSpec)
 {
-    wl::KernelSpec spec = smallWorkload(GetParam());
+    wl::KernelSpec spec = wl::smallWorkloadByName(GetParam());
     SimResult result = runAndVerify(spec, 1);
     // Count exact iterations via the interpreter-equivalent walker.
     IterationWalker walker(spec, 1, 0, spec.loops[0].tripBase);
@@ -171,7 +126,7 @@ class SimMultiTile : public ::testing::TestWithParam<std::string>
 
 TEST_P(SimMultiTile, FourTilesMatchInterpreter)
 {
-    runAndVerify(smallWorkload(GetParam()), 4);
+    runAndVerify(wl::smallWorkloadByName(GetParam()), 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(

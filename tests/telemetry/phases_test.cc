@@ -329,50 +329,6 @@ testDesign(int tiles)
     return design;
 }
 
-wl::KernelSpec
-smallWorkload(const std::string &name)
-{
-    if (name == "cholesky")
-        return wl::makeCholesky(16);
-    if (name == "fft")
-        return wl::makeFft(7);
-    if (name == "fir")
-        return wl::makeFir(128, 16);
-    if (name == "solver")
-        return wl::makeSolver(16);
-    if (name == "mm")
-        return wl::makeMm(8);
-    if (name == "stencil-3d")
-        return wl::makeStencil3d(8, 2);
-    if (name == "crs")
-        return wl::makeCrs(32, 4);
-    if (name == "gemm")
-        return wl::makeGemm(8);
-    if (name == "stencil-2d")
-        return wl::makeStencil2d(8, 2);
-    if (name == "ellpack")
-        return wl::makeEllpack(32, 4);
-    if (name == "channel-ext")
-        return wl::makeChannelExtract(16);
-    if (name == "bgr2grey")
-        return wl::makeBgr2Grey(16);
-    if (name == "blur")
-        return wl::makeBlur(16);
-    if (name == "accumulate")
-        return wl::makeAccumulate(16);
-    if (name == "acc-sqr")
-        return wl::makeAccSqr(16);
-    if (name == "vecmax")
-        return wl::makeVecMax(16);
-    if (name == "acc-weight")
-        return wl::makeAccWeight(16);
-    if (name == "convert-bit")
-        return wl::makeConvertBit(16);
-    if (name == "derivative")
-        return wl::makeDerivative(18);
-    OG_FATAL("unknown small workload ", name);
-}
-
 const char *const kAllWorkloads[] = {
     "cholesky",   "fft",      "fir",        "solver",
     "mm",         "stencil-3d", "crs",      "gemm",
@@ -393,7 +349,7 @@ Compiled
 compileFor(const std::string &name, int tiles)
 {
     Compiled c;
-    c.spec = smallWorkload(name);
+    c.spec = wl::smallWorkloadByName(name);
     c.design = testDesign(tiles);
     auto variants = compiler::compileVariants(c.spec);
     sched::SpatialScheduler scheduler(c.design.adg);

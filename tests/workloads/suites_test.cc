@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 
+#include "workloads/interpreter.h"
 #include "workloads/suites.h"
 
 namespace overgen::wl {
@@ -175,9 +177,54 @@ TEST(Suites, MaxUnrollIsPowerOfTwo)
     }
 }
 
+/** Interpret @p spec on its seeded inputs; @return every array's
+ * final values as bit patterns, in declaration order. */
+std::vector<std::vector<uint64_t>>
+outputBits(const KernelSpec &spec)
+{
+    Memory mem;
+    mem.init(spec);
+    interpret(spec, mem);
+    std::vector<std::vector<uint64_t>> bits;
+    for (const ArraySpec &a : spec.arrays) {
+        bits.emplace_back();
+        for (double v : mem.array(a.name))
+            bits.back().push_back(std::bit_cast<uint64_t>(v));
+    }
+    return bits;
+}
+
+TEST(Suites, ByNameEqualsCatalogueEntry)
+{
+    // A by-name lookup builds one kernel; it must be exactly the
+    // kernel the full listing builds under that name.
+    for (const KernelSpec &listed : allWorkloads()) {
+        KernelSpec named = workloadByName(listed.name);
+        EXPECT_EQ(named.name, listed.name);
+        EXPECT_EQ(named.suite, listed.suite) << listed.name;
+        EXPECT_EQ(named.loops.size(), listed.loops.size())
+            << listed.name;
+        EXPECT_EQ(named.arrays.size(), listed.arrays.size())
+            << listed.name;
+        EXPECT_EQ(named.accesses.size(), listed.accesses.size())
+            << listed.name;
+        EXPECT_EQ(named.ops.size(), listed.ops.size()) << listed.name;
+        EXPECT_EQ(outputBits(named), outputBits(listed)) << listed.name;
+
+        KernelSpec small = smallWorkloadByName(listed.name);
+        EXPECT_EQ(small.name, listed.name);
+        EXPECT_EQ(small.suite, listed.suite) << listed.name;
+    }
+}
+
 TEST(SuitesDeathTest, UnknownWorkloadFatal)
 {
     EXPECT_DEATH(workloadByName("nonesuch"), "unknown workload");
+}
+
+TEST(SuitesDeathTest, UnknownSmallWorkloadFatal)
+{
+    EXPECT_DEATH(smallWorkloadByName("nonesuch"), "unknown workload");
 }
 
 } // namespace
