@@ -23,7 +23,6 @@
 #include "dse/explorer.h"
 #include "hls/autodse.h"
 #include "sched/scheduler.h"
-#include "serve/wire.h"
 #include "sim/batch.h"
 #include "sim/simulate.h"
 #include "telemetry/bridge.h"
@@ -87,7 +86,7 @@ struct CommonFlags
  *
  * Unknown arguments are fatal unless @p allowExtra, in which case
  * they collect in `extra` for the harness to consume (report_cycles'
- * `--suite=`, the serve drivers' `--workers=`/`--shard-size=`/...);
+ * `--suite=`, serve_requests' `--requests=`);
  * call rejectExtraFlags() on the leftovers so typos stay fatal.
  *
  * Repeating a flag is fatal: the second occurrence would silently
@@ -388,8 +387,7 @@ struct PreparedSim
     sched::Schedule schedule;
     /** Per-entry SimConfig overrides (0 / -1 = harness default):
      * tighten one row's memory system without touching its batch
-     * siblings. Only the watchdog tests set them (serve workers carry
-     * their own overrides in serve::JobSpec). */
+     * siblings. Only the watchdog tests set them. */
     int dramLatency = 0;
     int64_t deadlockCycles = -1;
 };
@@ -492,21 +490,6 @@ runPreparedBatch(const std::vector<PreparedSim> &prepared,
         }
     }
     return rows;
-}
-
-/** Build the serve-layer job set: every @p specs kernel on one shared
- * @p design (interned once in the set's design table, referenced by
- * id from every job). */
-inline serve::JobSet
-makeJobSet(const std::vector<wl::KernelSpec> &specs,
-           const adg::SysAdg &design, bool apply_tuning = false,
-           bool small_size = false)
-{
-    serve::JobSet set;
-    int designId = set.addDesign(design);
-    for (const auto &spec : specs)
-        set.addJob(spec.name, designId, apply_tuning, small_size);
-    return set;
 }
 
 /** Geometric mean helper over positive values. */

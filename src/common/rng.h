@@ -6,8 +6,9 @@
  * Deterministic pseudo-random number generator (xoshiro256**) used by the
  * DSE, the spatial scheduler, and synthetic data generation. All
  * randomized components take an explicit Rng so experiments are exactly
- * reproducible from a seed. Also the two fixed hashes that seeds and
- * fingerprints derive from: the splitmix64 finalizer and FNV-1a.
+ * reproducible from a seed. Also the fixed hashes that seeds and
+ * fingerprints derive from: the splitmix64 finalizer and stream, and
+ * FNV-1a over bytes or over 64-bit words.
  */
 
 #include <cmath>
@@ -28,15 +29,37 @@ mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** One splitmix64 step: advance @p state and return its next word. */
+inline uint64_t
+splitmix64(uint64_t &state)
+{
+    uint64_t z = mix64(state);
+    state += 0x9e3779b97f4a7c15ull;
+    return z;
+}
+
+/** Offset basis: the initial state of fnv1a and fnvWord. It is one
+ * digit short of the standard FNV-1a basis (14695981039346656037), so
+ * these hashes differ from published FNV-1a vectors; pinned design
+ * fingerprints and library bytes depend on this value. */
+inline constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+/** One word-wise FNV-1a step: fold @p word into @p h (state fingerprints
+ * hash whole counters rather than their bytes). */
+inline void
+fnvWord(uint64_t &h, uint64_t word)
+{
+    h ^= word;
+    h *= 1099511628211ull;
+}
+
 /** 64-bit FNV-1a of @p s. */
 inline uint64_t
 fnv1a(std::string_view s)
 {
-    uint64_t h = 1469598103934665603ull;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
+    uint64_t h = kFnvOffset;
+    for (char c : s)
+        fnvWord(h, static_cast<unsigned char>(c));
     return h;
 }
 
@@ -130,14 +153,6 @@ class Rng
     rotl(uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
-    }
-
-    static uint64_t
-    splitmix64(uint64_t &x)
-    {
-        uint64_t z = mix64(x);
-        x += 0x9e3779b97f4a7c15ull;
-        return z;
     }
 
     uint64_t state[4];

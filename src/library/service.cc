@@ -104,21 +104,15 @@ makeLibraryHandler(MatchOptions options)
             row.ok = true;
             return row;
         }
-        if (job.kind == serve::JobKind::Warm) {
-            LibraryEntry entry =
-                warmOverlay(job.workload, job.smallSize,
-                            job.applyTuning, job.warmSeed,
-                            job.warmIterations, mopts);
-            if (const KernelRecord *record =
-                    entry.findRecord(job.workload)) {
-                row.ipc = record->ipc;
-                row.variant = record->variant;
-            }
-            row.payload = entry.toJson();
-            row.ok = true;
-            return row;
+        LibraryEntry entry =
+            warmOverlay(job.workload, job.smallSize, job.applyTuning,
+                        job.warmSeed, job.warmIterations, mopts);
+        if (const KernelRecord *record = entry.findRecord(job.workload)) {
+            row.ipc = record->ipc;
+            row.variant = record->variant;
         }
-        row.diagnostic = "library handler: unsupported job kind";
+        row.payload = entry.toJson();
+        row.ok = true;
         return row;
     };
 }
@@ -130,7 +124,7 @@ LibraryService::LibraryService(ServiceOptions opts, OverlayLibrary l)
 }
 
 std::vector<serve::ResultRow>
-LibraryService::runJobs(const serve::JobSet &set)
+LibraryService::executeJobs(const serve::JobSet &set)
 {
     std::vector<serve::ResultRow> rows(set.jobs.size());
     if (set.jobs.empty())
@@ -202,7 +196,7 @@ LibraryService::scoreMissing(const std::vector<std::string> &workloads)
         set.addMatchJob(workload, std::move(missing),
                         options.match.applyTuning, options.smallSize);
     }
-    std::vector<serve::ResultRow> rows = runJobs(set);
+    std::vector<serve::ResultRow> rows = executeJobs(set);
     for (size_t j = 0; j < rows.size(); ++j) {
         for (const serve::WireScore &score : rows[j].scores) {
             KernelRecord record;
@@ -226,7 +220,7 @@ LibraryService::warm(const std::vector<std::string> &misses)
         set.addWarmJob(workload, warmSeedFor(workload),
                        options.warmIterations, options.match.applyTuning,
                        options.smallSize);
-    std::vector<serve::ResultRow> rows = runJobs(set);
+    std::vector<serve::ResultRow> rows = executeJobs(set);
     // Insert in job order (first-miss order), never completion order.
     for (size_t j = 0; j < rows.size(); ++j) {
         std::string error;

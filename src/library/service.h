@@ -102,7 +102,7 @@ LibraryEntry warmOverlay(const std::string &workload, bool smallSize,
  * The serve-layer executor for library jobs: scores Match jobs
  * against the shard's design table and runs warmOverlay for Warm
  * jobs (payload = the entry's JSON). Install on
- * CoordinatorOptions::handler / WorkerOptions::handler.
+ * CoordinatorOptions::handler.
  */
 serve::JobHandler makeLibraryHandler(MatchOptions options = {});
 
@@ -139,7 +139,7 @@ class LibraryService
   private:
     /** Run @p set (server or inline, see the file comment); @return
      * one ok row per job, index-ordered. */
-    std::vector<serve::ResultRow> runJobs(const serve::JobSet &set);
+    std::vector<serve::ResultRow> executeJobs(const serve::JobSet &set);
     /** Record every entry's score for each of @p workloads that has
      * no record yet. */
     void scoreMissing(const std::vector<std::string> &workloads);

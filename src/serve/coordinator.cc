@@ -82,7 +82,12 @@ struct ShardTrack
 class WorkerPool::Impl
 {
   public:
-    explicit Impl(CoordinatorOptions opts) : options(std::move(opts)) {}
+    explicit Impl(CoordinatorOptions opts) : options(std::move(opts))
+    {
+        OG_ASSERT(options.handler, "a WorkerPool needs a JobHandler "
+                  "(CoordinatorOptions::handler): it is the workers' "
+                  "only job executor");
+    }
     ~Impl() { shutdown(); }
     Impl(const Impl &) = delete;
     Impl &operator=(const Impl &) = delete;
@@ -237,9 +242,7 @@ class WorkerPool::Impl
                 if (other.fromFd >= 0)
                     ::close(other.fromFd);
             }
-            WorkerOptions wopts;
-            wopts.handler = options.handler;
-            ::_exit(workerLoop(toChild[0], fromChild[1], wopts));
+            ::_exit(workerLoop(toChild[0], fromChild[1], options.handler));
         }
         ::close(toChild[0]);
         ::close(fromChild[1]);

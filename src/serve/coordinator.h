@@ -3,10 +3,12 @@
 
 /**
  * @file
- * The coordinator side of the overlay-generation job server: shard a
- * JobSet across a pool of forked worker processes, stream result rows
- * back over pipes, and survive worker crashes (see DESIGN.md "Serving
- * layer" for the retry state machine).
+ * The coordinator side of the job server: shard a JobSet across a
+ * pool of forked worker processes that each run the installed
+ * JobHandler, stream result rows back over pipes, and survive worker
+ * crashes (see DESIGN.md "Serving layer" for the retry state
+ * machine). The overlay library's LibraryService is its one
+ * production client (library/service.h).
  *
  * Robustness: each shard has at most one attempt in flight.
  *  - worker crash (pipe EOF / SIGCHLD reap): the in-flight shard is
@@ -22,9 +24,9 @@
  * Row banking: workers stream rows as they finish (never only at
  * shard end), so the coordinator banks partial progress and a
  * re-dispatch carries only the jobs still missing rows. The job a
- * crashed worker was running reruns from cycle 0 on the replacement;
- * rows are a pure function of the job, so the merged output is
- * unchanged.
+ * crashed worker was running reruns from its start on the
+ * replacement; rows are a pure function of the job, so the merged
+ * output is unchanged.
  *
  * Determinism: rows are stored by job index and serialized in index
  * order; row content is a pure function of the job descriptor, so
@@ -52,9 +54,9 @@
  *
  * Threading: the coordinator is strictly single-threaded (one poll()
  * loop), which keeps fork() safe — no locks can be held at fork time.
- * Run it before creating harness thread pools, or after they are
- * destroyed: every fork asserts that no ThreadPool owning worker
- * threads is alive (liveThreadPools() == 0).
+ * Run it before creating thread pools, or after they are destroyed:
+ * every fork asserts that no ThreadPool owning worker threads is
+ * alive (liveThreadPools() == 0).
  */
 
 #include <functional>
@@ -89,10 +91,10 @@ struct CoordinatorOptions
     int shutdownGraceMs = 2000;
     /** Telemetry sink: serve/... counters land in its registry. */
     telemetry::Sink *sink = nullptr;
-    /** Executor for Match/Warm jobs, inherited by every forked worker
-     * (see serve::JobHandler). Fork preserves the closure, so install
-     * it before the pool's first run; it must be fork-safe (no locks
-     * held, no thread pools captured). */
+    /** The workers' job executor, inherited by every forked worker
+     * (see serve::JobHandler). Required: a WorkerPool constructed
+     * without one is a fatal error. Fork preserves the closure; it
+     * must be fork-safe (no locks held, no thread pools captured). */
     JobHandler handler;
     /**
      * Test/observability hook: called for every valid record a
@@ -145,7 +147,8 @@ struct ServeOutcome
 class WorkerPool
 {
   public:
-    explicit WorkerPool(CoordinatorOptions options = {});
+    /** @p options must carry a handler (fatal otherwise). */
+    explicit WorkerPool(CoordinatorOptions options);
     ~WorkerPool();
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
@@ -171,7 +174,7 @@ class WorkerPool
  * pool down. Returns once every worker is reaped.
  */
 ServeOutcome serveJobs(const JobSet &set,
-                       const CoordinatorOptions &options = {});
+                       const CoordinatorOptions &options);
 
 } // namespace overgen::serve
 

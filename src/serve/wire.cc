@@ -36,23 +36,6 @@ JobSet::addDesignText(std::string text)
 }
 
 uint64_t
-JobSet::addJob(const std::string &workload, int designId,
-               bool applyTuning, bool smallSize)
-{
-    OG_ASSERT(designId >= 0 &&
-                  designId < static_cast<int>(designs.size()),
-              "job references unknown design id ", designId);
-    JobSpec job;
-    job.index = jobs.size();
-    job.workload = workload;
-    job.designId = designId;
-    job.applyTuning = applyTuning;
-    job.smallSize = smallSize;
-    jobs.push_back(std::move(job));
-    return jobs.back().index;
-}
-
-uint64_t
 JobSet::addMatchJob(const std::string &workload,
                     std::vector<int> designIds, bool applyTuning,
                     bool smallSize)
@@ -93,20 +76,12 @@ jobToJson(const JobSpec &job)
 {
     Json obj = Json::makeObject();
     obj.set("index", Json(job.index));
+    obj.set("kind", Json(job.kind == JobKind::Match ? "match" : "warm"));
     obj.set("workload", Json(job.workload));
-    obj.set("design", Json(job.designId));
     if (job.smallSize)
         obj.set("small", Json(true));
     if (job.applyTuning)
         obj.set("tuning", Json(true));
-    if (job.dramLatency > 0)
-        obj.set("dram_latency", Json(job.dramLatency));
-    if (job.deadlockCycles >= 0)
-        obj.set("deadlock_cycles", Json(job.deadlockCycles));
-    if (job.kind == JobKind::Match)
-        obj.set("kind", Json("match"));
-    else if (job.kind == JobKind::Warm)
-        obj.set("kind", Json("warm"));
     if (!job.matchDesigns.empty()) {
         Json ids = Json::makeArray();
         for (int id : job.matchDesigns)
@@ -130,13 +105,21 @@ jobFromJson(const Json &json, std::string *error)
     }
     JobSpec job;
     int64_t index = 0;
-    int64_t design = 0;
+    std::string kind;
     if (!getInteger(json, "index", 0, kMaxWireInt, index, error) ||
-        !getString(json, "workload", job.workload, error) ||
-        !getInteger(json, "design", 0, INT32_MAX, design, error))
+        !getString(json, "kind", kind, error) ||
+        !getString(json, "workload", job.workload, error))
         return std::nullopt;
     job.index = static_cast<uint64_t>(index);
-    job.designId = static_cast<int>(design);
+    if (kind == "match") {
+        job.kind = JobKind::Match;
+    } else if (kind == "warm") {
+        job.kind = JobKind::Warm;
+    } else {
+        if (error != nullptr)
+            *error = "unknown job kind '" + kind + "'";
+        return std::nullopt;
+    }
     if (json.contains("small") &&
         !getBool(json, "small", job.smallSize, error))
         return std::nullopt;
@@ -144,30 +127,6 @@ jobFromJson(const Json &json, std::string *error)
         !getBool(json, "tuning", job.applyTuning, error))
         return std::nullopt;
     int64_t value = 0;
-    if (json.contains("dram_latency")) {
-        if (!getInteger(json, "dram_latency", 0, INT32_MAX, value,
-                        error))
-            return std::nullopt;
-        job.dramLatency = static_cast<int>(value);
-    }
-    if (json.contains("deadlock_cycles") &&
-        !getInteger(json, "deadlock_cycles", 0, kMaxWireInt,
-                    job.deadlockCycles, error))
-        return std::nullopt;
-    if (json.contains("kind")) {
-        std::string kind;
-        if (!getString(json, "kind", kind, error))
-            return std::nullopt;
-        if (kind == "match") {
-            job.kind = JobKind::Match;
-        } else if (kind == "warm") {
-            job.kind = JobKind::Warm;
-        } else {
-            if (error != nullptr)
-                *error = "unknown job kind '" + kind + "'";
-            return std::nullopt;
-        }
-    }
     if (json.contains("match_designs")) {
         const Json::Array *ids = nullptr;
         if (!getArray(json, "match_designs", ids, error))
@@ -237,11 +196,9 @@ resultToJson(const ResultRow &row)
 {
     Json obj = Json::makeObject();
     obj.set("ok", Json(row.ok));
-    obj.set("deadlocked", Json(row.deadlocked));
     if (!row.diagnostic.empty())
         obj.set("diagnostic", Json(row.diagnostic));
     obj.set("variant", Json(row.variant));
-    obj.set("cycles", Json(row.cycles));
     obj.set("ipc", Json(row.ipc));
     if (!row.scores.empty()) {
         Json scores = Json::makeArray();
@@ -263,14 +220,10 @@ resultFromJson(const Json &json, std::string *error)
         return std::nullopt;
     }
     ResultRow row;
-    int64_t cycles = 0;
     if (!getBool(json, "ok", row.ok, error) ||
-        !getBool(json, "deadlocked", row.deadlocked, error) ||
         !getString(json, "variant", row.variant, error) ||
-        !getInteger(json, "cycles", 0, kMaxWireInt, cycles, error) ||
         !getNumber(json, "ipc", row.ipc, error))
         return std::nullopt;
-    row.cycles = static_cast<uint64_t>(cycles);
     if (json.contains("diagnostic") &&
         !getString(json, "diagnostic", row.diagnostic, error))
         return std::nullopt;
@@ -295,7 +248,7 @@ mergedLine(const JobSpec &job, const ResultRow &row)
 {
     // Object keys serialize map-sorted, and doubles print as %.17g
     // (exact round-trip through parse), so this line is a pure
-    // function of the job and the deterministic simulation.
+    // function of the job and its deterministic row.
     Json obj = resultToJson(row);
     obj.set("index", Json(job.index));
     obj.set("workload", Json(job.workload));

@@ -3,7 +3,8 @@
 
 /**
  * @file
- * Wire protocol of the overlay-generation job server: newline-
+ * Wire protocol of the job server that runs the overlay library's
+ * Match and Warm jobs (src/library/) on forked workers: newline-
  * delimited JSON records exchanged between the coordinator and its
  * worker processes over pipes (see DESIGN.md "Serving layer").
  *
@@ -29,15 +30,16 @@
  *
  * A shard record's "jobs" array holds only the jobs that still need
  * rows — a re-dispatch after a crash carries just the unfinished
- * remainder, and an interrupted job reruns from cycle 0. No simulator
- * state crosses the pipe.
+ * remainder, and an interrupted job reruns from its start. No
+ * partial job state crosses the pipe.
  *
  * Determinism contract: a job's result row is a pure function of the
- * job descriptor (the simulator is single-threaded-deterministic), and
- * rows carry no wall-clock, pid, or worker-identity fields — so the
- * merged, index-ordered output is byte-identical for any worker count
- * and shard size. Progress counts live only in heartbeat records and
- * the final summary, which are not part of the merged stream.
+ * job descriptor and the design table (the installed JobHandler must
+ * be), and rows carry no wall-clock, pid, or worker-identity fields —
+ * so the merged, index-ordered output is byte-identical for any
+ * worker count and shard size. Progress counts live only in heartbeat
+ * records and the final summary, which are not part of the merged
+ * stream.
  */
 
 #include <cstdint>
@@ -54,54 +56,40 @@
 namespace overgen::serve {
 
 /**
- * What a job asks the worker to do. Generate is the original serve
- * contract (compile + schedule + simulate one workload on one
- * design). Match and Warm are the overlay-library job types
- * (src/library/): the serve layer carries them generically and hands
+ * What a job asks the worker to do: the overlay-library job types
+ * (src/library/). The serve layer carries them generically and hands
  * them to the installed JobHandler — it never depends on the library.
  */
 enum class JobKind : uint8_t {
-    Generate,  //!< simulate job.workload on job.designId
-    Match,     //!< score job.workload against job.matchDesigns
-    Warm,      //!< bounded DSE for job.workload (seed/iterations below)
+    Match,  //!< score job.workload against job.matchDesigns
+    Warm,   //!< bounded DSE for job.workload (seed/iterations below)
 };
 
-/** One (design, workload) simulation job, the unit of retry and of
- * the merged output ordering. */
+/** One job, the unit of retry and of the merged output ordering. */
 struct JobSpec
 {
     /** Position of this job's row in the merged output. */
     uint64_t index = 0;
+    JobKind kind = JobKind::Match;
     /** Workload name (wl::workloadByName / smallWorkloadByName key). */
     std::string workload;
-    /** Run the shrunken test-size instance instead of the paper size. */
+    /** Use the shrunken test-size instance instead of the paper size. */
     bool smallSize = false;
-    /** Index into the JobSet design table. */
-    int designId = 0;
-    /** Compile with OverGen's source tuning (fig13/17 convention). */
+    /** Compile with OverGen's source tuning. */
     bool applyTuning = false;
-    /** @name SimConfig overrides (defaults keep the stock values) */
-    /// @{
-    int dramLatency = 0;          //!< 0 keeps SimConfig::dramLatency
-    int64_t deadlockCycles = -1;  //!< -1 keeps SimConfig::deadlockCycles
-    /// @}
-    /** @name Library job types (see JobKind; defaults = Generate) */
-    /// @{
-    JobKind kind = JobKind::Generate;
     /** Match: design-table ids to score the workload against. */
     std::vector<int> matchDesigns;
     /** Warm: DSE seed (hex on the wire — doubles cannot carry it). */
     uint64_t warmSeed = 0;
     /** Warm: DSE iteration budget. */
     int warmIterations = 0;
-    /// @}
 };
 
 /**
  * A batch of jobs plus the interned design table they reference.
  * Designs are held as serialized JSON text and deduplicated by it, so
- * the fig13/17/19 pattern — every job on one shared design —
- * serializes the design once, not once per job.
+ * a design that several Match jobs score against serializes once,
+ * not once per job.
  */
 struct JobSet
 {
@@ -114,11 +102,6 @@ struct JobSet
     /** Intern an already-serialized design (the overlay library
      * encodes each entry's design once and reuses the text). */
     int addDesignText(std::string text);
-
-    /** Append a job for @p workload on design @p designId; @return its
-     * merged-output index. */
-    uint64_t addJob(const std::string &workload, int designId,
-                    bool applyTuning = false, bool smallSize = false);
 
     /** Append a Match job scoring @p workload against every design in
      * @p designIds; @return its merged-output index. */
@@ -149,33 +132,30 @@ struct WireScore
     std::string bottleneck; //!< perf-model limiting level
 };
 
-/** One result row: the scalar sim::SimResult fields (`ok` is
- * `completed`) plus the first-fit variant name; per-component stats
- * stay in-process (see DESIGN.md "Serving layer"). */
+/** One result row (see DESIGN.md "Serving layer"). */
 struct ResultRow
 {
     bool ok = false;
-    bool deadlocked = false;
-    /** Watchdog diagnostic / abandonment reason (empty when ok). */
+    /** Handler failure / abandonment reason (empty when ok). */
     std::string diagnostic;
+    /** Warm rows: the first-fit variant of the kernel on its overlay. */
     std::string variant;
-    uint64_t cycles = 0;
+    /** Warm rows: the kernel's model IPC on its overlay. */
     double ipc = 0.0;
     /** Match rows: one score per matchDesigns entry, in order. */
     std::vector<WireScore> scores;
     /** Warm rows: the handler's result payload (a library entry);
-     * null otherwise. Omitted from the wire when null, so Generate
-     * rows serialize exactly as before. */
+     * null otherwise, and then omitted from the wire. */
     Json payload;
 };
 
 /**
- * Executor for non-Generate jobs, installed via WorkerOptions /
- * CoordinatorOptions. Runs inside the (forked) worker process with
- * the shard's decoded design table; must be a pure function of the
- * job + designs so a retry after a crash stays byte-identical. The
- * overlay library installs one that scores Match jobs and runs
- * bounded DSE for Warm jobs (library/service.h).
+ * The worker's job executor, installed via CoordinatorOptions. Runs
+ * inside the (forked) worker process with the shard's decoded design
+ * table; must be a pure function of the job + designs so a retry
+ * after a crash stays byte-identical. The overlay library installs
+ * one that scores Match jobs and runs bounded DSE for Warm jobs
+ * (library/service.h).
  */
 using JobHandler = std::function<ResultRow(
     const JobSpec &,
@@ -183,9 +163,9 @@ using JobHandler = std::function<ResultRow(
 
 /** @name Record codecs
  * The decoders take bytes from another process: a missing or
- * ill-typed field, an out-of-range integer or an unknown job kind
- * returns nullopt with a named error in @p error (when non-null),
- * never a fatal error. */
+ * ill-typed field, an out-of-range integer, or a missing or unknown
+ * job kind returns nullopt with a named error in @p error (when
+ * non-null), never a fatal error. */
 /// @{
 Json jobToJson(const JobSpec &job);
 std::optional<JobSpec> jobFromJson(const Json &json,

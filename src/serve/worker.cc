@@ -9,79 +9,11 @@
 
 #include "common/json_fields.h"
 #include "common/logging.h"
-#include "compiler/compile.h"
-#include "sched/scheduler.h"
-#include "sim/simulate.h"
-#include "workloads/suites.h"
 
 namespace overgen::serve {
 
-namespace {
-
-/** Route a Match/Warm job through the installed handler. */
-ResultRow
-dispatchHandled(const JobSpec &job,
-                const std::vector<std::shared_ptr<const adg::SysAdg>>
-                    &designs,
-                const WorkerOptions &options)
-{
-    if (!options.handler) {
-        ResultRow row;
-        row.diagnostic = "no JobHandler installed for non-generate "
-                         "job";
-        return row;
-    }
-    return options.handler(job, designs);
-}
-
-} // namespace
-
-ResultRow
-runJob(const JobSpec &job, const adg::SysAdg &design,
-       const WorkerOptions &options)
-{
-    if (job.kind != JobKind::Generate) {
-        // In-process reference path for library jobs: a one-design
-        // table, so matchDesigns ids must all be 0.
-        std::vector<std::shared_ptr<const adg::SysAdg>> designs;
-        designs.emplace_back(std::shared_ptr<const adg::SysAdg>(),
-                             &design);
-        return dispatchHandled(job, designs, options);
-    }
-    wl::KernelSpec spec = job.smallSize
-                              ? wl::smallWorkloadByName(job.workload)
-                              : wl::workloadByName(job.workload);
-    compiler::CompileOptions copts;
-    copts.applyTuning = job.applyTuning;
-    auto variants = compiler::compileVariants(spec, copts);
-    sched::SpatialScheduler scheduler(design.adg);
-    auto fit = scheduler.scheduleFirstFit(variants);
-    if (!fit)
-        return {};
-    const dfg::Mdfg &mdfg = variants[fit->second];
-
-    sim::SimConfig config;
-    if (job.dramLatency > 0)
-        config.dramLatency = job.dramLatency;
-    if (job.deadlockCycles >= 0)
-        config.deadlockCycles =
-            static_cast<uint64_t>(job.deadlockCycles);
-    wl::Memory memory;
-    memory.init(spec);
-    sim::SimResult result = sim::simulate(spec, mdfg, fit->first,
-                                          design, memory, config);
-    ResultRow row;
-    row.ok = result.completed;
-    row.deadlocked = result.deadlocked;
-    row.diagnostic = result.diagnostic;
-    row.cycles = result.cycles;
-    row.ipc = result.ipc;
-    row.variant = mdfg.name;
-    return row;
-}
-
 int
-workerLoop(int inFd, int outFd, const WorkerOptions &options)
+workerLoop(int inFd, int outFd, const JobHandler &handler)
 {
     // Every design the coordinator has shipped (append-only), and the
     // current run's view of it: designs[i] is the run's design id i.
@@ -153,10 +85,7 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
             std::optional<JobSpec> spec = jobFromJson(json, &error);
             if (!spec)
                 return reject(error);
-            std::vector<int> ids = spec->matchDesigns;
-            if (spec->kind == JobKind::Generate)
-                ids.push_back(spec->designId);
-            for (int id : ids)
+            for (int id : spec->matchDesigns)
                 if (id >= static_cast<int>(designs.size()))
                     return reject("job references unknown design " +
                                   std::to_string(id));
@@ -176,10 +105,7 @@ workerLoop(int inFd, int outFd, const WorkerOptions &options)
             hb.set("total", Json(static_cast<uint64_t>(specs.size())));
             if (!writeLine(outFd, hb.dump()))
                 return 1;
-            ResultRow row =
-                spec.kind == JobKind::Generate
-                    ? runJob(spec, *designs[spec.designId], options)
-                    : dispatchHandled(spec, designs, options);
+            ResultRow row = handler(spec, designs);
             Json out = Json::makeObject();
             out.set("t", Json("result"));
             out.set("job", Json(spec.index));

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "telemetry/timeline.h"
 
 namespace overgen::sim {
@@ -565,11 +566,8 @@ MemorySystem::quiescenceFingerprint() const
     // is deferred under fast-forward), mshrStallCycles and the cycle
     // ledger (both replayed in closed form by fastForward), and the
     // clock itself.
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
+    uint64_t h = kFnvOffset;
+    auto mix = [&h](uint64_t v) { fnvWord(h, v); };
     for (const auto &link : tileLink)
         mix(link.size());
     for (const Bank &bank : banks) {

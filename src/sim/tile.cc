@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/ring.h"
+#include "common/rng.h"
 #include "telemetry/sink.h"
 #include "telemetry/timeline.h"
 #include "workloads/program.h"
@@ -1237,11 +1238,8 @@ TileSim::Impl::fingerprint() const
     // Excluded on purpose (legal drift in a skipped range): engine
     // byte budgets, the issue toggle, fabric stall counts, and the
     // cycle ledger (accrued in closed form over skipped windows).
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
+    uint64_t h = kFnvOffset;
+    auto mix = [&h](uint64_t v) { fnvWord(h, v); };
     mix(stats.firings);
     mix(stats.iterations);
     mix(stats.spadBytes);

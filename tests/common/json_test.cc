@@ -274,12 +274,12 @@ std::vector<std::string>
 fuzzCorpus()
 {
     return {
-        R"({"cycles":123456789,"deadlocked":true,"diagnostic":"tile0: )"
-        R"(waiting on \"dram\"\n  rob full","index":42,"ipc":)"
-        R"(0.32169999999999999,"ok":false,"variant":"accumulate/unroll4",)"
-        R"("workload":"stencil-2d"})",
-        R"({"deadlock_cycles":500,"design":3,"dram_latency":2000,"index":)"
-        R"(42,"small":true,"tuning":true,"workload":"stencil-2d"})",
+        R"({"diagnostic":"tile0: waiting on \"dram\"\n  rob full",)"
+        R"("index":42,"ipc":0.32169999999999999,"ok":false,"scores":)"
+        R"([{"design":3,"feasible":true,"ipc":2.5,"score":1.625}],)"
+        R"("variant":"accumulate/unroll4","workload":"stencil-2d"})",
+        R"({"index":42,"kind":"match","match_designs":[3,7],"small":true,)"
+        R"("tuning":true,"workload":"stencil-2d"})",
         R"({"design":{"adg":{"edges":[{"delay":1,"dst":1,"src":0},)"
         R"({"delay":1,"dst":0,"src":1},{"delay":1,"dst":2,"src":1},)"
         R"({"delay":1,"dst":8,"src":3},{"delay":1,"dst":9,"src":0}],)"

@@ -130,5 +130,23 @@ TEST(RngDeathTest, NextBelowZeroPanics)
     EXPECT_DEATH(rng.nextBelow(0), "nextBelow");
 }
 
+TEST(Hashes, Splitmix64MatchesTheReferenceStream)
+{
+    // The published splitmix64 outputs from state 0.
+    uint64_t state = 0;
+    EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafull);
+    EXPECT_EQ(splitmix64(state), 0x6e789e6aa1b965f4ull);
+    EXPECT_EQ(splitmix64(state), 0x06c45d188009454full);
+}
+
+TEST(Hashes, FnvWordIsTheStepOfFnv1a)
+{
+    uint64_t h = kFnvOffset;
+    fnvWord(h, 'a');
+    fnvWord(h, 'b');
+    EXPECT_EQ(h, fnv1a("ab"));
+    EXPECT_EQ(fnv1a(""), kFnvOffset);
+}
+
 } // namespace
 } // namespace overgen

@@ -3,7 +3,10 @@
  * Coordinator contract tests: byte-identical merged output across
  * worker counts and shard sizes, full completion under worker
  * crashes and malformed worker records with exact retry accounting,
- * and the WorkerPool lifecycle across runs.
+ * and the WorkerPool lifecycle across runs. The workers run a small
+ * deterministic Match handler (tileCountRow): these tests check the
+ * shard, crash, respawn, banking and merge mechanics, not what a job
+ * computes.
  */
 
 #include "serve/coordinator.h"
@@ -23,7 +26,6 @@
 
 #include "adg/builders.h"
 #include "common/parallel.h"
-#include "serve/worker.h"
 
 using namespace overgen;
 using namespace overgen::serve;
@@ -40,43 +42,6 @@ testDesign()
     design.sys.l2CapacityKiB = 512;
     design.sys.nocBytes = 32;
     return design;
-}
-
-/** Eight shrunken jobs on one interned design. With @p slowFirst,
- * job 0 is a full-size gemm (~200 ms of simulation): the fault-
- * injection tests freeze or kill the worker holding it, and the slow
- * job keeps the injection race-free — the coordinator reacts to the
- * heartbeat long before the shard could finish. */
-JobSet
-testJobs(bool slowFirst = false)
-{
-    JobSet set;
-    int id = set.addDesign(testDesign());
-    if (slowFirst)
-        set.addJob("gemm", id, /*applyTuning=*/true,
-                   /*smallSize=*/false);
-    for (const char *name :
-         { "fir", "mm", "accumulate", "vecmax", "blur", "bgr2grey",
-           "convert-bit", "acc-sqr" }) {
-        if (slowFirst && set.jobs.size() == 8)
-            break;  // keep the set at eight jobs (two 4-job shards)
-        set.addJob(name, id, /*applyTuning=*/true, /*smallSize=*/true);
-    }
-    return set;
-}
-
-/** The in-process ground truth the server must reproduce (Match jobs
- * go through @p handler). */
-std::string
-referenceJsonl(const JobSet &set, const JobHandler &handler = {})
-{
-    adg::SysAdg design = testDesign();
-    WorkerOptions options;
-    options.handler = handler;
-    std::vector<ResultRow> rows;
-    for (const JobSpec &job : set.jobs)
-        rows.push_back(runJob(job, design, options));
-    return mergedJsonl(set, rows);
 }
 
 /** A Match-job handler whose rows are a pure function of the job and
@@ -98,9 +63,48 @@ tileCountRow(const JobSpec &job,
     return row;
 }
 
-/** Four Match jobs on the test design: their rows need no
- * simulation, so a fault injected at one job is the run's only slow
- * part. */
+/** Pool options whose workers run tileCountRow. */
+CoordinatorOptions
+testOptions(int workers, size_t shardSize)
+{
+    CoordinatorOptions options;
+    options.workers = workers;
+    options.shardSize = shardSize;
+    options.handler = tileCountRow;
+    return options;
+}
+
+/** Eight Match jobs on one interned design. */
+JobSet
+testJobs()
+{
+    JobSet set;
+    int id = set.addDesign(testDesign());
+    for (const char *name :
+         { "fir", "mm", "accumulate", "vecmax", "blur", "bgr2grey",
+           "convert-bit", "acc-sqr" })
+        set.addMatchJob(name, { id }, /*applyTuning=*/true,
+                        /*smallSize=*/true);
+    return set;
+}
+
+/** The in-process ground truth the server must reproduce: a loop of
+ * tileCountRow calls over the set's decoded design table. */
+std::string
+referenceJsonl(const JobSet &set)
+{
+    std::vector<std::shared_ptr<const adg::SysAdg>> designs;
+    for (const std::string &text : set.designs)
+        designs.push_back(std::make_shared<const adg::SysAdg>(
+            adg::SysAdg::fromJson(Json::parse(text))));
+    std::vector<ResultRow> rows;
+    for (const JobSpec &job : set.jobs)
+        rows.push_back(tileCountRow(job, designs));
+    return mergedJsonl(set, rows);
+}
+
+/** Four Match jobs on the test design (the fault-injection tests run
+ * them one per shard). */
 JobSet
 matchJobs()
 {
@@ -173,10 +177,8 @@ TEST(Coordinator, MergedOutputIsByteIdenticalAcrossConfigs)
     // Covers 1/2/4 workers and shard sizes 1, 4, and "everything".
     for (Config config : { Config{ 1, 0 }, Config{ 2, 1 },
                            Config{ 4, 4 }, Config{ 4, 1 } }) {
-        CoordinatorOptions options;
-        options.workers = config.workers;
-        options.shardSize = config.shardSize;
-        ServeOutcome outcome = serveJobs(set, options);
+        ServeOutcome outcome =
+            serveJobs(set, testOptions(config.workers, config.shardSize));
         EXPECT_TRUE(outcome.summary.ok)
             << config.workers << " workers, shard size "
             << config.shardSize;
@@ -191,7 +193,7 @@ TEST(Coordinator, MergedOutputIsByteIdenticalAcrossConfigs)
 TEST(Coordinator, EmptyJobSetCompletesImmediately)
 {
     JobSet set;
-    ServeOutcome outcome = serveJobs(set);
+    ServeOutcome outcome = serveJobs(set, testOptions(2, 1));
     EXPECT_TRUE(outcome.summary.ok);
     EXPECT_TRUE(outcome.rows.empty());
     EXPECT_EQ(outcome.summary.workersSpawned, 0u);
@@ -199,16 +201,32 @@ TEST(Coordinator, EmptyJobSetCompletesImmediately)
 
 TEST(Coordinator, SigkilledWorkerIsRespawnedAndItsShardRetried)
 {
-    JobSet set = testJobs(/*slowFirst=*/true);
+    JobSet set = testJobs();
     std::string reference = referenceJsonl(set);
 
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 4;  // 8 jobs -> 2 shards, one per worker
+    // Shared across fork: the pid of the first worker to run job 0.
+    auto *first = static_cast<pid_t *>(
+        ::mmap(nullptr, sizeof(pid_t), PROT_READ | PROT_WRITE,
+               MAP_SHARED | MAP_ANONYMOUS, -1, 0));
+    ASSERT_NE(first, MAP_FAILED);
+    *first = 0;
+
+    // 8 jobs -> 2 shards, one per worker.
+    CoordinatorOptions options = testOptions(2, 4);
+    // The first worker to run job 0 blocks in it until killed, so its
+    // shard stays in flight with no rows sent; the replacement runs
+    // job 0 straight through. Bounded, so a coordinator that never
+    // kills fails the assertions below, not the timeout.
+    options.handler = [&](const JobSpec &job, const auto &table) {
+        if (job.index == 0 &&
+            __atomic_exchange_n(first, ::getpid(), __ATOMIC_SEQ_CST) == 0)
+            for (int i = 0; i < 1000; ++i)
+                ::usleep(10000);
+        return tileCountRow(job, table);
+    };
     bool killed = false;
     // Kill the worker holding shard 0 at its first heartbeat: the
-    // heartbeat precedes the job's prepare, and job 0 runs ~200 ms,
-    // so the shard is guaranteed in flight with no rows buffered.
+    // heartbeat precedes job 0, which blocks in that worker.
     options.onRecord = [&](const Json &record, int, pid_t pid) {
         if (!killed && record.at("t").asString() == "hb" &&
             record.at("shard").asInt() == 0) {
@@ -217,6 +235,7 @@ TEST(Coordinator, SigkilledWorkerIsRespawnedAndItsShardRetried)
         }
     };
     ServeOutcome outcome = serveJobs(set, options);
+    ::munmap(first, sizeof(pid_t));
     ASSERT_TRUE(killed);
     EXPECT_TRUE(outcome.summary.ok);
     EXPECT_EQ(mergedJsonl(set, outcome.rows), reference);
@@ -232,18 +251,21 @@ TEST(Coordinator, SigkilledWorkerIsRespawnedAndItsShardRetried)
 
 TEST(Coordinator, CrashLoopExhaustsAttemptsAndAbandons)
 {
-    // A job no worker can survive (unknown workload -> the worker
-    // exits mid-prepare) crash-loops deterministically: every attempt
-    // dies, and after maxAttempts the job must surface as an
-    // abandoned row instead of respawning forever.
+    // A job no worker can survive (the handler exits on the poison
+    // workload) crash-loops deterministically: every attempt dies,
+    // and after maxAttempts the job must surface as an abandoned row
+    // instead of respawning forever.
     JobSet set;
     int id = set.addDesign(testDesign());
-    set.addJob("__no_such_workload__", id, true, true);
+    set.addMatchJob("__poison__", { id });
 
-    CoordinatorOptions options;
-    options.workers = 1;
-    options.shardSize = 1;
+    CoordinatorOptions options = testOptions(1, 1);
     options.maxAttempts = 2;
+    options.handler = [](const JobSpec &job, const auto &table) {
+        if (job.workload == "__poison__")
+            ::_exit(1);
+        return tileCountRow(job, table);
+    };
     ServeOutcome outcome = serveJobs(set, options);
     EXPECT_FALSE(outcome.summary.ok);
     EXPECT_EQ(outcome.summary.abandoned, 1u);
@@ -256,54 +278,17 @@ TEST(Coordinator, CrashLoopExhaustsAttemptsAndAbandons)
               std::string::npos);
 }
 
-TEST(Coordinator, PerJobSimOverridesTravelTheWire)
-{
-    // A deadlock-tight job must come back deadlocked through the
-    // server, with its sibling rows untouched — the same contract the
-    // in-process watchdog test pins, but across the fork boundary.
-    JobSet set;
-    adg::SysAdg tight = testDesign();
-    tight.sys.l2CapacityKiB = 16;
-    int id = set.addDesign(tight);
-    set.addJob("fir", id, true, true);
-    uint64_t victim = set.addJob("accumulate", id, true, false);
-    set.jobs[victim].dramLatency = 2000;
-    set.jobs[victim].deadlockCycles = 500;
-    set.addJob("vecmax", id, true, true);
-
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 1;
-    ServeOutcome outcome = serveJobs(set, options);
-    EXPECT_TRUE(outcome.summary.ok);
-    ASSERT_EQ(outcome.rows.size(), 3u);
-    EXPECT_TRUE(outcome.rows[0].ok);
-    EXPECT_FALSE(outcome.rows[0].deadlocked);
-    EXPECT_TRUE(outcome.rows[1].deadlocked);
-    EXPECT_FALSE(outcome.rows[1].ok);
-    EXPECT_FALSE(outcome.rows[1].diagnostic.empty());
-    EXPECT_TRUE(outcome.rows[2].ok);
-    EXPECT_FALSE(outcome.rows[2].deadlocked);
-}
-
 TEST(Coordinator, RedispatchSkipsRowsAlreadyBanked)
 {
     // Workers stream rows per job, so a crash after some rows arrived
     // must re-run only the remainder — the banked rows' jobs are
-    // never dispatched again, and no duplicates can arise. Jobs 0 and
-    // 3 are Match jobs: the first worker records its pid at job 0 and
-    // blocks at job 3, so when it is killed at the third row it has
-    // streamed exactly three rows, however far the coordinator falls
-    // behind. The replacement never runs job 0, so it does not block.
-    JobSet set;
-    int id = set.addDesign(testDesign());
-    set.addMatchJob("fir", { id });
-    for (const char *name : { "mm", "accumulate" })
-        set.addJob(name, id, /*applyTuning=*/true, /*smallSize=*/true);
-    set.addMatchJob("vecmax", { id });
-    for (const char *name : { "blur", "bgr2grey", "convert-bit", "acc-sqr" })
-        set.addJob(name, id, /*applyTuning=*/true, /*smallSize=*/true);
-    std::string reference = referenceJsonl(set, tileCountRow);
+    // never dispatched again, and no duplicates can arise. The first
+    // worker records its pid at job 0 and blocks at job 3, so when it
+    // is killed at the third row it has streamed exactly three rows,
+    // however far the coordinator falls behind. The replacement never
+    // runs job 0, so it does not block.
+    JobSet set = testJobs();
+    std::string reference = referenceJsonl(set);
 
     // Shared across fork: the pid of the worker that ran job 0.
     auto *first = static_cast<pid_t *>(
@@ -312,13 +297,12 @@ TEST(Coordinator, RedispatchSkipsRowsAlreadyBanked)
     ASSERT_NE(first, MAP_FAILED);
     *first = 0;
 
-    CoordinatorOptions options;
-    options.workers = 1;
-    options.shardSize = 0;  // one shard holding all eight jobs
+    // One shard holding all eight jobs.
+    CoordinatorOptions options = testOptions(1, 0);
     options.handler = [&](const JobSpec &job, const auto &table) {
         if (job.index == 0) {
             *first = ::getpid();
-        } else if (::getpid() == *first) {
+        } else if (job.index == 3 && ::getpid() == *first) {
             // Blocks until killed; bounded, so a coordinator that
             // never kills fails the assertions below, not the timeout.
             for (int i = 0; i < 1000; ++i)
@@ -358,9 +342,17 @@ TEST(CoordinatorDeathTest, ForkWithALiveThreadPoolIsFatal)
     EXPECT_DEATH(
         {
             ThreadPool pool(2);
-            serveJobs(set);
+            serveJobs(set, testOptions(2, 1));
         },
         "live ThreadPool");
+}
+
+TEST(CoordinatorDeathTest, PoolWithoutAHandlerIsFatal)
+{
+    // The installed handler is the workers' only job executor, so a
+    // pool without one fails at construction, before any fork.
+    EXPECT_DEATH({ WorkerPool pool(CoordinatorOptions{}); },
+                 "needs a JobHandler");
 }
 
 namespace {
@@ -387,9 +379,9 @@ otherJobs()
     small.sys.numTiles = 2;
     int a = set.addDesign(small);
     int b = set.addDesign(testDesign());
-    set.addJob("vecmax", a, true, true);
-    set.addJob("fir", b, true, true);
-    set.addJob("mm", a, true, true);
+    set.addMatchJob("vecmax", { a }, true, true);
+    set.addMatchJob("fir", { b }, true, true);
+    set.addMatchJob("mm", { a, b }, true, true);
     return set;
 }
 
@@ -407,9 +399,7 @@ TEST(WorkerPool, SecondRunForksNothingAndMatchesOneShot)
 {
     JobSet set = testJobs();
     JobSet other = otherJobs();
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 1;
+    CoordinatorOptions options = testOptions(2, 1);
     {
         WorkerPool pool(options);
         ServeOutcome first = pool.run(set);
@@ -439,9 +429,7 @@ TEST(WorkerPool, IdleWorkerKilledBetweenRunsIsReplaced)
 {
     JobSet set = testJobs();
     std::string reference = referenceJsonl(set);
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 1;
+    CoordinatorOptions options = testOptions(2, 1);
     {
         WorkerPool pool(options);
         ASSERT_EQ(mergedJsonl(set, pool.run(set).rows), reference);
@@ -470,9 +458,7 @@ TEST(WorkerPool, StoppedIdleWorkerIsReplaced)
 {
     JobSet set = testJobs();
     std::string reference = referenceJsonl(set);
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 1;
+    CoordinatorOptions options = testOptions(2, 1);
     {
         WorkerPool pool(options);
         ASSERT_EQ(mergedJsonl(set, pool.run(set).rows), reference);
@@ -505,7 +491,7 @@ TEST(WorkerPool, WorkerHoldingAnAttemptAtRunEndIsKilledNotReused)
     // so it is killed and reaped: its records can never reach the
     // next run.
     JobSet set = matchJobs();
-    std::string reference = referenceJsonl(set, tileCountRow);
+    std::string reference = referenceJsonl(set);
 
     // Shared across fork: a once-only gate, then the stopped pid.
     struct Stop
@@ -520,9 +506,7 @@ TEST(WorkerPool, WorkerHoldingAnAttemptAtRunEndIsKilledNotReused)
     *stop = Stop{ 0, 0 };
     std::set<int> preexisting = openFds();
 
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 1;
+    CoordinatorOptions options = testOptions(2, 1);
     options.shutdownGraceMs = 200;
     options.handler = [&](const JobSpec &job, const auto &table) {
         ResultRow row = tileCountRow(job, table);
@@ -638,7 +622,7 @@ TEST(Coordinator, RepeatedRowIsHandledLikeACrash)
     // which the worker sends again: the first copy is banked, and the
     // repeat retires the worker before its done record is read.
     JobSet set = matchJobs();
-    std::string reference = referenceJsonl(set, tileCountRow);
+    std::string reference = referenceJsonl(set);
 
     // Shared across fork: how many times job 0 ran, in any worker.
     auto *runs = static_cast<int *>(
@@ -648,9 +632,7 @@ TEST(Coordinator, RepeatedRowIsHandledLikeACrash)
     *runs = 0;
     std::set<int> preexisting = openFds();
 
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 1;
+    CoordinatorOptions options = testOptions(2, 1);
     options.handler = [&](const JobSpec &job, const auto &table) {
         ResultRow row = tileCountRow(job, table);
         if (job.index == 0 &&
@@ -683,7 +665,7 @@ TEST(Coordinator, RepeatedRowReadAtRunEndIsStillACrash)
     // coordinator has seen all four rows. A bad record costs one
     // crash whether or not the rows are all in.
     JobSet set = matchJobs();
-    std::string reference = referenceJsonl(set, tileCountRow);
+    std::string reference = referenceJsonl(set);
 
     // Shared across fork: job 0's run count (workers), and the rows
     // the coordinator has seen (onRecord).
@@ -708,9 +690,7 @@ TEST(Coordinator, RepeatedRowReadAtRunEndIsStillACrash)
             ::usleep(1000);
     };
 
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 1;
+    CoordinatorOptions options = testOptions(2, 1);
     options.handler = [&](const JobSpec &job, const auto &table) {
         ResultRow row = tileCountRow(job, table);
         if (job.index != 0) {
@@ -757,14 +737,7 @@ TEST_P(BadWorkerRecord, IsHandledLikeACrash)
     int b = set.addDesign(small);
     for (const char *name : { "fir", "mm", "vecmax", "blur" })
         set.addMatchJob(name, { a, b });
-    std::vector<std::shared_ptr<const adg::SysAdg>> designs = {
-        std::make_shared<const adg::SysAdg>(testDesign()),
-        std::make_shared<const adg::SysAdg>(small)
-    };
-    std::vector<ResultRow> rows;
-    for (const JobSpec &job : set.jobs)
-        rows.push_back(tileCountRow(job, designs));
-    std::string reference = mergedJsonl(set, rows);
+    std::string reference = referenceJsonl(set);
 
     // Shared across fork, so only the first attempt at job 0 — in
     // whichever worker runs it — sends the bad line.
@@ -776,9 +749,7 @@ TEST_P(BadWorkerRecord, IsHandledLikeACrash)
     std::set<int> preexisting = openFds();
     BadRecord bad = GetParam();
 
-    CoordinatorOptions options;
-    options.workers = 2;
-    options.shardSize = 1;
+    CoordinatorOptions options = testOptions(2, 1);
     // The bad line follows job 0's heartbeat and precedes its row, so
     // the coordinator retires the worker before any row of the shard
     // is banked: exactly one crash, one respawn, one re-dispatch.

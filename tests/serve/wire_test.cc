@@ -31,21 +31,19 @@ TEST(Wire, JobSpecRoundTrips)
 {
     JobSpec job;
     job.index = 42;
+    job.kind = JobKind::Match;
     job.workload = "stencil-2d";
     job.smallSize = true;
-    job.designId = 3;
     job.applyTuning = true;
-    job.dramLatency = 2000;
-    job.deadlockCycles = 500;
+    job.matchDesigns = { 3 };
 
     JobSpec back = jobFromJson(jobToJson(job)).value();
     EXPECT_EQ(back.index, job.index);
+    EXPECT_EQ(back.kind, job.kind);
     EXPECT_EQ(back.workload, job.workload);
     EXPECT_EQ(back.smallSize, job.smallSize);
-    EXPECT_EQ(back.designId, job.designId);
     EXPECT_EQ(back.applyTuning, job.applyTuning);
-    EXPECT_EQ(back.dramLatency, job.dramLatency);
-    EXPECT_EQ(back.deadlockCycles, job.deadlockCycles);
+    EXPECT_EQ(back.matchDesigns, job.matchDesigns);
     // The codec must be byte-stable: decode(encode(x)) re-encodes to
     // the identical line (the determinism contract rests on this).
     EXPECT_EQ(jobToJson(back).dump(), jobToJson(job).dump());
@@ -55,18 +53,14 @@ TEST(Wire, ResultRowRoundTripsWithDiagnostic)
 {
     ResultRow row;
     row.ok = false;
-    row.deadlocked = true;
     row.diagnostic = "tile0: waiting on \"dram\"\n  rob full";
     row.variant = "accumulate/unroll4";
-    row.cycles = 123456789ull;
     row.ipc = 0.3217;
 
     ResultRow back = resultFromJson(resultToJson(row)).value();
     EXPECT_EQ(back.ok, row.ok);
-    EXPECT_EQ(back.deadlocked, row.deadlocked);
     EXPECT_EQ(back.diagnostic, row.diagnostic);
     EXPECT_EQ(back.variant, row.variant);
-    EXPECT_EQ(back.cycles, row.cycles);
     EXPECT_EQ(back.ipc, row.ipc);
     EXPECT_EQ(resultToJson(back).dump(), resultToJson(row).dump());
 }
@@ -97,27 +91,6 @@ TEST(Wire, MatchAndWarmJobsRoundTrip)
     EXPECT_EQ(warm.warmSeed, 0xdeadbeefcafef00dull);
     EXPECT_EQ(warm.warmIterations, 12);
     EXPECT_EQ(jobToJson(warm).dump(), jobToJson(set.jobs[1]).dump());
-}
-
-TEST(Wire, GenerateJobEncodingIsUnchangedByTheNewFields)
-{
-    // A plain Generate job must not emit kind/match/warm keys: old
-    // and new builds produce the identical wire line.
-    JobSet set;
-    int id = set.addDesign(testDesign());
-    set.addJob("fir", id, true, true);
-    std::string line = jobToJson(set.jobs[0]).dump();
-    EXPECT_EQ(line.find("kind"), std::string::npos);
-    EXPECT_EQ(line.find("warm"), std::string::npos);
-    EXPECT_EQ(line.find("match"), std::string::npos);
-
-    ResultRow row;
-    row.ok = true;
-    row.cycles = 1234;
-    row.ipc = 0.5;
-    std::string rowLine = resultToJson(row).dump();
-    EXPECT_EQ(rowLine.find("scores"), std::string::npos);
-    EXPECT_EQ(rowLine.find("payload"), std::string::npos);
 }
 
 TEST(Wire, ScoresAndPayloadRoundTrip)
@@ -165,9 +138,9 @@ TEST(Wire, JobSetInternsDesigns)
     EXPECT_NE(idb, ida);
     EXPECT_EQ(set.designs.size(), 2u);
 
-    EXPECT_EQ(set.addJob("fir", ida), 0u);
-    EXPECT_EQ(set.addJob("mm", idb, true, true), 1u);
-    EXPECT_EQ(set.jobs[1].designId, idb);
+    EXPECT_EQ(set.addMatchJob("fir", { ida }), 0u);
+    EXPECT_EQ(set.addMatchJob("mm", { idb }, true, true), 1u);
+    EXPECT_EQ(set.jobs[1].matchDesigns, std::vector<int>{ idb });
     EXPECT_TRUE(set.jobs[1].applyTuning);
     EXPECT_TRUE(set.jobs[1].smallSize);
 }
@@ -176,13 +149,13 @@ TEST(Wire, MergedJsonlIsIndexOrdered)
 {
     JobSet set;
     int id = set.addDesign(testDesign());
-    set.addJob("fir", id);
-    set.addJob("mm", id);
+    set.addMatchJob("fir", { id });
+    set.addMatchJob("mm", { id });
     std::vector<ResultRow> rows(2);
     rows[0].ok = true;
-    rows[0].cycles = 10;
+    rows[0].ipc = 10;
     rows[1].ok = true;
-    rows[1].cycles = 20;
+    rows[1].ipc = 20;
 
     std::string merged = mergedJsonl(set, rows);
     size_t fir = merged.find("\"fir\"");
@@ -260,8 +233,8 @@ TEST(Wire, WriteLineReportsClosedPipe)
 
 namespace {
 
-/** A Match job, a Warm job and a Generate job with every optional
- * field set, each as its wire line. */
+/** A Match job and a Warm job with every optional field set, each as
+ * its wire line. */
 std::vector<std::string>
 sampleJobLines()
 {
@@ -269,10 +242,7 @@ sampleJobLines()
     int ida = set.addDesign(testDesign(4));
     int idb = set.addDesign(testDesign(10));
     set.addMatchJob("fir", { ida, idb }, true, true);
-    set.addWarmJob("mm", 0xdeadbeefcafef00dull, 12, false, true);
-    uint64_t gen = set.addJob("stencil-2d", idb, true, false);
-    set.jobs[gen].dramLatency = 2000;
-    set.jobs[gen].deadlockCycles = 500;
+    set.addWarmJob("mm", 0xdeadbeefcafef00dull, 12, true, true);
     std::vector<std::string> lines;
     for (const JobSpec &job : set.jobs)
         lines.push_back(jobToJson(job).dump());
@@ -287,7 +257,6 @@ sampleRowLine()
     row.ok = true;
     row.diagnostic = "note";
     row.variant = "fir/unroll2";
-    row.cycles = 4242;
     row.ipc = 1.25;
     WireScore score;
     score.design = 1;
@@ -351,21 +320,28 @@ TEST(Wire, DecodersNameUnknownKindsAndMissingFields)
         EXPECT_FALSE(resultFromJson(Json::parse(line), &error)) << line;
         return error;
     };
-    const std::string base = R"("index":3,"workload":"fir","design":0)";
-    EXPECT_EQ(jobError("{" + base + R"(,"kind":"bogus"})"),
+    const std::string base = R"("index":3,"kind":"match","workload":"fir")";
+    EXPECT_EQ(jobError(R"({"index":3,"kind":"bogus","workload":"fir"})"),
               "unknown job kind 'bogus'");
-    EXPECT_NE(jobError(R"({"index":3,"design":0})").find("'workload'"),
+    // No default kind: a job line without one is rejected by name.
+    EXPECT_NE(jobError(R"({"index":3,"workload":"fir"})").find("'kind'"),
               std::string::npos);
-    EXPECT_NE(jobError(R"({"workload":"fir","design":0})").find("'index'"),
+    EXPECT_NE(jobError(R"({"index":3,"kind":7,"workload":"fir"})")
+                  .find("'kind'"),
               std::string::npos);
-    EXPECT_NE(jobError(R"({"index":-1,"workload":"fir","design":0})")
+    EXPECT_NE(jobError(R"({"index":3,"kind":"match"})").find("'workload'"),
+              std::string::npos);
+    EXPECT_NE(jobError(R"({"kind":"match","workload":"fir"})")
                   .find("'index'"),
               std::string::npos);
-    EXPECT_NE(jobError(R"({"index":1.5,"workload":"fir","design":0})")
+    EXPECT_NE(jobError(R"({"index":-1,"kind":"match","workload":"fir"})")
                   .find("'index'"),
               std::string::npos);
-    EXPECT_NE(jobError(R"({"index":3,"workload":"fir","design":1e300})")
-                  .find("'design'"),
+    EXPECT_NE(jobError(R"({"index":1.5,"kind":"match","workload":"fir"})")
+                  .find("'index'"),
+              std::string::npos);
+    EXPECT_NE(jobError(R"({"index":1e300,"kind":"match","workload":"fir"})")
+                  .find("'index'"),
               std::string::npos);
     EXPECT_NE(jobError("{" + base + R"(,"match_designs":7})")
                   .find("'match_designs'"),
@@ -373,24 +349,24 @@ TEST(Wire, DecodersNameUnknownKindsAndMissingFields)
     EXPECT_NE(jobError("{" + base + R"(,"match_designs":[0,"x"]})")
                   .find("'match_designs'"),
               std::string::npos);
-    EXPECT_NE(jobError("{" + base + R"(,"kind":"warm","warm_seed":"xyz"})")
+    EXPECT_NE(jobError(R"({"index":3,"kind":"warm","warm_seed":"xyz",)"
+                       R"("workload":"fir"})")
                   .find("'warm_seed'"),
               std::string::npos);
     EXPECT_NE(jobError("{" + base + R"(,"small":1})").find("'small'"),
               std::string::npos);
     EXPECT_EQ(jobError("[1,2]"), "job is not an object");
 
-    const std::string row =
-        R"("ok":true,"deadlocked":false,"variant":"v","ipc":1)";
-    EXPECT_NE(rowError("{" + row + "}").find("'cycles'"),
+    const std::string row = R"("ok":true,"variant":"v","ipc":1)";
+    EXPECT_NE(rowError(R"({"ok":true,"variant":"v"})").find("'ipc'"),
               std::string::npos);
-    EXPECT_NE(rowError("{" + row + R"(,"cycles":-4})").find("'cycles'"),
+    EXPECT_NE(rowError(R"({"ok":true,"variant":"v","ipc":"x"})")
+                  .find("'ipc'"),
               std::string::npos);
-    EXPECT_NE(rowError("{" + row + R"(,"cycles":4,"scores":[{"design":0}]})")
+    EXPECT_NE(rowError("{" + row + R"(,"scores":[{"design":0}]})")
                   .find("'feasible'"),
               std::string::npos);
-    EXPECT_NE(rowError("{" + row + R"(,"cycles":4,"scores":{}})")
-                  .find("'scores'"),
+    EXPECT_NE(rowError("{" + row + R"(,"scores":{}})").find("'scores'"),
               std::string::npos);
     EXPECT_EQ(rowError(R"("row")"), "row is not an object");
 }

@@ -21,6 +21,15 @@ using namespace overgen::serve;
 
 namespace {
 
+/** A stub handler: every job gets an ok row. */
+ResultRow
+okRow(const JobSpec &, const std::vector<std::shared_ptr<const adg::SysAdg>> &)
+{
+    ResultRow row;
+    row.ok = true;
+    return row;
+}
+
 struct WorkerExit
 {
     int status = 0;      //!< waitpid status of the worker process
@@ -45,7 +54,7 @@ runWorker(const std::string &input)
         ::dup2(err[1], STDERR_FILENO);
         ::close(err[0]);
         ::close(out[0]);
-        ::_exit(workerLoop(in[0], out[1]));
+        ::_exit(workerLoop(in[0], out[1], okRow));
     }
     ::close(in[0]);
     ::close(out[1]);
@@ -80,15 +89,15 @@ expectRejected(const std::string &line)
 
 const std::string kDesigns = R"({"t":"designs","designs":[],"table":[]})";
 const std::string kShard =
-    R"({"t":"shard","shard":0,"jobs":[{"design":0,"index":0,)"
-    R"("kind":"match","workload":"fir"}]})";
+    R"({"t":"shard","shard":0,"jobs":[{"index":0,"kind":"match",)"
+    R"("workload":"fir"}]})";
 
 } // namespace
 
 TEST(WorkerLoop, WellFormedRecordsExitCleanly)
 {
     // The controls: the lines the rejection cases are cut from decode.
-    // A Match job with no handler gets a diagnostic row, then EOF.
+    // The Match job gets the stub handler's row, then EOF.
     for (const std::string &input :
          { std::string(R"({"t":"bye"})"), kDesigns,
            kDesigns + "\n" + kShard }) {
@@ -128,13 +137,15 @@ TEST(WorkerLoop, MissingOrIllTypedFieldsAreNamedErrors)
         R"({"t":"shard","shard":0})",
         R"({"t":"shard","shard":0,"jobs":{}})",
         R"({"t":"shard","shard":0,"jobs":[7]})",
-        R"({"t":"shard","shard":0,"jobs":[{"index":0,"design":0}]})",
-        // A Generate job naming a design the worker was never sent.
-        R"({"t":"shard","shard":0,"jobs":[{"design":0,"index":0,)"
-        R"("workload":"fir"}]})",
+        R"({"t":"shard","shard":0,"jobs":[{"index":0,"kind":"match"}]})",
+        // A job with no kind.
+        R"({"t":"shard","shard":0,"jobs":[{"index":0,"workload":"fir"}]})",
+        // A Match job naming a design the worker was never sent.
+        R"({"t":"shard","shard":0,"jobs":[{"index":0,"kind":"match",)"
+        R"("match_designs":[0],"workload":"fir"}]})",
         // A Match job naming a design outside the run's table.
-        R"({"t":"shard","shard":0,"jobs":[{"design":0,"index":0,)"
-        R"("kind":"match","match_designs":[3],"workload":"fir"}]})",
+        R"({"t":"shard","shard":0,"jobs":[{"index":0,"kind":"match",)"
+        R"("match_designs":[3],"workload":"fir"}]})",
     };
     for (const std::string &line : lines)
         expectRejected(line);
